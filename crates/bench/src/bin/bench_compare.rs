@@ -339,99 +339,6 @@ fn compare_real_wire(gate: &mut Gate, base: &JsonValue, fresh: &JsonValue) {
     }
 }
 
-fn compare_parallel_shard(gate: &mut Gate, base: &JsonValue, fresh: &JsonValue) {
-    let file = "BENCH_exp_parallel_shard.json";
-    let same_scale = base.get("quick").map(|v| v.render()) == fresh.get("quick").map(|v| v.render());
-    for section in ["fanout", "match"] {
-        let (Some(b), Some(f)) = (
-            base.get(section).and_then(|s| s.get("rows")),
-            fresh.get(section).and_then(|s| s.get("rows")),
-        ) else {
-            eprintln!("skip {file} {section}: rows missing");
-            continue;
-        };
-        compare_keyed(
-            gate,
-            &format!("{file} {section}"),
-            "shards",
-            b,
-            f,
-            same_scale,
-            &[
-                // Delivered counts are a deterministic function of the
-                // seeded workload — the shard count must not change them.
-                Metric {
-                    name: "deliveries",
-                    wall: false,
-                    extract: |r| field_f64(r, "deliveries"),
-                },
-                Metric {
-                    name: "route_us_per_publish",
-                    wall: true,
-                    extract: |r| field_f64(r, "route_us_per_publish"),
-                },
-            ],
-        );
-        // Sharded rows must actually exercise the worker pool: zero
-        // shard.items on a shards>1 row means the engine silently fell
-        // back to the inline path (telemetry or routing regression).
-        for (k, row) in by_key(f, "shards") {
-            if k <= 1 {
-                continue;
-            }
-            let items = field_f64(row, "shard_items").unwrap_or(0.0);
-            gate.compared += 1;
-            if items <= 0.0 {
-                gate.failures.push(format!(
-                    "{file} {section}[shards={k}]: shard_items is 0 — worker pool not engaged"
-                ));
-            } else {
-                println!("ok   {file} {section}[shards={k}] shard_items: {items:.0}");
-            }
-        }
-    }
-    // Scaling floor: route-stage speedup at the highest shard count vs
-    // shards=1 on the matching-heavy workload. Wall-clock parallelism
-    // needs the cores to exist, so the floor is enforced only when the
-    // fresh run reports >= 4 cores and swept up to 4 shards; otherwise
-    // the measured ratio is printed as advisory.
-    let cores = fresh.get("cores").and_then(JsonValue::as_u64).unwrap_or(1);
-    if let Some(rows) = fresh.get("match").and_then(|s| s.get("rows")) {
-        let keyed = by_key(rows, "shards");
-        let wall = |k: u64| {
-            keyed
-                .iter()
-                .find(|(bk, _)| *bk == k)
-                .and_then(|(_, r)| field_f64(r, "route_wall_ms"))
-        };
-        let max_shards = keyed.iter().map(|(k, _)| *k).max().unwrap_or(1);
-        if let (Some(w1), Some(wn)) = (wall(1), wall(max_shards)) {
-            if max_shards > 1 {
-                let speedup = w1 / wn.max(1e-9);
-                let floor: f64 = std::env::var("BENCH_SHARD_SPEEDUP_FLOOR")
-                    .ok()
-                    .and_then(|v| v.trim().parse().ok())
-                    .unwrap_or(2.5);
-                let label = format!("{file} match route speedup shards={max_shards} vs 1");
-                if cores >= 4 && max_shards >= 4 {
-                    gate.compared += 1;
-                    if speedup < floor {
-                        gate.failures.push(format!(
-                            "{label}: {speedup:.2}x below the {floor:.1}x floor ({cores} cores)"
-                        ));
-                    } else {
-                        println!("ok   {label}: {speedup:.2}x (floor {floor:.1}x, {cores} cores)");
-                    }
-                } else {
-                    println!(
-                        "note {label}: {speedup:.2}x ({cores} core(s); floor enforced at >= 4 cores and a 4-shard sweep)"
-                    );
-                }
-            }
-        }
-    }
-}
-
 fn compare_durable_log(gate: &mut Gate, base: &JsonValue, fresh: &JsonValue) {
     let file = "BENCH_exp_durable_log.json";
     let same_scale = base.get("quick").map(|v| v.render()) == fresh.get("quick").map(|v| v.render());
@@ -550,7 +457,7 @@ fn compare_snapshot(gate: &mut Gate, base: &JsonValue, fresh: &JsonValue) {
         },
     ];
     if let (Some(b), Some(f)) = (base.get("capture"), fresh.get("capture")) {
-        compare_keyed(gate, &format!("{file} capture"), "shards", b, f, same_scale, &correctness);
+        compare_keyed(gate, &format!("{file} capture"), "publishes", b, f, same_scale, &correctness);
     }
     if let (Some(b), Some(f)) = (base.get("loss"), fresh.get("loss")) {
         compare_keyed(gate, &format!("{file} loss"), "loss_pct", b, f, same_scale, &correctness);
@@ -597,12 +504,6 @@ fn main() -> ExitCode {
         load(&fresh_dir, "BENCH_exp_real_wire.json"),
     ) {
         compare_real_wire(&mut gate, &base, &fresh);
-    }
-    if let (Some(base), Some(fresh)) = (
-        load(&base_dir, "BENCH_exp_parallel_shard.json"),
-        load(&fresh_dir, "BENCH_exp_parallel_shard.json"),
-    ) {
-        compare_parallel_shard(&mut gate, &base, &fresh);
     }
     if let (Some(base), Some(fresh)) = (
         load(&base_dir, "BENCH_exp_durable_log.json"),

@@ -9,9 +9,7 @@
 //!    call (local fragment capture + marker flood — the only part that
 //!    runs on the caller), the virtual time until the cut assembles, the
 //!    deterministic marker/fragment message counts, and how many in-flight
-//!    obvents the cut recorded. Swept over `shards` ∈ {1, 4}: the sharded
-//!    row exercises the worker-pool capture merge, which must not change
-//!    the economics.
+//!    obvents the cut recorded.
 //! 2. **byte stability** — every capture row runs its workload twice and
 //!    diffs the rendered cluster images; `byte_mismatch` must be 0 (the
 //!    rendering is the determinism oracle, same as the harness uses).
@@ -83,7 +81,7 @@ struct WaveRun {
 /// One full wave: warm up, burst the certified workload, initiate the
 /// snapshot with the tail of the burst (and `loss`) still in flight, and
 /// step virtual time until the cut assembles.
-fn run_wave(shards: usize, loss: f64) -> WaveRun {
+fn run_wave(loss: f64) -> WaveRun {
     let mut sim = SimNet::new(SimConfig {
         seed: 15,
         latency: LatencyModel::Uniform {
@@ -96,7 +94,7 @@ fn run_wave(shards: usize, loss: f64) -> WaveRun {
     let registry = Arc::new(Registry::new());
     let tracer = Arc::new(Tracer::default());
     tracer.set_enabled(false);
-    let config = DaceConfig { shards, ..DaceConfig::default() };
+    let config = DaceConfig::default();
     for (i, _) in ids.iter().enumerate() {
         sim.add_node(
             format!("n{i}"),
@@ -166,10 +164,10 @@ fn run_wave(shards: usize, loss: f64) -> WaveRun {
     }
 }
 
-fn wave_row(key: &str, value: u64, first: &WaveRun, replay: &WaveRun) -> JsonValue {
-    JsonValue::obj()
-        .set(key, value)
-        .set("publishes", PUBLISHES)
+/// Appends one wave's figures to `row` (which already holds the section's
+/// sweep key, if it has one).
+fn wave_row(row: JsonValue, first: &WaveRun, replay: &WaveRun) -> JsonValue {
+    row.set("publishes", PUBLISHES)
         .set("capture_wall_ms", first.capture_wall_ms)
         .set("wave_virtual_ms", first.wave_virtual_ms)
         .set("incomplete", u64::from(!first.completed))
@@ -189,7 +187,6 @@ fn main() {
     println!("E15: consistent cluster snapshots — capture cost, wave latency, byte stability\n");
 
     let mut capture_table = Table::new(&[
-        "shards",
         "capture ms",
         "wave virt ms",
         "complete",
@@ -197,21 +194,17 @@ fn main() {
         "markers",
         "inflight rec",
     ]);
-    let mut capture_rows = JsonValue::arr();
-    for &shards in &[1usize, 4] {
-        let first = run_wave(shards, 0.0);
-        let replay = run_wave(shards, 0.0);
-        capture_table.row(&[
-            shards.to_string(),
-            fmt_f(first.capture_wall_ms),
-            first.wave_virtual_ms.to_string(),
-            u64::from(first.completed).to_string(),
-            u64::from(first.render == replay.render).to_string(),
-            first.markers_sent.to_string(),
-            first.inflight_recorded.to_string(),
-        ]);
-        capture_rows = capture_rows.push(wave_row("shards", shards as u64, &first, &replay));
-    }
+    let first = run_wave(0.0);
+    let replay = run_wave(0.0);
+    capture_table.row(&[
+        fmt_f(first.capture_wall_ms),
+        first.wave_virtual_ms.to_string(),
+        u64::from(first.completed).to_string(),
+        u64::from(first.render == replay.render).to_string(),
+        first.markers_sent.to_string(),
+        first.inflight_recorded.to_string(),
+    ]);
+    let capture_rows = JsonValue::arr().push(wave_row(JsonValue::obj(), &first, &replay));
     capture_table.print();
     println!();
 
@@ -225,8 +218,8 @@ fn main() {
     ]);
     let mut loss_rows = JsonValue::arr();
     for &loss in &[0.0f64, 0.1, 0.3] {
-        let first = run_wave(1, loss);
-        let replay = run_wave(1, loss);
+        let first = run_wave(loss);
+        let replay = run_wave(loss);
         loss_table.row(&[
             format!("{:.0}", loss * 100.0),
             first.wave_virtual_ms.to_string(),
@@ -235,8 +228,8 @@ fn main() {
             u64::from(first.forced > 0).to_string(),
             first.markers_sent.to_string(),
         ]);
-        loss_rows =
-            loss_rows.push(wave_row("loss_pct", (loss * 100.0) as u64, &first, &replay));
+        let row = JsonValue::obj().set("loss_pct", (loss * 100.0) as u64);
+        loss_rows = loss_rows.push(wave_row(row, &first, &replay));
     }
     loss_table.print();
 
@@ -253,7 +246,6 @@ fn main() {
         "\nexpected shape: the capture call costs well under a millisecond and the wave\n\
          assembles within a few virtual round trips at loss 0; every row is complete\n\
          and byte-stable across replays (the render is the determinism oracle); under\n\
-         loss the SnapRetry re-floods keep the wave live at a bounded retry count, and\n\
-         the sharded capture changes none of the deterministic message counts."
+         loss the SnapRetry re-floods keep the wave live at a bounded retry count."
     );
 }

@@ -41,18 +41,6 @@ pub struct DaceConfig {
     /// set, the node periodically feeds its transmit/parked/channel queue
     /// depths into a health monitor that emits `health.*` metrics.
     pub watchdog: Option<Duration>,
-    /// Number of channel shards. `1` (the default) keeps today's inline
-    /// single-threaded hot path bit-for-bit unchanged; `N > 1` spawns a
-    /// worker pool where each worker owns the `Channel` state (filter
-    /// index, group protocol, membership) of the kinds hashed to its
-    /// shard, and per-publish matching/encoding runs concurrently with a
-    /// deterministic (shard, sequence) effect merge.
-    pub shards: usize,
-    /// Seed mixed into the shard-assignment hash and the per-shard RNG
-    /// streams. Shard assignment is a pure function of
-    /// `(KindId, shards, shard_seed)`, so two nodes with the same config
-    /// route a kind to the same shard index.
-    pub shard_seed: u64,
     /// Write-ahead logging of durable channel state (default on). Along
     /// the paper's Fig. 4 lattice, `Certified` delivery implies durability:
     /// every persisted key of a certified channel — plus durable
@@ -94,8 +82,6 @@ impl Default for DaceConfig {
             transmit_interval: Duration::from_micros(100),
             announce_interval: Duration::from_millis(200),
             watchdog: None,
-            shards: 1,
-            shard_seed: 0,
             wal: true,
             wal_sync: true,
             wal_segment_bytes: 16 * 1024,

@@ -29,10 +29,6 @@
 //!   the Fig. 4 precedence rules allow them) obvents with a `priority`
 //!   property jump the bandwidth-limited transmit queue and `Timely`
 //!   obvents expire in it;
-//! - **sharded execution** ([`shard`]): with [`DaceConfig::shards`] > 1,
-//!   channel ownership is partitioned across a worker pool by a
-//!   seed-stable hash ([`ShardRouter`]) and matching/protocol work runs
-//!   concurrently under a deterministic (shard, sequence) effect merge;
 //! - an **in-process bus** ([`inproc`]) wiring several live domains
 //!   together for the runnable examples.
 //!
@@ -44,12 +40,10 @@ pub mod config;
 pub mod control;
 pub mod inproc;
 pub mod node;
-pub mod shard;
 pub(crate) mod snapshot;
 
 pub use config::{DaceConfig, Placement};
 pub use node::{DaceNode, DaceStats};
-pub use shard::{shard_assignment, ShardRouter};
 
 #[cfg(test)]
 mod tests;

@@ -32,9 +32,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::{DaceConfig, Placement};
 use crate::control::{AdvertiseCtl, SubscribeCtl, UnsubscribeCtl};
-use crate::shard::{
-    ChannelSnapshot, MatchOutcome, PendingAction, ShardEngine, WorkItem,
-};
 use crate::snapshot::{SnapPlane, FORCE_CLOSE_TICKS, UNKNOWN_INITIATOR};
 
 /// Per-node traffic and delivery counters.
@@ -54,7 +51,7 @@ pub struct DaceStats {
 }
 
 #[derive(Debug, Serialize, Deserialize)]
-pub(crate) enum NodeMsg {
+enum NodeMsg {
     /// A reflexive control obvent.
     Control(WireObvent),
     /// Protocol-internal bytes of one multicast class, tagged with the
@@ -235,12 +232,12 @@ impl Ord for TransmitItem {
     }
 }
 
-pub(crate) struct Channel {
-    pub(crate) proto: Option<Box<dyn Multicast>>,
+struct Channel {
+    proto: Option<Box<dyn Multicast>>,
     /// Subscriber nodes, sorted (gives every node the same sequencer).
-    pub(crate) members: Vec<NodeId>,
+    members: Vec<NodeId>,
     /// Compound filter over all remote-filtered subscriptions.
-    pub(crate) index: FilterIndex,
+    index: FilterIndex,
     filter_owner: HashMap<FilterId, (u64, u64)>,
     /// (node, sub) → the filter it registered, or `None` if unfiltered.
     sub_entries: HashMap<(u64, u64), Option<FilterId>>,
@@ -249,7 +246,7 @@ pub(crate) struct Channel {
 }
 
 impl Channel {
-    pub(crate) fn new(proto: Option<Box<dyn Multicast>>) -> Channel {
+    fn new(proto: Option<Box<dyn Multicast>>) -> Channel {
         Channel {
             proto,
             members: Vec::new(),
@@ -270,7 +267,7 @@ impl Channel {
         self.sub_entries.keys().any(|&(n, _)| n == node)
     }
 
-    pub(crate) fn subscribe(&mut self, node: u64, sub: u64, filter: Option<RemoteFilter>) {
+    fn subscribe(&mut self, node: u64, sub: u64, filter: Option<RemoteFilter>) {
         if self.sub_entries.contains_key(&(node, sub)) {
             return; // idempotent (periodic re-announcements)
         }
@@ -289,7 +286,7 @@ impl Channel {
         self.add_member(NodeId(node));
     }
 
-    pub(crate) fn unsubscribe(&mut self, node: u64, sub: u64) {
+    fn unsubscribe(&mut self, node: u64, sub: u64) {
         let Some(entry) = self.sub_entries.remove(&(node, sub)) else {
             return;
         };
@@ -315,7 +312,7 @@ impl Channel {
     /// Destination nodes for `wire` with publisher/broker-side filtering.
     /// Takes `&self`: `FilterIndex::matching` keeps its scratch behind a
     /// `RefCell`, so the publish hot path never needs a mutable channel.
-    pub(crate) fn filtered_destinations(&self, wire: &WireObvent) -> Vec<NodeId> {
+    fn filtered_destinations(&self, wire: &WireObvent) -> Vec<NodeId> {
         let mut nodes: HashSet<u64> = self.unfiltered.keys().copied().collect();
         if !self.filter_owner.is_empty() {
             match wire.view() {
@@ -405,11 +402,6 @@ pub struct DaceNode {
     /// Snapshot plane: the causal clock stamped into every publish and
     /// this node's participation in the current Chandy–Lamport wave.
     snap: SnapPlane,
-    /// Sharded channel execution (`DaceConfig::shards > 1`): channel state
-    /// lives in worker threads and `channels` above stays empty; `None`
-    /// keeps the single-threaded inline path untouched. Created lazily on
-    /// the first callback (the worker seeds need the node id).
-    engine: Option<ShardEngine>,
 }
 
 impl DaceNode {
@@ -490,7 +482,6 @@ impl DaceNode {
             trace_seq: 0,
             last_trace: TraceId::NONE,
             snap: SnapPlane::default(),
-            engine: None,
         }
     }
 
@@ -640,9 +631,6 @@ impl DaceNode {
     /// human-readable findings; empty means every channel is healthy. The
     /// chaos harness samples this mid-storm as its `FilterOracle`.
     pub fn filter_oracle_findings(&self, probe: &Value) -> Vec<String> {
-        if let Some(engine) = &self.engine {
-            return engine.filter_oracle(probe);
-        }
         let mut findings = Vec::new();
         let mut kinds: Vec<KindId> = self.channels.keys().copied().collect();
         kinds.sort();
@@ -685,14 +673,6 @@ impl DaceNode {
     fn ensure_id(&mut self, ctx: &mut Ctx<'_>) {
         if self.id.is_none() {
             self.id = Some(ctx.id());
-        }
-        if self.engine.is_none() && self.config.shards > 1 {
-            self.engine = Some(ShardEngine::new(
-                self.config.shards,
-                self.me(),
-                &self.config,
-                &self.telemetry,
-            ));
         }
         self.wal_bootstrap(ctx);
     }
@@ -960,17 +940,7 @@ impl DaceNode {
         loop {
             let op = self.ops.lock().expect("ops queue poisoned").pop_front();
             match op {
-                None => {
-                    // Sharded mode: dispatch everything staged so far and
-                    // merge the effects; delivered obvents may run handlers
-                    // that queue new fabric ops, so loop until both the ops
-                    // queue and the staging buffers are empty.
-                    if self.engine.as_ref().is_some_and(ShardEngine::has_pending) {
-                        self.drain_shard_work(ctx);
-                        continue;
-                    }
-                    break;
-                }
+                None => break,
                 Some(BackendOp::Publish(wire)) => self.publish_flow(ctx, wire),
                 Some(BackendOp::Subscribe(record)) => self.subscribe_flow(ctx, record),
                 Some(BackendOp::Unsubscribe(id)) => self.unsubscribe_flow(ctx, id),
@@ -1062,21 +1032,8 @@ impl DaceNode {
         self.flood_control(ctx, &ctl);
         // Apply locally so self-publishing routes to local subscribers.
         self.ensure_channel(ctx, channel);
-        if let Some(engine) = self.engine.as_mut() {
-            engine.stage(
-                channel,
-                WorkItem::Subscribe {
-                    kind: channel,
-                    node: me.0,
-                    sub: sub_raw,
-                    filter,
-                },
-                PendingAction::Proto,
-            );
-        } else {
-            let ch = self.channels.get_mut(&channel).expect("just ensured");
-            ch.subscribe(me.0, sub_raw, filter);
-        }
+        let ch = self.channels.get_mut(&channel).expect("just ensured");
+        ch.subscribe(me.0, sub_raw, filter);
     }
 
     fn unsubscribe_flow(&mut self, ctx: &mut Ctx<'_>, id: SubId) {
@@ -1094,19 +1051,7 @@ impl DaceNode {
         for channel in joined {
             let ctl = UnsubscribeCtl::new(me.0, id.0, channel.as_u64());
             self.flood_control(ctx, &ctl);
-            if let Some(engine) = self.engine.as_mut() {
-                if engine.ensured.contains(&channel) {
-                    engine.stage(
-                        channel,
-                        WorkItem::Unsubscribe {
-                            kind: channel,
-                            node: me.0,
-                            sub: id.0,
-                        },
-                        PendingAction::Proto,
-                    );
-                }
-            } else if let Some(ch) = self.channels.get_mut(&channel) {
+            if let Some(ch) = self.channels.get_mut(&channel) {
                 ch.unsubscribe(me.0, id.0);
             }
         }
@@ -1184,7 +1129,7 @@ impl DaceNode {
             self.advertise(ctx, kind);
         }
         self.ensure_channel(ctx, kind);
-        if self.channel_has_proto(kind) {
+        if self.channels.get(&kind).expect("ensured").proto.is_some() {
             self.telemetry.bump("dace.group_broadcasts", 1);
             if self.tracer.is_enabled() {
                 self.tracer.record(
@@ -1195,28 +1140,9 @@ impl DaceNode {
                 );
             }
             let bytes = psc_codec::to_wire_bytes(&wire).expect("wire obvents encode");
-            if let Some(engine) = self.engine.as_mut() {
-                engine.stage(
-                    kind,
-                    WorkItem::Broadcast { kind, bytes },
-                    PendingAction::Proto,
-                );
-            } else {
-                self.with_channel_proto(ctx, kind, |proto, io| proto.broadcast(io, bytes));
-            }
+            self.with_channel_proto(ctx, kind, |proto, io| proto.broadcast(io, bytes));
         } else {
             self.direct_publish(ctx, kind, wire, &qos);
-        }
-    }
-
-    /// Whether `kind`'s (ensured) channel runs a group protocol; answered
-    /// from the worker-free `has_proto` map in sharded mode (`make_proto`
-    /// is a pure function of the QoS and config, so the main thread knows
-    /// without asking the owning worker).
-    fn channel_has_proto(&self, kind: KindId) -> bool {
-        match &self.engine {
-            Some(engine) => *engine.has_proto.get(&kind).expect("ensured"),
-            None => self.channels.get(&kind).expect("ensured").proto.is_some(),
         }
     }
 
@@ -1230,32 +1156,6 @@ impl DaceNode {
                 ctx.send(broker, encode_node_msg(&NodeMsg::Brokered(wire)));
                 return;
             }
-        }
-        if let Some(engine) = self.engine.as_mut() {
-            // The owning shard evaluates destinations and pre-encodes the
-            // envelope off-thread; routing resumes in `apply_match` with
-            // the parameters captured here.
-            if matches!(
-                self.config.placement,
-                Placement::Publisher | Placement::Broker(_)
-            ) {
-                self.telemetry.bump("dace.filter_evals", 1);
-            }
-            let deadline_us = deadline.map(|d| d.as_micros());
-            engine.stage(
-                kind,
-                WorkItem::Match {
-                    kind,
-                    wire: wire.clone(),
-                    deadline_us,
-                },
-                PendingAction::Direct {
-                    wire,
-                    priority,
-                    deadline,
-                },
-            );
-            return;
         }
         let destinations = {
             let ch = self.channels.get(&kind).expect("ensured");
@@ -1429,10 +1329,6 @@ impl DaceNode {
     }
 
     fn ensure_channel(&mut self, ctx: &mut Ctx<'_>, kind: KindId) {
-        if self.engine.is_some() {
-            self.ensure_channel_sharded(ctx, kind);
-            return;
-        }
         if self.channels.contains_key(&kind) {
             return;
         }
@@ -1444,116 +1340,6 @@ impl DaceNode {
         self.channels.insert(kind, Channel::new(proto));
         if has_proto {
             self.with_channel_proto(ctx, kind, |proto, io| proto.on_start(io));
-        }
-    }
-
-    /// Sharded twin of [`DaceNode::ensure_channel`]: stages the channel's
-    /// creation on its owning shard, seeding the worker's storage fragment
-    /// with the channel's persisted keys (how e.g. certified-delivery logs
-    /// survive a crash–rebuild of the pool).
-    fn ensure_channel_sharded(&mut self, ctx: &mut Ctx<'_>, kind: KindId) {
-        let engine = self.engine.as_mut().expect("sharded mode");
-        if !engine.ensured.insert(kind) {
-            return;
-        }
-        let seed_kvs = ctx.storage().entries_with_prefix(&format!("ch/{}/", kind));
-        let qos = psc_obvent::registry::lookup(kind)
-            .map(|k| k.qos().clone())
-            .unwrap_or_default();
-        let has_proto = make_proto(&qos, &self.config).is_some();
-        engine.has_proto.insert(kind, has_proto);
-        engine.stage(
-            kind,
-            WorkItem::Ensure { kind, seed_kvs },
-            PendingAction::Proto,
-        );
-    }
-
-    /// Merge point of the sharded hot path: dispatches every staged batch,
-    /// blocks on all shard replies, and applies the returned effects in
-    /// global sequence order — storage mirror, then sends, then timers,
-    /// then deliveries, exactly the order the inline path produces them.
-    fn drain_shard_work(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(engine) = self.engine.as_mut() else {
-            return;
-        };
-        if !engine.has_pending() {
-            return;
-        }
-        let (pending, effects) = engine.dispatch(ctx.now(), self.snap.wave, &self.telemetry);
-        for (item, fx) in pending.into_iter().zip(effects) {
-            debug_assert_eq!(item.seq, fx.seq, "merge must align items with effects");
-            if !fx.storage.is_empty() {
-                // Mirror worker-fragment writes onto the authoritative
-                // store so they survive crashes like inline writes do.
-                ctx.storage().apply(fx.storage);
-            }
-            for (to, bytes) in fx.sends {
-                ctx.send(to, bytes);
-            }
-            for (after, token) in fx.timers {
-                let id = ctx.set_timer(after);
-                self.timer_map
-                    .insert(id, DaceTimer::Channel(item.kind, token));
-            }
-            for (origin, payload) in fx.delivered {
-                if let Ok(wire) = psc_codec::from_bytes::<WireObvent>(&payload) {
-                    self.tracer.record(
-                        wire.trace_id(),
-                        ctx.now().as_micros(),
-                        TraceStage::GroupDeliver,
-                        format!("at=n{} origin=n{}", self.me().0, origin.0),
-                    );
-                    self.local_deliver(ctx, &wire);
-                }
-            }
-            if let Some(outcome) = fx.matched {
-                if let PendingAction::Direct {
-                    wire,
-                    priority,
-                    deadline,
-                } = item.action
-                {
-                    self.apply_match(ctx, wire, priority, deadline, outcome);
-                }
-            }
-        }
-    }
-
-    /// Applies one `Match` item's outcome: the sharded continuation of
-    /// [`DaceNode::direct_publish`]'s fan-out loop (same trace record, same
-    /// counters, same serialize-once envelope sharing).
-    fn apply_match(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        wire: WireObvent,
-        priority: i64,
-        deadline: Option<SimTime>,
-        outcome: MatchOutcome,
-    ) {
-        let me = self.me();
-        let MatchOutcome {
-            destinations,
-            encoded,
-        } = outcome;
-        self.tracer.record(
-            wire.trace_id(),
-            ctx.now().as_micros(),
-            TraceStage::FilterEval,
-            format!("at=n{} dests={}", me.0, destinations.len()),
-        );
-        let trace = wire.trace_id();
-        for dest in destinations {
-            if dest == me {
-                self.local_deliver(ctx, &wire);
-            } else {
-                self.stats.direct_sent += 1;
-                self.telemetry.bump("dace.direct_sent", 1);
-                let bytes = encoded
-                    .clone()
-                    .expect("remote destination implies an encoded envelope");
-                self.enqueue_transmit(ctx, dest, bytes, trace, priority, deadline);
-            }
         }
     }
 
@@ -1611,38 +1397,13 @@ impl DaceNode {
                     psc_codec::from_bytes::<RemoteFilter>(ctl.filter()).ok()
                 };
                 self.ensure_channel(ctx, channel);
-                if let Some(engine) = self.engine.as_mut() {
-                    engine.stage(
-                        channel,
-                        WorkItem::Subscribe {
-                            kind: channel,
-                            node: *ctl.node(),
-                            sub: *ctl.sub(),
-                            filter,
-                        },
-                        PendingAction::Proto,
-                    );
-                } else {
-                    let ch = self.channels.get_mut(&channel).expect("just ensured");
-                    ch.subscribe(*ctl.node(), *ctl.sub(), filter);
-                }
+                let ch = self.channels.get_mut(&channel).expect("just ensured");
+                ch.subscribe(*ctl.node(), *ctl.sub(), filter);
             }
         } else if wire.kind_id() == UnsubscribeCtl::kind_id() {
             if let Ok(ctl) = wire.decode_exact::<UnsubscribeCtl>() {
                 let channel = KindId::from_raw(*ctl.channel());
-                if let Some(engine) = self.engine.as_mut() {
-                    if engine.ensured.contains(&channel) {
-                        engine.stage(
-                            channel,
-                            WorkItem::Unsubscribe {
-                                kind: channel,
-                                node: *ctl.node(),
-                                sub: *ctl.sub(),
-                            },
-                            PendingAction::Proto,
-                        );
-                    }
-                } else if let Some(ch) = self.channels.get_mut(&channel) {
+                if let Some(ch) = self.channels.get_mut(&channel) {
                     ch.unsubscribe(*ctl.node(), *ctl.sub());
                 }
             }
@@ -1670,42 +1431,22 @@ impl DaceNode {
     /// protocol's queue depths (prefixed with the channel's kind name), and
     /// the counter snapshot, in a stable order.
     fn watchdog_sweep(&mut self, now: SimTime) {
-        if self.health.is_none() {
-            return;
-        }
+        let Some(health) = &self.health else { return };
         let mut depths: Vec<(String, u64)> = vec![
             ("dace.transmit".to_string(), self.transmit.len() as u64),
             ("dace.parked".to_string(), self.parked.len() as u64),
         ];
-        match self.engine.as_mut() {
-            Some(engine) => {
-                for (kind, queue_depths) in engine.queue_depths() {
-                    let kname = kind_name(kind);
-                    for (name, depth) in queue_depths {
-                        depths.push((format!("{kname}.{name}"), depth));
-                    }
-                }
-                // High-water staged batch depth per shard since the last
-                // sweep: the sharded twin of a queue-depth gauge.
-                for (idx, peak) in engine.take_peak_depths().into_iter().enumerate() {
-                    depths.push((format!("shard.{idx}.staged"), peak));
-                }
-            }
-            None => {
-                let mut kinds: Vec<KindId> = self.channels.keys().copied().collect();
-                kinds.sort();
-                for kind in kinds {
-                    let channel = &self.channels[&kind];
-                    if let Some(proto) = &channel.proto {
-                        let kname = kind_name(kind);
-                        for (name, depth) in proto.queue_depths() {
-                            depths.push((format!("{kname}.{name}"), depth));
-                        }
-                    }
+        let mut kinds: Vec<KindId> = self.channels.keys().copied().collect();
+        kinds.sort();
+        for kind in kinds {
+            let channel = &self.channels[&kind];
+            if let Some(proto) = &channel.proto {
+                let kname = kind_name(kind);
+                for (name, depth) in proto.queue_depths() {
+                    depths.push((format!("{kname}.{name}"), depth));
                 }
             }
         }
-        let Some(health) = &self.health else { return };
         health.sweep(now.as_micros(), &depths, &self.telemetry.snapshot());
     }
 
@@ -1849,8 +1590,8 @@ impl DaceNode {
 
     /// Enters wave `wave`: capture first, then open recordings, then flood
     /// markers. `self.snap.wave` is claimed *before* the capture so that
-    /// any work drained while capturing (staged shard batches can deliver
-    /// obvents) cannot re-enter the ignition path for the same wave.
+    /// an obvent delivered while capturing cannot re-enter the ignition
+    /// path for the same wave.
     fn snapshot_begin(&mut self, ctx: &mut Ctx<'_>, wave: u64, initiator: u64, initiating: bool) {
         if wave <= self.snap.wave {
             return; // stale or re-entrant ignition
@@ -1883,12 +1624,8 @@ impl DaceNode {
     }
 
     /// Captures this node's fragment of the cut: causal clock, durable-sub
-    /// table, parked obvents, and every live channel's protocol state —
-    /// read inline or merged from the owning shard workers. Staged shard
-    /// work is drained first so the capture reflects every message
-    /// processed before this point.
+    /// table, parked obvents, and every live channel's protocol state.
     fn snapshot_capture_frag(&mut self, ctx: &mut Ctx<'_>) -> NodeFrag {
-        self.drain_shard_work(ctx);
         let me = self.me();
         let mut dursubs: Vec<u64> = self.durable_pending.keys().copied().collect();
         dursubs.sort_unstable();
@@ -1911,37 +1648,24 @@ impl DaceNode {
             channels: Vec::new(),
             inflight: Vec::new(),
         };
-        if let Some(engine) = self.engine.as_mut() {
-            let captures = engine.capture_channels(ctx.now());
-            for (kind, members, capture) in captures {
+        let mut kinds: Vec<KindId> = self
+            .channels
+            .iter()
+            .filter(|(_, ch)| ch.proto.is_some())
+            .map(|(&kind, _)| kind)
+            .collect();
+        kinds.sort();
+        for kind in kinds {
+            let members: Vec<u64> = self.channels[&kind].members.iter().map(|n| n.0).collect();
+            let mut cap = None;
+            self.with_channel_proto(ctx, kind, |proto, io| cap = Some(proto.capture(io)));
+            if let Some(capture) = cap {
                 frag.channels.push(ChannelFrag {
                     kind: kind.as_u64(),
                     name: kind_name(kind),
                     members,
                     capture,
                 });
-            }
-        } else {
-            let mut kinds: Vec<KindId> = self
-                .channels
-                .iter()
-                .filter(|(_, ch)| ch.proto.is_some())
-                .map(|(&kind, _)| kind)
-                .collect();
-            kinds.sort();
-            for kind in kinds {
-                let members: Vec<u64> =
-                    self.channels[&kind].members.iter().map(|n| n.0).collect();
-                let mut cap = None;
-                self.with_channel_proto(ctx, kind, |proto, io| cap = Some(proto.capture(io)));
-                if let Some(capture) = cap {
-                    frag.channels.push(ChannelFrag {
-                        kind: kind.as_u64(),
-                        name: kind_name(kind),
-                        members,
-                        capture,
-                    });
-                }
             }
         }
         frag
@@ -2206,21 +1930,9 @@ impl DaceNode {
                 bytes,
             } => {
                 self.ensure_channel(ctx, channel);
-                if let Some(engine) = self.engine.as_mut() {
-                    engine.stage(
-                        channel,
-                        WorkItem::OnMessage {
-                            kind: channel,
-                            from,
-                            bytes,
-                        },
-                        PendingAction::Proto,
-                    );
-                } else {
-                    self.with_channel_proto(ctx, channel, |proto, io| {
-                        proto.on_message(io, from, &bytes)
-                    });
-                }
+                self.with_channel_proto(ctx, channel, |proto, io| {
+                    proto.on_message(io, from, &bytes)
+                });
             }
             NodeMsg::Batch(bytes) => {
                 let Ok(frames) = psc_codec::split_frames(&bytes) else {
@@ -2306,17 +2018,7 @@ impl Node for DaceNode {
             Some(DaceTimer::Announce) => self.announce(ctx),
             Some(DaceTimer::Transmit) => self.drain_one_transmit(ctx),
             Some(DaceTimer::Channel(kind, token)) => {
-                if let Some(engine) = self.engine.as_mut() {
-                    if engine.ensured.contains(&kind) {
-                        engine.stage(
-                            kind,
-                            WorkItem::OnTimer { kind, token },
-                            PendingAction::Proto,
-                        );
-                    }
-                } else {
-                    self.with_channel_proto(ctx, kind, |proto, io| proto.on_timer(io, token));
-                }
+                self.with_channel_proto(ctx, kind, |proto, io| proto.on_timer(io, token));
             }
             Some(DaceTimer::Watchdog) => {
                 self.watchdog_sweep(ctx.now());
@@ -2436,20 +2138,27 @@ impl Inspect for DaceNode {
         }
         report.end();
 
-        let snapshots = self.channel_snapshots();
-        report.section(format!("channels count={}", snapshots.len()));
-        for snap in snapshots {
-            let proto = snap.proto.unwrap_or("direct");
+        let mut kinds: Vec<KindId> = self.channels.keys().copied().collect();
+        kinds.sort();
+        report.section(format!("channels count={}", kinds.len()));
+        for kind in kinds {
+            let channel = &self.channels[&kind];
+            let proto = channel
+                .proto
+                .as_ref()
+                .map(|p| p.proto_name())
+                .unwrap_or("direct");
             report.section(format!(
                 "channel kind={} proto={proto} members={}",
-                kind_name(snap.kind),
-                snap.members
+                kind_name(kind),
+                channel
+                    .members
                     .iter()
                     .map(|m| format!("n{}", m.0))
                     .collect::<Vec<_>>()
                     .join(",")
             ));
-            let stats = snap.stats;
+            let stats = channel.index.stats();
             report.line(format!(
                 "filters={} predicates={} unique={} paths={} shared={} counting={} residual={} indexed_preds={} residual_preds={}",
                 stats.filters,
@@ -2462,44 +2171,16 @@ impl Inspect for DaceNode {
                 stats.indexed_preds,
                 stats.residual_preds
             ));
-            for (name, depth) in snap.depths {
-                report.line(format!("queue {name}={depth}"));
+            if let Some(proto) = &channel.proto {
+                for (name, depth) in proto.queue_depths() {
+                    report.line(format!("queue {name}={depth}"));
+                }
             }
             report.end();
         }
         report.end();
         report.end();
         report.finish()
-    }
-}
-
-impl DaceNode {
-    /// Snapshots of every channel's observable state, sorted by kind —
-    /// read from the owning workers in sharded mode, from the local map
-    /// inline. Both paths render identically in [`Inspect`].
-    fn channel_snapshots(&self) -> Vec<ChannelSnapshot> {
-        if let Some(engine) = &self.engine {
-            return engine.channel_snapshots();
-        }
-        let mut kinds: Vec<KindId> = self.channels.keys().copied().collect();
-        kinds.sort();
-        kinds
-            .into_iter()
-            .map(|kind| {
-                let channel = &self.channels[&kind];
-                ChannelSnapshot {
-                    kind,
-                    proto: channel.proto.as_ref().map(|p| p.proto_name()),
-                    members: channel.members.clone(),
-                    stats: channel.index.stats(),
-                    depths: channel
-                        .proto
-                        .as_ref()
-                        .map(|p| p.queue_depths())
-                        .unwrap_or_default(),
-                }
-            })
-            .collect()
     }
 }
 
@@ -2551,7 +2232,7 @@ fn qos_class(qos: &QosSpec) -> String {
 
 /// Chooses the multicast protocol a channel's QoS demands; `None` selects
 /// the direct best-effort path.
-pub(crate) fn make_proto(qos: &QosSpec, config: &DaceConfig) -> Option<Box<dyn Multicast>> {
+fn make_proto(qos: &QosSpec, config: &DaceConfig) -> Option<Box<dyn Multicast>> {
     match qos.ordering {
         Ordering::Total => Some(Box::new(Total::new())),
         Ordering::Causal => Some(Box::new(Causal::new())),
@@ -2568,9 +2249,9 @@ pub(crate) fn make_proto(qos: &QosSpec, config: &DaceConfig) -> Option<Box<dyn M
 
 /// The `proto_name` of the protocol [`make_proto`] would choose for
 /// `kind`'s QoS — without constructing it. The snapshot in-flight recorder
-/// needs the name to decode frame identities on channels it does not own
-/// (sharded mode keeps channel state in the workers).
-pub(crate) fn proto_name_for(kind: KindId) -> Option<&'static str> {
+/// needs the name to decode frame identities before the frame's channel
+/// has been created.
+fn proto_name_for(kind: KindId) -> Option<&'static str> {
     let qos = psc_obvent::registry::lookup(kind)
         .map(|k| k.qos().clone())
         .unwrap_or_default();
@@ -2586,13 +2267,13 @@ pub(crate) fn proto_name_for(kind: KindId) -> Option<&'static str> {
     }
 }
 
-pub(crate) fn encode_node_msg(msg: &NodeMsg) -> WireBytes {
+fn encode_node_msg(msg: &NodeMsg) -> WireBytes {
     psc_codec::to_wire_bytes(msg).expect("node messages encode")
 }
 
 /// The registered name of `kind`, used in per-channel metric names
 /// (`dace.channel.<name>.published`); falls back to the numeric id.
-pub(crate) fn kind_name(kind: KindId) -> String {
+fn kind_name(kind: KindId) -> String {
     psc_obvent::registry::lookup(kind)
         .map(|k| k.name().to_string())
         .unwrap_or_else(|| kind.to_string())

@@ -763,156 +763,6 @@ mod durable_subscriptions {
     }
 }
 
-mod sharded {
-    //! The sharded hot path must behave observably like the inline path:
-    //! same deliveries, same ordering guarantees, same crash recovery —
-    //! only the execution is partitioned across the worker pool.
-
-    use super::*;
-    use crate::shard_assignment;
-
-    fn sharded(shards: usize) -> DaceConfig {
-        DaceConfig {
-            shards,
-            ..DaceConfig::default()
-        }
-    }
-
-    #[test]
-    fn cross_node_delivery_with_publisher_side_filtering_at_4_shards() {
-        let (mut sim, ids) = cluster(3, SimConfig::default(), sharded(4));
-        let cheap = subscribe_plain(
-            &mut sim,
-            ids[1],
-            FilterSpec::remote(psc_filter::rfilter!(n < 10)),
-        );
-        let expensive = subscribe_plain(
-            &mut sim,
-            ids[2],
-            FilterSpec::remote(psc_filter::rfilter!(n >= 10)),
-        );
-        settle(&mut sim, 10);
-        DaceNode::publish_from(&mut sim, ids[0], PlainTick::new("low".into(), 5));
-        DaceNode::publish_from(&mut sim, ids[0], PlainTick::new("high".into(), 50));
-        settle(&mut sim, 50);
-        assert_eq!(*cheap.lock().unwrap(), vec!["low".to_string()]);
-        assert_eq!(*expensive.lock().unwrap(), vec!["high".to_string()]);
-    }
-
-    #[test]
-    fn total_order_agrees_across_subscribers_at_4_shards() {
-        let (mut sim, ids) = cluster(4, SimConfig::with_seed(31), sharded(4));
-        let mut seens = Vec::new();
-        for &id in &ids[2..] {
-            let seen: Seen<u64> = Arc::new(Mutex::new(Vec::new()));
-            let sink = seen.clone();
-            DaceNode::drive(&mut sim, id, move |domain| {
-                let sub = domain.subscribe(FilterSpec::accept_all(), move |t: TotalTick| {
-                    sink.lock().unwrap().push(*t.n());
-                });
-                sub.activate().unwrap();
-                sub.detach();
-            });
-            seens.push(seen);
-        }
-        settle(&mut sim, 10);
-        for i in 0..10u64 {
-            DaceNode::publish_from(&mut sim, ids[0], TotalTick::new(i));
-            DaceNode::publish_from(&mut sim, ids[1], TotalTick::new(100 + i));
-        }
-        settle(&mut sim, 1_000);
-        let a = seens[0].lock().unwrap().clone();
-        let b = seens[1].lock().unwrap().clone();
-        assert_eq!(a.len(), 20);
-        assert_eq!(a, b, "total order must agree at all subscribers");
-    }
-
-    #[test]
-    fn certified_survives_crash_and_pool_rebuild_at_4_shards() {
-        // The certified log lives in the worker's storage fragment; the
-        // journal mirror must land it in authoritative storage so a rebuilt
-        // pool (fresh workers, re-seeded fragments) still certifies.
-        let (mut sim, ids) = cluster(2, SimConfig::default(), sharded(4));
-        let seen = {
-            let seen: Seen<u64> = Arc::new(Mutex::new(Vec::new()));
-            let sink = seen.clone();
-            DaceNode::drive(&mut sim, ids[1], move |domain| {
-                let sub = domain.subscribe(FilterSpec::accept_all(), move |t: CertifiedTick| {
-                    sink.lock().unwrap().push(*t.n());
-                });
-                sub.activate_with_id(9_001).unwrap();
-                sub.detach();
-            });
-            seen
-        };
-        settle(&mut sim, 10);
-        DaceNode::publish_from(&mut sim, ids[0], CertifiedTick::new(1));
-        settle(&mut sim, 100);
-        assert_eq!(*seen.lock().unwrap(), vec![1]);
-
-        sim.crash(ids[1]);
-        DaceNode::publish_from(&mut sim, ids[0], CertifiedTick::new(2));
-        settle(&mut sim, 300);
-
-        sim.recover(ids[1]);
-        let seen2: Seen<u64> = Arc::new(Mutex::new(Vec::new()));
-        let sink = seen2.clone();
-        DaceNode::drive(&mut sim, ids[1], move |domain| {
-            let sub = domain.subscribe(FilterSpec::accept_all(), move |t: CertifiedTick| {
-                sink.lock().unwrap().push(*t.n());
-            });
-            sub.activate_with_id(9_001).unwrap();
-            sub.detach();
-        });
-        settle(&mut sim, 2_000);
-        assert_eq!(
-            *seen2.lock().unwrap(),
-            vec![2],
-            "certified delivery must survive a crash that rebuilds the shard pool"
-        );
-    }
-
-    #[test]
-    fn sharded_inspect_matches_inline_inspect() {
-        // The report plane must render byte-identically whichever side of
-        // the channel map the state lives on.
-        let render = |shards: usize| {
-            let (mut sim, ids) = cluster(2, SimConfig::default(), sharded(shards));
-            subscribe_plain(
-                &mut sim,
-                ids[1],
-                FilterSpec::remote(psc_filter::rfilter!(n < 10)),
-            );
-            settle(&mut sim, 10);
-            DaceNode::publish_from(&mut sim, ids[0], PlainTick::new("x".into(), 5));
-            settle(&mut sim, 50);
-            DaceNode::inspect_of(&mut sim, ids[1]).expect("node up")
-        };
-        assert_eq!(render(1), render(4));
-    }
-
-    mod proptests {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            /// Shard assignment is a pure function of (kind, shards, seed),
-            /// always in range, and `shards = 1` always maps to shard 0.
-            #[test]
-            fn assignment_is_pure_and_in_range(
-                kind in 0u64..u64::MAX,
-                shards in 1u64..17,
-                seed in 0u64..u64::MAX,
-            ) {
-                let a = shard_assignment(kind, shards, seed);
-                prop_assert!(a < shards);
-                prop_assert_eq!(a, shard_assignment(kind, shards, seed));
-                prop_assert_eq!(shard_assignment(kind, 1, seed), 0);
-            }
-        }
-    }
-}
-
 mod durable_wal {
     //! The per-channel write-ahead log (`DaceConfig::wal`): a disk-fault
     //! crash wipes the key–value map, so everything the next incarnation
@@ -1060,44 +910,33 @@ mod durable_wal {
     }
 
     #[test]
-    fn sharded_wal_recovers_exactly_once_like_inline() {
-        // WAL bytes differ across shard counts (protocol msg-ids draw from
-        // per-worker RNG streams), but the guarantee must not: either way,
-        // a disk-fault restart resumes the certified stream exactly-once,
-        // and the same logs exist (journal mirroring captures shard-worker
-        // writes as if they were inline).
-        for shards in [1usize, 4] {
-            let config = DaceConfig {
-                shards,
-                ..DaceConfig::default()
-            };
-            let (mut sim, ids) = cluster(2, SimConfig::default(), config);
-            let seen: Seen<u64> = Arc::new(Mutex::new(Vec::new()));
-            install_certified(&mut sim, ids[1], 21, seen.clone());
-            settle(&mut sim, 10);
-            for i in 0..5u64 {
-                DaceNode::publish_from(&mut sim, ids[0], CertifiedTick::new(i));
-            }
-            settle(&mut sim, 1_000);
-            assert_eq!(seen.lock().unwrap().len(), 5, "shards={shards}");
-            let logs = sim.storage(ids[1]).unwrap().wal_logs();
-            assert!(
-                logs.iter().any(|l| l.starts_with("ch/")) && logs.iter().any(|l| l == "node"),
-                "shards={shards}: expected channel + node logs, got {logs:?}"
-            );
-
-            sim.crash_with_fault(ids[1], DiskFault::LoseUnsynced);
-            sim.recover(ids[1]);
-            let second: Seen<u64> = Arc::new(Mutex::new(Vec::new()));
-            install_certified(&mut sim, ids[1], 21, second.clone());
-            DaceNode::publish_from(&mut sim, ids[0], CertifiedTick::new(100));
-            settle(&mut sim, 2_000);
-            assert_eq!(
-                *second.lock().unwrap(),
-                vec![100],
-                "shards={shards}: disk-fault restart must resume exactly-once"
-            );
+    fn wal_keeps_channel_and_node_logs_and_recovers_exactly_once() {
+        let (mut sim, ids) = cluster(2, SimConfig::default(), DaceConfig::default());
+        let seen: Seen<u64> = Arc::new(Mutex::new(Vec::new()));
+        install_certified(&mut sim, ids[1], 21, seen.clone());
+        settle(&mut sim, 10);
+        for i in 0..5u64 {
+            DaceNode::publish_from(&mut sim, ids[0], CertifiedTick::new(i));
         }
+        settle(&mut sim, 1_000);
+        assert_eq!(seen.lock().unwrap().len(), 5);
+        let logs = sim.storage(ids[1]).unwrap().wal_logs();
+        assert!(
+            logs.iter().any(|l| l.starts_with("ch/")) && logs.iter().any(|l| l == "node"),
+            "expected channel + node logs, got {logs:?}"
+        );
+
+        sim.crash_with_fault(ids[1], DiskFault::LoseUnsynced);
+        sim.recover(ids[1]);
+        let second: Seen<u64> = Arc::new(Mutex::new(Vec::new()));
+        install_certified(&mut sim, ids[1], 21, second.clone());
+        DaceNode::publish_from(&mut sim, ids[0], CertifiedTick::new(100));
+        settle(&mut sim, 2_000);
+        assert_eq!(
+            *second.lock().unwrap(),
+            vec![100],
+            "disk-fault restart must resume exactly-once"
+        );
     }
 }
 
@@ -1165,33 +1004,6 @@ mod snapshots {
         // comes from the SnapRetry re-floods.
         let render = run_once(SimConfig::with_loss(0.3), DaceConfig::default());
         assert!(render.contains("cluster snapshot #1"));
-    }
-
-    #[test]
-    fn sharded_snapshot_matches_inline_snapshot() {
-        let sharded = DaceConfig {
-            shards: 4,
-            ..DaceConfig::default()
-        };
-        let inline = run_once(SimConfig::with_seed(5), DaceConfig::default());
-        let sharded = run_once(SimConfig::with_seed(5), sharded);
-        // Shard interleaving perturbs timing, so in-flight recordings can
-        // differ; the settled channel state (sequences, watermarks,
-        // delivered sets) must agree line-for-line.
-        let settled = |render: &str| -> Vec<String> {
-            render
-                .lines()
-                .filter(|l| {
-                    l.contains("epoch=") || l.contains("watermark") || l.contains("delivered=")
-                })
-                .map(str::to_string)
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(
-            settled(&inline),
-            settled(&sharded),
-            "inline:\n{inline}\nsharded:\n{sharded}"
-        );
     }
 
     #[test]

@@ -53,7 +53,6 @@ mod lpbcast;
 mod reliable;
 pub mod sim_host;
 mod total;
-pub mod vclock;
 
 pub use besteffort::BestEffort;
 pub use causal::Causal;

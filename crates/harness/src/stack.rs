@@ -294,14 +294,6 @@ fn publish(sim: &mut SimNet, node: NodeId, plan: &PubPlan) {
 
 /// Executes a stack scenario and applies the routing oracle.
 pub fn run_stack(scenario: &StackScenario) -> StackOutcome {
-    run_stack_sharded(scenario, 1)
-}
-
-/// [`run_stack`] with the broker hot path split over `shards` worker
-/// threads. `shards == 1` is the inline engine (identical to `run_stack`);
-/// any other value exercises the deterministic (shard, sequence) effect
-/// merge — the outcome must not depend on the shard count.
-pub fn run_stack_sharded(scenario: &StackScenario, shards: usize) -> StackOutcome {
     // Advertise the whole hierarchy before any subscription is installed.
     let _ = (FuzzBase::kind(), FuzzMid::kind(), FuzzLeaf::kind(), FuzzSide::kind());
 
@@ -314,7 +306,6 @@ pub fn run_stack_sharded(scenario: &StackScenario, shards: usize) -> StackOutcom
     let tracer = Arc::new(Tracer::default());
     let config = DaceConfig {
         watchdog: Some(Duration::from_millis(50)),
-        shards,
         ..DaceConfig::default()
     };
     for i in 0..scenario.nodes {
@@ -397,19 +388,12 @@ pub fn run_stack_sharded(scenario: &StackScenario, shards: usize) -> StackOutcom
 /// Determinism + routing oracle for one stack seed; `Err` carries a full
 /// replayable report.
 pub fn check_stack_seed(seed: u64) -> Result<(), String> {
-    check_stack_seed_sharded(seed, 1)
-}
-
-/// [`check_stack_seed`] at an explicit shard count: two identical sharded
-/// runs must render byte-for-byte equal (thread scheduling must not leak
-/// into the outcome) and the routing oracle must hold.
-pub fn check_stack_seed_sharded(seed: u64, shards: usize) -> Result<(), String> {
     let scenario = StackScenario::generate(seed);
-    let first = run_stack_sharded(&scenario, shards);
-    let second = run_stack_sharded(&scenario, shards);
+    let first = run_stack(&scenario);
+    let second = run_stack(&scenario);
     if first.render() != second.render() {
         return Err(format!(
-            "stack seed {seed} (shards={shards}): NONDETERMINISM across identical runs\n{}{}",
+            "stack seed {seed}: NONDETERMINISM across identical runs\n{}{}",
             scenario.describe(),
             first.render()
         ));
@@ -418,7 +402,7 @@ pub fn check_stack_seed_sharded(seed: u64, shards: usize) -> Result<(), String> 
         return Ok(());
     }
     Err(format!(
-        "stack seed {seed} (shards={shards}): {} routing violation(s)\n\
+        "stack seed {seed}: {} routing violation(s)\n\
          replay with: HARNESS_SEED={seed} cargo test --test harness_smoke\n{}{}{}",
         first.violations.len(),
         scenario.describe(),

@@ -46,7 +46,6 @@ struct Args {
     filter: String,
     publish: u64,
     pub_interval_ms: u64,
-    shards: usize,
     run_ms: u64,
     snapshot: Option<String>,
     inspect: bool,
@@ -64,7 +63,6 @@ fn usage() -> ! {
            --filter <none|negative|large>  content filter for --subscribe (default none)\n\
            --publish <n>            publish n NetEvents (tag=0..n, value=tag-50)\n\
            --pub-interval-ms <ms>   spacing between publishes (default 20)\n\
-           --shards <n>             broker worker threads per node (default 1 = inline)\n\
            --run-ms <ms>            scripted run length after connect (default 2000)\n\
            --snapshot <path>        write the final telemetry snapshot JSON to <path>\n\
            --inspect                print the node+transport state report at exit\n\
@@ -87,7 +85,6 @@ fn parse_args() -> Args {
         filter: "none".to_string(),
         publish: 0,
         pub_interval_ms: 20,
-        shards: 1,
         run_ms: 2000,
         snapshot: None,
         inspect: false,
@@ -109,7 +106,6 @@ fn parse_args() -> Args {
             "--pub-interval-ms" => {
                 args.pub_interval_ms = value(&mut it).parse().unwrap_or_else(|_| usage())
             }
-            "--shards" => args.shards = value(&mut it).parse().unwrap_or_else(|_| usage()),
             "--run-ms" => args.run_ms = value(&mut it).parse().unwrap_or_else(|_| usage()),
             "--snapshot" => args.snapshot = Some(value(&mut it)),
             "--inspect" => args.inspect = true,
@@ -197,7 +193,6 @@ fn main() {
     // every 200ms keeps late joiners converging on a real wire too.
     let dace = DaceConfig {
         watchdog: Some(Duration::from_millis(200)),
-        shards: args.shards,
         ..DaceConfig::default()
     };
     let endpoint = match DaceEndpoint::start(net, spec.ids(), dace) {

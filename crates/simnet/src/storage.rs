@@ -116,9 +116,9 @@ impl WalLog {
 #[derive(Debug, Default, Clone)]
 pub struct Storage {
     entries: BTreeMap<String, Vec<u8>>,
-    /// When present, every mutation is also appended here (in order), so a
-    /// detached fragment — e.g. a shard worker's private copy — can be
-    /// replayed onto an authoritative store. `None` costs nothing.
+    /// When present, every mutation is also appended here (in order), for
+    /// the owner to drain into write-ahead log records at the end of a
+    /// callback. `None` costs nothing.
     journal: Option<Vec<StorageOp>>,
     /// Named write-ahead logs: the durable substrate under the key–value
     /// map. The map is the live read path; under a [`DiskFault`] only what
@@ -142,24 +142,12 @@ impl Storage {
         }
     }
 
-    /// Drains the mutations recorded since the last call (empty when
-    /// journaling is off). The ops replay in order via [`Storage::apply`].
+    /// Drains the mutations recorded since the last call, in order (empty
+    /// when journaling is off).
     pub fn take_journal(&mut self) -> Vec<StorageOp> {
         match self.journal.as_mut() {
             Some(journal) => std::mem::take(journal),
             None => Vec::new(),
-        }
-    }
-
-    /// Replays journaled mutations (in order) onto this store.
-    pub fn apply(&mut self, ops: Vec<StorageOp>) {
-        for op in ops {
-            match op {
-                StorageOp::Put(key, value) => self.put_raw(key, value),
-                StorageOp::Remove(key) => {
-                    self.remove(&key);
-                }
-            }
         }
     }
 
@@ -216,8 +204,7 @@ impl Storage {
             .map(|(k, _)| k.as_str())
     }
 
-    /// Clones the `(key, value)` pairs under `prefix` (sorted by key) —
-    /// how a detached fragment is seeded from the authoritative store.
+    /// Clones the `(key, value)` pairs under `prefix` (sorted by key).
     pub fn entries_with_prefix(&self, prefix: &str) -> Vec<(String, Vec<u8>)> {
         self.entries
             .range(prefix.to_string()..)
@@ -249,15 +236,6 @@ impl Storage {
             inner: self,
             prefix: prefix.into(),
         }
-    }
-
-    /// Stores raw bytes under `key` WITHOUT journaling — for seeding a
-    /// detached fragment from already-authoritative state. Seeded entries
-    /// must not flow back through [`Storage::take_journal`], or redundant
-    /// re-puts would reach the authoritative store (and its WAL) only in
-    /// sharded runs, breaking shard-count determinism.
-    pub fn seed_raw(&mut self, key: impl Into<String>, value: Vec<u8>) {
-        self.entries.insert(key.into(), value);
     }
 
     // ---- Write-ahead logs -------------------------------------------------
@@ -482,23 +460,24 @@ mod tests {
     }
 
     #[test]
-    fn journal_records_and_replays_in_order() {
-        let mut fragment = Storage::new();
-        fragment.enable_journal();
-        fragment.put("seq", &7u64).unwrap();
-        fragment.put_raw("log/1", vec![1]);
-        fragment.remove("log/1");
-        fragment.put_raw("log/2", vec![2]);
+    fn journal_records_mutations_in_order_and_drains() {
+        let mut s = Storage::new();
+        s.enable_journal();
+        s.put("seq", &7u64).unwrap();
+        s.put_raw("log/1", vec![1]);
+        s.remove("log/1");
+        s.put_raw("log/2", vec![2]);
 
-        let ops = fragment.take_journal();
-        assert_eq!(ops.len(), 4);
-        assert!(fragment.take_journal().is_empty());
-
-        let mut authoritative = Storage::new();
-        authoritative.apply(ops);
-        assert_eq!(authoritative.get::<u64>("seq").unwrap(), Some(7));
-        assert_eq!(authoritative.get_raw("log/1"), None);
-        assert_eq!(authoritative.get_raw("log/2"), Some(&[2u8][..]));
+        assert_eq!(
+            s.take_journal(),
+            vec![
+                StorageOp::Put("seq".to_string(), psc_codec::to_bytes(&7u64).unwrap()),
+                StorageOp::Put("log/1".to_string(), vec![1]),
+                StorageOp::Remove("log/1".to_string()),
+                StorageOp::Put("log/2".to_string(), vec![2]),
+            ]
+        );
+        assert!(s.take_journal().is_empty());
     }
 
     #[test]
@@ -524,15 +503,6 @@ mod tests {
         assert!(s.remove("a"));
         assert!(!s.remove("a"));
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn seed_raw_bypasses_the_journal() {
-        let mut s = Storage::new();
-        s.enable_journal();
-        s.seed_raw("ch/1/state", vec![9]);
-        assert!(s.take_journal().is_empty());
-        assert_eq!(s.get_raw("ch/1/state"), Some(&[9u8][..]));
     }
 
     fn scan(bytes: &[u8]) -> Vec<Vec<u8>> {

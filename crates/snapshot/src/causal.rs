@@ -1,10 +1,10 @@
 //! Vector and matrix clocks [Mat89] keyed by raw node id.
 //!
-//! `psc-group` already carries a `VectorClock` keyed by `NodeId` for the
-//! causal protocol's dependency vectors; this module is the transport- and
-//! layer-agnostic counterpart used by the snapshot plane. Keys are plain
-//! `u64` node ids so the types can live below `psc-simnet` in the crate
-//! DAG and be embedded in the wire envelope by `psc-obvent`.
+//! The workspace's one clock implementation, used by the snapshot plane
+//! (`psc-group`'s causal protocol keeps its own epoch-tagged dependency
+//! vector). Keys are plain `u64` node ids so the types can live below
+//! `psc-simnet` in the crate DAG and be embedded in the wire envelope by
+//! `psc-obvent`.
 
 use std::collections::BTreeMap;
 use std::fmt;

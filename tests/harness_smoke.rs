@@ -41,39 +41,6 @@ fn full_stack_routing_smoke_over_25_seeds() {
     }
 }
 
-/// The sharded broker must be deterministic at every shard count: the same
-/// seed run twice through the worker pool renders byte-for-byte equal, and
-/// the routing oracle holds (satellite of the shard-pool tentpole).
-#[test]
-fn sharded_stack_is_byte_stable_over_10_seeds_at_2_and_4_shards() {
-    for shards in [2usize, 4] {
-        for seed in runner::smoke_seeds(10) {
-            if let Err(report) = stack::check_stack_seed_sharded(seed, shards) {
-                panic!("{report}");
-            }
-        }
-    }
-}
-
-/// Differential oracle: routing through 4 shards must deliver exactly the
-/// tag multisets the inline (shards=1) engine delivers — the shard count is
-/// an execution detail, never a semantics knob.
-#[test]
-fn sharded_stack_delivers_the_same_tags_as_inline_over_10_seeds() {
-    for seed in runner::smoke_seeds(10) {
-        let scenario = stack::StackScenario::generate(seed);
-        let inline = stack::run_stack(&scenario);
-        let sharded = stack::run_stack_sharded(&scenario, 4);
-        assert_eq!(
-            inline.got, sharded.got,
-            "seed {seed}: shards=4 delivered tags diverge from shards=1\n\
-             inline:\n{}sharded:\n{}",
-            inline.render(),
-            sharded.render()
-        );
-    }
-}
-
 /// Durable-restart sweep: a certified subscriber crash-restarted with
 /// injected disk faults (lost un-fsynced suffixes, torn tails, dropped
 /// segments) must resume its stream exactly once across incarnations, and

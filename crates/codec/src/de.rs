@@ -46,17 +46,47 @@ pub fn from_bytes_prefix<T: DeserializeOwned>(input: &[u8]) -> Result<(T, usize)
     Ok((value, de.offset))
 }
 
+/// Deepest nesting of compound values (sequences, maps, tuples/structs,
+/// enums, `Some`, newtypes) the decoder follows before failing with
+/// [`CodecError::DepthLimit`]. Decoding recurses once per level, and so does
+/// every later walk of the decoded value (evaluation, `Drop`), so input
+/// from a peer or a disk must not choose the depth: a frame of
+/// [`MAX_FRAME_LEN`](crate::frame::MAX_FRAME_LEN) one-byte `Not(` tags
+/// would nest a filter sixteen million deep. The stack's own messages nest
+/// under 20 levels; user obvents and filters get the rest.
+pub const MAX_DEPTH: usize = 128;
+
 /// Streaming deserializer over a byte slice.
 #[derive(Debug)]
 pub struct Deserializer<'de> {
     input: &'de [u8],
     offset: usize,
+    /// Compound values currently open (bounded by [`MAX_DEPTH`]).
+    depth: usize,
 }
 
 impl<'de> Deserializer<'de> {
     /// Creates a deserializer reading from the start of `input`.
     pub fn new(input: &'de [u8]) -> Self {
-        Deserializer { input, offset: 0 }
+        Deserializer {
+            input,
+            offset: 0,
+            depth: 0,
+        }
+    }
+
+    /// Runs `visit` one nesting level down.
+    fn nested<T>(
+        &mut self,
+        visit: impl FnOnce(&mut Self) -> Result<T, CodecError>,
+    ) -> Result<T, CodecError> {
+        if self.depth == MAX_DEPTH {
+            return Err(CodecError::DepthLimit { limit: MAX_DEPTH });
+        }
+        self.depth += 1;
+        let result = visit(self);
+        self.depth -= 1;
+        result
     }
 
     /// Byte offset of the next unread byte.
@@ -199,7 +229,7 @@ impl<'de> de::Deserializer<'de> for &mut Deserializer<'de> {
     fn deserialize_option<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
         match self.take_byte()? {
             0 => visitor.visit_none(),
-            1 => visitor.visit_some(self),
+            1 => self.nested(|de| visitor.visit_some(de)),
             value => Err(CodecError::InvalidOptionTag { value }),
         }
     }
@@ -221,15 +251,12 @@ impl<'de> de::Deserializer<'de> for &mut Deserializer<'de> {
         _name: &'static str,
         visitor: V,
     ) -> Result<V::Value, CodecError> {
-        visitor.visit_newtype_struct(self)
+        self.nested(|de| visitor.visit_newtype_struct(de))
     }
 
     fn deserialize_seq<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
         let len = self.take_len()?;
-        visitor.visit_seq(CountedAccess {
-            de: self,
-            remaining: len,
-        })
+        self.deserialize_tuple(len, visitor)
     }
 
     fn deserialize_tuple<V: Visitor<'de>>(
@@ -237,10 +264,7 @@ impl<'de> de::Deserializer<'de> for &mut Deserializer<'de> {
         len: usize,
         visitor: V,
     ) -> Result<V::Value, CodecError> {
-        visitor.visit_seq(CountedAccess {
-            de: self,
-            remaining: len,
-        })
+        self.nested(|de| visitor.visit_seq(CountedAccess { de, remaining: len }))
     }
 
     fn deserialize_tuple_struct<V: Visitor<'de>>(
@@ -254,10 +278,7 @@ impl<'de> de::Deserializer<'de> for &mut Deserializer<'de> {
 
     fn deserialize_map<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
         let len = self.take_len()?;
-        visitor.visit_map(CountedAccess {
-            de: self,
-            remaining: len,
-        })
+        self.nested(|de| visitor.visit_map(CountedAccess { de, remaining: len }))
     }
 
     fn deserialize_struct<V: Visitor<'de>>(
@@ -275,7 +296,7 @@ impl<'de> de::Deserializer<'de> for &mut Deserializer<'de> {
         _variants: &'static [&'static str],
         visitor: V,
     ) -> Result<V::Value, CodecError> {
-        visitor.visit_enum(EnumAccess { de: self })
+        self.nested(|de| visitor.visit_enum(EnumAccess { de }))
     }
 
     fn deserialize_identifier<V: Visitor<'de>>(self, _visitor: V) -> Result<V::Value, CodecError> {

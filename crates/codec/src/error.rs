@@ -44,6 +44,11 @@ pub enum CodecError {
     },
     /// An integer did not fit the target type.
     IntegerOutOfRange,
+    /// Compound values nested deeper than the decoder follows.
+    DepthLimit {
+        /// The bound that was hit ([`MAX_DEPTH`](crate::MAX_DEPTH)).
+        limit: usize,
+    },
     /// The format does not support the requested serde feature.
     Unsupported(&'static str),
     /// Trailing bytes remained after a whole-buffer decode.
@@ -86,6 +91,9 @@ impl fmt::Display for CodecError {
                 "length prefix {claimed} exceeds {remaining} remaining bytes"
             ),
             CodecError::IntegerOutOfRange => write!(f, "integer out of range for target type"),
+            CodecError::DepthLimit { limit } => {
+                write!(f, "values nested deeper than {limit} levels")
+            }
             CodecError::Unsupported(what) => write!(f, "unsupported serde feature: {what}"),
             CodecError::TrailingBytes { remaining } => {
                 write!(f, "{remaining} trailing bytes after value")

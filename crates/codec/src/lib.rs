@@ -62,7 +62,7 @@ mod ser;
 pub mod varint;
 
 pub use bytes::{batch_frames, split_frames, to_wire_bytes, WireBytes};
-pub use de::{from_bytes, from_bytes_prefix, Deserializer};
+pub use de::{from_bytes, from_bytes_prefix, Deserializer, MAX_DEPTH};
 pub use error::CodecError;
 pub use ser::{to_bytes, to_writer, Serializer};
 

@@ -233,6 +233,59 @@ fn unknown_enum_variant_index_is_rejected() {
     assert!(from_bytes::<Mixed>(&bytes).is_err());
 }
 
+/// A recursive shape like the filter crate's `Not(Box<EvalNode>)`: one tag
+/// byte per level.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+enum Chain {
+    End,
+    Link(Box<Chain>),
+}
+
+fn chain_bytes(links: usize) -> Vec<u8> {
+    let mut bytes = vec![1u8; links];
+    bytes.push(0);
+    bytes
+}
+
+#[test]
+fn nesting_up_to_the_limit_decodes() {
+    // `links` enums nested inside each other plus the innermost `End`.
+    let deepest = crate::MAX_DEPTH - 1;
+    let mut chain = from_bytes::<Chain>(&chain_bytes(deepest)).unwrap();
+    let mut links = 0;
+    while let Chain::Link(next) = chain {
+        chain = *next;
+        links += 1;
+    }
+    assert_eq!(links, deepest);
+}
+
+#[test]
+fn nesting_beyond_the_limit_is_an_error_not_a_stack_overflow() {
+    for links in [crate::MAX_DEPTH, 100_000, 4_000_000] {
+        assert_eq!(
+            from_bytes::<Chain>(&chain_bytes(links)),
+            Err(CodecError::DepthLimit {
+                limit: crate::MAX_DEPTH
+            }),
+            "{links} links"
+        );
+    }
+}
+
+#[test]
+fn every_compound_level_counts_towards_the_limit() {
+    // A newtype around a sequence: two levels per tree level.
+    #[derive(Debug, Deserialize)]
+    struct Tree(#[allow(dead_code)] Vec<Tree>);
+    let fits = crate::MAX_DEPTH / 2 - 1;
+    assert!(from_bytes::<Tree>(&chain_bytes(fits)).is_ok());
+    assert!(matches!(
+        from_bytes::<Tree>(&chain_bytes(fits + 1)),
+        Err(CodecError::DepthLimit { .. })
+    ));
+}
+
 #[test]
 fn error_display_is_lowercase_and_nonempty() {
     let errs: Vec<CodecError> = vec![
@@ -241,6 +294,7 @@ fn error_display_is_lowercase_and_nonempty() {
         CodecError::InvalidBool { value: 9 },
         CodecError::InvalidUtf8,
         CodecError::TrailingBytes { remaining: 2 },
+        CodecError::DepthLimit { limit: 128 },
         CodecError::Message("boom".into()),
     ];
     for err in errs {

@@ -1,12 +1,12 @@
 //! The [`Domain`]: one address space's publish/subscribe endpoint.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
-use psc_filter::RemoteFilter;
+use psc_filter::{FilterId, FilterIndex, PropertySource, RemoteFilter};
 use psc_obvent::{KindId, Obvent, ObventKind, ObventView, WireObvent};
 use psc_telemetry::{Counter, Registry};
 
@@ -69,12 +69,139 @@ pub trait Dissemination: Send + Sync {
 /// Erased decode + local-filter + handler pipeline.
 type Dispatch = Arc<dyn Fn(&WireObvent) + Send + Sync>;
 
+/// Whether a subscription delivers, and with that where its remote filter
+/// lives: an active subscription's filter is owned by its kind's
+/// [`FilterIndex`] and nowhere else, so delivery cannot evaluate it per
+/// subscription.
+enum SubState {
+    /// Not delivering; holds the remote filter (if any) until activation
+    /// moves it into the index.
+    Inactive(Option<RemoteFilter>),
+    /// Delivering; a filtered subscription is known to its kind's index
+    /// under this id.
+    Active(Option<FilterId>),
+}
+
 struct SubEntry {
     kind: KindId,
-    remote_filter: Option<RemoteFilter>,
+    state: SubState,
     dispatch: Dispatch,
-    active: bool,
     durable_id: Option<u64>,
+}
+
+impl SubEntry {
+    fn is_active(&self) -> bool {
+        matches!(self.state, SubState::Active(_))
+    }
+}
+
+/// The active subscriptions declared on one kind.
+#[derive(Default)]
+struct KindBucket {
+    /// Compound filter over the remote-filtered subscriptions.
+    filters: FilterIndex,
+    owners: HashMap<FilterId, SubId>,
+    unfiltered: BTreeSet<SubId>,
+}
+
+/// Every subscription of a domain plus the index its delivery goes through.
+/// One mutex guards both ([`FilterIndex`] keeps match scratch in a
+/// `RefCell`); it is never held while a handler runs.
+#[derive(Default)]
+struct SubTable {
+    entries: HashMap<SubId, SubEntry>,
+    /// Declared kind → its active subscriptions. An obvent probes one
+    /// bucket per kind of its ancestry.
+    buckets: HashMap<KindId, KindBucket>,
+}
+
+impl SubTable {
+    /// Starts delivering to `id`: moves its filter into its kind's bucket.
+    fn index(&mut self, id: SubId) {
+        let Some(entry) = self.entries.get_mut(&id) else {
+            return;
+        };
+        let SubState::Inactive(filter) = &mut entry.state else {
+            return;
+        };
+        let bucket = self.buckets.entry(entry.kind).or_default();
+        let filter_id = match filter.take() {
+            Some(filter) => {
+                let filter_id = bucket.filters.insert(filter);
+                bucket.owners.insert(filter_id, id);
+                Some(filter_id)
+            }
+            None => {
+                bucket.unfiltered.insert(id);
+                None
+            }
+        };
+        entry.state = SubState::Active(filter_id);
+    }
+
+    /// Stops delivering to `id`: takes its filter back out of the bucket.
+    fn unindex(&mut self, id: SubId) {
+        let Some(entry) = self.entries.get_mut(&id) else {
+            return;
+        };
+        let SubState::Active(filter_id) = entry.state else {
+            return;
+        };
+        let bucket = self
+            .buckets
+            .get_mut(&entry.kind)
+            .expect("an active subscription has a bucket");
+        let filter = match filter_id {
+            Some(filter_id) => {
+                bucket.owners.remove(&filter_id);
+                bucket.filters.remove(filter_id)
+            }
+            None => {
+                bucket.unfiltered.remove(&id);
+                None
+            }
+        };
+        entry.state = SubState::Inactive(filter);
+    }
+
+    fn remove(&mut self, id: SubId) -> bool {
+        self.unindex(id);
+        self.entries.remove(&id).is_some()
+    }
+
+    /// The active subscriptions `wire` reaches, ascending: kind conformance
+    /// is one bucket probe per ancestor of the obvent's kind, content
+    /// filters one [`FilterIndex::matching`] per non-empty bucket over a
+    /// view built at most once.
+    fn matching(&self, wire: &WireObvent) -> Vec<SubId> {
+        let mut matched = Vec::new();
+        if self.buckets.is_empty() {
+            return matched;
+        }
+        // A kind unknown to this address space conforms to nothing.
+        let Some(kind) = psc_obvent::registry::lookup(wire.kind_id()) else {
+            return matched;
+        };
+        let mut view: Option<Option<ObventView>> = None;
+        for ancestor in kind.ancestry() {
+            let Some(bucket) = self.buckets.get(ancestor) else {
+                continue;
+            };
+            matched.extend(&bucket.unfiltered);
+            if bucket.owners.is_empty() {
+                continue;
+            }
+            // No decoder for this kind here: content filters cannot be
+            // evaluated, so the conservative choice is to deliver nothing
+            // to filtered subscriptions.
+            if let Some(view) = view.get_or_insert_with(|| wire.view().ok()) {
+                let hits = bucket.filters.matching(view);
+                matched.extend(hits.iter().map(|hit| bucket.owners[hit]));
+            }
+        }
+        matched.sort_unstable();
+        matched
+    }
 }
 
 /// Telemetry handles of one domain; noop until
@@ -102,7 +229,7 @@ impl Default for CoreMetrics {
 }
 
 pub(crate) struct DomainInner {
-    subs: RwLock<HashMap<SubId, SubEntry>>,
+    subs: Mutex<SubTable>,
     next_id: AtomicU64,
     backend: RwLock<Option<Box<dyn Dissemination>>>,
     executor: Executor,
@@ -127,11 +254,29 @@ pub struct DeliverySink {
 
 impl DeliverySink {
     /// Delivers an obvent to every matching active subscription of the
-    /// domain. Returns the number of subscriptions that accepted it (0 when
-    /// the domain is gone).
+    /// domain, in ascending [`SubId`] order. Returns the number of
+    /// subscriptions that accepted it (0 when the domain is gone).
     pub fn deliver(&self, wire: &WireObvent) -> usize {
+        self.dispatch(wire, &self.matching(wire))
+    }
+
+    /// The active subscriptions `wire` reaches (kind conformance and remote
+    /// filter), ascending; empty when the domain is gone. A fabric that
+    /// must know *whether* this address space is a destination before it
+    /// delivers asks here and hands the answer to
+    /// [`DeliverySink::dispatch`].
+    pub fn matching(&self, wire: &WireObvent) -> Vec<SubId> {
         match self.inner.upgrade() {
-            Some(inner) => inner.deliver(wire),
+            Some(inner) => inner.subs.lock().matching(wire),
+            None => Vec::new(),
+        }
+    }
+
+    /// Runs the handlers of `matched` (a [`DeliverySink::matching`] result
+    /// for the same obvent) that are still active. Returns how many ran.
+    pub fn dispatch(&self, wire: &WireObvent, matched: &[SubId]) -> usize {
+        match self.inner.upgrade() {
+            Some(inner) => inner.dispatch(wire, matched),
             None => 0,
         }
     }
@@ -194,7 +339,7 @@ impl Domain {
         make_backend: impl FnOnce(DeliverySink) -> Box<dyn Dissemination>,
     ) -> Domain {
         let inner = Arc::new(DomainInner {
-            subs: RwLock::new(HashMap::new()),
+            subs: Mutex::new(SubTable::default()),
             next_id: AtomicU64::new(1),
             backend: RwLock::new(None),
             executor: Executor::new(mode),
@@ -314,12 +459,11 @@ impl Domain {
         let id = SubId(self.inner.next_id.fetch_add(1, Ordering::SeqCst));
         let entry = SubEntry {
             kind: kind.id(),
-            remote_filter,
+            state: SubState::Inactive(remote_filter),
             dispatch,
-            active: false,
             durable_id: None,
         };
-        self.inner.subs.write().insert(id, entry);
+        self.inner.subs.lock().entries.insert(id, entry);
         Subscription::new(Arc::downgrade(&self.inner), id)
     }
 
@@ -337,14 +481,74 @@ impl Domain {
 
     /// Number of currently active subscriptions.
     pub fn active_subscriptions(&self) -> usize {
-        self.inner.subs.read().values().filter(|e| e.active).count()
+        let table = self.inner.subs.lock();
+        table.entries.values().filter(|e| e.is_active()).count()
+    }
+
+    /// Audits the subscription index that delivery goes through: every
+    /// kind's [`FilterIndex`] passes its structural audit and agrees with
+    /// the unfactored `naive_matching` on `probe`, and the index holds
+    /// exactly the active subscriptions. Returns human-readable findings;
+    /// empty means healthy. O(subscriptions) — for tests and the chaos
+    /// harness's `FilterOracle`, not the hot path.
+    pub fn index_findings(&self, probe: &dyn PropertySource) -> Vec<String> {
+        let table = self.inner.subs.lock();
+        let mut findings = Vec::new();
+        let mut kinds: Vec<KindId> = table.buckets.keys().copied().collect();
+        kinds.sort();
+        let mut indexed = 0;
+        for kind in kinds {
+            let bucket = &table.buckets[&kind];
+            indexed += bucket.owners.len() + bucket.unfiltered.len();
+            if let Err(err) = bucket.filters.check_consistency() {
+                findings.push(format!("kind {kind}: index audit failed: {err}"));
+            }
+            if bucket.filters.len() != bucket.owners.len() {
+                findings.push(format!(
+                    "kind {kind}: {} indexed filters but {} owners",
+                    bucket.filters.len(),
+                    bucket.owners.len()
+                ));
+            }
+            let fast = bucket.filters.matching(probe);
+            let naive = bucket.filters.naive_matching(probe);
+            if fast != naive {
+                findings.push(format!(
+                    "kind {kind}: indexed matching diverged from naive: {fast:?} vs {naive:?}"
+                ));
+            }
+        }
+        let mut active = 0;
+        for (id, entry) in &table.entries {
+            let SubState::Active(filter_id) = entry.state else {
+                continue;
+            };
+            active += 1;
+            let placed = table
+                .buckets
+                .get(&entry.kind)
+                .is_some_and(|b| match filter_id {
+                    Some(filter_id) => b.owners.get(&filter_id) == Some(id),
+                    None => b.unfiltered.contains(id),
+                });
+            if !placed {
+                findings.push(format!("active subscription {} is not indexed", id.0));
+            }
+        }
+        if active != indexed {
+            findings.push(format!(
+                "{indexed} subscriptions indexed but {active} active"
+            ));
+        }
+        findings.sort();
+        findings
     }
 
     /// Shuts the domain down: deactivates everything and detaches the
     /// fabric. Publishing afterwards fails with
     /// [`PublishError::DomainClosed`].
     pub fn close(&self) {
-        self.inner.subs.write().clear();
+        *self.inner.subs.lock() = SubTable::default();
         *self.inner.backend.write() = None;
     }
 }
@@ -352,111 +556,99 @@ impl Domain {
 impl std::fmt::Debug for Domain {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Domain")
-            .field("subscriptions", &self.inner.subs.read().len())
+            .field("subscriptions", &self.inner.subs.lock().entries.len())
             .field("delivered", &self.delivered_count())
             .finish()
     }
 }
 
 impl DomainInner {
-    /// Core dispatch: kind conformance → remote filter → handler (which
-    /// applies the local filter after decoding). Returns how many
-    /// subscriptions matched.
-    fn deliver(&self, wire: &WireObvent) -> usize {
-        let mut matched = 0;
-        // Lazily computed dynamic view shared by all remote filters.
-        let mut view: Option<Option<ObventView>> = None;
-        let subs = self.subs.read();
-        let mut jobs: Vec<(SubId, Dispatch)> = Vec::new();
-        for (&id, entry) in subs.iter() {
-            if !entry.active {
-                continue;
-            }
-            if !psc_obvent::registry::is_subtype(wire.kind_id(), entry.kind) {
-                continue;
-            }
-            if let Some(filter) = &entry.remote_filter {
-                let view = view.get_or_insert_with(|| wire.view().ok());
-                match view {
-                    Some(view) => {
-                        if !filter.matches(view) {
-                            continue;
-                        }
-                    }
-                    // No decoder for this kind here: cannot evaluate the
-                    // content filter, so the conservative choice is to
-                    // deliver nothing.
-                    None => continue,
-                }
-            }
-            matched += 1;
-            jobs.push((id, Arc::clone(&entry.dispatch)));
-        }
-        drop(subs);
+    /// Hands `wire` to the handlers of the still-active subscriptions among
+    /// `matched` (each applies its local filter after decoding), in the
+    /// order given. No lock is held while a handler runs: inline execution
+    /// lets it publish, activate or deactivate re-entrantly.
+    fn dispatch(&self, wire: &WireObvent, matched: &[SubId]) -> usize {
+        let jobs: Vec<(SubId, Dispatch)> = {
+            let table = self.subs.lock();
+            matched
+                .iter()
+                .filter_map(|id| {
+                    let entry = table.entries.get(id).filter(|e| e.is_active())?;
+                    Some((*id, Arc::clone(&entry.dispatch)))
+                })
+                .collect()
+        };
+        let delivered = jobs.len();
         {
             let metrics = self.metrics.read();
-            metrics.matched.add(matched as u64);
-            metrics.delivered.add(jobs.len() as u64);
+            metrics.matched.add(delivered as u64);
+            metrics.delivered.add(delivered as u64);
         }
         for (id, dispatch) in jobs {
             self.delivered_count.fetch_add(1, Ordering::SeqCst);
             let wire = wire.clone();
             self.executor.submit(id, move || dispatch(&wire));
         }
-        matched
+        delivered
     }
 
     // ---- subscription handle operations ----
 
-    pub(crate) fn activate(&self, id: SubId, durable_id: Option<u64>) -> Result<(), SubscribeError> {
+    pub(crate) fn activate(
+        &self,
+        id: SubId,
+        durable_id: Option<u64>,
+    ) -> Result<(), SubscribeError> {
         let record = {
-            let mut subs = self.subs.write();
+            let mut table = self.subs.lock();
             if let Some(durable) = durable_id {
-                let clash = subs
-                    .iter()
-                    .any(|(&other, e)| other != id && e.active && e.durable_id == Some(durable));
+                let clash = table.entries.iter().any(|(&other, e)| {
+                    other != id && e.is_active() && e.durable_id == Some(durable)
+                });
                 if clash {
                     return Err(SubscribeError::DurableIdInUse(durable));
                 }
             }
-            let entry = subs.get_mut(&id).ok_or(SubscribeError::DomainClosed)?;
-            if entry.active {
+            let entry = table
+                .entries
+                .get_mut(&id)
+                .ok_or(SubscribeError::DomainClosed)?;
+            let SubState::Inactive(remote_filter) = &entry.state else {
                 return Err(SubscribeError::AlreadyActive);
-            }
-            entry.active = true;
-            entry.durable_id = durable_id;
-            SubscriptionRecord {
+            };
+            let record = SubscriptionRecord {
                 id,
                 kind: entry.kind,
-                remote_filter: entry.remote_filter.clone(),
+                remote_filter: remote_filter.clone(),
                 durable_id,
-            }
+            };
+            entry.durable_id = durable_id;
+            table.index(id);
+            record
         };
-        let backend = self.backend.read();
-        let backend = backend.as_ref().ok_or(SubscribeError::DomainClosed)?;
-        match backend.subscribe(record) {
-            Ok(()) => {
-                self.metrics.read().subs_activated.inc();
-                Ok(())
-            }
-            Err(err) => {
-                // Roll back the activation.
-                if let Some(entry) = self.subs.write().get_mut(&id) {
-                    entry.active = false;
-                }
-                Err(err)
-            }
+        let subscribed = match self.backend.read().as_ref() {
+            Some(backend) => backend.subscribe(record),
+            None => Err(SubscribeError::DomainClosed),
+        };
+        match subscribed {
+            Ok(()) => self.metrics.read().subs_activated.inc(),
+            // Roll back the activation.
+            Err(_) => self.subs.lock().unindex(id),
         }
+        subscribed
     }
 
     pub(crate) fn deactivate(&self, id: SubId) -> Result<(), UnsubscribeError> {
         {
-            let mut subs = self.subs.write();
-            let entry = subs.get_mut(&id).ok_or(UnsubscribeError::DomainClosed)?;
-            if !entry.active {
+            let mut table = self.subs.lock();
+            let entry = table
+                .entries
+                .get(&id)
+                .ok_or(UnsubscribeError::DomainClosed)?;
+            if !entry.is_active() {
                 return Err(UnsubscribeError::NotActive);
             }
-            entry.active = false;
+            table.unindex(id);
         }
         let backend = self.backend.read();
         let backend = backend.as_ref().ok_or(UnsubscribeError::DomainClosed)?;
@@ -466,7 +658,11 @@ impl DomainInner {
     }
 
     pub(crate) fn is_active(&self, id: SubId) -> bool {
-        self.subs.read().get(&id).is_some_and(|e| e.active)
+        self.subs
+            .lock()
+            .entries
+            .get(&id)
+            .is_some_and(SubEntry::is_active)
     }
 
     pub(crate) fn set_policy(&self, id: SubId, policy: ThreadPolicy) {
@@ -474,7 +670,7 @@ impl DomainInner {
     }
 
     pub(crate) fn drop_subscription(&self, id: SubId) {
-        if self.subs.write().remove(&id).is_some() {
+        if self.subs.lock().remove(id) {
             self.metrics.read().subs_dropped.inc();
         }
         self.executor.remove_sub(id);

@@ -13,7 +13,7 @@ use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use psc_codec::WireBytes;
-use psc_filter::{FilterId, FilterIndex, RemoteFilter, Value};
+use psc_filter::{FilterId, FilterIndex, InvalidFilter, RemoteFilter, Value};
 use psc_group::{
     Causal, Certified, Fifo, GroupIo, Lpbcast, Multicast, Reliable, TimerToken, Total,
 };
@@ -134,22 +134,55 @@ struct DurableRecord {
     filter: Vec<u8>,
 }
 
-impl DurableRecord {
+/// A loaded [`DurableRecord`] awaiting re-attachment, its filter decoded
+/// once at load rather than on every arriving obvent.
+struct PendingDurable {
+    kind: KindId,
+    /// `None` when unfiltered — or when the stored filter was refused (see
+    /// [`PendingDurable::load`]).
+    filter: Option<RemoteFilter>,
+}
+
+impl PendingDurable {
+    /// A filter the disk corrupted is never evaluated: the record falls
+    /// back to its kind alone, erring on delivery (the re-attached
+    /// handler's own filter has the last word).
+    fn load(record: &DurableRecord, telemetry: &Registry) -> PendingDurable {
+        PendingDurable {
+            kind: KindId::from_raw(record.kind),
+            filter: decode_filter(&record.filter, telemetry).unwrap_or(None),
+        }
+    }
+
     fn matches(&self, wire: &WireObvent) -> bool {
-        if !psc_obvent::registry::is_subtype(wire.kind_id(), KindId::from_raw(self.kind)) {
+        if !psc_obvent::registry::is_subtype(wire.kind_id(), self.kind) {
             return false;
         }
-        if self.filter.is_empty() {
+        let Some(filter) = &self.filter else {
             return true;
-        }
-        let Ok(filter) = psc_codec::from_bytes::<RemoteFilter>(&self.filter) else {
-            return true; // corrupt filter: err on delivery
         };
         match wire.view() {
             Ok(view) => filter.matches(&view),
             Err(_) => true,
         }
     }
+}
+
+/// Decodes a filter that arrived as bytes — from a peer's `SubscribeCtl` or
+/// a persisted [`DurableRecord`] — through the checked entrance
+/// [`RemoteFilter::from_wire`]; empty means unfiltered. A refused filter is
+/// counted in `dace.control.rejected`; what becomes of its subscription is
+/// the caller's call.
+fn decode_filter(
+    bytes: &[u8],
+    telemetry: &Registry,
+) -> Result<Option<RemoteFilter>, InvalidFilter> {
+    if bytes.is_empty() {
+        return Ok(None);
+    }
+    RemoteFilter::from_wire(bytes)
+        .map(Some)
+        .inspect_err(|_| telemetry.bump("dace.control.rejected", 1))
 }
 
 /// Upper bound on obvents parked for not-yet-re-attached durable
@@ -232,16 +265,31 @@ impl Ord for TransmitItem {
     }
 }
 
+/// How a channel routes to one subscription it knows about.
+enum Route {
+    /// One of this node's own: counted for membership only. Whether a
+    /// self-published obvent reaches it is asked of the node's `Domain`,
+    /// the one place a node's own filters are indexed.
+    Local,
+    /// A remote subscription without a filter: its node always receives.
+    Unfiltered,
+    /// A remote subscription whose filter sits in the channel's index.
+    Filtered(FilterId),
+}
+
 struct Channel {
     proto: Option<Box<dyn Multicast>>,
     /// Subscriber nodes, sorted (gives every node the same sequencer).
     members: Vec<NodeId>,
-    /// Compound filter over all remote-filtered subscriptions.
+    /// Compound filter over the *remote* nodes' filtered subscriptions.
     index: FilterIndex,
-    filter_owner: HashMap<FilterId, (u64, u64)>,
-    /// (node, sub) → the filter it registered, or `None` if unfiltered.
-    sub_entries: HashMap<(u64, u64), Option<FilterId>>,
-    /// Count of unfiltered subscriptions per node.
+    /// Indexed filter → the node that registered it.
+    filter_owner: HashMap<FilterId, u64>,
+    /// (node, sub) → how the channel routes to it.
+    sub_entries: HashMap<(u64, u64), Route>,
+    /// Subscriptions per node; `members` is its key set.
+    node_subs: HashMap<u64, u32>,
+    /// Unfiltered subscriptions per remote node.
     unfiltered: HashMap<u64, u32>,
 }
 
@@ -253,87 +301,102 @@ impl Channel {
             index: FilterIndex::new(),
             filter_owner: HashMap::new(),
             sub_entries: HashMap::new(),
+            node_subs: HashMap::new(),
             unfiltered: HashMap::new(),
         }
     }
 
-    fn add_member(&mut self, node: NodeId) {
-        if let Err(pos) = self.members.binary_search(&node) {
-            self.members.insert(pos, node);
-        }
-    }
-
-    fn node_has_subs(&self, node: u64) -> bool {
-        self.sub_entries.keys().any(|&(n, _)| n == node)
-    }
-
+    /// Registers a remote node's subscription.
     fn subscribe(&mut self, node: u64, sub: u64, filter: Option<RemoteFilter>) {
         if self.sub_entries.contains_key(&(node, sub)) {
             return; // idempotent (periodic re-announcements)
         }
-        let entry = match filter {
+        let route = match filter {
             Some(filter) => {
                 let id = self.index.insert(filter);
-                self.filter_owner.insert(id, (node, sub));
-                Some(id)
+                self.filter_owner.insert(id, node);
+                Route::Filtered(id)
             }
             None => {
                 *self.unfiltered.entry(node).or_insert(0) += 1;
-                None
+                Route::Unfiltered
             }
         };
-        self.sub_entries.insert((node, sub), entry);
-        self.add_member(NodeId(node));
+        self.enter(node, sub, route);
+    }
+
+    /// Registers one of the hosting node's own subscriptions: membership
+    /// (group protocols address `members`), no filter.
+    fn subscribe_local(&mut self, me: u64, sub: u64) {
+        if !self.sub_entries.contains_key(&(me, sub)) {
+            self.enter(me, sub, Route::Local);
+        }
+    }
+
+    fn enter(&mut self, node: u64, sub: u64, route: Route) {
+        self.sub_entries.insert((node, sub), route);
+        let subs = self.node_subs.entry(node).or_insert(0);
+        *subs += 1;
+        if *subs == 1 {
+            let at = self.members.partition_point(|m| m.0 < node);
+            self.members.insert(at, NodeId(node));
+        }
     }
 
     fn unsubscribe(&mut self, node: u64, sub: u64) {
-        let Some(entry) = self.sub_entries.remove(&(node, sub)) else {
+        let Some(route) = self.sub_entries.remove(&(node, sub)) else {
             return;
         };
-        match entry {
-            Some(filter_id) => {
+        match route {
+            Route::Local => {}
+            Route::Unfiltered => {
+                release(&mut self.unfiltered, node);
+            }
+            Route::Filtered(filter_id) => {
                 self.index.remove(filter_id);
                 self.filter_owner.remove(&filter_id);
             }
-            None => {
-                if let Some(count) = self.unfiltered.get_mut(&node) {
-                    *count = count.saturating_sub(1);
-                    if *count == 0 {
-                        self.unfiltered.remove(&node);
-                    }
-                }
-            }
         }
-        if !self.node_has_subs(node) {
+        if release(&mut self.node_subs, node) {
             self.members.retain(|m| m.0 != node);
         }
     }
 
-    /// Destination nodes for `wire` with publisher/broker-side filtering.
-    /// Takes `&self`: `FilterIndex::matching` keeps its scratch behind a
-    /// `RefCell`, so the publish hot path never needs a mutable channel.
+    /// Remote destination nodes for `wire` with publisher/broker-side
+    /// filtering, ascending. Takes `&self`: `FilterIndex::matching` keeps
+    /// its scratch behind a `RefCell`, so the publish hot path never needs
+    /// a mutable channel.
     fn filtered_destinations(&self, wire: &WireObvent) -> Vec<NodeId> {
-        let mut nodes: HashSet<u64> = self.unfiltered.keys().copied().collect();
+        let mut nodes: Vec<NodeId> = self.unfiltered.keys().copied().map(NodeId).collect();
         if !self.filter_owner.is_empty() {
             match wire.view() {
                 Ok(view) => {
-                    for filter_id in self.index.matching(&view) {
-                        if let Some(&(node, _sub)) = self.filter_owner.get(&filter_id) {
-                            nodes.insert(node);
-                        }
-                    }
+                    let hits = self.index.matching(&view);
+                    nodes.extend(hits.iter().map(|hit| NodeId(self.filter_owner[hit])));
                 }
                 // Cannot evaluate content here: fall back to sending to
                 // every filtered subscriber (they re-filter locally).
-                Err(_) => {
-                    nodes.extend(self.filter_owner.values().map(|&(node, _)| node));
-                }
+                Err(_) => nodes.extend(self.filter_owner.values().copied().map(NodeId)),
             }
         }
-        let mut out: Vec<NodeId> = nodes.into_iter().map(NodeId).collect();
-        out.sort();
-        out
+        nodes.sort_unstable();
+        nodes.dedup();
+        nodes
     }
+}
+
+/// Drops one reference from `counts[node]`, forgetting the node at zero.
+/// True when that was the last one.
+fn release(counts: &mut HashMap<u64, u32>, node: u64) -> bool {
+    let Some(count) = counts.get_mut(&node) else {
+        return false;
+    };
+    *count -= 1;
+    let last = *count == 0;
+    if last {
+        counts.remove(&node);
+    }
+    last
 }
 
 struct LocalSub {
@@ -369,7 +432,7 @@ pub struct DaceNode {
     outbox_order: Vec<NodeId>,
     /// Durable subscriptions persisted but not yet re-attached (loaded on
     /// recovery), by durable id.
-    durable_pending: HashMap<u64, DurableRecord>,
+    durable_pending: HashMap<u64, PendingDurable>,
     /// Obvents held for pending durable subscriptions, with the stable
     /// `park/<seq>` storage key each is persisted under.
     parked: VecDeque<(u64, WireObvent)>,
@@ -624,14 +687,22 @@ impl DaceNode {
         sim.node_mut::<DaceNode>(node).map(|n| n.domain.clone())
     }
 
-    /// Cross-checks every channel's matching engine: runs the index's
-    /// structural audit ([`FilterIndex::check_consistency`]) and compares
-    /// counting-indexed [`FilterIndex::matching`] against the differential
-    /// oracle [`FilterIndex::naive_matching`] on `probe`. Returns
-    /// human-readable findings; empty means every channel is healthy. The
-    /// chaos harness samples this mid-storm as its `FilterOracle`.
+    /// Cross-checks every matching engine of the node — each channel's
+    /// index of remote filters (publisher side) and the domain's index of
+    /// its own subscriptions (subscriber side,
+    /// [`Domain::index_findings`]): runs the structural audit
+    /// ([`FilterIndex::check_consistency`]) and compares counting-indexed
+    /// [`FilterIndex::matching`] against the differential oracle
+    /// [`FilterIndex::naive_matching`] on `probe`. Returns human-readable
+    /// findings; empty means every index is healthy. The chaos harness
+    /// samples this mid-storm as its `FilterOracle`.
     pub fn filter_oracle_findings(&self, probe: &Value) -> Vec<String> {
-        let mut findings = Vec::new();
+        let mut findings: Vec<String> = self
+            .domain
+            .index_findings(probe)
+            .into_iter()
+            .map(|finding| format!("domain: {finding}"))
+            .collect();
         let mut kinds: Vec<KindId> = self.channels.keys().copied().collect();
         kinds.sort();
         for kind in kinds {
@@ -754,16 +825,7 @@ impl DaceNode {
         // Reload durable subscriptions and parked obvents here, not only in
         // `on_recover`: a real transport restarting a process calls
         // `on_start`, and the WAL is what makes that a resume.
-        let keys: Vec<String> = ctx
-            .storage()
-            .keys_with_prefix("dursub/")
-            .map(str::to_string)
-            .collect();
-        for key in keys {
-            if let Ok(Some(record)) = ctx.storage().get::<DurableRecord>(&key) {
-                self.durable_pending.insert(record.durable_id, record);
-            }
-        }
+        self.load_durable_pending(ctx);
         let park_keys: Vec<String> = ctx
             .storage()
             .keys_with_prefix("park/")
@@ -779,6 +841,25 @@ impl DaceNode {
             if let Ok(wire) = psc_codec::from_bytes::<WireObvent>(bytes) {
                 self.parked.push_back((seq, wire));
                 self.park_seq = self.park_seq.max(seq + 1);
+            }
+        }
+    }
+
+    /// Reloads the persisted durable subscriptions (`dursub/*`) as pending
+    /// re-attachment.
+    fn load_durable_pending(&mut self, ctx: &mut Ctx<'_>) {
+        let keys: Vec<String> = ctx
+            .storage()
+            .keys_with_prefix("dursub/")
+            .map(str::to_string)
+            .collect();
+        for key in keys {
+            if let Ok(Some(record)) = ctx.storage().get::<DurableRecord>(&key) {
+                // Recovery with a WAL loads twice (bootstrap, `on_recover`).
+                let telemetry = &self.telemetry;
+                self.durable_pending
+                    .entry(record.durable_id)
+                    .or_insert_with(|| PendingDurable::load(&record, telemetry));
             }
         }
     }
@@ -1028,12 +1109,10 @@ impl DaceNode {
             local.record.kind.as_u64(),
             local.filter_bytes.clone(),
         );
-        let filter = local.record.remote_filter.clone();
         self.flood_control(ctx, &ctl);
-        // Apply locally so self-publishing routes to local subscribers.
         self.ensure_channel(ctx, channel);
         let ch = self.channels.get_mut(&channel).expect("just ensured");
-        ch.subscribe(me.0, sub_raw, filter);
+        ch.subscribe_local(me.0, sub_raw);
     }
 
     fn unsubscribe_flow(&mut self, ctx: &mut Ctx<'_>, id: SubId) {
@@ -1157,13 +1236,20 @@ impl DaceNode {
                 return;
             }
         }
+        // Matched once: the answer decides whether this node is a
+        // destination and is what `local_deliver_matched` dispatches.
+        let local = self.sink.matching(&wire);
         let destinations = {
             let ch = self.channels.get(&kind).expect("ensured");
             match self.config.placement {
                 Placement::Subscriber => ch.members.clone(),
                 Placement::Publisher | Placement::Broker(_) => {
                     self.telemetry.bump("dace.filter_evals", 1);
-                    ch.filtered_destinations(&wire)
+                    let mut nodes = ch.filtered_destinations(&wire);
+                    if !local.is_empty() {
+                        nodes.insert(nodes.partition_point(|&n| n < me), me);
+                    }
+                    nodes
                 }
             }
         };
@@ -1181,7 +1267,7 @@ impl DaceNode {
         let mut encoded: Option<WireBytes> = None;
         for dest in destinations {
             if dest == me {
-                self.local_deliver(ctx, &wire);
+                self.local_deliver_matched(ctx, &wire, &local);
             } else {
                 self.stats.direct_sent += 1;
                 self.telemetry.bump("dace.direct_sent", 1);
@@ -1265,6 +1351,13 @@ impl DaceNode {
     }
 
     fn local_deliver(&mut self, ctx: &mut Ctx<'_>, wire: &WireObvent) {
+        let local = self.sink.matching(wire);
+        self.local_deliver_matched(ctx, wire, &local);
+    }
+
+    /// Delivers `wire` to `local`, the domain's answer to
+    /// `sink.matching(wire)`.
+    fn local_deliver_matched(&mut self, ctx: &mut Ctx<'_>, wire: &WireObvent, local: &[SubId]) {
         // Belt-and-braces capture: a group protocol can release an obvent
         // from its hold-back long after the frame that carried it (whose
         // wave tag was checked on arrival), so re-check the publisher's
@@ -1278,7 +1371,7 @@ impl DaceNode {
         if !wire.stamp().clock.is_empty() {
             self.snap.clock.merge(&wire.stamp().clock);
         }
-        let matched = self.sink.deliver(wire);
+        let matched = self.sink.dispatch(wire, local);
         self.stats.delivered += matched as u64;
         if matched > 0
             && self.telemetry.is_enabled() {
@@ -1391,10 +1484,10 @@ impl DaceNode {
         if wire.kind_id() == SubscribeCtl::kind_id() {
             if let Ok(ctl) = wire.decode_exact::<SubscribeCtl>() {
                 let channel = KindId::from_raw(*ctl.channel());
-                let filter = if ctl.filter().is_empty() {
-                    None
-                } else {
-                    psc_codec::from_bytes::<RemoteFilter>(ctl.filter()).ok()
+                // Hostile or corrupt: nothing of it reaches the index, the
+                // subscription is ignored.
+                let Ok(filter) = decode_filter(ctl.filter(), &self.telemetry) else {
+                    return;
                 };
                 self.ensure_channel(ctx, channel);
                 let ch = self.channels.get_mut(&channel).expect("just ensured");
@@ -2041,16 +2134,7 @@ impl Node for DaceNode {
         // Reload durable subscriptions: they outlived the crash (§3.4.1);
         // matching obvents are parked until the application re-attaches
         // with `activate_with_id`.
-        let keys: Vec<String> = ctx
-            .storage()
-            .keys_with_prefix("dursub/")
-            .map(str::to_string)
-            .collect();
-        for key in keys {
-            if let Ok(Some(record)) = ctx.storage().get::<DurableRecord>(&key) {
-                self.durable_pending.insert(record.durable_id, record);
-            }
-        }
+        self.load_durable_pending(ctx);
         let id = ctx.set_timer(self.config.announce_interval);
         self.timer_map.insert(id, DaceTimer::Announce);
         self.arm_watchdog(ctx);

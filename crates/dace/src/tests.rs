@@ -728,6 +728,79 @@ mod durable_subscriptions {
         );
     }
 
+    /// Parking is for obvents that *arrive* while the durable handler is
+    /// detached. A node's own publish reaches itself only when one of its
+    /// active subscriptions matches — the mere existence of other local
+    /// subscriptions must neither park it for the pending durable record
+    /// nor leave a `matched=0` delivery in the flight recorder.
+    #[test]
+    fn self_published_obvents_are_not_parked_for_a_pending_durable_subscription() {
+        let recorder = Arc::new(psc_telemetry::FlightRecorder::new("n1", 64));
+        let mut sim = SimNet::new(SimConfig::default());
+        let ids: Vec<NodeId> = (0..2u64).map(NodeId).collect();
+        for i in 0..2 {
+            let factory = DaceNode::factory_observable(
+                ids.clone(),
+                DaceConfig::default(),
+                Arc::new(psc_telemetry::Registry::disabled()),
+                Arc::new(psc_telemetry::Tracer::default()),
+                (i == 1).then(|| Arc::clone(&recorder)),
+                None,
+            );
+            sim.add_node(format!("dace{i}"), factory);
+        }
+        DaceNode::drive(&mut sim, ids[1], |domain| {
+            let sub = domain.subscribe(FilterSpec::accept_all(), |_t: PlainTick| {});
+            sub.activate_with_id(77).unwrap();
+            sub.detach();
+        });
+        settle(&mut sim, 10);
+        sim.crash(ids[1]);
+        sim.recover(ids[1]);
+        // Another local subscription on the same class, matching nothing
+        // published below.
+        let other = subscribe_plain(
+            &mut sim,
+            ids[1],
+            FilterSpec::remote(psc_filter::rfilter!(n > 1000)),
+        );
+        settle(&mut sim, 10);
+        let queues = |sim: &mut SimNet| {
+            let report = DaceNode::inspect_of(sim, NodeId(1)).expect("node up");
+            let line = report
+                .lines()
+                .find(|l| l.contains("queues"))
+                .expect("queues line");
+            line.trim().to_string()
+        };
+
+        DaceNode::publish_from(&mut sim, ids[1], PlainTick::new("own".into(), 5));
+        settle(&mut sim, 50);
+        assert_eq!(
+            queues(&mut sim),
+            "queues transmit=0 parked=0 durable_pending=1"
+        );
+        let delivers = |recorder: &psc_telemetry::FlightRecorder| {
+            let events = recorder.last(64);
+            events
+                .iter()
+                .filter(|e| e.render().contains("deliver"))
+                .count()
+        };
+        assert_eq!(delivers(&recorder), 0, "{:?}", recorder.last(64));
+
+        // The same obvent arriving from a peer is owed to the detached
+        // handler: parked.
+        DaceNode::publish_from(&mut sim, ids[0], PlainTick::new("peer".into(), 5));
+        settle(&mut sim, 50);
+        assert_eq!(
+            queues(&mut sim),
+            "queues transmit=0 parked=1 durable_pending=1"
+        );
+        assert_eq!(delivers(&recorder), 1);
+        assert!(other.lock().unwrap().is_empty());
+    }
+
     /// Explicit deactivation ends the durable lifetime: nothing is parked
     /// afterwards.
     #[test]
@@ -1066,5 +1139,88 @@ mod snapshots {
         let frag = cut.frags.get(&ids[2].0).expect("recovered fragment");
         assert!(frag.recovered, "recovered node must flag its fragment");
         assert_eq!(cut.consistency_violations(), Vec::<String>::new());
+    }
+}
+
+mod hostile_control {
+    //! A peer's bytes are hostile: a `SubscribeCtl` filter is decoded with
+    //! bounded nesting and validated before it reaches any index.
+    use super::*;
+    use crate::control::SubscribeCtl;
+    use psc_filter::{CmpOp, EvalNode, Predicate};
+    use psc_obvent::{Obvent, WireObvent};
+    use psc_telemetry::{Registry, Tracer};
+
+    /// The transport image of `NodeMsg::Control(ctl)`, assembled the way a
+    /// peer that does not link this crate would: variant 0, then the obvent.
+    fn control_frame(filter: Vec<u8>) -> Vec<u8> {
+        let ctl = SubscribeCtl::new(
+            2,
+            99,
+            PlainTick::kind_id().as_u64(),
+            PlainTick::kind_id().as_u64(),
+            filter.into(),
+        );
+        let mut frame = vec![0u8];
+        frame.extend(psc_codec::to_bytes(&WireObvent::encode(&ctl).unwrap()).unwrap());
+        frame
+    }
+
+    #[test]
+    fn hostile_filters_are_rejected_and_the_node_keeps_running() {
+        let registry = Arc::new(Registry::new());
+        let mut sim = SimNet::new(SimConfig::default());
+        let ids: Vec<NodeId> = (0..3u64).map(NodeId).collect();
+        for i in 0..3 {
+            let telemetry = if i == 0 {
+                Arc::clone(&registry)
+            } else {
+                Arc::new(Registry::disabled())
+            };
+            let factory = DaceNode::factory_with_telemetry(
+                ids.clone(),
+                DaceConfig::default(),
+                telemetry,
+                Arc::new(Tracer::default()),
+            );
+            sim.add_node(format!("dace{i}"), factory);
+        }
+        let honest = subscribe_plain(
+            &mut sim,
+            ids[1],
+            FilterSpec::remote(psc_filter::rfilter!(n < 10)),
+        );
+        settle(&mut sim, 10);
+
+        // `!!!…!true`, 100 000 deep: every walk of it would recurse that
+        // far — decode, insert, eval, drop.
+        let not_tag = psc_codec::to_bytes(&EvalNode::Not(Box::new(EvalNode::True))).unwrap()[0];
+        let mut deep = vec![0u8];
+        deep.extend(std::iter::repeat_n(not_tag, 100_000));
+        deep.push(psc_codec::to_bytes(&EvalNode::True).unwrap()[0]);
+        // A tree naming a predicate the filter does not carry.
+        let dangling =
+            psc_codec::to_bytes(&(vec![Predicate::new("n", CmpOp::Lt, 10)], EvalNode::Pred(3)))
+                .unwrap();
+        for filter in [deep, dangling] {
+            sim.send_external(ids[2], ids[0], control_frame(filter));
+        }
+        settle(&mut sim, 10);
+        assert_eq!(registry.snapshot().counter("dace.control.rejected"), 2);
+
+        // Still serving, and the refused subscription is not a destination
+        // (a filter that merely failed to decode used to count as "no
+        // filter": node 2 would have received everything).
+        DaceNode::publish_from(&mut sim, ids[0], PlainTick::new("a".into(), 5));
+        DaceNode::publish_from(&mut sim, ids[0], PlainTick::new("b".into(), 50));
+        settle(&mut sim, 50);
+        assert_eq!(*honest.lock().unwrap(), vec!["a".to_string()]);
+        assert_eq!(DaceNode::stats_of(&mut sim, ids[0]).direct_sent, 1);
+        assert!(DaceNode::filter_oracle_of(
+            &mut sim,
+            ids[0],
+            &psc_filter::Value::record([("n", psc_filter::Value::Int(5))])
+        )
+        .is_empty());
     }
 }

@@ -214,7 +214,105 @@ pub struct RemoteFilter {
     eval: EvalNode,
 }
 
+/// Most predicate leaves a filter decoded by [`RemoteFilter::from_wire`] may
+/// carry.
+pub const MAX_WIRE_PREDICATES: usize = 256;
+
+/// Most evaluation-tree nodes a filter decoded by
+/// [`RemoteFilter::from_wire`] may carry.
+pub const MAX_WIRE_NODES: usize = 1024;
+
+/// Why [`RemoteFilter::from_wire`] refused a filter.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum InvalidFilter {
+    /// The bytes are not an encoded filter (this includes trees nested
+    /// deeper than the decoder's `MAX_DEPTH`).
+    Codec(psc_codec::CodecError),
+    /// More predicates than [`MAX_WIRE_PREDICATES`] or more tree nodes than
+    /// [`MAX_WIRE_NODES`].
+    TooLarge,
+    /// The evaluation tree references a predicate the filter does not have.
+    PredOutOfRange {
+        /// The referenced predicate index.
+        index: usize,
+        /// How many predicates the filter carries.
+        predicates: usize,
+    },
+}
+
+impl fmt::Display for InvalidFilter {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            InvalidFilter::Codec(err) => write!(f, "filter does not decode: {err}"),
+            InvalidFilter::TooLarge => write!(
+                f,
+                "filter exceeds {MAX_WIRE_PREDICATES} predicates or {MAX_WIRE_NODES} tree nodes"
+            ),
+            InvalidFilter::PredOutOfRange { index, predicates } => write!(
+                f,
+                "evaluation tree references predicate {index} but only {predicates} exist"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for InvalidFilter {}
+
 impl RemoteFilter {
+    /// Decodes a filter that arrived from a peer or a disk. Derived
+    /// `Deserialize` builds whatever the bytes describe, bypassing
+    /// [`RemoteFilter::from_parts`]; this is the checked entrance: nesting
+    /// is bounded by the decoder, size and predicate references by
+    /// [`RemoteFilter::validate`].
+    ///
+    /// # Errors
+    ///
+    /// [`InvalidFilter`] when the bytes do not decode or the filter fails
+    /// validation.
+    pub fn from_wire(bytes: &[u8]) -> Result<RemoteFilter, InvalidFilter> {
+        let filter: RemoteFilter = psc_codec::from_bytes(bytes).map_err(InvalidFilter::Codec)?;
+        filter.validate()?;
+        Ok(filter)
+    }
+
+    /// Checks what every evaluator assumes: each `Pred(i)` names an
+    /// existing predicate, and the filter stays within
+    /// [`MAX_WIRE_PREDICATES`] / [`MAX_WIRE_NODES`]. Walks the tree with an
+    /// explicit stack, so it is safe on any nesting.
+    ///
+    /// # Errors
+    ///
+    /// The first [`InvalidFilter`] found.
+    pub fn validate(&self) -> Result<(), InvalidFilter> {
+        if self.predicates.len() > MAX_WIRE_PREDICATES {
+            return Err(InvalidFilter::TooLarge);
+        }
+        let mut nodes = 1usize;
+        let mut pending = vec![&self.eval];
+        while let Some(node) = pending.pop() {
+            let children: &[EvalNode] = match node {
+                EvalNode::True | EvalNode::False => &[],
+                EvalNode::Pred(index) => {
+                    if *index >= self.predicates.len() {
+                        return Err(InvalidFilter::PredOutOfRange {
+                            index: *index,
+                            predicates: self.predicates.len(),
+                        });
+                    }
+                    &[]
+                }
+                EvalNode::And(children) | EvalNode::Or(children) => children,
+                EvalNode::Not(child) => std::slice::from_ref(&**child),
+            };
+            nodes += children.len();
+            if nodes > MAX_WIRE_NODES {
+                return Err(InvalidFilter::TooLarge);
+            }
+            pending.extend(children);
+        }
+        Ok(())
+    }
+
     /// Filter that accepts every obvent of the subscribed type.
     pub fn pass_all() -> Self {
         RemoteFilter {

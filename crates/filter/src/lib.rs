@@ -67,7 +67,10 @@ mod value;
 #[macro_use]
 mod macros;
 
-pub use expr::{CmpOp, EvalNode, InvocationTree, LocalFilter, Predicate, RemoteFilter};
+pub use expr::{
+    CmpOp, EvalNode, InvalidFilter, InvocationTree, LocalFilter, Predicate, RemoteFilter,
+    MAX_WIRE_NODES, MAX_WIRE_PREDICATES,
+};
 pub use index::{FilterId, FilterIndex, IndexOptions, IndexStats};
 pub use path::PropPath;
 pub use value::{IntoValue, PropertySource, Value};

@@ -218,6 +218,73 @@ mod filters {
         assert_eq!(f, back);
     }
 
+    /// `[predicates: 0][Not tag × depth][True tag]` — what a hostile peer
+    /// sends; built by hand because encoding it would recurse as deep.
+    fn not_chain_bytes(depth: usize) -> Vec<u8> {
+        let not_tag = psc_codec::to_bytes(&EvalNode::Not(Box::new(EvalNode::True))).unwrap()[0];
+        let mut bytes = vec![0u8];
+        bytes.extend(std::iter::repeat_n(not_tag, depth));
+        bytes.push(psc_codec::to_bytes(&EvalNode::True).unwrap()[0]);
+        bytes
+    }
+
+    #[test]
+    fn from_wire_accepts_what_the_dsl_builds() {
+        for f in [
+            RemoteFilter::pass_all(),
+            rfilter!(price < 100.0 && market.name == "ZRH"),
+            rfilter!(price < 1.0).or(rfilter!(amount > 5)).negate(),
+            RemoteFilter::from_wire(&not_chain_bytes(40)).unwrap(),
+        ] {
+            let bytes = psc_codec::to_bytes(&f).unwrap();
+            assert_eq!(RemoteFilter::from_wire(&bytes), Ok(f));
+        }
+    }
+
+    #[test]
+    fn from_wire_refuses_hostile_filters() {
+        use crate::InvalidFilter;
+        // Nesting: refused by the decoder before anything recursive sees it.
+        assert!(matches!(
+            RemoteFilter::from_wire(&not_chain_bytes(100_000)),
+            Err(InvalidFilter::Codec(
+                psc_codec::CodecError::DepthLimit { .. }
+            ))
+        ));
+        // A predicate reference `from_parts` would have panicked on; derived
+        // `Deserialize` lets it through, `validate` does not.
+        // (A struct's wire image is its fields in order.)
+        let bytes = psc_codec::to_bytes(&(
+            rfilter!(price < 1.0).predicates(),
+            EvalNode::And(vec![EvalNode::Pred(0), EvalNode::Pred(7)]),
+        ))
+        .unwrap();
+        assert!(psc_codec::from_bytes::<RemoteFilter>(&bytes).is_ok());
+        assert_eq!(
+            RemoteFilter::from_wire(&bytes),
+            Err(InvalidFilter::PredOutOfRange {
+                index: 7,
+                predicates: 1
+            })
+        );
+        // Size: wide rather than deep.
+        let wide = RemoteFilter::from_parts(
+            Vec::new(),
+            EvalNode::Or(vec![EvalNode::True; crate::MAX_WIRE_NODES]),
+        );
+        assert_eq!(wide.validate(), Err(InvalidFilter::TooLarge));
+        let many = RemoteFilter::conjunction(
+            (0..=crate::MAX_WIRE_PREDICATES)
+                .map(|i| Predicate::new("price", CmpOp::Lt, i as f64))
+                .collect(),
+        );
+        assert_eq!(many.validate(), Err(InvalidFilter::TooLarge));
+        assert!(matches!(
+            RemoteFilter::from_wire(&[0xff; 4]),
+            Err(InvalidFilter::Codec(_))
+        ));
+    }
+
     #[test]
     fn invocation_tree_shares_prefixes() {
         // §4.4.3: nodes represent invocations; shared accessor prefixes merge.

@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use psc_bench::{fmt_f, quote_obvents, write_bench_json, BenchQuote, Table};
+use psc_bench::{fmt_f, gates, quote_obvents, write_bench_json, BenchQuote, Table};
 use psc_dace::inproc::Bus;
 use psc_rmi::{remote_iface, DgcMode, RmiError, RmiNetwork};
 use psc_telemetry::{json::JsonValue, Registry};
@@ -120,6 +120,7 @@ fn main() {
         // Per-row delta of the global codec counters (encode traffic and
         // buffer-pool effectiveness across both transports).
         let global_after = psc_telemetry::global().snapshot();
+        let encodes = global_after.counter("codec.encodes") - global_before.counter("codec.encodes");
         let mut codec = JsonValue::obj();
         for (name, &after) in &global_after.counters {
             if name.starts_with("codec.") {
@@ -132,6 +133,9 @@ fn main() {
                 .set("pubsub_us_per_round", pubsub_us)
                 .set("rmi_us_per_round", rmi_us)
                 .set("rmi_over_pubsub", rmi_us / pubsub_us)
+                // Serialize-once guard: one publish to N in-process
+                // receivers must not encode once per receiver.
+                .set("codec_encodes_per_round", encodes as f64 / rounds as f64)
                 .set("codec", codec)
                 .set("metrics", registry.snapshot().to_json()),
         );
@@ -140,6 +144,7 @@ fn main() {
     let doc = JsonValue::obj()
         .set("experiment", "fanout")
         .set("rounds", rounds as u64)
+        .set("gates", gates(&[("rows", "receivers", "codec_encodes_per_round")]))
         .set("rows", json_rows)
         .set("global_metrics", psc_telemetry::global().snapshot().to_json());
     let path = write_bench_json("fanout", &doc).expect("write BENCH json");

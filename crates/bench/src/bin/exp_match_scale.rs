@@ -14,7 +14,7 @@
 
 use std::time::Instant;
 
-use psc_bench::{fmt_f, scaled_filters, wide_events, write_bench_json, Table};
+use psc_bench::{fmt_f, gates, scaled_filters, wide_events, write_bench_json, Table};
 use psc_filter::{FilterIndex, Value};
 use psc_telemetry::json::JsonValue;
 use psc_telemetry::Snapshot;
@@ -159,6 +159,17 @@ fn main() {
         .set("experiment", "match_scale")
         .set("quick", quick)
         .set("events", events_n as u64)
+        // Deterministic functions of the seeded workload: losing the
+        // attribute index blows probes up to the predicate population,
+        // losing the access-predicate gating blows candidates up to the
+        // satisfied-filter population, on any machine.
+        .set(
+            "gates",
+            gates(&[
+                ("rows", "key", "probes_per_event"),
+                ("rows", "key", "candidates_per_event"),
+            ]),
+        )
         .set("rows", rows);
     let path = write_bench_json("exp_match_scale", &doc).expect("write BENCH json");
     println!("\nmetrics written to {}", path.display());

@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use psc_bench::{fmt_f, quote_obvents, write_bench_json, BenchQuote, Table};
+use psc_bench::{fmt_f, gates, quote_obvents, write_bench_json, BenchQuote, Table};
 use psc_codec::WireBytes;
 use psc_dace::{DaceConfig, DaceNode};
 use psc_obvent::WireObvent;
@@ -212,6 +212,7 @@ fn main() {
                 .set("publishes", publishes as u64)
                 .set("wall_ms", wall_ms)
                 .set("codec_encodes", encodes)
+                .set("codec_encodes_per_publish", encodes as f64 / publishes as f64)
                 .set("codec_pool_hits", hits)
                 .set("codec_pool_misses", misses)
                 .set("dace_batch_coalesced", coalesced)
@@ -223,6 +224,13 @@ fn main() {
     let doc = JsonValue::obj()
         .set("experiment", "serialize_once")
         .set("quick", quick)
+        .set(
+            "gates",
+            gates(&[
+                ("mechanism", "fanout", "shared_encodes_per_publish"),
+                ("end_to_end", "fanout", "codec_encodes_per_publish"),
+            ]),
+        )
         .set("mechanism", mech_rows)
         .set("end_to_end", e2e_rows)
         .set("metrics", psc_telemetry::global().snapshot().to_json());

@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use psc_bench::{fmt_f, write_bench_json, Table};
+use psc_bench::{fmt_f, gates, write_bench_json, Table};
 use psc_dace::{DaceConfig, DaceNode};
 use psc_obvent::builtin::Certified;
 use psc_obvent::declare_obvent_model;
@@ -233,10 +233,21 @@ fn main() {
     }
     loss_table.print();
 
+    // Both sections share the row shape and the gated counts. Baselines of
+    // zero for `incomplete` / `byte_mismatch` make any occurrence a failure;
+    // markers, retries and the wave's virtual completion time growing means
+    // the wave protocol got chattier or started needing retries.
+    let mut gated = Vec::new();
+    for (section, key) in [("capture", "publishes"), ("loss", "loss_pct")] {
+        for metric in ["incomplete", "byte_mismatch", "markers_sent", "wave_virtual_ms", "retries"] {
+            gated.push((section, key, metric));
+        }
+    }
     let doc = JsonValue::obj()
         .set("experiment", "snapshot")
         .set("quick", quick)
         .set("publishes", PUBLISHES)
+        .set("gates", gates(&gated))
         .set("capture", capture_rows)
         .set("loss", loss_rows)
         .set("metrics", psc_telemetry::global().snapshot().to_json());

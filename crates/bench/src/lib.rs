@@ -1,6 +1,6 @@
 //! Shared workload generators for the benchmark harness.
 //!
-//! Every experiment binary and criterion bench builds its inputs from these
+//! Every experiment binary builds its inputs from these
 //! helpers, so the workloads stay comparable across experiments: a stock
 //! ticker in the paper's own domain (quotes with company / price / amount),
 //! plus subscription populations with controllable overlap and
@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use psc_filter::{rfilter, CmpOp, Predicate, RemoteFilter, Value};
+use psc_filter::{CmpOp, Predicate, RemoteFilter, Value};
 use psc_obvent::declare_obvent_model;
 
 declare_obvent_model! {
@@ -146,17 +146,6 @@ pub fn scaled_filters(seed: u64, n: usize, attrs: usize) -> Vec<RemoteFilter> {
         .collect()
 }
 
-/// A filter with the given match probability against [`quote_values`]
-/// (price is uniform in 1..200).
-pub fn filter_with_selectivity(selectivity: f64) -> RemoteFilter {
-    let threshold = 1.0 + 199.0 * selectivity.clamp(0.0, 1.0);
-    rfilter!(price < 100.0).and(RemoteFilter::conjunction(vec![Predicate::new(
-        "price",
-        CmpOp::Lt,
-        threshold,
-    )]))
-}
-
 /// Simple text table printer for the experiment report binaries.
 pub struct Table {
     headers: Vec<String>,
@@ -222,6 +211,18 @@ pub fn write_bench_json(
     let path = dir.join(format!("BENCH_{name}.json"));
     std::fs::write(&path, format!("{}\n", doc.render()))?;
     Ok(path)
+}
+
+/// The report's `"gates"` block: which numeric fields `bench_compare` holds
+/// against the committed baseline, as `(section, key, metric)` — `section`
+/// names a top-level array of rows, `key` the integer field that identifies
+/// a row across run sizes, `metric` the gated field. Only deterministic
+/// counts belong here; wall-clock claims are `benchmark/`'s.
+pub fn gates(entries: &[(&str, &str, &str)]) -> psc_telemetry::json::JsonValue {
+    use psc_telemetry::json::JsonValue;
+    entries.iter().fold(JsonValue::arr(), |arr, &(section, key, metric)| {
+        arr.push(JsonValue::obj().set("section", section).set("key", key).set("metric", metric))
+    })
 }
 
 /// Formats a float compactly for tables.

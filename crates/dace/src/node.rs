@@ -32,7 +32,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::{DaceConfig, Placement};
 use crate::control::{AdvertiseCtl, SubscribeCtl, UnsubscribeCtl};
-use crate::snapshot::{SnapPlane, FORCE_CLOSE_TICKS, UNKNOWN_INITIATOR};
+use crate::snapshot::{SnapPlane, FORCE_CLOSE_TICKS, RETRY_PERIOD, UNKNOWN_INITIATOR};
 
 /// Per-node traffic and delivery counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -189,10 +189,10 @@ fn decode_filter(
 /// subscriptions (oldest dropped beyond this).
 const MAX_PARKED: usize = 1024;
 
-/// One record of a channel write-ahead log ([`DaceConfig::wal`]). Every
-/// record is CRC-framed via `psc_codec::frame::encode_crc` before it hits
-/// a segment, so recovery scans with `scan_crc_frames` and stops cleanly
-/// at a torn tail instead of reading garbage.
+/// One record of a channel write-ahead log. Every record is CRC-framed
+/// via `psc_codec::frame::encode_crc` before it hits a segment, so recovery
+/// scans with `scan_crc_frames` and stops cleanly at a torn tail instead of
+/// reading garbage.
 #[derive(Debug, Serialize, Deserialize)]
 enum WalRecord {
     /// A key–value write of the log's keyspace.
@@ -226,7 +226,7 @@ enum DaceTimer {
     Channel(KindId, TimerToken),
     /// Periodic stall-watchdog sweep ([`DaceConfig::watchdog`]).
     Watchdog,
-    /// Snapshot liveness tick ([`DaceConfig::snapshot_retry`]): re-floods
+    /// Snapshot liveness tick (every [`RETRY_PERIOD`]): re-floods
     /// markers while the wave is open and force-closes recordings whose
     /// marker never arrives.
     SnapRetry,
@@ -465,6 +465,9 @@ pub struct DaceNode {
     /// Snapshot plane: the causal clock stamped into every publish and
     /// this node's participation in the current Chandy–Lamport wave.
     snap: SnapPlane,
+    /// Oracle-validation defect, set only by
+    /// [`DaceNode::capture_after_processing`].
+    capture_after_processing: bool,
 }
 
 impl DaceNode {
@@ -545,7 +548,20 @@ impl DaceNode {
             trace_seq: 0,
             last_trace: TraceId::NONE,
             snap: SnapPlane::default(),
+            capture_after_processing: false,
         }
+    }
+
+    /// Deliberately broken marker discipline, for oracle validation only: a
+    /// receiver seeing a message tagged with a newer snapshot wave
+    /// *processes it first* and only then captures — the classic
+    /// Chandy–Lamport bug that lets a post-cut send slip into the
+    /// receiver's pre-cut state. Called by the harness's
+    /// `broken::SkewedMarkers` node factory and nothing else.
+    #[doc(hidden)]
+    pub fn capture_after_processing(mut self) -> DaceNode {
+        self.capture_after_processing = true;
+        self
     }
 
     /// A boxed-node factory for [`SimNet::add_node`]; each (re)build gets a
@@ -755,7 +771,7 @@ impl DaceNode {
     /// durable subscriptions and parked obvents, and arms the storage
     /// journal that feeds [`DaceNode::wal_commit`].
     fn wal_bootstrap(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.config.wal || self.wal_bootstrapped {
+        if self.wal_bootstrapped {
             return;
         }
         self.wal_bootstrapped = true;
@@ -886,10 +902,11 @@ impl DaceNode {
     /// durable mutation to its log as a CRC-framed [`WalRecord`], rotates
     /// oversized active segments, issues the fsync barrier, and compacts
     /// logs past the retention threshold. Runs after the effects of the
-    /// callback are queued but before they externalize — so in a healthy
-    /// configuration nothing observable ever precedes its log record.
+    /// callback are queued but before they externalize — so on a disk
+    /// that honours its sync barrier nothing observable ever precedes its
+    /// log record.
     fn wal_commit(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.config.wal || !self.wal_bootstrapped {
+        if !self.wal_bootstrapped {
             return;
         }
         let ops = ctx.storage().take_journal();
@@ -929,10 +946,8 @@ impl DaceNode {
                 ctx.storage().wal_rotate(&log);
                 self.telemetry.bump("wal.rotations", 1);
             }
-            if self.config.wal_sync {
-                ctx.storage().wal_sync(&log);
-                self.telemetry.bump("wal.syncs", 1);
-            }
+            ctx.storage().wal_sync(&log);
+            self.telemetry.bump("wal.syncs", 1);
             let total: usize = ctx
                 .storage()
                 .wal_segments(&log)
@@ -954,9 +969,9 @@ impl DaceNode {
     }
 
     /// Compaction: snapshot the log's live keyspace into a checkpoint
-    /// record at the head of a fresh segment, fsync it (unconditionally —
-    /// dropping history against an undurable checkpoint would lose data
-    /// even with a correct disk), then drop the older segments.
+    /// record at the head of a fresh segment, fsync it (dropping history
+    /// against an undurable checkpoint would lose data), then drop the
+    /// older segments.
     fn wal_compact(&mut self, ctx: &mut Ctx<'_>, log: &str) {
         let entries = if log == "node" {
             let mut entries = ctx.storage().entries_with_prefix("dursub/");
@@ -1086,9 +1101,7 @@ impl DaceNode {
         if !self.parked.is_empty() {
             let parked: Vec<(u64, WireObvent)> = self.parked.drain(..).collect();
             for (seq, wire) in parked {
-                if self.config.wal {
-                    ctx.storage().remove(&format!("park/{seq:020}"));
-                }
+                ctx.storage().remove(&format!("park/{seq:020}"));
                 self.local_deliver(ctx, &wire);
             }
         }
@@ -1364,7 +1377,7 @@ impl DaceNode {
         // stamp at the delivery boundary — capture must precede both the
         // delivery and the clock merge.
         let stamp_snap = wire.stamp().snap;
-        if stamp_snap > self.snap.wave && !self.config.snapshot_skew {
+        if stamp_snap > self.snap.wave && !self.capture_after_processing {
             self.telemetry.bump("snapshot.captures.tagged", 1);
             self.snapshot_begin(ctx, stamp_snap, UNKNOWN_INITIATOR, false);
         }
@@ -1405,18 +1418,14 @@ impl DaceNode {
             // subscriber when it comes back.
             if self.parked.len() >= MAX_PARKED {
                 if let Some((seq, _)) = self.parked.pop_front() {
-                    if self.config.wal {
-                        ctx.storage().remove(&format!("park/{seq:020}"));
-                    }
+                    ctx.storage().remove(&format!("park/{seq:020}"));
                 }
             }
             self.telemetry.bump("dace.parked", 1);
             let seq = self.park_seq;
             self.park_seq += 1;
-            if self.config.wal {
-                let bytes = psc_codec::to_bytes(wire).expect("wire obvents encode");
-                ctx.storage().put_raw(format!("park/{seq:020}"), bytes);
-            }
+            let bytes = psc_codec::to_bytes(wire).expect("wire obvents encode");
+            ctx.storage().put_raw(format!("park/{seq:020}"), bytes);
             self.parked.push_back((seq, wire.clone()));
         }
     }
@@ -1596,9 +1605,10 @@ impl DaceNode {
     /// - **lower**: a pre-cut message crossing our cut — record it into the
     ///   in-flight state of the link it arrived on (if still open).
     ///
-    /// Returns `Some(tag)` instead of igniting when [`DaceConfig::
-    /// snapshot_skew`] deliberately breaks the discipline (the caller then
-    /// processes first and captures after — the bug the oracles must see).
+    /// Returns `Some(tag)` instead of igniting when
+    /// [`DaceNode::capture_after_processing`] deliberately breaks the
+    /// discipline (the caller then processes first and captures after —
+    /// the bug the oracles must see).
     fn snapshot_observe(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -1643,7 +1653,7 @@ impl DaceNode {
             }
         };
         if tag > self.snap.wave {
-            if self.config.snapshot_skew {
+            if self.capture_after_processing {
                 return Some(tag);
             }
             self.telemetry.bump("snapshot.captures.tagged", 1);
@@ -1883,7 +1893,7 @@ impl DaceNode {
             return;
         }
         self.snap.retry_armed = true;
-        let id = ctx.set_timer(self.config.snapshot_retry);
+        let id = ctx.set_timer(RETRY_PERIOD);
         self.timer_map.insert(id, DaceTimer::SnapRetry);
     }
 
@@ -2001,8 +2011,9 @@ impl DaceNode {
             NodeMsg::Batch(_) | NodeMsg::SnapMarker { .. } | NodeMsg::SnapFrag { .. } => {}
             _ => {
                 if let Some(tag) = self.snapshot_observe(ctx, from, &msg) {
-                    // snapshot_skew: the deliberately broken discipline —
-                    // process the newer-wave message first, capture after.
+                    // capture_after_processing: the deliberately broken
+                    // discipline — process the newer-wave message first,
+                    // capture after.
                     self.handle_node_msg_inner(ctx, from, msg);
                     if tag > self.snap.wave {
                         self.snapshot_begin(ctx, tag, UNKNOWN_INITIATOR, false);
@@ -2176,17 +2187,12 @@ impl Inspect for DaceNode {
             self.parked.len(),
             self.durable_pending.len()
         ));
-        if self.config.wal {
-            report.line(format!(
-                "wal sync={} replayed={} torn={} corrupt={}",
-                self.config.wal_sync,
-                self.wal_report.replayed,
-                self.wal_report.torn,
-                self.wal_report.corrupt
-            ));
-            for (log, (segments, bytes)) in &self.wal_report.logs {
-                report.line(format!("wal log={log} segments={segments} bytes={bytes}"));
-            }
+        report.line(format!(
+            "wal replayed={} torn={} corrupt={}",
+            self.wal_report.replayed, self.wal_report.torn, self.wal_report.corrupt
+        ));
+        for (log, (segments, bytes)) in &self.wal_report.logs {
+            report.line(format!("wal log={log} segments={segments} bytes={bytes}"));
         }
         if self.snap.wave > 0 {
             report.line(format!(

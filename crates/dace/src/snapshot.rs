@@ -33,6 +33,12 @@ pub(crate) const UNKNOWN_INITIATOR: u64 = u64::MAX;
 /// recorded past it are counted in [`InFlightRec::others`] instead.
 pub(crate) const INFLIGHT_CAP: usize = 64;
 
+/// Retry period of the snapshot plane: the initiator retransmits markers
+/// to nodes whose fragment is still missing, and participants use the same
+/// tick to force-close in-flight recordings whose marker never arrives
+/// (partitioned or crashed peers), keeping the wave live under loss.
+pub(crate) const RETRY_PERIOD: psc_simnet::Duration = psc_simnet::Duration::from_millis(25);
+
 /// Retry ticks before recordings without a marker are force-closed.
 pub(crate) const FORCE_CLOSE_TICKS: u64 = 8;
 

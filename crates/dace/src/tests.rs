@@ -837,10 +837,10 @@ mod durable_subscriptions {
 }
 
 mod durable_wal {
-    //! The per-channel write-ahead log (`DaceConfig::wal`): a disk-fault
-    //! crash wipes the key–value map, so everything the next incarnation
-    //! knows was replayed from fsynced log segments — and the certified
-    //! stream must still resume exactly-once.
+    //! The per-channel write-ahead log: a disk-fault crash wipes the
+    //! key–value map, so everything the next incarnation knows was replayed
+    //! from fsynced log segments — and the certified stream must still
+    //! resume exactly-once.
 
     use super::*;
     use psc_simnet::DiskFault;
@@ -916,18 +916,15 @@ mod durable_wal {
 
     #[test]
     fn broken_sync_discipline_loses_an_acked_parked_obvent() {
-        // wal_sync: false deliberately models a broken disk discipline.
-        // A parked obvent is acked back to the publisher (certified
+        // The subscriber's disk acknowledges fsyncs without performing
+        // them. A parked obvent is acked back to the publisher (certified
         // semantics satisfied from its side) and then exists only in the
         // park/<seq> WAL record — which a disk fault destroys when it was
         // never fsynced. The subscriber silently loses a delivery the
         // publisher believes is certified: exactly the violation the
         // harness's durability oracle exists to catch.
-        let config = DaceConfig {
-            wal_sync: false,
-            ..DaceConfig::default()
-        };
-        let (mut sim, ids) = cluster(2, SimConfig::default(), config);
+        let (mut sim, ids) = cluster(2, SimConfig::default(), DaceConfig::default());
+        sim.act_now(ids[1], |_, ctx| ctx.storage().drop_syncs());
         let first: Seen<u64> = Arc::new(Mutex::new(Vec::new()));
         install_certified(&mut sim, ids[1], 9, first.clone());
         settle(&mut sim, 10);

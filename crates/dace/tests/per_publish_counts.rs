@@ -1,0 +1,156 @@
+//! Exact per-publish counts, alone in their process on purpose:
+//! `codec.encodes` lives in the process-global telemetry registry, which
+//! any other test's traffic would bump concurrently (the two cases below
+//! take turns for the same reason).
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+
+use psc_dace::{DaceConfig, DaceNode};
+use psc_obvent::builtin::Certified;
+use psc_obvent::declare_obvent_model;
+use psc_simnet::{DiskFault, Duration, NodeId, SimConfig, SimNet};
+use psc_telemetry::{Registry, Tracer};
+use pubsub_core::FilterSpec;
+
+declare_obvent_model! {
+    /// A best-effort kind: no QoS marker, so it travels as direct sends.
+    pub class PlainTick { n: u64 }
+}
+declare_obvent_model! {
+    pub class CertifiedTick implements [Certified] { n: u64 }
+}
+
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+/// An `n`-node cluster recording into one registry (counts are sums over
+/// the cluster, and survive a node's crash).
+fn cluster(n: u64, config: DaceConfig) -> (SimNet, Vec<NodeId>, Arc<Registry>) {
+    let mut sim = SimNet::new(SimConfig::default());
+    let ids: Vec<NodeId> = (0..n).map(NodeId).collect();
+    let tracer = Arc::new(Tracer::default());
+    tracer.set_enabled(false);
+    let registry = Arc::new(Registry::new());
+    for i in 0..n {
+        sim.add_node(
+            format!("n{i}"),
+            DaceNode::factory_with_telemetry(
+                ids.clone(),
+                config.clone(),
+                Arc::clone(&registry),
+                Arc::clone(&tracer),
+            ),
+        );
+    }
+    (sim, ids, registry)
+}
+
+fn settle(sim: &mut SimNet, ms: u64) {
+    let deadline = sim.now() + Duration::from_millis(ms);
+    sim.run_until(deadline);
+}
+
+/// `codec.encodes` spent on `PUBLISHES` best-effort publishes to `fanout`
+/// remote subscribers (each reached by exactly one direct send).
+fn best_effort_encodes(fanout: u64) -> u64 {
+    const PUBLISHES: u64 = 20;
+    // Keep the periodic re-announcements out of the publish window.
+    let config = DaceConfig { announce_interval: Duration::from_secs(30), ..DaceConfig::default() };
+    let (mut sim, ids, registry) = cluster(fanout + 1, config);
+    let delivered = Arc::new(AtomicU64::new(0));
+    for &id in &ids[1..] {
+        let delivered = Arc::clone(&delivered);
+        DaceNode::drive(&mut sim, id, move |domain| {
+            let sub = domain.subscribe(FilterSpec::accept_all(), move |_t: PlainTick| {
+                delivered.fetch_add(1, Ordering::Relaxed);
+            });
+            sub.activate().unwrap();
+            sub.detach();
+        });
+    }
+    settle(&mut sim, 50);
+
+    let encodes = psc_telemetry::global().counter("codec.encodes");
+    let before = (encodes.get(), registry.snapshot().counter("dace.direct_sent"));
+    for n in 0..PUBLISHES {
+        DaceNode::publish_from(&mut sim, ids[0], PlainTick::new(n));
+    }
+    settle(&mut sim, 1_000);
+    assert_eq!(delivered.load(Ordering::Relaxed), PUBLISHES * fanout);
+    let direct_sent = registry.snapshot().counter("dace.direct_sent") - before.1;
+    assert_eq!(direct_sent, PUBLISHES * fanout, "one direct send per remote subscriber");
+    encodes.get() - before.0
+}
+
+/// Serialize-once: what a publish costs the codec does not depend on how
+/// many nodes it fans out to — the wire form is encoded once and shared.
+#[test]
+fn best_effort_fanout_encodes_once_per_publish_whatever_the_fanout() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap();
+    psc_telemetry::set_global_enabled(true);
+    let narrow = best_effort_encodes(2);
+    let wide = best_effort_encodes(8);
+    assert!(narrow > 0, "the codec counter must be live");
+    assert_eq!(wide, narrow, "codec.encodes per publish must not grow with fan-out");
+}
+
+fn attach_durable(sim: &mut SimNet, node: NodeId) -> Arc<AtomicU64> {
+    let delivered = Arc::new(AtomicU64::new(0));
+    let counter = Arc::clone(&delivered);
+    DaceNode::drive(sim, node, move |domain| {
+        let sub = domain.subscribe(FilterSpec::accept_all(), move |_t: CertifiedTick| {
+            counter.fetch_add(1, Ordering::Relaxed);
+        });
+        sub.activate_with_id(0xE14).unwrap();
+        sub.detach();
+    });
+    delivered
+}
+
+/// What durability costs the logs, per certified publish to one durable
+/// subscriber (publisher's and subscriber's logs together) — and that the
+/// log is worth it: after a crash, recovery and re-attach under the same
+/// durable id nothing is delivered twice. The bounds are today's figures
+/// (1025 appends, 514 syncs for 256 publishes), written as ceilings so that
+/// batching them down is a deliberate edit here, and creeping up is a
+/// failure.
+#[test]
+fn certified_publish_costs_at_most_four_appends_and_two_syncs_and_recovers_exactly_once() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap();
+    const PUBLISHES: u64 = 256;
+    // Small segments so the burst crosses rotations; compaction held off
+    // so recovery replays the full history.
+    let config = DaceConfig {
+        wal_segment_bytes: 4 * 1024,
+        wal_compact_threshold: 1 << 20,
+        ..DaceConfig::default()
+    };
+    let (mut sim, ids, registry) = cluster(2, config);
+    let first = attach_durable(&mut sim, ids[1]);
+    settle(&mut sim, 40);
+    DaceNode::drive(&mut sim, ids[0], |domain| {
+        for n in 0..PUBLISHES {
+            domain.publish(CertifiedTick::new(n)).unwrap();
+        }
+    });
+    settle(&mut sim, 2_000);
+    assert_eq!(first.load(Ordering::Relaxed), PUBLISHES);
+
+    let counts = registry.snapshot();
+    let per_publish = |name: &str| counts.counter(name) as f64 / PUBLISHES as f64;
+    assert!(per_publish("wal.appends") > 0.0, "the WAL counters must be live");
+    assert!(per_publish("wal.appends") <= 4.01, "wal.appends/publish = {}", per_publish("wal.appends"));
+    assert!(per_publish("wal.syncs") <= 2.01, "wal.syncs/publish = {}", per_publish("wal.syncs"));
+
+    sim.crash_with_fault(ids[1], DiskFault::None);
+    settle(&mut sim, 20);
+    sim.recover(ids[1]);
+    let second = attach_durable(&mut sim, ids[1]);
+    settle(&mut sim, 1_000);
+    assert!(
+        registry.snapshot().counter("wal.replay.records") > counts.counter("wal.replay.records"),
+        "recovery replays the log"
+    );
+    assert_eq!(second.load(Ordering::Relaxed), 0, "the delivered set survived: no redelivery");
+    assert_eq!(first.load(Ordering::Relaxed), PUBLISHES, "the dead handler stays silent");
+}

@@ -10,8 +10,8 @@ use std::collections::HashSet;
 use serde::{Deserialize, Serialize};
 
 use psc_codec::WireBytes;
-use psc_dace::DaceConfig;
-use psc_simnet::NodeId;
+use psc_dace::{DaceConfig, DaceNode};
+use psc_simnet::{Node, NodeId};
 
 use psc_group::{GroupIo, Multicast};
 
@@ -27,11 +27,11 @@ use psc_group::{GroupIo, Multicast};
 pub struct SkewedMarkers;
 
 impl SkewedMarkers {
-    /// The DACE configuration with the capture-before-processing rule
-    /// turned off; pass to
-    /// [`snapshot::run_snapshot_config`](crate::snapshot::run_snapshot_config).
-    pub fn config() -> DaceConfig {
-        DaceConfig { snapshot_skew: true, ..DaceConfig::default() }
+    /// One node incarnation with the capture-before-processing rule turned
+    /// off; pass to
+    /// [`snapshot::run_snapshot_with`](crate::snapshot::run_snapshot_with).
+    pub fn node(cluster: Vec<NodeId>) -> Box<dyn Node> {
+        Box::new(DaceNode::new(cluster, DaceConfig::default()).capture_after_processing())
     }
 }
 

@@ -186,29 +186,18 @@ fn attach(sim: &mut SimNet, node: NodeId) -> Sink {
     sink
 }
 
-/// The DACE configuration durable runs use: WAL on, small segments so
-/// realistic workloads cross rotation (and sometimes compaction)
-/// boundaries, and the fsync discipline under test.
-pub fn durable_config(wal_sync: bool) -> DaceConfig {
-    DaceConfig {
-        wal_sync,
-        wal_segment_bytes: 1024,
-        wal_compact_threshold: 4096,
-        ..DaceConfig::default()
-    }
-}
-
-/// Executes a durable scenario with a correct fsync discipline and applies
-/// the durability oracle.
+/// Executes a durable scenario on disks that honour their sync barrier and
+/// applies the durability oracle.
 pub fn run_durable(scenario: &DurableScenario) -> DurableOutcome {
-    run_durable_config(scenario, true)
+    run_durable_with(scenario, false)
 }
 
-/// [`run_durable`] with the fsync barrier switchable: `wal_sync == false`
-/// deliberately models a broken disk discipline, and the oracle must catch
-/// the ghost/dup it eventually produces (see the pinned regression seed in
+/// [`run_durable`] with the disks switchable: `drop_syncs == true` puts
+/// every node on a disk that acknowledges fsyncs without performing them
+/// ([`psc_simnet::Storage::drop_syncs`]), and the oracle must catch the
+/// ghost/dup that eventually produces (see the pinned regression seed in
 /// `harness_smoke`).
-pub fn run_durable_config(scenario: &DurableScenario, wal_sync: bool) -> DurableOutcome {
+pub fn run_durable_with(scenario: &DurableScenario, drop_syncs: bool) -> DurableOutcome {
     let _ = DurTick::kind();
     let mut sim = SimNet::new(SimConfig {
         seed: scenario.seed,
@@ -219,9 +208,18 @@ pub fn run_durable_config(scenario: &DurableScenario, wal_sync: bool) -> Durable
         drop_probability: 0.0,
     });
     let ids: Vec<NodeId> = (0..scenario.nodes as u64).map(NodeId).collect();
-    let config = durable_config(wal_sync);
+    // Small segments, so realistic workloads cross rotation (and sometimes
+    // compaction) boundaries.
+    let config = DaceConfig {
+        wal_segment_bytes: 1024,
+        wal_compact_threshold: 4096,
+        ..DaceConfig::default()
+    };
     for i in 0..scenario.nodes {
         sim.add_node(format!("d{i}"), DaceNode::factory(ids.clone(), config.clone()));
+        if drop_syncs {
+            sim.act_now(ids[i], |_, ctx| ctx.storage().drop_syncs());
+        }
     }
     let mut sinks = vec![attach(&mut sim, ids[SUB_NODE])];
 
@@ -302,9 +300,9 @@ pub fn run_durable_config(scenario: &DurableScenario, wal_sync: bool) -> Durable
 /// Greedy shrinking for durable counterexamples: while the failure
 /// reproduces, delete publishes and restart cycles, weaken each surviving
 /// fault toward [`DiskFault::None`], and zero the loss rate.
-pub fn shrink_durable(scenario: &DurableScenario, wal_sync: bool) -> DurableScenario {
+pub fn shrink_durable(scenario: &DurableScenario, drop_syncs: bool) -> DurableScenario {
     let violates =
-        |s: &DurableScenario| !run_durable_config(s, wal_sync).violations.is_empty();
+        |s: &DurableScenario| !run_durable_with(s, drop_syncs).violations.is_empty();
     let mut current = scenario.clone();
     loop {
         let mut progressed = false;
@@ -405,7 +403,7 @@ pub fn check_durable_seed(seed: u64) -> Result<(), String> {
     if first.violations.is_empty() {
         return Ok(());
     }
-    let shrunk = shrink_durable(&scenario, true);
+    let shrunk = shrink_durable(&scenario, false);
     let shrunk_outcome = run_durable(&shrunk);
     Err(format!(
         "durable seed {seed}: {} durability violation(s)\n\

@@ -46,7 +46,7 @@ use psc_dace::{DaceConfig, DaceNode};
 use psc_obvent::builtin::Certified;
 use psc_obvent::{declare_obvent_model, Obvent};
 use psc_simnet::Duration as SimDuration;
-use psc_simnet::{LatencyModel, NodeId, SimConfig, SimNet, SimTime};
+use psc_simnet::{LatencyModel, Node, NodeId, SimConfig, SimNet, SimTime};
 use psc_snapshot::{ClusterCut, MsgRef};
 use pubsub_core::FilterSpec;
 
@@ -191,17 +191,23 @@ fn attach(sim: &mut SimNet, node: NodeId) -> Sink {
     sink
 }
 
+/// Builds one (re)built node incarnation from the cluster list.
+pub type MakeNode = fn(Vec<NodeId>) -> Box<dyn Node>;
+
+fn healthy_node(cluster: Vec<NodeId>) -> Box<dyn Node> {
+    Box::new(DaceNode::new(cluster, DaceConfig::default()))
+}
+
 /// Executes a snapshot scenario with the correct capture discipline and
 /// applies the cut oracles.
 pub fn run_snapshot(scenario: &SnapScenario) -> SnapOutcome {
-    run_snapshot_config(scenario, DaceConfig::default())
+    run_snapshot_with(scenario, healthy_node)
 }
 
-/// [`run_snapshot`] with the deployment configuration switchable — pass
-/// [`broken::SkewedMarkers::config`](crate::broken::SkewedMarkers::config)
-/// to run the deliberately broken marker discipline the oracles must
-/// catch.
-pub fn run_snapshot_config(scenario: &SnapScenario, config: DaceConfig) -> SnapOutcome {
+/// [`run_snapshot`] with the node constructor switchable — pass
+/// [`broken::SkewedMarkers::node`](crate::broken::SkewedMarkers::node) to
+/// run the deliberately broken marker discipline the oracles must catch.
+pub fn run_snapshot_with(scenario: &SnapScenario, make_node: MakeNode) -> SnapOutcome {
     let _ = SnapTick::kind();
     let mut sim = SimNet::new(SimConfig {
         seed: scenario.seed,
@@ -213,7 +219,8 @@ pub fn run_snapshot_config(scenario: &SnapScenario, config: DaceConfig) -> SnapO
     });
     let ids: Vec<NodeId> = (0..scenario.nodes as u64).map(NodeId).collect();
     for i in 0..scenario.nodes {
-        sim.add_node(format!("s{i}"), DaceNode::factory(ids.clone(), config.clone()));
+        let cluster = ids.clone();
+        sim.add_node(format!("s{i}"), move || make_node(cluster.clone()));
     }
     let mut sinks: Vec<(usize, Sink)> = (1..scenario.nodes)
         .map(|n| (n, attach(&mut sim, ids[n])))
@@ -409,9 +416,8 @@ fn cut_violations(
 
 /// Greedy shrinking for snapshot counterexamples: while the failure
 /// reproduces, delete publishes and crash cycles, then zero the loss rate.
-pub fn shrink_snapshot(scenario: &SnapScenario, config: &DaceConfig) -> SnapScenario {
-    let violates =
-        |s: &SnapScenario| !run_snapshot_config(s, config.clone()).violations.is_empty();
+pub fn shrink_snapshot(scenario: &SnapScenario, make_node: MakeNode) -> SnapScenario {
+    let violates = |s: &SnapScenario| !run_snapshot_with(s, make_node).violations.is_empty();
     let mut current = scenario.clone();
     loop {
         let mut progressed = false;
@@ -498,7 +504,7 @@ pub fn check_snapshot_seed(seed: u64) -> Result<(), String> {
     if first.violations.is_empty() {
         return Ok(());
     }
-    let shrunk = shrink_snapshot(&scenario, &DaceConfig::default());
+    let shrunk = shrink_snapshot(&scenario, healthy_node);
     let shrunk_outcome = run_snapshot(&shrunk);
     Err(format!(
         "snapshot seed {seed}: {} cut violation(s)\n\

@@ -3,9 +3,9 @@
 //! Static-cluster deployment CLI: every process gets the same
 //! `--cluster 0=host:port,1=host:port,…` map plus its own `--id`. The
 //! node joins the cluster, optionally subscribes and publishes, then
-//! reports what it saw — scripted mode is what the CI loopback smoke and
-//! `exp_real_wire` drive; `--interactive` gives a small REPL for poking a
-//! live cluster by hand.
+//! reports what it saw — scripted mode is what the CI loopback smoke
+//! drives; `--interactive` gives a small REPL for poking a live cluster by
+//! hand.
 //!
 //! ```text
 //! psc-node --id 0 --cluster 0=127.0.0.1:7900,1=127.0.0.1:7901,2=127.0.0.1:7902 \

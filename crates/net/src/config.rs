@@ -29,17 +29,6 @@ pub struct NetConfig {
     pub listen: String,
     /// The other cluster members to dial.
     pub peers: Vec<PeerSpec>,
-    /// Bound on each per-peer outbound queue; a full queue to a connected
-    /// peer blocks the sender (backpressure), a full queue to a down peer
-    /// drops the oldest entry.
-    pub outbound_capacity: usize,
-    /// First reconnect delay after a failed dial or dropped connection.
-    pub reconnect_base_ms: u64,
-    /// Cap on the exponential reconnect backoff.
-    pub reconnect_max_ms: u64,
-    /// Interval of the transport's own health sweep (queue-depth gauges +
-    /// `HealthMonitor` feed), in milliseconds.
-    pub sweep_interval_ms: u64,
     /// Seed for the hosted node's RNG (deterministic protocol choices).
     pub seed: u64,
     /// When set, the node's write-ahead log is mirrored to real segment
@@ -60,10 +49,6 @@ impl NetConfig {
             id,
             listen: listen.into(),
             peers: Vec::new(),
-            outbound_capacity: 1024,
-            reconnect_base_ms: 10,
-            reconnect_max_ms: 2000,
-            sweep_interval_ms: 100,
             seed: 0,
             data_dir: None,
         }

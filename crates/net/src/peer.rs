@@ -34,6 +34,14 @@ use crate::metrics::NetMetrics;
 
 /// How long writer threads sleep between shutdown checks while idle.
 const IDLE_WAIT: StdDuration = StdDuration::from_millis(50);
+/// Bound on each per-peer outbound queue; a full queue to a connected peer
+/// blocks the sender (backpressure), a full queue to a down peer drops the
+/// oldest entry.
+const CAPACITY: usize = 1024;
+/// First reconnect delay after a failed dial or dropped connection.
+const RECONNECT_BASE: StdDuration = StdDuration::from_millis(10);
+/// Cap on the exponential reconnect backoff.
+const RECONNECT_MAX: StdDuration = StdDuration::from_millis(2000);
 
 struct PeerQueue {
     items: VecDeque<WireBytes>,
@@ -46,9 +54,6 @@ pub(crate) struct Peer {
     /// The peer's node id.
     pub(crate) id: NodeId,
     addr: String,
-    capacity: usize,
-    reconnect_base_ms: u64,
-    reconnect_max_ms: u64,
     queue: Mutex<PeerQueue>,
     /// Signalled when the queue gains an item (writer waits on this).
     nonempty: Condvar,
@@ -65,16 +70,12 @@ impl Peer {
         id: NodeId,
         addr: String,
         self_id: NodeId,
-        config: &crate::NetConfig,
         shutdown: Arc<AtomicBool>,
         metrics: NetMetrics,
     ) -> Arc<Peer> {
         Arc::new(Peer {
             id,
             addr,
-            capacity: config.outbound_capacity.max(1),
-            reconnect_base_ms: config.reconnect_base_ms.max(1),
-            reconnect_max_ms: config.reconnect_max_ms.max(1),
             queue: Mutex::new(PeerQueue { items: VecDeque::new(), connected: false }),
             nonempty: Condvar::new(),
             space: Condvar::new(),
@@ -87,7 +88,7 @@ impl Peer {
     /// Enqueues `payload` for this peer, applying the pressure policy.
     pub(crate) fn push(&self, payload: WireBytes) {
         let mut q = self.queue.lock().expect("peer queue poisoned");
-        while q.items.len() >= self.capacity {
+        while q.items.len() >= CAPACITY {
             if !q.connected || self.shutdown.load(Ordering::Relaxed) {
                 q.items.pop_front();
                 self.metrics.queue_dropped.inc();
@@ -159,15 +160,15 @@ impl Peer {
     /// The writer thread body: dial (with capped exponential backoff),
     /// handshake, then drain the queue onto the socket until it breaks.
     pub(crate) fn run_writer(self: Arc<Peer>) {
-        let mut backoff_ms = self.reconnect_base_ms;
+        let mut backoff = RECONNECT_BASE;
         let mut ever_connected = false;
         let mut frame = Vec::new();
         while !self.shutdown.load(Ordering::Relaxed) {
             let mut stream = match TcpStream::connect(&self.addr) {
                 Ok(stream) => stream,
                 Err(_) => {
-                    std::thread::sleep(StdDuration::from_millis(backoff_ms.min(self.reconnect_max_ms)));
-                    backoff_ms = (backoff_ms * 2).min(self.reconnect_max_ms);
+                    std::thread::sleep(backoff);
+                    backoff = (backoff * 2).min(RECONNECT_MAX);
                     continue;
                 }
             };
@@ -176,15 +177,15 @@ impl Peer {
             frame.clear();
             encode_crc(&self.hello, &mut frame);
             if stream.write_all(&frame).is_err() {
-                std::thread::sleep(StdDuration::from_millis(backoff_ms.min(self.reconnect_max_ms)));
-                backoff_ms = (backoff_ms * 2).min(self.reconnect_max_ms);
+                std::thread::sleep(backoff);
+                backoff = (backoff * 2).min(RECONNECT_MAX);
                 continue;
             }
             if ever_connected {
                 self.metrics.reconnects.inc();
             }
             ever_connected = true;
-            backoff_ms = self.reconnect_base_ms;
+            backoff = RECONNECT_BASE;
             self.set_connected(true);
 
             while let Some(payload) = self.wait_front() {
@@ -202,5 +203,122 @@ impl Peer {
             self.set_connected(false);
         }
         self.set_connected(false);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The queue policy under pressure — what a transport rewrite must keep.
+
+    use std::io::Read;
+    use std::net::TcpListener;
+    use std::time::Instant;
+
+    use psc_codec::frame::FrameReassembler;
+    use psc_telemetry::Registry;
+
+    use super::*;
+
+    /// A payload carrying its push index, padded to `len` bytes.
+    fn numbered(index: u64, len: usize) -> WireBytes {
+        let mut bytes = index.to_le_bytes().to_vec();
+        bytes.resize(len.max(8), 0);
+        WireBytes::from_vec(bytes)
+    }
+
+    fn index_of(payload: &[u8]) -> u64 {
+        u64::from_le_bytes(payload[..8].try_into().unwrap())
+    }
+
+    struct Rig {
+        peer: Arc<Peer>,
+        metrics: NetMetrics,
+        writer: std::thread::JoinHandle<()>,
+    }
+
+    fn start(addr: String) -> Rig {
+        let metrics = NetMetrics::new(&Registry::new());
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let peer = Peer::new(NodeId(1), addr, NodeId(0), shutdown, metrics.clone());
+        let writer = std::thread::spawn({
+            let peer = Arc::clone(&peer);
+            move || peer.run_writer()
+        });
+        Rig { peer, metrics, writer }
+    }
+
+    impl Rig {
+        fn stop(self) {
+            self.peer.shutdown.store(true, Ordering::Relaxed);
+            self.peer.wake_all();
+            self.writer.join().unwrap();
+        }
+    }
+
+    fn wait_until(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + StdDuration::from_secs(20);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(StdDuration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn full_queue_to_a_down_peer_drops_the_oldest() {
+        // Bind then drop: a loopback port nobody listens on.
+        let addr = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
+        let rig = start(addr.to_string());
+        let pushes = CAPACITY as u64 + 10;
+        for i in 0..pushes {
+            rig.peer.push(numbered(i, 8));
+        }
+        assert!(!rig.peer.is_connected());
+        assert_eq!(rig.peer.depth(), CAPACITY);
+        assert_eq!(rig.metrics.queue_dropped.get(), 10);
+        assert_eq!(rig.metrics.backpressure_waits.get(), 0);
+        let survivors: Vec<u64> =
+            rig.peer.queue.lock().unwrap().items.iter().map(|p| index_of(p.as_slice())).collect();
+        assert_eq!(survivors, (10..pushes).collect::<Vec<_>>(), "newest survive, in FIFO order");
+        rig.stop();
+    }
+
+    #[test]
+    fn full_queue_to_a_connected_peer_blocks_the_sender_and_loses_nothing() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let rig = start(listener.local_addr().unwrap().to_string());
+        let (mut stream, _) = listener.accept().unwrap();
+        wait_until("the writer's handshake", || rig.peer.is_connected());
+
+        // Nobody reads yet, and a second queue's worth of 16 KiB payloads
+        // (16 MiB) is more than loopback socket buffers absorb, so the
+        // queue fills and the pusher must wait.
+        let pushes = 2 * CAPACITY as u64;
+        let pusher = std::thread::spawn({
+            let peer = Arc::clone(&rig.peer);
+            move || (0..pushes).for_each(|i| peer.push(numbered(i, 16 * 1024)))
+        });
+        wait_until("backpressure", || rig.metrics.backpressure_waits.get() > 0);
+
+        let mut reassembler = FrameReassembler::new();
+        let mut buf = vec![0u8; 64 * 1024];
+        let mut received = Vec::new();
+        let mut hello_seen = false;
+        while (received.len() as u64) < pushes {
+            let n = stream.read(&mut buf).unwrap();
+            assert!(n > 0, "writer hung up after {} frames", received.len());
+            reassembler.extend(&buf[..n]);
+            while let Some(frame) = reassembler.next_frame().unwrap() {
+                if hello_seen {
+                    received.push(index_of(&frame));
+                } else {
+                    hello_seen = true;
+                }
+            }
+        }
+        pusher.join().unwrap();
+        assert_eq!(received, (0..pushes).collect::<Vec<_>>(), "every frame, in push order");
+        assert_eq!(rig.metrics.queue_dropped.get(), 0);
+        wait_until("the writer's count of the last frame", || rig.metrics.msgs_sent.get() == pushes);
+        rig.stop();
     }
 }

@@ -17,8 +17,8 @@
 //! fed the same ops hold identical segment bytes — the
 //! `file_backend_mirrors_the_simulated_disk_byte_for_byte` property test
 //! pins that equivalence. A `Sync` op becomes `File::sync_data`: the
-//! node's fsync barrier (`DaceConfig::wal_sync`) reaches the real disk
-//! with the same granularity the fault injector assumes.
+//! node's fsync barrier reaches the real disk with the same granularity
+//! the fault injector assumes.
 //!
 //! On startup [`FileWal::open`] loads every segment file back into a
 //! fresh `Storage` (via `wal_load_segment`), which the transport hands to

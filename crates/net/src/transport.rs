@@ -50,6 +50,9 @@ const HELLO_VERSION: u16 = 1;
 const READ_TIMEOUT: StdDuration = StdDuration::from_millis(50);
 /// Event-loop wait when no timer is pending.
 const IDLE_TICK: StdDuration = StdDuration::from_millis(100);
+/// Interval of the transport's own health sweep (queue-depth gauges +
+/// `HealthMonitor` feed).
+const SWEEP_INTERVAL: Duration = Duration::from_millis(100);
 
 /// Builds the handshake frame payload a dialer sends first.
 pub(crate) fn hello_payload(id: NodeId) -> Vec<u8> {
@@ -164,13 +167,11 @@ impl NetTransport {
             let peers = Arc::clone(&transport.peers);
             let metrics = transport.metrics.clone();
             let registry = Arc::clone(&transport.registry);
-            let sweep = Duration::from_millis(transport.config.sweep_interval_ms.max(1));
             std::thread::Builder::new()
                 .name(format!("psc-net-loop-n{}", transport.id.0))
                 .spawn(move || {
                     event_loop(
                         host, file_wal, events_rx, shutdown, peers, metrics, registry, health,
-                        sweep,
                     )
                 })?
         };
@@ -213,7 +214,6 @@ impl NetTransport {
             id,
             addr.to_string(),
             self.id,
-            &self.config,
             Arc::clone(&self.shutdown),
             self.metrics.clone(),
         );
@@ -375,7 +375,6 @@ fn event_loop(
     metrics: NetMetrics,
     registry: Arc<Registry>,
     health: Option<Arc<HealthMonitor>>,
-    sweep_interval: Duration,
 ) {
     let clock = WallClock::new();
     let self_id = host.id();
@@ -411,7 +410,7 @@ fn event_loop(
     let effects = host.start(now);
     persist_wal(&mut host, &mut file_wal);
     apply(effects, now, &mut timers, &mut loopback);
-    timers.schedule(now + sweep_interval, NetTimer::Sweep);
+    timers.schedule(now + SWEEP_INTERVAL, NetTimer::Sweep);
 
     loop {
         if shutdown.load(Ordering::Relaxed) {
@@ -453,7 +452,7 @@ fn event_loop(
                     if let Some(health) = &health {
                         health.sweep(now.as_micros(), &depths, &registry.snapshot());
                     }
-                    timers.schedule(now + sweep_interval, NetTimer::Sweep);
+                    timers.schedule(now + SWEEP_INTERVAL, NetTimer::Sweep);
                 }
             }
             continue;

@@ -212,21 +212,22 @@ fn rude_peers_surface_as_clean_drops() {
         snapshot.counter("net.frames.corrupt") >= 1,
         "the garbage hello counts as corrupt"
     );
-    // The transport is still healthy: a well-behaved peer gets through.
-    {
-        let mut stream = TcpStream::connect(addr).expect("dial");
-        let mut bytes = Vec::new();
-        psc_codec::frame::encode_crc(&hello(NodeId(5)), &mut bytes);
-        psc_codec::frame::encode_crc(b"real payload", &mut bytes);
-        stream.write_all(&bytes).expect("write");
-        let deadline = Instant::now() + StdDuration::from_secs(5);
-        while registry.snapshot().counter("net.msgs_recv") < 1 && Instant::now() < deadline {
-            std::thread::sleep(StdDuration::from_millis(20));
-        }
-        assert_eq!(registry.snapshot().counter("net.msgs_recv"), 1);
+    // The transport is still healthy: a well-behaved peer gets through. Its
+    // connection stays open past the inspect below — hanging up would be a
+    // fourth (legitimate) drop racing the report.
+    let mut stream = TcpStream::connect(addr).expect("dial");
+    let mut bytes = Vec::new();
+    psc_codec::frame::encode_crc(&hello(NodeId(5)), &mut bytes);
+    psc_codec::frame::encode_crc(b"real payload", &mut bytes);
+    stream.write_all(&bytes).expect("write");
+    let deadline = Instant::now() + StdDuration::from_secs(5);
+    while registry.snapshot().counter("net.msgs_recv") < 1 && Instant::now() < deadline {
+        std::thread::sleep(StdDuration::from_millis(20));
     }
+    assert_eq!(registry.snapshot().counter("net.msgs_recv"), 1);
     let report = transport.inspect();
     assert!(report.contains("net.peer.drop=3"), "drops visible in inspect:\n{report}");
+    drop(stream);
     transport.shutdown();
 }
 

@@ -127,6 +127,8 @@ pub struct Storage {
     /// When present, every WAL mutation is recorded for a file backend to
     /// mirror; see [`Storage::enable_wal_journal`].
     wal_journal: Option<Vec<WalOp>>,
+    /// Fault injection; see [`Storage::drop_syncs`].
+    drops_syncs: bool,
 }
 
 impl Storage {
@@ -276,6 +278,9 @@ impl Storage {
     /// Models `fsync` on the active file (older segments were synced at
     /// rotation time on a real disk; marking them again is idempotent).
     pub fn wal_sync(&mut self, log: &str) {
+        if self.drops_syncs {
+            return;
+        }
         if let Some(journal) = self.wal_journal.as_mut() {
             journal.push(WalOp::Sync { log: log.to_string() });
         }
@@ -284,6 +289,16 @@ impl Storage {
                 segment.synced_len = segment.bytes.len();
             }
         }
+    }
+
+    /// Fault injection, the standing counterpart of [`DiskFault`]: from now
+    /// on this disk acknowledges [`Storage::wal_sync`] without performing it
+    /// (a write cache that lies about fsync), so nothing appended afterwards
+    /// is durable under a disk-fault crash. The node cannot tell; the
+    /// harness's durability oracle must. Survives crash and recovery, like
+    /// the disk it models.
+    pub fn drop_syncs(&mut self) {
+        self.drops_syncs = true;
     }
 
     /// Closes `log`'s active segment and opens a fresh one, returning the
@@ -601,6 +616,18 @@ mod tests {
         let segments = s.wal_segments("ch/1");
         assert_eq!(segments.len(), 1, "unsynced segment dropped whole");
         assert_eq!(scan(&segments[0].bytes), vec![b"durable".to_vec()]);
+    }
+
+    #[test]
+    fn a_disk_that_drops_syncs_loses_what_it_acknowledged() {
+        let mut s = Storage::new();
+        s.wal_append("ch/1", b"durable");
+        s.wal_sync("ch/1");
+        s.drop_syncs();
+        s.wal_append("ch/1", b"acknowledged-only");
+        s.wal_sync("ch/1");
+        s.power_loss(&DiskFault::LoseUnsynced);
+        assert_eq!(scan(&s.wal_segments("ch/1")[0].bytes), vec![b"durable".to_vec()]);
     }
 
     #[test]

@@ -54,41 +54,42 @@ fn durable_restart_smoke_over_10_seeds() {
     }
 }
 
-/// Oracle-sensitivity proof for the durability dimension: the same WAL
-/// with the fsync barrier disabled (`wal_sync: false`) must lose acked
-/// certified publishes under a disk-fault restart, the oracle must say so,
-/// and greedy shrinking must keep the counterexample reproducing.
+/// Oracle-sensitivity proof for the durability dimension: the same WAL on
+/// disks that acknowledge fsyncs without performing them
+/// (`Storage::drop_syncs`) must lose acked certified publishes under a
+/// disk-fault restart, the oracle must say so, and greedy shrinking must
+/// keep the counterexample reproducing.
 #[test]
 fn broken_wal_sync_is_caught_and_shrunk_by_the_durability_oracle() {
     let scenario = durable::DurableScenario::generate(0);
 
-    // Control: the correct fsync discipline sails through this exact
+    // Control: honest disks sail through this exact
     // schedule, so any finding below is the injected defect.
     let healthy = durable::run_durable(&scenario);
     assert!(
         healthy.violations.is_empty(),
-        "wal_sync=true must pass seed 0:\n{}{}",
+        "honest disks must pass seed 0:\n{}{}",
         scenario.describe(),
         healthy.render()
     );
 
-    let broken = durable::run_durable_config(&scenario, false);
+    let broken = durable::run_durable_with(&scenario, true);
     assert!(
         broken
             .violations
             .iter()
             .any(|v| v.contains("lost across restarts") || v.contains("exactly-once broken")),
-        "the durability oracle must catch the disabled fsync barrier:\n{}{}",
+        "the durability oracle must catch the dropped fsync barriers:\n{}{}",
         scenario.describe(),
         broken.render()
     );
 
-    let shrunk = durable::shrink_durable(&scenario, false);
+    let shrunk = durable::shrink_durable(&scenario, true);
     assert!(
         shrunk.pubs.len() <= scenario.pubs.len() && shrunk.restarts.len() <= scenario.restarts.len(),
         "shrinking must never grow the schedule"
     );
-    let shrunk_outcome = durable::run_durable_config(&shrunk, false);
+    let shrunk_outcome = durable::run_durable_with(&shrunk, true);
     assert!(
         !shrunk_outcome.violations.is_empty(),
         "the shrunk durable schedule must still reproduce:\n{}",
@@ -134,7 +135,7 @@ fn skewed_markers_are_caught_and_shrunk_by_the_cut_oracles() {
             healthy.violations.join("\n")
         );
 
-        let skewed = snapshot::run_snapshot_config(&scenario, SkewedMarkers::config());
+        let skewed = snapshot::run_snapshot_with(&scenario, SkewedMarkers::node);
         if !skewed.violations.is_empty() && caught.is_none() {
             caught = Some((scenario, skewed));
         }
@@ -151,13 +152,13 @@ fn skewed_markers_are_caught_and_shrunk_by_the_cut_oracles() {
         skewed.violations.join("\n")
     );
 
-    let shrunk = snapshot::shrink_snapshot(&scenario, &SkewedMarkers::config());
+    let shrunk = snapshot::shrink_snapshot(&scenario, SkewedMarkers::node);
     assert!(
         shrunk.pubs.len() <= scenario.pubs.len()
             && shrunk.crashes.len() <= scenario.crashes.len(),
         "shrinking must never grow the schedule"
     );
-    let shrunk_outcome = snapshot::run_snapshot_config(&shrunk, SkewedMarkers::config());
+    let shrunk_outcome = snapshot::run_snapshot_with(&shrunk, SkewedMarkers::node);
     assert!(
         !shrunk_outcome.violations.is_empty(),
         "the shrunk snapshot schedule must still reproduce:\n{}",

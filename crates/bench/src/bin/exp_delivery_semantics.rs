@@ -6,14 +6,14 @@
 
 use std::sync::Arc;
 
-use psc_bench::{fmt_f, write_bench_json, Table};
+use psc_bench::{fmt_f, Table};
 use psc_group::{
     sim_host::GroupNode, BestEffort, Causal, Certified, Fifo, GroupIo, Multicast, Reliable,
     TimerToken, Total,
 };
 use psc_simnet::{NodeId, SimConfig, SimNet, SimTime};
 use psc_telemetry::span::span_buckets;
-use psc_telemetry::{json::JsonValue, HistogramSnapshot, Registry, Snapshot};
+use psc_telemetry::{HistogramSnapshot, Registry};
 
 type MakeProto = fn() -> Box<dyn Multicast>;
 
@@ -83,8 +83,6 @@ struct Row {
     /// End-to-end publish→deliver virtual latency of this QoS class
     /// (`span.e2e.<protocol>` histogram over every delivery of the run).
     latency: HistogramSnapshot,
-    /// Protocol telemetry (`group.*` counters aggregated over the cluster).
-    wire: Snapshot,
 }
 
 fn run(proto: &'static str, make: MakeProto, loss: f64) -> Row {
@@ -115,18 +113,17 @@ fn run(proto: &'static str, make: MakeProto, loss: f64) -> Row {
         }
     }
     let expected = msgs * n;
-    let snapshot = registry.snapshot();
     Row {
         proto,
         loss,
         msgs_per_bcast: sim.stats().sent as f64 / msgs as f64,
         bytes_per_bcast: sim.stats().bytes_sent as f64 / msgs as f64,
         delivery_ratio: total_deliveries as f64 / expected as f64,
-        latency: snapshot
+        latency: registry
+            .snapshot()
             .histogram(&format!("span.e2e.{proto}"))
             .cloned()
             .expect("latency histogram recorded"),
-        wire: snapshot,
     }
 }
 
@@ -170,7 +167,6 @@ fn main() {
         "p90 µs",
         "p99 µs",
     ]);
-    let mut json_rows = JsonValue::arr();
     for loss in [0.0, 0.05, 0.20] {
         for (name, make) in protos {
             let row = run(name, make, loss);
@@ -184,25 +180,6 @@ fn main() {
                 row.latency.percentile(0.90).to_string(),
                 row.latency.percentile(0.99).to_string(),
             ]);
-            json_rows = json_rows.push(
-                JsonValue::obj()
-                    .set("protocol", row.proto)
-                    .set("loss", row.loss)
-                    .set("msgs_per_bcast", row.msgs_per_bcast)
-                    .set("bytes_per_bcast", row.bytes_per_bcast)
-                    .set("delivery_ratio", row.delivery_ratio)
-                    .set(
-                        "latency_us",
-                        JsonValue::obj()
-                            .set("count", row.latency.count)
-                            .set("mean", row.latency.mean())
-                            .set("p50", row.latency.percentile(0.50))
-                            .set("p90", row.latency.percentile(0.90))
-                            .set("p99", row.latency.percentile(0.99))
-                            .set("max", row.latency.max),
-                    )
-                    .set("metrics", row.wire.to_json()),
-            );
         }
     }
     table.print();
@@ -210,19 +187,12 @@ fn main() {
     println!("\ncrash/recovery: subscriber down during broadcast; publisher then crashes");
     println!("(volatile retransmission state dies with the publisher; certified persists)");
     let mut table = Table::new(&["protocol", "live node delivered", "crashed node after recovery"]);
-    let mut json_crash = JsonValue::arr();
     for (name, make) in [
         ("reliable", protos[1].1),
         ("certified", protos[5].1),
     ] {
         let (during, recovered) = crash_recovery_run(name, make);
         table.row(&[name.to_string(), during.to_string(), recovered.to_string()]);
-        json_crash = json_crash.push(
-            JsonValue::obj()
-                .set("protocol", name)
-                .set("live_delivered", during)
-                .set("recovered_delivered", recovered),
-        );
     }
     table.print();
     println!(
@@ -230,13 +200,4 @@ fn main() {
          crashed subscriber after both recoveries (reliable retransmission state is\n\
          volatile and died with the publisher)."
     );
-
-    let doc = JsonValue::obj()
-        .set("experiment", "delivery_semantics")
-        .set("nodes", 8u64)
-        .set("broadcasts", 20u64)
-        .set("rows", json_rows)
-        .set("crash_recovery", json_crash);
-    let path = write_bench_json("delivery_semantics", &doc).expect("write BENCH json");
-    println!("\nmetrics snapshot written to {}", path.display());
 }

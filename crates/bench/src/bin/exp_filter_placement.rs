@@ -9,14 +9,13 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use psc_bench::{fmt_f, quote_obvents, write_bench_json, BenchQuote, Table};
+use psc_bench::{fmt_f, quote_obvents, BenchQuote, Table};
 use psc_dace::{DaceConfig, DaceNode, Placement};
 use psc_filter::{CmpOp, Predicate, RemoteFilter};
 use psc_simnet::{NodeId, SimConfig, SimNet, SimTime};
-use psc_telemetry::{json::JsonValue, Registry, Snapshot, Tracer};
 use pubsub_core::FilterSpec;
 
-fn run(placement: Placement, selectivity: f64, subscribers: usize) -> (u64, u64, u64, Snapshot) {
+fn run(placement: Placement, selectivity: f64, subscribers: usize) -> (u64, u64, u64) {
     let mut sim = SimNet::new(SimConfig::with_seed(42));
     let ids: Vec<NodeId> = (0..(subscribers as u64 + 1)).map(NodeId).collect();
     let config = DaceConfig {
@@ -26,20 +25,8 @@ fn run(placement: Placement, selectivity: f64, subscribers: usize) -> (u64, u64,
         announce_interval: psc_simnet::Duration::from_secs(30),
         ..DaceConfig::default()
     };
-    // Whole-deployment registry; tracing is off (pure counting run).
-    let registry = Arc::new(Registry::new());
-    let tracer = Arc::new(Tracer::default());
-    tracer.set_enabled(false);
     for i in 0..=subscribers {
-        sim.add_node(
-            format!("n{i}"),
-            DaceNode::factory_with_telemetry(
-                ids.clone(),
-                config.clone(),
-                Arc::clone(&registry),
-                Arc::clone(&tracer),
-            ),
-        );
+        sim.add_node(format!("n{i}"), DaceNode::factory(ids.clone(), config.clone()));
     }
     let delivered = Arc::new(AtomicU64::new(0));
     // price uniform in 1..200: threshold = selectivity * 199 + 1.
@@ -68,12 +55,7 @@ fn run(placement: Placement, selectivity: f64, subscribers: usize) -> (u64, u64,
     let deadline = sim.now() + psc_simnet::Duration::from_millis(600);
     sim.run_until(deadline);
     let stats = sim.stats();
-    (
-        stats.sent,
-        stats.bytes_sent,
-        delivered.load(Ordering::Relaxed),
-        registry.snapshot(),
-    )
+    (stats.sent, stats.bytes_sent, delivered.load(Ordering::Relaxed))
 }
 
 fn main() {
@@ -83,7 +65,6 @@ fn main() {
     println!("E2: remote-filter placement vs bandwidth");
     println!("1 publisher, S subscribers, 100 quotes; control traffic excluded by reset\n");
 
-    let mut json_rows = JsonValue::arr();
     for subscribers in [4usize, 16] {
         println!("S = {subscribers} subscribers");
         let mut table = Table::new(&[
@@ -99,7 +80,7 @@ fn main() {
                 ("publisher", Placement::Publisher),
                 ("broker(n1)", Placement::Broker(NodeId(1))),
             ] {
-                let (sent, bytes, delivered, wire) = run(placement, selectivity, subscribers);
+                let (sent, bytes, delivered) = run(placement, selectivity, subscribers);
                 table.row(&[
                     fmt_f(selectivity),
                     name.to_string(),
@@ -107,16 +88,6 @@ fn main() {
                     fmt_f(bytes as f64 / 1024.0),
                     delivered.to_string(),
                 ]);
-                json_rows = json_rows.push(
-                    JsonValue::obj()
-                        .set("subscribers", subscribers)
-                        .set("selectivity", selectivity)
-                        .set("placement", name)
-                        .set("msgs_sent", sent)
-                        .set("bytes_sent", bytes)
-                        .set("delivered", delivered)
-                        .set("metrics", wire.to_json()),
-                );
             }
         }
         table.print();
@@ -132,11 +103,4 @@ fn main() {
         global.counter("filter.matching_calls"),
         global.counter("filter.factored_evals_saved"),
     );
-    let doc = JsonValue::obj()
-        .set("experiment", "filter_placement")
-        .set("quotes", 100u64)
-        .set("rows", json_rows)
-        .set("global_metrics", global.to_json());
-    let path = write_bench_json("filter_placement", &doc).expect("write BENCH json");
-    println!("metrics snapshot written to {}", path.display());
 }

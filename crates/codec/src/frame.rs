@@ -1,9 +1,8 @@
 //! Length-delimited framing for stream transports.
 //!
-//! The simulated network delivers whole datagrams, but the in-process
-//! threaded transport and the RMI substrate move byte streams around; frames
-//! give them message boundaries. A frame is a `u32` little-endian length
-//! followed by that many payload bytes.
+//! A frame is a `u32` little-endian length followed by that many payload
+//! bytes; it gives several messages coalesced into one buffer their
+//! boundaries back.
 //!
 //! Real sockets additionally want corruption detection at the framing
 //! layer: a flipped length byte otherwise desynchronizes the stream and
@@ -79,55 +78,6 @@ pub fn decode(input: &[u8]) -> Result<Option<(&[u8], usize)>, CodecError> {
     }
     crate::metrics::metrics().frame_decodes.inc();
     Ok(Some((&input[4..4 + len], 4 + len)))
-}
-
-/// Incremental frame reassembler for byte-stream inputs.
-///
-/// Feed arbitrary chunks with [`FrameBuffer::extend`] and drain complete
-/// frames with [`FrameBuffer::next_frame`].
-#[derive(Debug, Default)]
-pub struct FrameBuffer {
-    buf: Vec<u8>,
-    cursor: usize,
-}
-
-impl FrameBuffer {
-    /// Creates an empty reassembly buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends raw stream bytes to the buffer.
-    pub fn extend(&mut self, chunk: &[u8]) {
-        self.buf.extend_from_slice(chunk);
-    }
-
-    /// Removes and returns the next complete frame payload, if any.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CodecError::LengthOverflow`] for corrupt prefixes.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, CodecError> {
-        let result = match decode(&self.buf[self.cursor..])? {
-            None => None,
-            Some((payload, consumed)) => {
-                let owned = payload.to_vec();
-                self.cursor += consumed;
-                Some(owned)
-            }
-        };
-        // Compact once the consumed prefix dominates the buffer.
-        if self.cursor > 4096 && self.cursor * 2 > self.buf.len() {
-            self.buf.drain(..self.cursor);
-            self.cursor = 0;
-        }
-        Ok(result)
-    }
-
-    /// Number of buffered bytes not yet returned as frames.
-    pub fn pending_len(&self) -> usize {
-        self.buf.len() - self.cursor
-    }
 }
 
 /// CRC32 (IEEE 802.3, reflected polynomial `0xEDB88320`) — the classic
@@ -364,26 +314,6 @@ mod tests {
     }
 
     #[test]
-    fn frame_buffer_reassembles_across_chunks() {
-        let mut stream = Vec::new();
-        encode(b"one", &mut stream);
-        encode(b"two", &mut stream);
-        encode(b"three", &mut stream);
-
-        let mut fb = FrameBuffer::new();
-        let mut frames = Vec::new();
-        // Feed the stream two bytes at a time.
-        for chunk in stream.chunks(2) {
-            fb.extend(chunk);
-            while let Some(frame) = fb.next_frame().unwrap() {
-                frames.push(frame);
-            }
-        }
-        assert_eq!(frames, vec![b"one".to_vec(), b"two".to_vec(), b"three".to_vec()]);
-        assert_eq!(fb.pending_len(), 0);
-    }
-
-    #[test]
     fn crc32_known_vector() {
         // The canonical IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
@@ -599,17 +529,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn frame_buffer_compacts_consumed_prefix() {
-        let mut fb = FrameBuffer::new();
-        let mut stream = Vec::new();
-        encode(&vec![7u8; 2048], &mut stream);
-        for _ in 0..8 {
-            fb.extend(&stream);
-            assert!(fb.next_frame().unwrap().is_some());
-        }
-        assert_eq!(fb.pending_len(), 0);
     }
 }

@@ -41,13 +41,6 @@ pub struct DaceConfig {
     /// set, the node periodically feeds its transmit/parked/channel queue
     /// depths into a health monitor that emits `health.*` metrics.
     pub watchdog: Option<Duration>,
-    /// Rotate a write-ahead log's active segment once it exceeds this many
-    /// bytes. (Which kinds are logged is not an option: along the paper's
-    /// Fig. 4 lattice `Certified` delivery implies durability.)
-    pub wal_segment_bytes: usize,
-    /// Compact a log (checkpoint the live keyspace into a fresh segment,
-    /// drop the older ones) once its total size exceeds this many bytes.
-    pub wal_compact_threshold: usize,
 }
 
 impl Default for DaceConfig {
@@ -58,8 +51,6 @@ impl Default for DaceConfig {
             transmit_interval: Duration::from_micros(100),
             announce_interval: Duration::from_millis(200),
             watchdog: None,
-            wal_segment_bytes: 16 * 1024,
-            wal_compact_threshold: 64 * 1024,
         }
     }
 }

@@ -19,7 +19,7 @@ use psc_group::{
 };
 use psc_obvent::qos::{Delivery, Ordering, QosSpec};
 use psc_obvent::{builtin, KindId, KindRole, Obvent, WireObvent};
-use psc_simnet::{Ctx, Node, NodeId, ScopedStorage, SimNet, SimTime, StorageOp, TimerId};
+use psc_simnet::{Ctx, Node, NodeId, ScopedStorage, SimNet, SimTime, TimerId};
 use psc_snapshot::{CausalStamp, ChannelFrag, ClusterCut, MsgRef, NodeFrag};
 use psc_telemetry::{
     FlightRecorder, HealthMonitor, Inspect, Registry, ReportBuilder, TraceId, TraceStage, Tracer,
@@ -188,22 +188,6 @@ fn decode_filter(
 /// Upper bound on obvents parked for not-yet-re-attached durable
 /// subscriptions (oldest dropped beyond this).
 const MAX_PARKED: usize = 1024;
-
-/// One record of a channel write-ahead log. Every record is CRC-framed
-/// via `psc_codec::frame::encode_crc` before it hits a segment, so recovery
-/// scans with `scan_crc_frames` and stops cleanly at a torn tail instead of
-/// reading garbage.
-#[derive(Debug, Serialize, Deserialize)]
-enum WalRecord {
-    /// A key–value write of the log's keyspace.
-    Put { key: String, value: Vec<u8> },
-    /// A key removal.
-    Remove { key: String },
-    /// A full snapshot of the log's live keyspace; always the first record
-    /// of the oldest retained segment after compaction, so replay can
-    /// start from it and apply the records that follow.
-    Checkpoint { entries: Vec<(String, Vec<u8>)> },
-}
 
 /// Counters describing one node's WAL activity, mirrored into the
 /// [`Inspect`] report (the report renders from `&self`, without storage
@@ -438,11 +422,6 @@ pub struct DaceNode {
     parked: VecDeque<(u64, WireObvent)>,
     /// Next `park/<seq>` key suffix.
     park_seq: u64,
-    /// Whether the WAL has been replayed and journaling armed (once per
-    /// node incarnation, on the first callback).
-    wal_bootstrapped: bool,
-    /// Memo of `kind → durable?` (certified delivery ⇒ durable).
-    wal_durable: HashMap<u64, bool>,
     /// WAL activity mirror for the [`Inspect`] report.
     wal_report: WalReport,
     stats: DaceStats,
@@ -537,8 +516,6 @@ impl DaceNode {
             durable_pending: HashMap::new(),
             parked: VecDeque::new(),
             park_seq: 0,
-            wal_bootstrapped: false,
-            wal_durable: HashMap::new(),
             wal_report: WalReport::default(),
             stats: DaceStats::default(),
             telemetry,
@@ -760,233 +737,71 @@ impl DaceNode {
     fn ensure_id(&mut self, ctx: &mut Ctx<'_>) {
         if self.id.is_none() {
             self.id = Some(ctx.id());
+            self.wal_bootstrap(ctx);
         }
-        self.wal_bootstrap(ctx);
     }
 
-    /// Once per incarnation, before any other storage access: replays the
-    /// write-ahead logs into the key–value map (after a disk-fault crash
-    /// the map is empty and the fsynced log suffix is all that survived;
-    /// after a plain crash the replay is an idempotent re-put), reloads
-    /// durable subscriptions and parked obvents, and arms the storage
-    /// journal that feeds [`DaceNode::wal_commit`].
+    /// Once per incarnation, before any other storage access: declares the
+    /// node keyspace durable, has the storage replay its write-ahead logs
+    /// into the key–value map, and reloads durable subscriptions and parked
+    /// obvents from it.
     fn wal_bootstrap(&mut self, ctx: &mut Ctx<'_>) {
-        if self.wal_bootstrapped {
-            return;
-        }
-        self.wal_bootstrapped = true;
-        ctx.storage().enable_journal();
-        let logs = ctx.storage().wal_logs();
-        let mut replayed = 0u64;
-        let mut torn = 0u64;
-        let mut corrupt = 0u64;
-        for log in &logs {
-            let segments: Vec<Vec<u8>> = ctx
-                .storage()
-                .wal_segments(log)
-                .iter()
-                .map(|s| s.bytes.clone())
-                .collect();
-            for bytes in segments {
-                let (frames, end) = psc_codec::frame::scan_crc_frames(&bytes);
-                match end {
-                    psc_codec::frame::ScanEnd::Clean => {}
-                    psc_codec::frame::ScanEnd::Truncated { .. } => torn += 1,
-                    psc_codec::frame::ScanEnd::Corrupt { .. } => corrupt += 1,
-                }
-                for frame in frames {
-                    let Ok(record) = psc_codec::from_bytes::<WalRecord>(&frame) else {
-                        corrupt += 1;
-                        continue;
-                    };
-                    replayed += 1;
-                    match record {
-                        WalRecord::Put { key, value } => ctx.storage().put_raw(key, value),
-                        WalRecord::Remove { key } => {
-                            ctx.storage().remove(&key);
-                        }
-                        WalRecord::Checkpoint { entries } => {
-                            for (key, value) in entries {
-                                ctx.storage().put_raw(key, value);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        // Replay writes must not re-journal (they are already in the WAL).
-        ctx.storage().take_journal();
-        self.wal_report.replayed = replayed;
-        self.wal_report.torn = torn;
-        self.wal_report.corrupt = corrupt;
-        for log in &logs {
-            let segments = ctx.storage().wal_segments(log);
-            self.wal_report.logs.insert(
-                log.clone(),
-                (
-                    segments.len() as u64,
-                    segments.iter().map(|s| s.bytes.len() as u64).sum(),
-                ),
-            );
-        }
-        if replayed > 0 {
-            self.telemetry.bump("wal.replay.records", replayed);
-        }
-        if torn > 0 {
-            self.telemetry.bump("wal.replay.torn", torn);
-        }
-        if corrupt > 0 {
-            self.telemetry.bump("wal.replay.corrupt", corrupt);
-        }
-        // Reload durable subscriptions and parked obvents here, not only in
+        ctx.storage().wal_bind("dursub/", "node");
+        ctx.storage().wal_bind("park/", "node");
+        let replay = ctx.storage().wal_recover();
+        self.wal_report.replayed = replay.records;
+        self.wal_report.torn = replay.torn;
+        self.wal_report.corrupt = replay.corrupt;
+        self.wal_report.logs.extend(replay.logs);
+        self.bump_nonzero(&[
+            ("wal.replay.records", replay.records),
+            ("wal.replay.torn", replay.torn),
+            ("wal.replay.corrupt", replay.corrupt),
+        ]);
+        // Reload durable subscriptions (they outlive the process, §3.4.1;
+        // matching obvents are parked until the application re-attaches
+        // with `activate_with_id`) and parked obvents. Here rather than in
         // `on_recover`: a real transport restarting a process calls
         // `on_start`, and the WAL is what makes that a resume.
-        self.load_durable_pending(ctx);
-        let park_keys: Vec<String> = ctx
-            .storage()
-            .keys_with_prefix("park/")
-            .map(str::to_string)
-            .collect();
-        for key in park_keys {
+        for (_, bytes) in ctx.storage().entries_with_prefix("dursub/") {
+            if let Ok(record) = psc_codec::from_bytes::<DurableRecord>(&bytes) {
+                self.durable_pending
+                    .insert(record.durable_id, PendingDurable::load(&record, &self.telemetry));
+            }
+        }
+        for (key, bytes) in ctx.storage().entries_with_prefix("park/") {
             let Ok(seq) = key["park/".len()..].parse::<u64>() else {
                 continue;
             };
-            let Some(bytes) = ctx.storage().get_raw(&key) else {
-                continue;
-            };
-            if let Ok(wire) = psc_codec::from_bytes::<WireObvent>(bytes) {
+            if let Ok(wire) = psc_codec::from_bytes::<WireObvent>(&bytes) {
                 self.parked.push_back((seq, wire));
                 self.park_seq = self.park_seq.max(seq + 1);
             }
         }
     }
 
-    /// Reloads the persisted durable subscriptions (`dursub/*`) as pending
-    /// re-attachment.
-    fn load_durable_pending(&mut self, ctx: &mut Ctx<'_>) {
-        let keys: Vec<String> = ctx
-            .storage()
-            .keys_with_prefix("dursub/")
-            .map(str::to_string)
-            .collect();
-        for key in keys {
-            if let Ok(Some(record)) = ctx.storage().get::<DurableRecord>(&key) {
-                // Recovery with a WAL loads twice (bootstrap, `on_recover`).
-                let telemetry = &self.telemetry;
-                self.durable_pending
-                    .entry(record.durable_id)
-                    .or_insert_with(|| PendingDurable::load(&record, telemetry));
-            }
-        }
-    }
-
-    /// The write-ahead log a storage key belongs to: durable subscriptions
-    /// and parked obvents go to the node log; a certified channel's keys go
-    /// to its per-channel log; everything else is volatile.
-    fn wal_log_for(&mut self, key: &str) -> Option<String> {
-        if key.starts_with("dursub/") || key.starts_with("park/") {
-            return Some("node".to_string());
-        }
-        let rest = key.strip_prefix("ch/")?;
-        let (kind_hex, _) = rest.split_once('/')?;
-        let raw = u64::from_str_radix(kind_hex, 16).ok()?;
-        let durable = *self.wal_durable.entry(raw).or_insert_with(|| {
-            psc_obvent::registry::lookup(KindId::from_raw(raw))
-                .map(|k| k.qos().delivery == Delivery::Certified)
-                .unwrap_or(false)
-        });
-        durable.then(|| format!("ch/{kind_hex}"))
-    }
-
-    /// End of every callback: drains the storage journal, appends each
-    /// durable mutation to its log as a CRC-framed [`WalRecord`], rotates
-    /// oversized active segments, issues the fsync barrier, and compacts
-    /// logs past the retention threshold. Runs after the effects of the
-    /// callback are queued but before they externalize — so on a disk
-    /// that honours its sync barrier nothing observable ever precedes its
-    /// log record.
+    /// End of every callback, after its effects are queued but before they
+    /// externalize: the storage's commit barrier, counted.
     fn wal_commit(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.wal_bootstrapped {
-            return;
-        }
-        let ops = ctx.storage().take_journal();
-        if ops.is_empty() {
-            return;
-        }
-        let mut touched: Vec<String> = Vec::new();
-        let mut appends = 0u64;
-        let mut bytes_appended = 0u64;
-        for op in ops {
-            let (log, record) = match op {
-                StorageOp::Put(key, value) => {
-                    (self.wal_log_for(&key), WalRecord::Put { key, value })
-                }
-                StorageOp::Remove(key) => (self.wal_log_for(&key), WalRecord::Remove { key }),
-            };
-            let Some(log) = log else { continue };
-            let encoded = psc_codec::to_bytes(&record).expect("wal records encode");
-            bytes_appended += ctx.storage().wal_append(&log, &encoded) as u64;
-            appends += 1;
-            if !touched.contains(&log) {
-                touched.push(log);
-            }
-        }
-        if appends > 0 {
-            self.telemetry.bump("wal.appends", appends);
-            self.telemetry.bump("wal.bytes", bytes_appended);
-        }
-        for log in touched {
-            let active_len = ctx
-                .storage()
-                .wal_segments(&log)
-                .last()
-                .map(|s| s.bytes.len())
-                .unwrap_or(0);
-            if active_len >= self.config.wal_segment_bytes {
-                ctx.storage().wal_rotate(&log);
-                self.telemetry.bump("wal.rotations", 1);
-            }
-            ctx.storage().wal_sync(&log);
-            self.telemetry.bump("wal.syncs", 1);
-            let total: usize = ctx
-                .storage()
-                .wal_segments(&log)
-                .iter()
-                .map(|s| s.bytes.len())
-                .sum();
-            if total >= self.config.wal_compact_threshold {
-                self.wal_compact(ctx, &log);
-            }
-            let segments = ctx.storage().wal_segments(&log);
-            self.wal_report.logs.insert(
-                log.clone(),
-                (
-                    segments.len() as u64,
-                    segments.iter().map(|s| s.bytes.len() as u64).sum(),
-                ),
-            );
-        }
+        let commit = ctx.storage().wal_commit();
+        self.bump_nonzero(&[
+            ("wal.appends", commit.appends),
+            ("wal.bytes", commit.bytes),
+            ("wal.rotations", commit.rotations),
+            ("wal.syncs", commit.syncs),
+            ("wal.checkpoints", commit.checkpoints),
+        ]);
+        self.wal_report.logs.extend(commit.logs);
     }
 
-    /// Compaction: snapshot the log's live keyspace into a checkpoint
-    /// record at the head of a fresh segment, fsync it (dropping history
-    /// against an undurable checkpoint would lose data), then drop the
-    /// older segments.
-    fn wal_compact(&mut self, ctx: &mut Ctx<'_>, log: &str) {
-        let entries = if log == "node" {
-            let mut entries = ctx.storage().entries_with_prefix("dursub/");
-            entries.extend(ctx.storage().entries_with_prefix("park/"));
-            entries
-        } else {
-            ctx.storage().entries_with_prefix(&format!("{log}/"))
-        };
-        let record = WalRecord::Checkpoint { entries };
-        let encoded = psc_codec::to_bytes(&record).expect("wal records encode");
-        let index = ctx.storage().wal_rotate(log);
-        ctx.storage().wal_append(log, &encoded);
-        ctx.storage().wal_sync(log);
-        ctx.storage().wal_drop_through(log, index - 1);
-        self.telemetry.bump("wal.checkpoints", 1);
+    /// Bumps each counter that moved; a zero registers nothing, so a node
+    /// without durable state shows no `wal.*` at all.
+    fn bump_nonzero(&self, counts: &[(&str, u64)]) {
+        for &(name, count) in counts {
+            if count > 0 {
+                self.telemetry.bump(name, count);
+            }
+        }
     }
 
     fn flood_control<O: Obvent>(&mut self, _ctx: &mut Ctx<'_>, ctl: &O) {
@@ -1437,6 +1252,11 @@ impl DaceNode {
         let qos = psc_obvent::registry::lookup(kind)
             .map(|k| k.qos().clone())
             .unwrap_or_default();
+        // Fig. 4: `Certified` delivery implies durability — the channel's
+        // keyspace writes ahead to its own log from its first write on.
+        if qos.delivery == Delivery::Certified {
+            ctx.storage().wal_bind(&format!("ch/{kind}/"), &format!("ch/{kind}"));
+        }
         let proto = make_proto(&qos, &self.config);
         let has_proto = proto.is_some();
         self.channels.insert(kind, Channel::new(proto));
@@ -1576,22 +1396,10 @@ impl DaceNode {
         }
         let published: Vec<KindId> = self.published_kinds.iter().copied().collect();
         for kind in published {
-            self.advertise_known(ctx, kind);
+            self.advertise(ctx, kind);
         }
         let id = ctx.set_timer(self.config.announce_interval);
         self.timer_map.insert(id, DaceTimer::Announce);
-    }
-
-    fn advertise_known(&mut self, ctx: &mut Ctx<'_>, kind: KindId) {
-        let (name, ancestry) = match psc_obvent::registry::lookup(kind) {
-            Some(k) => (
-                k.name().to_string(),
-                k.ancestry().iter().map(|id| id.as_u64()).collect(),
-            ),
-            None => (kind.to_string(), vec![kind.as_u64()]),
-        };
-        let ctl = AdvertiseCtl::new(kind.as_u64(), name, ancestry);
-        self.flood_control(ctx, &ctl);
     }
 
     // ---- snapshot plane (Chandy–Lamport over non-FIFO links) ----
@@ -2142,10 +1950,6 @@ impl Node for DaceNode {
         // This incarnation's in-memory causal clock restarted from zero;
         // mark the fragment so clock-based cut checks exempt it.
         self.snap.recovered = true;
-        // Reload durable subscriptions: they outlived the crash (§3.4.1);
-        // matching obvents are parked until the application re-attaches
-        // with `activate_with_id`.
-        self.load_durable_pending(ctx);
         let id = ctx.set_timer(self.config.announce_interval);
         self.timer_map.insert(id, DaceTimer::Announce);
         self.arm_watchdog(ctx);

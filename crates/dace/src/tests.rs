@@ -951,12 +951,10 @@ mod durable_wal {
     fn recovery_is_exact_after_segment_rotation_and_compaction() {
         // Tiny thresholds force many rotations and checkpoint compactions;
         // replay must still reconstruct the exact delivered-set.
-        let config = DaceConfig {
-            wal_segment_bytes: 256,
-            wal_compact_threshold: 1024,
-            ..DaceConfig::default()
-        };
-        let (mut sim, ids) = cluster(2, SimConfig::default(), config);
+        let (mut sim, ids) = cluster(2, SimConfig::default(), DaceConfig::default());
+        for &id in &ids {
+            sim.act_now(id, |_, ctx| ctx.storage().set_wal_limits(256, 1024));
+        }
         let first: Seen<u64> = Arc::new(Mutex::new(Vec::new()));
         install_certified(&mut sim, ids[1], 11, first.clone());
         settle(&mut sim, 10);

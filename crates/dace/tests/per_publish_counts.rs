@@ -120,12 +120,10 @@ fn certified_publish_costs_at_most_four_appends_and_two_syncs_and_recovers_exact
     const PUBLISHES: u64 = 256;
     // Small segments so the burst crosses rotations; compaction held off
     // so recovery replays the full history.
-    let config = DaceConfig {
-        wal_segment_bytes: 4 * 1024,
-        wal_compact_threshold: 1 << 20,
-        ..DaceConfig::default()
-    };
-    let (mut sim, ids, registry) = cluster(2, config);
+    let (mut sim, ids, registry) = cluster(2, DaceConfig::default());
+    for &id in &ids {
+        sim.act_now(id, |_, ctx| ctx.storage().set_wal_limits(4 * 1024, 1 << 20));
+    }
     let first = attach_durable(&mut sim, ids[1]);
     settle(&mut sim, 40);
     DaceNode::drive(&mut sim, ids[0], |domain| {

@@ -208,18 +208,16 @@ pub fn run_durable_with(scenario: &DurableScenario, drop_syncs: bool) -> Durable
         drop_probability: 0.0,
     });
     let ids: Vec<NodeId> = (0..scenario.nodes as u64).map(NodeId).collect();
-    // Small segments, so realistic workloads cross rotation (and sometimes
-    // compaction) boundaries.
-    let config = DaceConfig {
-        wal_segment_bytes: 1024,
-        wal_compact_threshold: 4096,
-        ..DaceConfig::default()
-    };
     for i in 0..scenario.nodes {
-        sim.add_node(format!("d{i}"), DaceNode::factory(ids.clone(), config.clone()));
-        if drop_syncs {
-            sim.act_now(ids[i], |_, ctx| ctx.storage().drop_syncs());
-        }
+        sim.add_node(format!("d{i}"), DaceNode::factory(ids.clone(), DaceConfig::default()));
+        // Small segments, so realistic workloads cross rotation (and
+        // sometimes compaction) boundaries.
+        sim.act_now(ids[i], move |_, ctx| {
+            ctx.storage().set_wal_limits(1024, 4096);
+            if drop_syncs {
+                ctx.storage().drop_syncs();
+            }
+        });
     }
     let mut sinks = vec![attach(&mut sim, ids[SUB_NODE])];
 

@@ -116,6 +116,19 @@ impl Peer {
         self.queue.lock().expect("peer queue poisoned").connected
     }
 
+    /// Blocks until the writer holds a live connection or `deadline`
+    /// passes; returns whether it does.
+    pub(crate) fn wait_connected(&self, deadline: std::time::Instant) -> bool {
+        let mut q = self.queue.lock().expect("peer queue poisoned");
+        while !q.connected {
+            let Some(left) = deadline.checked_duration_since(std::time::Instant::now()) else {
+                return false;
+            };
+            q = self.space.wait_timeout(q, left).expect("peer queue poisoned").0;
+        }
+        true
+    }
+
     /// Wakes any thread blocked on this peer (shutdown path).
     pub(crate) fn wake_all(&self) {
         self.nonempty.notify_all();

@@ -125,7 +125,6 @@ impl NetTransport {
     ) -> io::Result<NetTransport> {
         let listener = TcpListener::bind(&config.listen)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
 
         let metrics = NetMetrics::new(&registry);
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -262,19 +261,9 @@ impl NetTransport {
     /// returns whether they all are.
     pub fn wait_connected(&self, timeout: StdDuration) -> bool {
         let deadline = std::time::Instant::now() + timeout;
-        loop {
-            let all = {
-                let peers = self.peers.lock().expect("peers poisoned");
-                peers.values().all(|p| p.is_connected())
-            };
-            if all {
-                return true;
-            }
-            if std::time::Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(StdDuration::from_millis(5));
-        }
+        let peers: Vec<Arc<Peer>> =
+            self.peers.lock().expect("peers poisoned").values().cloned().collect();
+        peers.iter().all(|p| p.wait_connected(deadline))
     }
 
     /// Current outbound queue depths, `(peer label, depth)` per peer.
@@ -303,6 +292,9 @@ impl NetTransport {
         for peer in self.peers.lock().expect("peers poisoned").values() {
             peer.wake_all();
         }
+        // The accept thread blocks in `accept()`; a throw-away connection
+        // wakes it to see the flag.
+        let _ = TcpStream::connect(self.local_addr);
         let threads = std::mem::take(&mut *self.threads.lock().expect("threads poisoned"));
         for thread in threads {
             let _ = thread.join();
@@ -351,10 +343,8 @@ impl Inspect for NetTransport {
 }
 
 /// Drains the WAL mutations a callback journaled into real segment files.
-/// Runs *before* the callback's effects are applied, so nothing observable
-/// (a send, an ack) ever precedes its log record on disk — the same
-/// discipline the simulator's crash model enforces. A write failure is
-/// fail-stop: continuing would silently void the durability contract.
+/// A write failure is fail-stop: continuing would silently void the
+/// durability contract.
 fn persist_wal(host: &mut NodeHost, wal: &mut Option<FileWal>) {
     if let Some(wal) = wal {
         let ops = host.storage_mut().take_wal_journal();
@@ -381,10 +371,17 @@ fn event_loop(
     let mut timers: TimerDriver<NetTimer> = TimerDriver::new();
     let mut loopback: VecDeque<WireBytes> = VecDeque::new();
 
-    let apply = |effects: Vec<HostEffect>,
-                 now: SimTime,
-                 timers: &mut TimerDriver<NetTimer>,
-                 loopback: &mut VecDeque<WireBytes>| {
+    // Every callback's effects pass through here, and only here: the WAL
+    // journal reaches the files *before* any effect of that callback is
+    // applied, so nothing observable (a send, an ack) ever precedes its log
+    // record on disk — the same discipline the simulator's crash model
+    // enforces.
+    let mut apply = |host: &mut NodeHost,
+                     effects: Vec<HostEffect>,
+                     now: SimTime,
+                     timers: &mut TimerDriver<NetTimer>,
+                     loopback: &mut VecDeque<WireBytes>| {
+        persist_wal(host, &mut file_wal);
         for effect in effects {
             match effect {
                 HostEffect::Send { to, payload } => {
@@ -408,8 +405,7 @@ fn event_loop(
 
     let now = clock.now();
     let effects = host.start(now);
-    persist_wal(&mut host, &mut file_wal);
-    apply(effects, now, &mut timers, &mut loopback);
+    apply(&mut host, effects, now, &mut timers, &mut loopback);
     timers.schedule(now + SWEEP_INTERVAL, NetTimer::Sweep);
 
     loop {
@@ -422,8 +418,7 @@ fn event_loop(
         while let Some(payload) = loopback.pop_front() {
             let now = clock.now();
             let effects = host.message(now, self_id, &payload);
-            persist_wal(&mut host, &mut file_wal);
-            apply(effects, now, &mut timers, &mut loopback);
+            apply(&mut host, effects, now, &mut timers, &mut loopback);
         }
 
         // Fire everything due.
@@ -432,8 +427,7 @@ fn event_loop(
             match timer {
                 NetTimer::Node(id) => {
                     if let Some(effects) = host.timer(now, id) {
-                        persist_wal(&mut host, &mut file_wal);
-                        apply(effects, now, &mut timers, &mut loopback);
+                        apply(&mut host, effects, now, &mut timers, &mut loopback);
                     }
                 }
                 NetTimer::Sweep => {
@@ -468,14 +462,12 @@ fn event_loop(
             Ok(Event::Incoming { from, payload }) => {
                 let now = clock.now();
                 let effects = host.message(now, from, &payload);
-                persist_wal(&mut host, &mut file_wal);
-                apply(effects, now, &mut timers, &mut loopback);
+                apply(&mut host, effects, now, &mut timers, &mut loopback);
             }
             Ok(Event::Act(f)) => {
                 let now = clock.now();
                 let effects = f(&mut host, now);
-                persist_wal(&mut host, &mut file_wal);
-                apply(effects, now, &mut timers, &mut loopback);
+                apply(&mut host, effects, now, &mut timers, &mut loopback);
             }
             Ok(Event::Shutdown) => return,
             Err(RecvTimeoutError::Timeout) => {}
@@ -491,8 +483,14 @@ fn accept_loop(
     metrics: NetMetrics,
 ) {
     let mut readers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // Checked before a reader exists, so `shutdown()`'s wake-up
+        // connection is never counted as a dropped peer.
+        if shutdown.load(Ordering::Relaxed) {
+            break;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 let events = events.clone();
                 let shutdown = Arc::clone(&shutdown);
@@ -504,9 +502,7 @@ fn accept_loop(
                     readers.push(handle);
                 }
             }
-            Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(StdDuration::from_millis(5));
-            }
+            // Transient (EMFILE, ECONNABORTED): back off, keep listening.
             Err(_) => std::thread::sleep(StdDuration::from_millis(5)),
         }
         readers.retain(|h| !h.is_finished());

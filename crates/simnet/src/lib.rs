@@ -61,7 +61,7 @@ pub use config::{LatencyModel, SimConfig};
 pub use host::{HostEffect, NodeHost};
 pub use node::{Ctx, Node, NodeId, TimerId};
 pub use sim::{NetStats, SimNet};
-pub use storage::{DiskFault, ScopedStorage, Storage, StorageOp, WalOp, WalSegment};
+pub use storage::{DiskFault, ScopedStorage, Storage, WalCommit, WalOp, WalReplay, WalSegment};
 pub use time::{Duration, SimTime};
 
 #[cfg(test)]

@@ -265,6 +265,17 @@ struct Maps {
     histograms: BTreeMap<String, Arc<HistogramCell>>,
 }
 
+/// Looks `name` up and inserts `make()` only on a miss, so the common hit
+/// allocates nothing.
+fn cell<T>(map: &mut BTreeMap<String, Arc<T>>, name: &str, make: impl FnOnce() -> T) -> Arc<T> {
+    if let Some(cell) = map.get(name) {
+        return Arc::clone(cell);
+    }
+    let cell = Arc::new(make());
+    map.insert(name.to_string(), Arc::clone(&cell));
+    cell
+}
+
 /// A named-metric registry. Cloning shares the underlying store.
 ///
 /// Names are hierarchical by convention, dot-separated with the owning
@@ -312,11 +323,7 @@ impl Registry {
     /// Gets or creates the counter `name`.
     pub fn counter(&self, name: &str) -> Counter {
         let mut maps = self.maps.lock().expect("registry poisoned");
-        let cell = maps
-            .counters
-            .entry(name.to_string())
-            .or_default()
-            .clone();
+        let cell = cell(&mut maps.counters, name, CounterCell::default);
         Counter {
             cell,
             enabled: Arc::clone(&self.enabled),
@@ -326,7 +333,7 @@ impl Registry {
     /// Gets or creates the gauge `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
         let mut maps = self.maps.lock().expect("registry poisoned");
-        let cell = maps.gauges.entry(name.to_string()).or_default().clone();
+        let cell = cell(&mut maps.gauges, name, GaugeCell::default);
         Gauge {
             cell,
             enabled: Arc::clone(&self.enabled),
@@ -337,22 +344,26 @@ impl Registry {
     /// (ignored if the histogram already exists).
     pub fn histogram(&self, name: &str, bounds: &[u64]) -> Histogram {
         let mut maps = self.maps.lock().expect("registry poisoned");
-        let cell = maps
-            .histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(HistogramCell::new(bounds.to_vec())))
-            .clone();
+        let cell = cell(&mut maps.histograms, name, || HistogramCell::new(bounds.to_vec()));
         Histogram {
             cell,
             enabled: Arc::clone(&self.enabled),
         }
     }
 
-    /// Convenience: bumps counter `name` by `delta` (looks the handle up;
-    /// hot paths should hold a [`Counter`] instead).
+    /// Convenience: bumps counter `name` by `delta` under the registry
+    /// lock, without building a handle (hot paths should still hold a
+    /// [`Counter`] instead).
     pub fn bump(&self, name: &str, delta: u64) {
-        if self.is_enabled() {
-            self.counter(name).add(delta);
+        if !self.is_enabled() {
+            return;
+        }
+        let mut maps = self.maps.lock().expect("registry poisoned");
+        if let Some(cell) = maps.counters.get(name) {
+            cell.value.fetch_add(delta, Ordering::Relaxed);
+        } else {
+            let value = AtomicU64::new(delta);
+            maps.counters.insert(name.to_string(), Arc::new(CounterCell { value }));
         }
     }
 

@@ -28,9 +28,12 @@ pub struct DaceConfig {
     /// When set, best-effort channels use gossip (lpbcast) instead of
     /// direct per-subscriber sends — the scalable substrate of §4.2.
     pub gossip: Option<LpbcastConfig>,
-    /// Serialization interval of the bandwidth-limited transmit queue
-    /// (one direct obvent leaves the node per interval; this is what makes
-    /// priorities observable).
+    /// Serialization interval of the bandwidth-limited transmit queue: the
+    /// uplink is busy for one interval after every send, so at most one
+    /// direct obvent leaves the node per interval. An obvent published to
+    /// an idle uplink leaves at once; the ones that find it busy queue,
+    /// and that backlog is where priorities reorder and `Timely` obvents
+    /// expire.
     pub transmit_interval: Duration,
     /// Period of the reflexive control re-announcements (subscriptions and
     /// published kinds), providing anti-entropy under loss and for late

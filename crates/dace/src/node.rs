@@ -407,6 +407,8 @@ pub struct DaceNode {
     timer_map: HashMap<TimerId, DaceTimer>,
     transmit: BinaryHeap<TransmitItem>,
     transmit_seq: u64,
+    /// The uplink is busy: an obvent left it less than one
+    /// `transmit_interval` ago, and the timer that ends the interval is set.
     transmit_armed: bool,
     /// Per-callback control outbox: messages queued per destination and
     /// coalesced into one [`NodeMsg::Batch`] frame on flush (announce storms
@@ -858,6 +860,9 @@ impl DaceNode {
             }
         }
         self.flush_outbox(ctx);
+        if !self.transmit_armed {
+            self.drain_one_transmit(ctx);
+        }
         self.wal_commit(ctx);
     }
 
@@ -1137,13 +1142,13 @@ impl DaceNode {
             format!("to=n{}", to.0),
         );
         self.transmit.push(item);
-        if !self.transmit_armed {
-            self.transmit_armed = true;
-            let id = ctx.set_timer(self.config.transmit_interval);
-            self.timer_map.insert(id, DaceTimer::Transmit);
-        }
     }
 
+    /// Sends the most urgent queued item that has not expired, and marks
+    /// the uplink busy for one `transmit_interval`. Called on an idle
+    /// uplink only, after all of a callback's ops, so a burst still leaves
+    /// highest-priority-first at one item per interval while a lone
+    /// publish leaves at once.
     fn drain_one_transmit(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
         while let Some(item) = self.transmit.pop() {
@@ -1168,13 +1173,10 @@ impl DaceNode {
                 }
             }
             ctx.send(item.to, item.encoded);
-            break;
-        }
-        if self.transmit.is_empty() {
-            self.transmit_armed = false;
-        } else {
+            self.transmit_armed = true;
             let id = ctx.set_timer(self.config.transmit_interval);
             self.timer_map.insert(id, DaceTimer::Transmit);
+            break;
         }
     }
 
@@ -1928,7 +1930,9 @@ impl Node for DaceNode {
         self.ensure_id(ctx);
         match self.timer_map.remove(&timer) {
             Some(DaceTimer::Announce) => self.announce(ctx),
-            Some(DaceTimer::Transmit) => self.drain_one_transmit(ctx),
+            // The interval after the last send is over; `flush` sends the
+            // next item, if one is waiting.
+            Some(DaceTimer::Transmit) => self.transmit_armed = false,
             Some(DaceTimer::Channel(kind, token)) => {
                 self.with_channel_proto(ctx, kind, |proto, io| proto.on_timer(io, token));
             }

@@ -3,7 +3,7 @@ use std::sync::{Arc, Mutex};
 use psc_group::LpbcastConfig;
 use psc_obvent::builtin::{Certified, FifoOrder, Prioritary, Reliable, Timely, TotalOrder};
 use psc_obvent::declare_obvent_model;
-use psc_simnet::{Duration, NodeId, SimConfig, SimNet, SimTime};
+use psc_simnet::{Duration, LatencyModel, NodeId, SimConfig, SimNet, SimTime};
 use pubsub_core::FilterSpec;
 
 use crate::{DaceConfig, DaceNode, Placement};
@@ -380,6 +380,48 @@ fn timely_obvents_expire_in_a_backlogged_queue() {
     );
     let stats = DaceNode::stats_of(&mut sim, ids[0]);
     assert_eq!(stats.expired as usize, 6 - delivered);
+}
+
+/// Two nodes a fixed 1 ms apart with a 5 ms uplink interval; node 1
+/// records the `PlainTick`s it is delivered.
+fn paced_pair() -> (SimNet, Vec<NodeId>, Seen<String>) {
+    let sim_config = SimConfig {
+        latency: LatencyModel::Fixed(Duration::from_millis(1)),
+        ..SimConfig::default()
+    };
+    let config = DaceConfig {
+        transmit_interval: Duration::from_millis(5),
+        ..DaceConfig::default()
+    };
+    let (mut sim, ids) = cluster(2, sim_config, config);
+    let seen = subscribe_plain(&mut sim, ids[1], FilterSpec::accept_all());
+    settle(&mut sim, 10);
+    (sim, ids, seen)
+}
+
+#[test]
+fn a_lone_publish_leaves_an_idle_uplink_at_once() {
+    let (mut sim, ids, seen) = paced_pair();
+    DaceNode::publish_from(&mut sim, ids[0], PlainTick::new("lone".into(), 0));
+    // One link latency later it is there: the interval paces what follows
+    // a send, it does not delay the send.
+    settle(&mut sim, 1);
+    assert_eq!(*seen.lock().unwrap(), vec!["lone".to_string()]);
+}
+
+#[test]
+fn a_publish_inside_the_interval_waits_for_its_end() {
+    let (mut sim, ids, seen) = paced_pair();
+    let first_sent = sim.now();
+    DaceNode::publish_from(&mut sim, ids[0], PlainTick::new("first".into(), 0));
+    settle(&mut sim, 2);
+    // A separate callback, 2 ms into the 5 ms the first send occupies.
+    DaceNode::publish_from(&mut sim, ids[0], PlainTick::new("second".into(), 1));
+    let second_arrives = first_sent + Duration::from_millis(5 + 1);
+    sim.run_until(first_sent + Duration::from_micros(5_999));
+    assert_eq!(*seen.lock().unwrap(), vec!["first".to_string()], "the rate limit holds");
+    sim.run_until(second_arrives);
+    assert_eq!(*seen.lock().unwrap(), vec!["first".to_string(), "second".to_string()]);
 }
 
 #[test]

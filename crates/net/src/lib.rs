@@ -8,14 +8,18 @@
 //! unchanged, driven by TCP sockets and a wall clock instead of the
 //! discrete-event queue.
 //!
-//! - [`NetTransport`] hosts one node: an event-loop thread owns the
-//!   [`psc_simnet::NodeHost`] (message/timer callbacks run exactly as
-//!   under the simulator), reader threads reassemble CRC frames
-//!   ([`psc_codec::frame::FrameReassembler`]), writer threads drain
-//!   bounded per-peer queues with reconnect + capped exponential backoff.
+//! - [`NetTransport`] hosts one node: the [`psc_simnet::NodeHost`] sits
+//!   behind one lock and whoever has work for it runs it to completion —
+//!   the caller of a local API call, the reader thread that reassembled a
+//!   CRC frame ([`psc_codec::frame::FrameReassembler`]), the timer thread
+//!   — so callbacks run one at a time exactly as under the simulator, and
+//!   a delivery costs one wake-up per hop. A frame for an idle peer is
+//!   written by the thread that produced it; writer threads carry what
+//!   the socket would not take at once, through bounded per-peer queues,
+//!   and own reconnect + capped exponential backoff.
 //! - Serialize-once survives onto the wire: a fan-out clones
-//!   [`psc_codec::WireBytes`] *handles* into the peer queues — one
-//!   encode, N socket writes, zero payload copies.
+//!   [`psc_codec::WireBytes`] *handles* per peer — one encode, N socket
+//!   writes, zero payload copies.
 //! - [`clock::TimerDriver`] fires `Ctx::set_timer` timers in the
 //!   simulator's (deadline, arm-order) order on the wall clock, so
 //!   retransmit/heartbeat schedules match virtual time run for run.
@@ -116,9 +120,20 @@ impl DaceEndpoint {
         self.transport.local_addr()
     }
 
-    /// Runs `f` against the node's [`Domain`] on the event loop — the
-    /// local API injection path for publish/subscribe, identical in
-    /// effect to [`DaceNode::drive`] under the simulator.
+    /// Runs `f` against the node's [`Domain`] on the calling thread, under
+    /// the lock every callback of the node runs under — the local API
+    /// injection path for publish/subscribe, identical in effect to
+    /// [`DaceNode::drive`] under the simulator. What `f` publishes to an
+    /// idle peer is on the socket when this returns — unless the call
+    /// wrote to the node's log (a `Certified` publish, a durable
+    /// subscription): the caller does not wait for the disk, and the log
+    /// write and the sends behind it follow on the transport's timer
+    /// thread.
+    ///
+    /// Subscription handlers run under the same lock (on whichever thread
+    /// brought the obvent), so calling this from inside a handler
+    /// deadlocks; publish through the `Domain` the handler can capture
+    /// instead. It panics once the endpoint has stopped.
     pub fn with_domain<R: Send + 'static>(
         &self,
         f: impl FnOnce(&Domain) -> R + Send + 'static,

@@ -1,6 +1,6 @@
 //! The transport's `net.*` counter plane.
 
-use psc_telemetry::{Counter, Registry};
+use psc_telemetry::{Counter, Gauge, Registry};
 
 /// Cloneable bundle of the transport's counters, registered once per
 /// endpoint in the node's own [`Registry`] (the same registry DACE and the
@@ -9,6 +9,9 @@ use psc_telemetry::{Counter, Registry};
 pub(crate) struct NetMetrics {
     /// `net.msgs_sent` — frames written to peer sockets.
     pub msgs_sent: Counter,
+    /// `net.sends_inline` — of those, frames the producing thread wrote
+    /// itself on an idle connection; the rest went through a writer thread.
+    pub sends_inline: Counter,
     /// `net.bytes_sent` — framed bytes written (header + payload).
     pub bytes_sent: Counter,
     /// `net.msgs_recv` — verified frames delivered up to the node.
@@ -30,12 +33,14 @@ pub(crate) struct NetMetrics {
     pub backpressure_waits: Counter,
     /// `net.loopback` — self-sends looped back without touching a socket.
     pub loopback: Counter,
+    registry: Registry,
 }
 
 impl NetMetrics {
     pub(crate) fn new(registry: &Registry) -> NetMetrics {
         NetMetrics {
             msgs_sent: registry.counter("net.msgs_sent"),
+            sends_inline: registry.counter("net.sends_inline"),
             bytes_sent: registry.counter("net.bytes_sent"),
             msgs_recv: registry.counter("net.msgs_recv"),
             bytes_recv: registry.counter("net.bytes_recv"),
@@ -45,6 +50,12 @@ impl NetMetrics {
             queue_dropped: registry.counter("net.queue.dropped"),
             backpressure_waits: registry.counter("net.backpressure_waits"),
             loopback: registry.counter("net.loopback"),
+            registry: registry.clone(),
         }
+    }
+
+    /// A per-peer gauge in the same registry, resolved once by its owner.
+    pub(crate) fn gauge(&self, name: &str) -> Gauge {
+        self.registry.gauge(name)
     }
 }

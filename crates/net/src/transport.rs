@@ -2,16 +2,38 @@
 //! sockets out.
 //!
 //! One [`NetTransport`] hosts one [`Node`] (in practice a
-//! `psc_dace::DaceNode`) and owns all the threads around it:
+//! `psc_dace::DaceNode`). The node, its WAL files, its timer heap and its
+//! self-send queue live in one `Core` behind one mutex, and **whoever has
+//! work for the node runs it**, to completion, under that lock:
 //!
-//! - an **event loop** thread that exclusively owns the
-//!   [`NodeHost`] — every callback (message, timer, local API injection)
-//!   runs here, so node code stays single-threaded exactly as it is under
-//!   the simulator, and effects are applied in queue order;
-//! - an **accept** thread plus one **reader** thread per inbound
-//!   connection, reassembling CRC frames and funnelling them into the
-//!   event loop;
-//! - one **writer** thread per dialed peer (see [`crate::peer`]).
+//! - a **caller** of [`NetTransport::act_sync`] (publish, subscribe,
+//!   introspection) runs its closure on its own thread and gets the value
+//!   back as a return value;
+//! - one **reader** thread per inbound connection (spawned by the
+//!   **accept** thread) reassembles CRC frames and runs `on_message` for
+//!   each;
+//! - the **timer** thread sleeps on a condvar paired with the core until
+//!   the earliest deadline and runs `on_timer`; it is notified only when a
+//!   callback arms an earlier deadline, when a local call leaves it a log
+//!   write, or at shutdown.
+//!
+//! So node code stays single-threaded exactly as it is under the
+//! simulator, and every callback's effects are applied in one place
+//! (`Shared::apply`) before the lock is released: log records first, then
+//! sends and timers, then the self-sends those produced. One exception
+//! keeps callers off the disk: a local call whose callback journaled log
+//! records returns at once, and the timer thread (or whoever takes the
+//! lock first) writes the log and applies the effects — before any other
+//! callback runs, so nothing is reordered. A send to an idle peer is
+//! written by the applying thread itself; one **writer** thread per dialed
+//! peer carries what the socket would not take at once (see
+//! [`crate::peer`]). Lock order: core, then a peer's queue; `inspect` and
+//! `queue_depths` never take the core, so they answer while the node is
+//! busy or backpressured.
+//!
+//! A panic under the lock (a handler's, or the WAL's refusal to run
+//! undurable) poisons the core and the endpoint fail-stops: readers and
+//! the timer thread exit, `act_sync` panics, `shutdown` still joins.
 //!
 //! Delivery semantics mirror the simulator where the protocols can tell:
 //! self-sends loop back through an internal queue without touching a
@@ -24,15 +46,14 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration as StdDuration;
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use psc_codec::frame::FrameReassembler;
 use psc_codec::WireBytes;
-use psc_simnet::{Ctx, Duration, HostEffect, Node, NodeHost, NodeId, SimTime, TimerId};
+use psc_simnet::{Ctx, Duration, HostEffect, Node, NodeHost, NodeId, SimTime, TimerId, WalOp};
 use psc_telemetry::{HealthMonitor, Inspect, Registry, ReportBuilder, Snapshot};
 
 use crate::clock::{Clock, TimerDriver, WallClock};
@@ -45,11 +66,6 @@ use crate::storage::FileWal;
 const HELLO_MAGIC: &[u8; 4] = b"PSCN";
 /// Wire protocol version.
 const HELLO_VERSION: u16 = 1;
-/// Socket read timeout: bounds how long a reader thread can ignore the
-/// shutdown flag.
-const READ_TIMEOUT: StdDuration = StdDuration::from_millis(50);
-/// Event-loop wait when no timer is pending.
-const IDLE_TICK: StdDuration = StdDuration::from_millis(100);
 /// Interval of the transport's own health sweep (queue-depth gauges +
 /// `HealthMonitor` feed).
 const SWEEP_INTERVAL: Duration = Duration::from_millis(100);
@@ -76,8 +92,8 @@ fn parse_hello(payload: &[u8]) -> Option<NodeId> {
     Some(NodeId(u64::from_le_bytes(payload[6..14].try_into().ok()?)))
 }
 
-/// Timer tokens on the event loop's wall-clock heap: the hosted node's
-/// own timers plus the transport's maintenance tick.
+/// Timer tokens on the wall-clock heap: the hosted node's own timers plus
+/// the transport's maintenance tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum NetTimer {
     /// A `Ctx::set_timer` timer of the hosted node.
@@ -86,37 +102,136 @@ enum NetTimer {
     Sweep,
 }
 
-type ActFn = Box<dyn FnOnce(&mut NodeHost, SimTime) -> Vec<HostEffect> + Send>;
+/// Everything a callback touches; whoever holds the lock runs the node.
+struct Core {
+    host: NodeHost,
+    wal: Option<FileWal>,
+    timers: TimerDriver<NetTimer>,
+    /// Self-sends waiting to loop back; empty whenever the lock is free.
+    loopback: VecDeque<WireBytes>,
+    /// Local calls whose callback journaled log records: a caller does not
+    /// wait for the disk, so the log write and the effects behind it are
+    /// left to the next thread through the lock (the timer thread is woken
+    /// to be it). Settled before any other callback runs.
+    deferred: VecDeque<Deferred>,
+    /// Send routing (the observers' copy is `Shared::peers`).
+    peers: HashMap<NodeId, Arc<Peer>>,
+    /// Whether `on_start` has run.
+    started: bool,
+    /// The deadline the timer thread sleeps toward; zero while it is awake
+    /// — nothing is earlier, so nobody pays to notify it.
+    timer_sleeps_until: SimTime,
+}
 
-enum Event {
-    /// A verified frame from a connected peer.
-    Incoming { from: NodeId, payload: Vec<u8> },
-    /// A local API injection (publish, subscribe, introspection).
-    Act(ActFn),
-    /// Stop the loop.
-    Shutdown,
+/// One callback's log records and the effects that must follow them.
+struct Deferred {
+    journal: Vec<WalOp>,
+    effects: Vec<HostEffect>,
+    at: SimTime,
+}
+
+/// What the endpoint's threads share.
+struct Shared {
+    id: NodeId,
+    core: Mutex<Core>,
+    /// Paired with `core`: the timer thread's bed.
+    wake_timer: Condvar,
+    /// Every dialed peer, for the paths that must not wait for the core.
+    peers: Mutex<Vec<Arc<Peer>>>,
+    shutdown: Arc<AtomicBool>,
+    clock: WallClock,
+    metrics: NetMetrics,
+}
+
+impl Shared {
+    /// The core, or `None` once the endpoint has stopped: shut down, or
+    /// poisoned by a callback that panicked under the lock. The first to
+    /// come through runs the node's `on_start` — the timer thread as soon
+    /// as it is spawned, unless a caller or a reader beats it there — so
+    /// `bind` does not wait for it and no callback ever precedes it.
+    fn running(&self) -> Option<MutexGuard<'_, Core>> {
+        let mut core = self.core.lock().ok()?;
+        if self.shutdown.load(Ordering::SeqCst) {
+            return None;
+        }
+        if !std::mem::replace(&mut core.started, true) {
+            let now = self.clock.now();
+            let effects = core.host.start(now);
+            self.apply(&mut core, effects, now);
+            core.timers.schedule(now + SWEEP_INTERVAL, NetTimer::Sweep);
+        }
+        self.settle(&mut core);
+        Some(core)
+    }
+
+    /// Finishes the local calls that were left half done, oldest first.
+    fn settle(&self, core: &mut Core) {
+        while let Some(Deferred { journal, effects, at }) = core.deferred.pop_front() {
+            persist_wal(core, &journal);
+            self.apply(core, effects, at);
+        }
+    }
+
+    /// Every callback's effects pass through here, and only here: the WAL
+    /// journal reaches the files *before* any effect of that callback is
+    /// applied, so nothing observable (a send, an ack) ever precedes its log
+    /// record on disk — the same discipline the simulator's crash model
+    /// enforces. Self-sends loop back before the lock is released, like the
+    /// simulator's 1µs self-delivery beats any network hop.
+    fn apply(&self, core: &mut Core, mut effects: Vec<HostEffect>, mut now: SimTime) {
+        loop {
+            let journal = core.host.storage_mut().take_wal_journal();
+            persist_wal(core, &journal);
+            for effect in effects {
+                match effect {
+                    HostEffect::Send { to, payload } => {
+                        if to == self.id {
+                            self.metrics.loopback.inc();
+                            core.loopback.push_back(payload);
+                        } else if let Some(peer) = core.peers.get(&to) {
+                            peer.push(payload);
+                        } else {
+                            self.metrics.queue_dropped.inc();
+                        }
+                    }
+                    HostEffect::SetTimer { id, after } => {
+                        let at = now + after;
+                        core.timers.schedule(at, NetTimer::Node(id));
+                        if at < core.timer_sleeps_until {
+                            core.timer_sleeps_until = at;
+                            self.wake_timer.notify_one();
+                        }
+                    }
+                }
+            }
+            let Some(payload) = core.loopback.pop_front() else {
+                return;
+            };
+            now = self.clock.now();
+            effects = core.host.message(now, self.id, &payload);
+        }
+    }
+
+    fn peers(&self) -> MutexGuard<'_, Vec<Arc<Peer>>> {
+        self.peers.lock().expect("peers poisoned")
+    }
 }
 
 /// A live transport endpoint. Dropping it shuts the endpoint down and
 /// joins its threads.
 pub struct NetTransport {
-    id: NodeId,
     local_addr: SocketAddr,
-    events: Sender<Event>,
-    shutdown: Arc<AtomicBool>,
-    peers: Arc<Mutex<HashMap<NodeId, Arc<Peer>>>>,
+    shared: Arc<Shared>,
     registry: Arc<Registry>,
-    metrics: NetMetrics,
-    config: NetConfig,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl NetTransport {
-    /// Binds `config.listen`, starts all threads, and runs the node's
-    /// `on_start` on the event loop. `registry` should be the same
-    /// registry the node records into, so `net.*` and the stack's other
-    /// counters share one snapshot; `health`, when given, receives the
-    /// transport's periodic queue-depth sweeps.
+    /// Binds `config.listen` and starts the threads; the node's `on_start`
+    /// runs before any other callback, without `bind` waiting for it.
+    /// `registry` should be the same registry the node records into, so
+    /// `net.*` and the stack's other counters share one snapshot; `health`,
+    /// when given, receives the transport's periodic queue-depth sweeps.
     pub fn bind(
         config: NetConfig,
         node: Box<dyn Node>,
@@ -126,73 +241,68 @@ impl NetTransport {
         let listener = TcpListener::bind(&config.listen)?;
         let local_addr = listener.local_addr()?;
 
-        let metrics = NetMetrics::new(&registry);
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let peers: Arc<Mutex<HashMap<NodeId, Arc<Peer>>>> = Arc::new(Mutex::new(HashMap::new()));
-        let (events, events_rx) = unbounded();
-
-        let transport = NetTransport {
-            id: config.id,
-            local_addr,
-            events,
-            shutdown,
-            peers,
-            registry,
-            metrics,
-            config,
-            threads: Mutex::new(Vec::new()),
-        };
-
-        for peer in transport.config.peers.clone() {
-            transport.add_peer(peer.id, &peer.addr);
-        }
-
         // With a data directory, the host starts from the storage the file
         // backend reloaded (the node's own WAL replay then runs against it,
         // exactly like a post-crash recovery under the simulator) and the
         // WAL journal is switched on so every mutation reaches the files.
-        let (host, file_wal) = match &transport.config.data_dir {
+        let (host, wal) = match &config.data_dir {
             Some(dir) => {
                 let (storage, wal) = FileWal::open(dir)?;
-                let mut host =
-                    NodeHost::with_storage(transport.id, node, transport.config.seed, storage);
+                let mut host = NodeHost::with_storage(config.id, node, config.seed, storage);
                 host.storage_mut().enable_wal_journal();
                 (host, Some(wal))
             }
-            None => (NodeHost::new(transport.id, node, transport.config.seed), None),
+            None => (NodeHost::new(config.id, node, config.seed), None),
         };
-        let loop_thread = {
-            let shutdown = Arc::clone(&transport.shutdown);
-            let peers = Arc::clone(&transport.peers);
-            let metrics = transport.metrics.clone();
+        let shared = Arc::new(Shared {
+            id: config.id,
+            core: Mutex::new(Core {
+                host,
+                wal,
+                timers: TimerDriver::new(),
+                loopback: VecDeque::new(),
+                deferred: VecDeque::new(),
+                peers: HashMap::new(),
+                started: false,
+                timer_sleeps_until: SimTime::ZERO,
+            }),
+            wake_timer: Condvar::new(),
+            peers: Mutex::new(Vec::new()),
+            shutdown: Arc::new(AtomicBool::new(false)),
+            clock: WallClock::new(),
+            metrics: NetMetrics::new(&registry),
+        });
+        let transport =
+            NetTransport { local_addr, shared, registry, threads: Mutex::new(Vec::new()) };
+
+        for peer in &config.peers {
+            transport.add_peer(peer.id, &peer.addr);
+        }
+
+        let timer_thread = {
+            let shared = Arc::clone(&transport.shared);
             let registry = Arc::clone(&transport.registry);
             std::thread::Builder::new()
-                .name(format!("psc-net-loop-n{}", transport.id.0))
-                .spawn(move || {
-                    event_loop(
-                        host, file_wal, events_rx, shutdown, peers, metrics, registry, health,
-                    )
-                })?
+                .name(format!("psc-net-timer-n{}", config.id.0))
+                .spawn(move || timer_loop(&shared, &registry, health.as_deref()))?
         };
         let accept_thread = {
-            let shutdown = Arc::clone(&transport.shutdown);
-            let events = transport.events.clone();
-            let metrics = transport.metrics.clone();
+            let shared = Arc::clone(&transport.shared);
             std::thread::Builder::new()
-                .name(format!("psc-net-accept-n{}", transport.id.0))
-                .spawn(move || accept_loop(listener, events, shutdown, metrics))?
+                .name(format!("psc-net-accept-n{}", config.id.0))
+                .spawn(move || accept_loop(listener, shared))?
         };
-        {
-            let mut threads = transport.threads.lock().expect("threads poisoned");
-            threads.push(loop_thread);
-            threads.push(accept_thread);
-        }
+        transport
+            .threads
+            .lock()
+            .expect("threads poisoned")
+            .extend([timer_thread, accept_thread]);
         Ok(transport)
     }
 
     /// This endpoint's node id.
     pub fn id(&self) -> NodeId {
-        self.id
+        self.shared.id
     }
 
     /// The bound listen address (resolves port 0).
@@ -209,72 +319,77 @@ impl NetTransport {
     /// construction (static peer list) and by tests that bind ephemeral
     /// ports first and exchange addresses afterwards.
     pub fn add_peer(&self, id: NodeId, addr: &str) {
+        let shared = &self.shared;
         let peer = Peer::new(
             id,
             addr.to_string(),
-            self.id,
-            Arc::clone(&self.shutdown),
-            self.metrics.clone(),
+            shared.id,
+            Arc::clone(&shared.shutdown),
+            shared.metrics.clone(),
         );
         let writer = {
             let peer = Arc::clone(&peer);
             std::thread::Builder::new()
-                .name(format!("psc-net-writer-n{}-to-n{}", self.id.0, id.0))
+                .name(format!("psc-net-writer-n{}-to-n{}", shared.id.0, id.0))
                 .spawn(move || peer.run_writer())
                 .expect("spawn writer thread")
         };
-        self.peers.lock().expect("peers poisoned").insert(id, peer);
+        shared.peers().push(Arc::clone(&peer));
+        // Not through `running()`: the configured peers must be routable
+        // before `on_start` sends to them. A poisoned core routes nothing.
+        if let Ok(mut core) = shared.core.lock() {
+            core.peers.insert(id, peer);
+        }
         self.threads.lock().expect("threads poisoned").push(writer);
     }
 
-    /// Runs `f` against the hosted node on the event loop, with a live
-    /// `Ctx`, and returns its result. Queued effects (sends, timers) are
-    /// applied as if a callback had produced them — this is how local API
-    /// calls (publish, subscribe) enter the system.
+    /// Runs `f` against the hosted node on the calling thread, under the
+    /// core lock, with a live `Ctx`, and returns its result. Queued effects
+    /// (sends, timers) are applied as if a callback had produced them —
+    /// this is how local API calls (publish, subscribe) enter the system —
+    /// before this returns, unless `f` journaled log records: the caller
+    /// does not wait for the disk, and the log write and the effects
+    /// behind it are finished by the timer thread. The node's own handlers
+    /// run under the same lock, so calling this from inside one deadlocks.
+    ///
+    /// # Panics
+    /// Once the endpoint has stopped — after `shutdown`, or after a
+    /// callback panicked (fail-stop).
     pub fn act_sync<R: Send + 'static>(
         &self,
         f: impl FnOnce(&mut dyn Node, &mut Ctx<'_>) -> R + Send + 'static,
     ) -> R {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let sent = self.events.send(Event::Act(Box::new(move |host, now| {
-            let mut result = None;
-            let effects = host.act(now, |node, ctx| {
-                result = Some(f(node, ctx));
-            });
-            let _ = tx.send(result.expect("act closure ran"));
-            effects
-        })));
-        assert!(sent.is_ok(), "transport event loop stopped");
-        rx.recv().expect("transport event loop stopped")
+        let shared = &self.shared;
+        let mut core = shared.running().expect("transport event loop stopped");
+        let now = shared.clock.now();
+        let mut result = None;
+        let effects = core.host.act(now, |node, ctx| result = Some(f(node, ctx)));
+        let journal = core.host.storage_mut().take_wal_journal();
+        if journal.is_empty() {
+            shared.apply(&mut core, effects, now);
+        } else {
+            core.deferred.push_back(Deferred { journal, effects, at: now });
+            shared.wake_timer.notify_one();
+        }
+        result.expect("act closure ran")
     }
 
     /// Whether the writer to `id` currently holds a live connection.
     pub fn peer_connected(&self, id: NodeId) -> bool {
-        self.peers
-            .lock()
-            .expect("peers poisoned")
-            .get(&id)
-            .is_some_and(|p| p.is_connected())
+        self.shared.peers().iter().any(|p| p.id == id && p.is_connected())
     }
 
     /// Blocks until every dialed peer is connected or `timeout` elapses;
     /// returns whether they all are.
     pub fn wait_connected(&self, timeout: StdDuration) -> bool {
         let deadline = std::time::Instant::now() + timeout;
-        let peers: Vec<Arc<Peer>> =
-            self.peers.lock().expect("peers poisoned").values().cloned().collect();
+        let peers = self.shared.peers().clone();
         peers.iter().all(|p| p.wait_connected(deadline))
     }
 
     /// Current outbound queue depths, `(peer label, depth)` per peer.
     pub fn queue_depths(&self) -> Vec<(String, u64)> {
-        let peers = self.peers.lock().expect("peers poisoned");
-        let mut depths: Vec<(String, u64)> = peers
-            .values()
-            .map(|p| (format!("net.outbound.n{}", p.id.0), p.depth() as u64))
-            .collect();
-        depths.sort();
-        depths
+        queue_depths(&self.shared.peers())
     }
 
     /// A deterministic snapshot of the endpoint's registry.
@@ -285,18 +400,28 @@ impl NetTransport {
     /// Stops all threads and waits for them. Idempotent; also run by
     /// `Drop`.
     pub fn shutdown(&self) {
-        if self.shutdown.swap(true, Ordering::SeqCst) {
+        let shared = &self.shared;
+        if shared.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        let _ = self.events.send(Event::Shutdown);
-        for peer in self.peers.lock().expect("peers poisoned").values() {
+        // First whoever is blocked on a peer — a backpressured sender
+        // holds the core while it waits.
+        for peer in shared.peers().iter() {
             peer.wake_all();
         }
+        // The timer thread checks the flag under the core lock, so once the
+        // lock has been ours it is either past a check that saw the flag or
+        // already waiting for this notify. A poisoned lock is as good: only
+        // the passage matters, nothing here touches the node.
+        drop(shared.core.lock());
+        shared.wake_timer.notify_all();
         // The accept thread blocks in `accept()`; a throw-away connection
-        // wakes it to see the flag.
+        // wakes it to see the flag, and it hangs up on the readers.
         let _ = TcpStream::connect(self.local_addr);
         let threads = std::mem::take(&mut *self.threads.lock().expect("threads poisoned"));
         for thread in threads {
+            // A reader that panicked has been reported by the panic hook
+            // and has already fail-stopped the endpoint.
             let _ = thread.join();
         }
     }
@@ -311,12 +436,14 @@ impl Drop for NetTransport {
 impl Inspect for NetTransport {
     fn inspect(&self) -> String {
         let mut report = ReportBuilder::new();
-        report.section(format!("net endpoint n{}", self.id.0));
+        report.section(format!("net endpoint n{}", self.shared.id.0));
         report.line(format!("listen={}", self.local_addr));
-        let peers = self.peers.lock().expect("peers poisoned");
-        let mut rows: Vec<(u64, bool, usize)> =
-            peers.values().map(|p| (p.id.0, p.is_connected(), p.depth())).collect();
-        drop(peers);
+        let mut rows: Vec<(u64, bool, usize)> = self
+            .shared
+            .peers()
+            .iter()
+            .map(|p| (p.id.0, p.is_connected(), p.depth()))
+            .collect();
         rows.sort();
         for (id, connected, depth) in rows {
             report.line(format!(
@@ -327,6 +454,7 @@ impl Inspect for NetTransport {
         let snapshot = self.registry.snapshot();
         for name in [
             "net.msgs_sent",
+            "net.sends_inline",
             "net.bytes_sent",
             "net.msgs_recv",
             "net.bytes_recv",
@@ -342,210 +470,124 @@ impl Inspect for NetTransport {
     }
 }
 
-/// Drains the WAL mutations a callback journaled into real segment files.
-/// A write failure is fail-stop: continuing would silently void the
-/// durability contract.
-fn persist_wal(host: &mut NodeHost, wal: &mut Option<FileWal>) {
-    if let Some(wal) = wal {
-        let ops = host.storage_mut().take_wal_journal();
-        if !ops.is_empty() {
-            wal.apply(&ops).expect("WAL file write failed; refusing to run undurable");
-        }
+fn queue_depths(peers: &[Arc<Peer>]) -> Vec<(String, u64)> {
+    let mut depths: Vec<(String, u64)> =
+        peers.iter().map(|p| (p.label.clone(), p.depth() as u64)).collect();
+    depths.sort();
+    depths
+}
+
+/// Writes the WAL mutations a callback journaled into real segment files
+/// (the journal is empty unless there is a data directory). A write
+/// failure is fail-stop: continuing would silently void the durability
+/// contract, so the panic poisons the core.
+fn persist_wal(core: &mut Core, journal: &[WalOp]) {
+    if let Some(wal) = core.wal.as_mut().filter(|_| !journal.is_empty()) {
+        wal.apply(journal).expect("WAL file write failed; refusing to run undurable");
     }
 }
 
-/// The single thread that owns the hosted node.
-#[allow(clippy::too_many_arguments)]
-fn event_loop(
-    mut host: NodeHost,
-    mut file_wal: Option<FileWal>,
-    events: Receiver<Event>,
-    shutdown: Arc<AtomicBool>,
-    peers: Arc<Mutex<HashMap<NodeId, Arc<Peer>>>>,
-    metrics: NetMetrics,
-    registry: Arc<Registry>,
-    health: Option<Arc<HealthMonitor>>,
-) {
-    let clock = WallClock::new();
-    let self_id = host.id();
-    let mut timers: TimerDriver<NetTimer> = TimerDriver::new();
-    let mut loopback: VecDeque<WireBytes> = VecDeque::new();
-
-    // Every callback's effects pass through here, and only here: the WAL
-    // journal reaches the files *before* any effect of that callback is
-    // applied, so nothing observable (a send, an ack) ever precedes its log
-    // record on disk — the same discipline the simulator's crash model
-    // enforces.
-    let mut apply = |host: &mut NodeHost,
-                     effects: Vec<HostEffect>,
-                     now: SimTime,
-                     timers: &mut TimerDriver<NetTimer>,
-                     loopback: &mut VecDeque<WireBytes>| {
-        persist_wal(host, &mut file_wal);
-        for effect in effects {
-            match effect {
-                HostEffect::Send { to, payload } => {
-                    if to == self_id {
-                        metrics.loopback.inc();
-                        loopback.push_back(payload);
-                    } else if let Some(peer) =
-                        peers.lock().expect("peers poisoned").get(&to).cloned()
-                    {
-                        peer.push(payload);
-                    } else {
-                        metrics.queue_dropped.inc();
-                    }
-                }
-                HostEffect::SetTimer { id, after } => {
-                    timers.schedule(now + after, NetTimer::Node(id));
-                }
-            }
-        }
+/// The timer thread: fires what is due, then sleeps toward the earliest
+/// deadline until it passes or a callback arms an earlier one.
+fn timer_loop(shared: &Shared, registry: &Registry, health: Option<&HealthMonitor>) {
+    let Some(mut core) = shared.running() else {
+        return;
     };
-
-    let now = clock.now();
-    let effects = host.start(now);
-    apply(&mut host, effects, now, &mut timers, &mut loopback);
-    timers.schedule(now + SWEEP_INTERVAL, NetTimer::Sweep);
-
-    loop {
-        if shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-
-        // Self-sends loop back ahead of socket traffic, like the
-        // simulator's 1µs self-delivery beats any network hop.
-        while let Some(payload) = loopback.pop_front() {
-            let now = clock.now();
-            let effects = host.message(now, self_id, &payload);
-            apply(&mut host, effects, now, &mut timers, &mut loopback);
-        }
-
-        // Fire everything due.
-        let now = clock.now();
-        if let Some(timer) = timers.pop_due(now) {
-            match timer {
-                NetTimer::Node(id) => {
-                    if let Some(effects) = host.timer(now, id) {
-                        apply(&mut host, effects, now, &mut timers, &mut loopback);
-                    }
-                }
-                NetTimer::Sweep => {
-                    let depths: Vec<(String, u64)> = {
-                        let peers = peers.lock().expect("peers poisoned");
-                        let mut depths: Vec<(String, u64)> = peers
-                            .values()
-                            .map(|p| (format!("net.outbound.n{}", p.id.0), p.depth() as u64))
-                            .collect();
-                        depths.sort();
-                        depths
-                    };
-                    for (name, depth) in &depths {
-                        registry.gauge(&format!("{name}.depth")).set(*depth as i64);
-                    }
-                    if let Some(health) = &health {
-                        health.sweep(now.as_micros(), &depths, &registry.snapshot());
-                    }
-                    timers.schedule(now + SWEEP_INTERVAL, NetTimer::Sweep);
+    while !shared.shutdown.load(Ordering::SeqCst) {
+        shared.settle(&mut core);
+        let now = shared.clock.now();
+        match core.timers.pop_due(now) {
+            Some(NetTimer::Node(id)) => {
+                if let Some(effects) = core.host.timer(now, id) {
+                    shared.apply(&mut core, effects, now);
                 }
             }
-            continue;
-        }
-
-        // Sleep until the next deadline or the next event.
-        let wait = match timers.next_deadline() {
-            Some(deadline) if deadline <= now => continue,
-            Some(deadline) => StdDuration::from_micros((deadline - now).as_micros()),
-            None => IDLE_TICK,
-        };
-        match events.recv_timeout(wait) {
-            Ok(Event::Incoming { from, payload }) => {
-                let now = clock.now();
-                let effects = host.message(now, from, &payload);
-                apply(&mut host, effects, now, &mut timers, &mut loopback);
+            Some(NetTimer::Sweep) => {
+                let peers = shared.peers();
+                for peer in peers.iter() {
+                    peer.depth_gauge.set(peer.depth() as i64);
+                }
+                if let Some(health) = health {
+                    health.sweep(now.as_micros(), &queue_depths(&peers), &registry.snapshot());
+                }
+                drop(peers);
+                core.timers.schedule(now + SWEEP_INTERVAL, NetTimer::Sweep);
             }
-            Ok(Event::Act(f)) => {
-                let now = clock.now();
-                let effects = f(&mut host, now);
-                apply(&mut host, effects, now, &mut timers, &mut loopback);
+            None => {
+                // The sweep is always armed, so there is always a deadline.
+                let deadline = core.timers.next_deadline().expect("sweep armed");
+                core.timer_sleeps_until = deadline;
+                let wait = StdDuration::from_micros((deadline - now).as_micros());
+                let Ok((woken, _)) = shared.wake_timer.wait_timeout(core, wait) else {
+                    return;
+                };
+                core = woken;
+                core.timer_sleeps_until = SimTime::ZERO;
             }
-            Ok(Event::Shutdown) => return,
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return,
         }
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    events: Sender<Event>,
-    shutdown: Arc<AtomicBool>,
-    metrics: NetMetrics,
-) {
-    let mut readers: Vec<std::thread::JoinHandle<()>> = Vec::new();
+/// Hangs up on exit, however the reader exits: the accept thread keeps a
+/// second handle to the socket, so dropping this one would not.
+struct HangUp(TcpStream);
+
+impl Drop for HangUp {
+    fn drop(&mut self) {
+        let _ = self.0.shutdown(Shutdown::Both);
+    }
+}
+
+fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
+    // Each reader with a handle to its socket: a reader blocks in `read`
+    // with no timeout, and hanging up is what ends it at shutdown.
+    let mut readers: Vec<(std::thread::JoinHandle<()>, TcpStream)> = Vec::new();
     loop {
         let accepted = listener.accept();
         // Checked before a reader exists, so `shutdown()`'s wake-up
         // connection is never counted as a dropped peer.
-        if shutdown.load(Ordering::Relaxed) {
+        if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        match accepted {
-            Ok((stream, _)) => {
-                let events = events.clone();
-                let shutdown = Arc::clone(&shutdown);
-                let metrics = metrics.clone();
-                if let Ok(handle) = std::thread::Builder::new()
+        match accepted.and_then(|(stream, _)| Ok((stream.try_clone()?, stream))) {
+            Ok((stream, handle)) => {
+                let shared = Arc::clone(&shared);
+                if let Ok(reader) = std::thread::Builder::new()
                     .name("psc-net-reader".to_string())
-                    .spawn(move || reader_loop(stream, events, shutdown, metrics))
+                    .spawn(move || reader_loop(HangUp(stream), &shared))
                 {
-                    readers.push(handle);
+                    readers.push((reader, handle));
                 }
             }
             // Transient (EMFILE, ECONNABORTED): back off, keep listening.
             Err(_) => std::thread::sleep(StdDuration::from_millis(5)),
         }
-        readers.retain(|h| !h.is_finished());
+        readers.retain(|(reader, _)| !reader.is_finished());
     }
-    for reader in readers {
+    for (reader, handle) in readers {
+        let _ = handle.shutdown(Shutdown::Both);
         let _ = reader.join();
     }
 }
 
 /// One inbound connection: handshake, then frames until the peer goes
-/// away. Every way a peer can misbehave — EOF mid-frame, garbage instead
-/// of a hello, a corrupt CRC — lands in the same place: count the event,
-/// close the socket, return. Never panic, never spin.
-fn reader_loop(
-    stream: TcpStream,
-    events: Sender<Event>,
-    shutdown: Arc<AtomicBool>,
-    metrics: NetMetrics,
-) {
-    let mut stream = stream;
-    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+/// away, each run through the node on this thread. Every way a peer can
+/// misbehave — EOF mid-frame, garbage instead of a hello, a corrupt CRC —
+/// lands in the same place: count the event, close the socket, return.
+/// Never panic, never spin.
+fn reader_loop(stream: HangUp, shared: &Shared) {
+    let metrics = &shared.metrics;
     let mut reassembler = FrameReassembler::new();
     let mut from: Option<NodeId> = None;
     let mut buf = vec![0u8; 64 * 1024];
     loop {
-        if shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-        let n = match stream.read(&mut buf) {
-            Ok(0) => {
-                // Peer hung up; mid-frame leftovers make it a rude one,
-                // but either way the connection is simply over.
-                metrics.peer_drop.inc();
-                return;
-            }
-            Ok(n) => n,
-            Err(err)
-                if err.kind() == io::ErrorKind::WouldBlock
-                    || err.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => {
+        let n = match (&stream.0).read(&mut buf) {
+            // Our own shutdown hung up, not the peer.
+            _ if shared.shutdown.load(Ordering::SeqCst) => return,
+            Ok(n) if n > 0 => n,
+            // Peer hung up (mid-frame leftovers make it a rude one) or
+            // the connection broke; either way it is simply over.
+            Ok(_) | Err(_) => {
                 metrics.peer_drop.inc();
                 return;
             }
@@ -566,9 +608,12 @@ fn reader_loop(
                     Some(from) => {
                         metrics.msgs_recv.inc();
                         metrics.bytes_recv.add(frame.len() as u64);
-                        if events.send(Event::Incoming { from, payload: frame }).is_err() {
+                        let Some(mut core) = shared.running() else {
                             return;
-                        }
+                        };
+                        let now = shared.clock.now();
+                        let effects = core.host.message(now, from, &frame);
+                        shared.apply(&mut core, effects, now);
                     }
                 },
                 Ok(None) => break,

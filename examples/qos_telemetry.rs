@@ -106,8 +106,10 @@ fn main() {
     });
     sim.run_until(SimTime::from_millis(10));
 
-    // Burst of readings (25 ms TTL over a 10 ms/message link: the tail
-    // expires), then an alarm published last but needed first.
+    // Burst of readings, then an alarm published last but needed first.
+    // The uplink is idle, so the alarm leaves at once; the readings follow
+    // one per 10 ms, and with a 25 ms TTL those still queued after two
+    // have left expire.
     DaceNode::drive(&mut sim, sensor, |domain| {
         for i in 0..5u64 {
             domain

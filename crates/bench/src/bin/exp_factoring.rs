@@ -8,7 +8,7 @@
 use std::time::Instant;
 
 use psc_bench::{disjoint_filters, fmt_f, overlapping_filters, quote_values, Table};
-use psc_filter::{FilterIndex, IndexOptions};
+use psc_filter::FilterIndex;
 
 fn measure(index: &mut FilterIndex, events: &[psc_filter::Value], naive: bool) -> (f64, usize) {
     // One full warm-up pass, then time several passes for stable numbers.
@@ -75,52 +75,4 @@ fn main() {
         table.print();
         println!();
     }
-
-    // Ablation: which mechanism buys the speedup? (overlapping population)
-    println!("ablation (overlapping population): contribution of each mechanism");
-    let mut table = Table::new(&[
-        "subscriptions",
-        "full us/event",
-        "no-batch us/event",
-        "no-dedup us/event",
-        "neither us/event",
-        "naive us/event",
-    ]);
-    let events = quote_values(7, 512);
-    for &n in &[1_000usize, 10_000] {
-        let filters = overlapping_filters(1, n);
-        let configs = [
-            IndexOptions { dedup: true, batch: true },
-            IndexOptions { dedup: true, batch: false },
-            IndexOptions { dedup: false, batch: true },
-            IndexOptions { dedup: false, batch: false },
-        ];
-        let mut cells = vec![n.to_string()];
-        let mut reference = None;
-        for options in configs {
-            let mut index = FilterIndex::with_options(options);
-            for f in &filters {
-                index.insert(f.clone());
-            }
-            let (us, matches) = measure(&mut index, &events, false);
-            match reference {
-                None => reference = Some(matches),
-                Some(r) => assert_eq!(r, matches, "ablation variants must agree"),
-            }
-            cells.push(fmt_f(us));
-        }
-        let mut index = FilterIndex::new();
-        for f in &filters {
-            index.insert(f.clone());
-        }
-        let (naive_us, _) = measure(&mut index, &events, true);
-        cells.push(fmt_f(naive_us));
-        table.row(&cells);
-    }
-    table.print();
-    println!(
-        "\nexpected shape: disabling batching costs the most on threshold-heavy\n\
-         workloads; disabling dedup multiplies predicate evaluations; with both off\n\
-         only the shared property fetch remains."
-    );
 }

@@ -83,27 +83,6 @@ impl FilterId {
     }
 }
 
-/// Ablation switches for [`FilterIndex`] (experiment E1 measures each
-/// mechanism's contribution; production code uses the default, all-on).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IndexOptions {
-    /// Share syntactically equal predicates between filters (one evaluation
-    /// per obvent instead of one per filter).
-    pub dedup: bool,
-    /// Batch equality predicates into hash lookups and ordered comparisons
-    /// into binary searches over sorted thresholds.
-    pub batch: bool,
-}
-
-impl Default for IndexOptions {
-    fn default() -> Self {
-        IndexOptions {
-            dedup: true,
-            batch: true,
-        }
-    }
-}
-
 /// Aggregate statistics about sharing and bucket placement inside the index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IndexStats {
@@ -319,7 +298,6 @@ impl PathGroup {
 /// ```
 #[derive(Debug, Default)]
 pub struct FilterIndex {
-    options: IndexOptions,
     next_id: u64,
     filters: HashMap<FilterId, StoredFilter>,
     /// slot -> FilterId of the occupant (freed slots go on `free_slots`).
@@ -355,15 +333,6 @@ impl FilterIndex {
     /// Creates an empty index with all optimizations enabled.
     pub fn new() -> Self {
         FilterIndex::default()
-    }
-
-    /// Creates an empty index with explicit ablation switches (see
-    /// [`IndexOptions`]); used by the E1 ablation harness.
-    pub fn with_options(options: IndexOptions) -> Self {
-        FilterIndex {
-            options,
-            ..FilterIndex::default()
-        }
     }
 
     /// Number of stored filters.
@@ -514,12 +483,7 @@ impl FilterIndex {
         distinct
             .iter()
             .copied()
-            .filter(|&g| {
-                matches!(
-                    classify(&self.preds[g].pred, self.options.batch),
-                    Bucket::Equality(_)
-                )
-            })
+            .filter(|&g| matches!(classify(&self.preds[g].pred), Bucket::Equality(_)))
             .collect()
     }
 
@@ -1154,17 +1118,15 @@ impl FilterIndex {
                 ));
             }
         }
-        if self.options.dedup {
-            if self.pred_lookup.len() != live {
-                return Err(format!(
-                    "pred_lookup has {} entries for {live} live predicates",
-                    self.pred_lookup.len()
-                ));
-            }
-            for (pred, &idx) in &self.pred_lookup {
-                if self.preds.get(idx).map(|e| &e.pred) != Some(pred) {
-                    return Err(format!("pred_lookup maps `{pred}` to mismatched entry {idx}"));
-                }
+        if self.pred_lookup.len() != live {
+            return Err(format!(
+                "pred_lookup has {} entries for {live} live predicates",
+                self.pred_lookup.len()
+            ));
+        }
+        for (pred, &idx) in &self.pred_lookup {
+            if self.preds.get(idx).map(|e| &e.pred) != Some(pred) {
+                return Err(format!("pred_lookup maps `{pred}` to mismatched entry {idx}"));
             }
         }
 
@@ -1289,11 +1251,9 @@ impl FilterIndex {
     }
 
     fn intern_pred(&mut self, pred: &Predicate) -> usize {
-        if self.options.dedup {
-            if let Some(&idx) = self.pred_lookup.get(pred) {
-                self.preds[idx].refcount += 1;
-                return idx;
-            }
+        if let Some(&idx) = self.pred_lookup.get(pred) {
+            self.preds[idx].refcount += 1;
+            return idx;
         }
         self.live_preds += 1;
         let idx = match self.free_preds.pop() {
@@ -1316,9 +1276,7 @@ impl FilterIndex {
                 self.preds.len() - 1
             }
         };
-        if self.options.dedup {
-            self.pred_lookup.insert(pred.clone(), idx);
-        }
+        self.pred_lookup.insert(pred.clone(), idx);
         idx
     }
 
@@ -1357,9 +1315,8 @@ impl FilterIndex {
     fn index_pred(&mut self, idx: usize) {
         self.preds[idx].in_bucket = true;
         let pred = self.preds[idx].pred.clone();
-        let batch = self.options.batch;
         let group = self.groups.entry(pred.path.clone()).or_default();
-        match classify(&pred, batch) {
+        match classify(&pred) {
             Bucket::Threshold(op, t) => {
                 let vec = match op {
                     CmpOp::Lt => &mut group.lt,
@@ -1382,7 +1339,7 @@ impl FilterIndex {
         let Some(group) = self.groups.get_mut(&pred.path) else {
             return;
         };
-        match classify(pred, self.options.batch) {
+        match classify(pred) {
             Bucket::Threshold(op, _) => {
                 let vec = match op {
                     CmpOp::Lt => &mut group.lt,
@@ -1417,13 +1374,7 @@ enum Bucket {
     General,
 }
 
-fn classify(pred: &Predicate, batch: bool) -> Bucket {
-    if !batch {
-        return match pred.op {
-            CmpOp::Exists => Bucket::Exists,
-            _ => Bucket::General,
-        };
-    }
+fn classify(pred: &Predicate) -> Bucket {
     match pred.op {
         CmpOp::Exists => Bucket::Exists,
         CmpOp::Eq => match &pred.operand {

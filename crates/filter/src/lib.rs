@@ -71,7 +71,7 @@ pub use expr::{
     CmpOp, EvalNode, InvalidFilter, InvocationTree, LocalFilter, Predicate, RemoteFilter,
     MAX_WIRE_NODES, MAX_WIRE_PREDICATES,
 };
-pub use index::{FilterId, FilterIndex, IndexOptions, IndexStats};
+pub use index::{FilterId, FilterIndex, IndexStats};
 pub use path::PropPath;
 pub use value::{IntoValue, PropertySource, Value};
 

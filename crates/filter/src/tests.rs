@@ -987,21 +987,11 @@ mod index {
     }
 }
 
-mod ablation {
+mod mechanisms {
     use super::*;
-    use crate::IndexOptions;
-
-    fn all_option_combos() -> [IndexOptions; 4] {
-        [
-            IndexOptions { dedup: true, batch: true },
-            IndexOptions { dedup: true, batch: false },
-            IndexOptions { dedup: false, batch: true },
-            IndexOptions { dedup: false, batch: false },
-        ]
-    }
 
     #[test]
-    fn every_option_combo_matches_identically() {
+    fn indexed_matches_naive_before_and_after_removal() {
         let filters = [
             rfilter!(price < 100.0 && company contains "Telco"),
             rfilter!(price >= 50.0),
@@ -1014,36 +1004,26 @@ mod ablation {
             quote("Banco", 5.0, 1),
             quote("Telco", 200.0, 6),
         ];
-        for options in all_option_combos() {
-            let mut index = FilterIndex::with_options(options);
-            let ids: Vec<_> = filters.iter().map(|f| index.insert(f.clone())).collect();
-            for event in &events {
-                assert_eq!(
-                    index.matching(event),
-                    index.naive_matching(event),
-                    "options {options:?}"
-                );
-            }
-            index.remove(ids[0]);
-            for event in &events {
-                assert_eq!(
-                    index.matching(event),
-                    index.naive_matching(event),
-                    "after removal, options {options:?}"
-                );
-            }
+        let mut index = FilterIndex::new();
+        let ids: Vec<_> = filters.iter().map(|f| index.insert(f.clone())).collect();
+        for event in &events {
+            assert_eq!(index.matching(event), index.naive_matching(event));
+        }
+        index.remove(ids[0]);
+        for event in &events {
+            assert_eq!(index.matching(event), index.naive_matching(event), "after removal");
         }
     }
 
     #[test]
-    fn dedup_off_stores_every_predicate_occurrence() {
-        let mut with = FilterIndex::with_options(IndexOptions { dedup: true, batch: true });
-        let mut without = FilterIndex::with_options(IndexOptions { dedup: false, batch: true });
+    fn equal_predicates_are_stored_once() {
+        let mut index = FilterIndex::new();
         for _ in 0..10 {
-            with.insert(rfilter!(price < 100.0));
-            without.insert(rfilter!(price < 100.0));
+            index.insert(rfilter!(price < 100.0));
         }
-        assert_eq!(with.stats().unique_predicates, 1);
-        assert_eq!(without.stats().unique_predicates, 10);
+        let stats = index.stats();
+        assert_eq!(stats.total_predicates, 10);
+        assert!(stats.unique_predicates < stats.total_predicates);
+        assert_eq!(stats.unique_predicates, 1);
     }
 }

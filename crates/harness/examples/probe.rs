@@ -1,16 +1,16 @@
-use psc_harness::runner;
-use psc_harness::{ProtocolKind, Scenario};
+//! Prints the canonical report of one seed (first argument, default 11)
+//! for every dimension in the table, then what the driver reports for a
+//! failing seed: the durable dimension on disks that drop their fsyncs.
+//! Run it twice and `cmp` the outputs to check the determinism contract.
+
+use psc_harness::dimension;
+use psc_harness::durable::Durable;
 
 fn main() {
-    for (seed, kind) in [
-        (11u64, ProtocolKind::Fifo),
-        (8, ProtocolKind::Causal),
-        (340, ProtocolKind::Causal),
-        (56, ProtocolKind::Total),
-    ] {
-        let mut s = Scenario::generate(seed);
-        s.protocol = kind;
-        let outcome = runner::run_scenario(&s);
-        println!("==== seed {seed} {} ====\n{}\n", kind.name(), runner::report(&s, &outcome));
+    let seed = std::env::args().nth(1).map_or(11, |arg| arg.parse().expect("seed is a u64"));
+    for row in dimension::table() {
+        println!("==== {} seed {seed} ====\n{}", row.name, (row.replay)(seed).0);
     }
+    let broken = Durable { drop_syncs: true };
+    println!("==== broken control ====\n{}", dimension::check(&broken, 0).unwrap_err());
 }

@@ -28,8 +28,7 @@ pub struct SkewedMarkers;
 
 impl SkewedMarkers {
     /// One node incarnation with the capture-before-processing rule turned
-    /// off; pass to
-    /// [`snapshot::run_snapshot_with`](crate::snapshot::run_snapshot_with).
+    /// off; plug into [`Snapshot::make_node`](crate::snapshot::Snapshot).
     pub fn node(cluster: Vec<NodeId>) -> Box<dyn Node> {
         Box::new(DaceNode::new(cluster, DaceConfig::default()).capture_after_processing())
     }
@@ -47,35 +46,26 @@ struct BrokenData {
     payload: WireBytes,
 }
 
-/// A "FIFO" broadcast with the sequence check disabled: it numbers and
-/// relays messages exactly like [`psc_group::Fifo`] but delivers in
-/// arrival order, without the hold-back queue. Under latency jitter this
-/// reorders per-publisher messages — the defect the FIFO oracle must
-/// catch.
+/// The healthy half both defective protocols share: number own messages,
+/// relay every first sighting to all other members, drop repeats. What is
+/// done with a foreign message after [`Flood::accept`] is the defect.
 #[derive(Debug, Default)]
-pub struct BrokenFifo {
+struct Flood {
     next_seq: u64,
     seen: HashSet<BrokenId>,
 }
 
-impl BrokenFifo {
-    /// Creates a broken-FIFO instance.
-    pub fn new() -> Self {
-        BrokenFifo::default()
-    }
-
+impl Flood {
     fn relay(&self, io: &mut dyn GroupIo, data: &BrokenData) {
         let me = io.self_id();
-        let bytes = psc_codec::to_wire_bytes(data).expect("broken-fifo message encodes");
+        let bytes = psc_codec::to_wire_bytes(data).expect("broken-protocol message encodes");
         for member in io.members().to_vec() {
             if member != me {
                 io.send(member, bytes.clone());
             }
         }
     }
-}
 
-impl Multicast for BrokenFifo {
     fn broadcast(&mut self, io: &mut dyn GroupIo, payload: WireBytes) {
         let me = io.self_id();
         self.next_seq += 1;
@@ -90,16 +80,35 @@ impl Multicast for BrokenFifo {
         }
     }
 
-    fn on_message(&mut self, io: &mut dyn GroupIo, _from: NodeId, bytes: &[u8]) {
-        let Ok(data) = psc_codec::from_bytes::<BrokenData>(bytes) else {
-            return;
-        };
+    /// Decodes and relays a message seen for the first time.
+    fn accept(&mut self, io: &mut dyn GroupIo, bytes: &[u8]) -> Option<BrokenData> {
+        let data = psc_codec::from_bytes::<BrokenData>(bytes).ok()?;
         if !self.seen.insert(data.id) {
-            return;
+            return None;
         }
         self.relay(io, &data);
-        // The defect: immediate delivery, no per-origin sequencing.
-        io.deliver(NodeId(data.id.origin), data.payload);
+        Some(data)
+    }
+}
+
+/// A "FIFO" broadcast with the sequence check disabled: it numbers and
+/// relays messages exactly like [`psc_group::Fifo`] but delivers in
+/// arrival order, without the hold-back queue. Under latency jitter this
+/// reorders per-publisher messages — the defect the FIFO oracle must
+/// catch.
+#[derive(Debug, Default)]
+pub struct BrokenFifo(Flood);
+
+impl Multicast for BrokenFifo {
+    fn broadcast(&mut self, io: &mut dyn GroupIo, payload: WireBytes) {
+        self.0.broadcast(io, payload);
+    }
+
+    fn on_message(&mut self, io: &mut dyn GroupIo, _from: NodeId, bytes: &[u8]) {
+        if let Some(data) = self.0.accept(io, bytes) {
+            // The defect: immediate delivery, no per-origin sequencing.
+            io.deliver(NodeId(data.id.origin), data.payload);
+        }
     }
 
     fn proto_name(&self) -> &'static str {
@@ -120,53 +129,18 @@ impl Multicast for BrokenFifo {
 /// went in and never came out.
 #[derive(Debug, Default)]
 pub struct Stalling {
-    next_seq: u64,
-    seen: HashSet<BrokenId>,
+    flood: Flood,
     buffer: Vec<BrokenData>,
-}
-
-impl Stalling {
-    /// Creates a stalling instance.
-    pub fn new() -> Self {
-        Stalling::default()
-    }
-
-    fn relay(&self, io: &mut dyn GroupIo, data: &BrokenData) {
-        let me = io.self_id();
-        let bytes = psc_codec::to_wire_bytes(data).expect("stalling message encodes");
-        for member in io.members().to_vec() {
-            if member != me {
-                io.send(member, bytes.clone());
-            }
-        }
-    }
 }
 
 impl Multicast for Stalling {
     fn broadcast(&mut self, io: &mut dyn GroupIo, payload: WireBytes) {
-        let me = io.self_id();
-        self.next_seq += 1;
-        let data = BrokenData {
-            id: BrokenId { origin: me.0, seq: self.next_seq },
-            payload: payload.clone(),
-        };
-        self.seen.insert(data.id);
-        self.relay(io, &data);
-        if io.members().contains(&me) {
-            io.deliver(me, payload);
-        }
+        self.flood.broadcast(io, payload);
     }
 
     fn on_message(&mut self, io: &mut dyn GroupIo, _from: NodeId, bytes: &[u8]) {
-        let Ok(data) = psc_codec::from_bytes::<BrokenData>(bytes) else {
-            return;
-        };
-        if !self.seen.insert(data.id) {
-            return;
-        }
-        self.relay(io, &data);
         // The defect: park forever instead of delivering.
-        self.buffer.push(data);
+        self.buffer.extend(self.flood.accept(io, bytes));
     }
 
     fn proto_name(&self) -> &'static str {

@@ -6,14 +6,9 @@
 //! position warrants (Fig. 4 lattice: `Causal` is also checked for FIFO,
 //! every protocol for integrity, completeness wherever guaranteed).
 //!
-//! Failure workflow:
-//! 1. [`check_seed`] runs the scenario **twice** and compares the rendered
-//!    traces byte-for-byte (the determinism oracle), then checks
-//!    invariants;
-//! 2. on a violation, [`shrink`] greedily deletes schedule operations and
-//!    simplifies the network while the failure reproduces;
-//! 3. the returned report carries the seed (`HARNESS_SEED=<seed>` replays
-//!    exactly this scenario) and the shrunk schedule.
+//! [`Group`] plugs this into the [`dimension`](crate::dimension) driver:
+//! its reductions delete schedule operations and simplify the network, and
+//! its post-mortem adds every node's flight recorder (text + JSON).
 
 use std::sync::Arc;
 
@@ -22,10 +17,10 @@ use psc_group::{GroupIo, Multicast, TimerToken};
 use psc_simnet::{LatencyModel, NodeId, SimConfig, SimNet, SimTime};
 use psc_simnet::Duration as SimDuration;
 use psc_telemetry::json::JsonValue;
-use psc_telemetry::{
-    FlightRecorder, HealthConfig, HealthMonitor, Registry, DEFAULT_FLIGHT_CAPACITY,
-};
+use psc_telemetry::FlightRecorder;
 
+use crate::dimension::{self, edited, without_each, Dimension, PostMortem, Run};
+use crate::fixture::observability;
 use crate::oracle::{self, HealthFinding, Violation};
 use crate::scenario::{Op, ProtocolKind, Scenario};
 use crate::trace::{Delivery, PubRecord, Trace};
@@ -96,13 +91,6 @@ pub fn run_scenario(scenario: &Scenario) -> RunOutcome {
     run_scenario_with(scenario, Arc::new(move || protocol.make()))
 }
 
-/// Runs `scenario` from the given seed.
-pub fn run_seed(seed: u64) -> (Scenario, RunOutcome) {
-    let scenario = Scenario::generate(seed);
-    let outcome = run_scenario(&scenario);
-    (scenario, outcome)
-}
-
 /// Runs `scenario` with an injected protocol factory — this is how tests
 /// prove oracle sensitivity by substituting a deliberately broken protocol
 /// (see [`broken`](crate::broken)).
@@ -117,33 +105,18 @@ pub fn run_scenario_with(scenario: &Scenario, make: ProtoFactory) -> RunOutcome 
     };
     let mut sim = SimNet::new(config);
     let ids: Vec<NodeId> = (0..scenario.nodes as u64).map(NodeId).collect();
-    // One registry per node, owned out here so `group.*` counters survive
-    // crash rebuilds (the factories clone a handle into every incarnation).
-    let registries: Vec<Arc<Registry>> = (0..scenario.nodes)
-        .map(|_| Arc::new(Registry::new()))
-        .collect();
-    // Per-node flight recorders and health monitors, owned out here like
-    // the registries so the diagnosis state survives crash rebuilds. The
-    // monitors write `health.*` into the same per-node registries, which is
-    // how stall counters end up folded into the trace for `check_health`.
-    let recorders: Vec<Arc<FlightRecorder>> = (0..scenario.nodes)
-        .map(|i| Arc::new(FlightRecorder::new(format!("n{i}"), DEFAULT_FLIGHT_CAPACITY)))
-        .collect();
-    let monitors: Vec<Arc<HealthMonitor>> = (0..scenario.nodes)
-        .map(|i| {
-            Arc::new(HealthMonitor::new(
-                registries[i].as_ref().clone(),
-                Some(Arc::clone(&recorders[i])),
-                HealthConfig::default(),
-            ))
-        })
-        .collect();
-    for i in 0..scenario.nodes {
+    // Per-node diagnosis state, owned out here so `group.*` counters and
+    // flight recorders survive crash rebuilds (the factories clone handles
+    // into every incarnation). The monitors write `health.*` into the same
+    // registries, which is how stall counters end up folded into the trace
+    // for `check_health`.
+    let observed: Vec<_> = (0..scenario.nodes).map(observability).collect();
+    for (i, (registry, recorder, monitor)) in observed.iter().enumerate() {
         let mk = Arc::clone(&make);
-        let registry = Arc::clone(&registries[i]);
-        let recorder = Arc::clone(&recorders[i]);
+        let registry = Arc::clone(registry);
+        let recorder = Arc::clone(recorder);
         let watchdog = Watchdog {
-            monitor: Arc::clone(&monitors[i]),
+            monitor: Arc::clone(monitor),
             interval: WATCHDOG_SWEEP,
         };
         sim.add_node(format!("h{i}"), move || {
@@ -159,8 +132,8 @@ pub fn run_scenario_with(scenario: &Scenario, make: ProtoFactory) -> RunOutcome 
         GroupNode::set_members(&mut sim, id, ids.clone());
     }
 
-    // Expand fault windows into a begin/end timeline. The expansion index
-    // breaks timestamp ties in schedule order (faults were sorted ahead of
+    // Expand fault windows into a begin/end timeline. The sort is stable,
+    // so timestamp ties fire in schedule order (faults were sorted ahead of
     // same-time publishes by the generator).
     enum Ev {
         Pub(usize),
@@ -169,22 +142,21 @@ pub fn run_scenario_with(scenario: &Scenario, make: ProtoFactory) -> RunOutcome 
         Part(usize),
         Heal,
     }
-    let mut timeline: Vec<(u64, usize, Ev)> = Vec::new();
+    let mut timeline: Vec<(u64, Ev)> = Vec::new();
     for op in &scenario.ops {
-        let k = timeline.len();
         match *op {
-            Op::Publish { node, at_ms } => timeline.push((at_ms, k, Ev::Pub(node))),
+            Op::Publish { node, at_ms } => timeline.push((at_ms, Ev::Pub(node))),
             Op::CrashWindow { node, at_ms, down_ms } => {
-                timeline.push((at_ms, k, Ev::Crash(node)));
-                timeline.push((at_ms + down_ms, k + 1, Ev::Recover(node)));
+                timeline.push((at_ms, Ev::Crash(node)));
+                timeline.push((at_ms + down_ms, Ev::Recover(node)));
             }
             Op::PartitionWindow { split, at_ms, dur_ms } => {
-                timeline.push((at_ms, k, Ev::Part(split)));
-                timeline.push((at_ms + dur_ms, k + 1, Ev::Heal));
+                timeline.push((at_ms, Ev::Part(split)));
+                timeline.push((at_ms + dur_ms, Ev::Heal));
             }
         }
     }
-    timeline.sort_by_key(|&(at, k, _)| (at, k));
+    timeline.sort_by_key(|&(at, _)| at);
 
     let mut trace = Trace::default();
     for &id in &ids {
@@ -234,7 +206,7 @@ pub fn run_scenario_with(scenario: &Scenario, make: ProtoFactory) -> RunOutcome 
     }
 
     let mut last_at = 0;
-    for (at, _, ev) in timeline {
+    for (at, ev) in timeline {
         sim.run_until(SimTime::from_millis(at));
         drain(&mut sim, &ids, &mut consumed, &incarnation, &mut deps_view, &mut trace);
         match ev {
@@ -295,7 +267,7 @@ pub fn run_scenario_with(scenario: &Scenario, make: ProtoFactory) -> RunOutcome 
     // Fold every node's telemetry snapshot into the trace: aggregated
     // `group.*` wire counters plus the per-node delivered counter the
     // telemetry oracle cross-checks against the delivery logs.
-    for (i, registry) in registries.iter().enumerate() {
+    for (i, (registry, _, _)) in observed.iter().enumerate() {
         let snapshot = registry.snapshot();
         for (name, value) in &snapshot.counters {
             *trace.wire.entry(name.clone()).or_insert(0) += value;
@@ -328,223 +300,117 @@ pub fn run_scenario_with(scenario: &Scenario, make: ProtoFactory) -> RunOutcome 
         violations.extend(oracle::check_complete(&trace));
     }
     let health = oracle::check_health(&trace);
+    let recorders = observed.into_iter().map(|(_, recorder, _)| recorder).collect();
     RunOutcome { trace, violations, health, recorders }
+}
+
+impl RunOutcome {
+    /// The outcome in the form the driver compares: the trace and the
+    /// health findings rendered, the violations as findings.
+    pub fn to_run(&self) -> Run {
+        let mut rendered = self.trace.render();
+        if self.health.is_empty() {
+            rendered.push_str("health: ok\n");
+        } else {
+            rendered.push_str("health:\n");
+            for finding in &self.health {
+                rendered.push_str(&format!("  {finding}\n"));
+            }
+        }
+        Run { rendered, findings: self.violations.iter().map(Violation::to_string).collect() }
+    }
 }
 
 /// Renders a scenario and its outcome into the canonical report format.
 pub fn report(scenario: &Scenario, outcome: &RunOutcome) -> String {
-    let mut out = scenario.describe();
-    out.push_str(&outcome.trace.render());
-    if outcome.violations.is_empty() {
-        out.push_str("violations: none\n");
-    } else {
-        out.push_str("violations:\n");
+    dimension::report(&Group::default(), scenario, &outcome.to_run())
+}
+
+/// The group-protocol dimension. `make == None` runs each scenario with
+/// its own protocol; a broken control injects a defective factory instead
+/// (see [`broken`](crate::broken)).
+#[derive(Clone, Default)]
+pub struct Group {
+    /// Overrides the scenario's protocol.
+    pub make: Option<ProtoFactory>,
+}
+
+impl Group {
+    fn outcome(&self, scenario: &Scenario) -> RunOutcome {
+        match &self.make {
+            Some(make) => run_scenario_with(scenario, Arc::clone(make)),
+            None => run_scenario(scenario),
+        }
+    }
+}
+
+impl Dimension for Group {
+    type Scenario = Scenario;
+    const NAME: &'static str = "group";
+
+    fn generate(&self, seed: u64) -> Scenario {
+        Scenario::generate(seed)
+    }
+
+    fn describe(&self, scenario: &Scenario) -> String {
+        scenario.describe()
+    }
+
+    fn run(&self, scenario: &Scenario) -> Run {
+        self.outcome(scenario).to_run()
+    }
+
+    /// Delete one schedule operation, zero the loss, fix the latency.
+    fn reductions(&self, scenario: &Scenario) -> Vec<Scenario> {
+        let mut out = without_each(scenario, |s| &mut s.ops);
+        if scenario.loss > 0.0 {
+            out.push(edited(scenario, |s| s.loss = 0.0));
+        }
+        if scenario.latency_ms.0 != scenario.latency_ms.1 {
+            out.push(edited(scenario, |s| s.latency_ms = (1, 1)));
+        }
+        out
+    }
+
+    /// Every node's flight-recorder dump as text and — with the findings —
+    /// as JSON, plus the last events of the node the first violation
+    /// implicates as report context. Byte-stable across two runs of the
+    /// same seed (everything in it derives from virtual time).
+    fn post_mortem(&self, scenario: &Scenario) -> Option<PostMortem> {
+        let outcome = self.outcome(scenario);
+        let mut context = String::new();
+        if let Some(v) = outcome.violations.first() {
+            let node = v.node();
+            if let Some(recorder) = outcome.recorders.get(node as usize) {
+                context.push_str(&format!("last flight-recorder events of node {node}:\n"));
+                for event in recorder.last(10) {
+                    context.push_str(&format!("  {}\n", event.render()));
+                }
+            }
+        }
+        let mut violations = JsonValue::arr();
         for v in &outcome.violations {
-            out.push_str(&format!("  {v}\n"));
+            violations = violations.push(v.to_string());
         }
-    }
-    if outcome.health.is_empty() {
-        out.push_str("health: ok\n");
-    } else {
-        out.push_str("health:\n");
+        let mut health = JsonValue::arr();
         for finding in &outcome.health {
-            out.push_str(&format!("  {finding}\n"));
+            health = health.push(finding.to_string());
         }
-    }
-    out
-}
-
-/// The full deterministic text post-mortem of a run: the canonical report
-/// followed by every node's flight-recorder dump. Byte-stable across two
-/// runs of the same seed (everything in it derives from virtual time).
-pub fn post_mortem(scenario: &Scenario, outcome: &RunOutcome) -> String {
-    let mut out = format!("=== post-mortem seed={} ===\n", scenario.seed);
-    out.push_str(&report(scenario, outcome));
-    for recorder in &outcome.recorders {
-        out.push_str(&recorder.dump_text());
-    }
-    out
-}
-
-/// JSON rendering of [`post_mortem`] (same content, machine-readable).
-pub fn post_mortem_json(scenario: &Scenario, outcome: &RunOutcome) -> String {
-    let mut violations = JsonValue::arr();
-    for v in &outcome.violations {
-        violations = violations.push(v.to_string());
-    }
-    let mut health = JsonValue::arr();
-    for finding in &outcome.health {
-        health = health.push(finding.to_string());
-    }
-    let mut nodes = JsonValue::arr();
-    for recorder in &outcome.recorders {
-        nodes = nodes.push(recorder.dump_json());
-    }
-    JsonValue::obj()
-        .set("seed", scenario.seed)
-        .set("protocol", scenario.protocol.name())
-        .set("nodes_in_cluster", scenario.nodes)
-        .set("violations", violations)
-        .set("health", health)
-        .set("nodes", nodes)
-        .render()
-}
-
-/// Writes the text + JSON post-mortems of a failing run under
-/// `HARNESS_DUMP_DIR` (if set) and renders the failure context that goes
-/// into the seed's error report: the dump paths plus the last flight
-/// recorder events of the node the first violation implicates.
-fn dump_failure(seed: u64, scenario: &Scenario, outcome: &RunOutcome) -> String {
-    let mut out = String::new();
-    if let Some(v) = outcome.violations.first() {
-        let node = v.node();
-        if let Some(recorder) = outcome.recorders.get(node as usize) {
-            out.push_str(&format!("last flight-recorder events of node {node}:\n"));
-            for event in recorder.last(10) {
-                out.push_str(&format!("  {}\n", event.render()));
-            }
+        let mut nodes = JsonValue::arr();
+        for recorder in &outcome.recorders {
+            nodes = nodes.push(recorder.dump_json());
         }
+        let json = JsonValue::obj()
+            .set("seed", scenario.seed)
+            .set("protocol", scenario.protocol.name())
+            .set("nodes_in_cluster", scenario.nodes)
+            .set("violations", violations)
+            .set("health", health)
+            .set("nodes", nodes)
+            .render();
+        let text = outcome.recorders.iter().map(|recorder| recorder.dump_text()).collect();
+        Some(PostMortem { context, text, json })
     }
-    if let Ok(dir) = std::env::var("HARNESS_DUMP_DIR") {
-        let base = std::path::PathBuf::from(dir);
-        if std::fs::create_dir_all(&base).is_ok() {
-            let txt = base.join(format!("postmortem_seed{seed}.txt"));
-            let json = base.join(format!("postmortem_seed{seed}.json"));
-            let txt_ok = std::fs::write(&txt, post_mortem(scenario, outcome)).is_ok();
-            let json_ok = std::fs::write(&json, post_mortem_json(scenario, outcome)).is_ok();
-            if txt_ok && json_ok {
-                out.push_str(&format!(
-                    "post-mortem dumped to: {} and {}\n",
-                    txt.display(),
-                    json.display()
-                ));
-            }
-        }
-    }
-    out
-}
-
-/// Greedy schedule shrinking: while the failure reproduces, delete
-/// operations one at a time, then try zero loss and fixed latency. The
-/// result is the smallest schedule this pass structure can reach — enough
-/// to read a counterexample at a glance.
-pub fn shrink(scenario: &Scenario, make: &ProtoFactory) -> Scenario {
-    let violates = |s: &Scenario| !run_scenario_with(s, Arc::clone(make)).violations.is_empty();
-    let mut current = scenario.clone();
-    loop {
-        let mut progressed = false;
-        let mut i = 0;
-        while i < current.ops.len() {
-            let mut candidate = current.clone();
-            candidate.ops.remove(i);
-            if violates(&candidate) {
-                current = candidate;
-                progressed = true;
-            } else {
-                i += 1;
-            }
-        }
-        if current.loss > 0.0 {
-            let mut candidate = current.clone();
-            candidate.loss = 0.0;
-            if violates(&candidate) {
-                current = candidate;
-                progressed = true;
-            }
-        }
-        if current.latency_ms.0 != current.latency_ms.1 {
-            let mut candidate = current.clone();
-            candidate.latency_ms = (1, 1);
-            if violates(&candidate) {
-                current = candidate;
-                progressed = true;
-            }
-        }
-        if !progressed {
-            return current;
-        }
-    }
-}
-
-/// Runs one seed end to end: determinism check (two runs must render
-/// byte-identical traces), then the invariant oracles; on failure, shrinks
-/// and returns a replayable report.
-pub fn check_seed(seed: u64) -> Result<(), String> {
-    let scenario = Scenario::generate(seed);
-    let protocol = scenario.protocol;
-    check_scenario_with(&scenario, Arc::new(move || protocol.make()))
-}
-
-/// The full [`check_seed`] pipeline — determinism check, invariant
-/// oracles, schedule shrinking, post-mortem dumping (`HARNESS_DUMP_DIR`) —
-/// against an arbitrary protocol factory, so defective or experimental
-/// protocols can be regression-pinned with the same failure workflow the
-/// fuzzer uses.
-pub fn check_scenario_with(scenario: &Scenario, make: ProtoFactory) -> Result<(), String> {
-    let seed = scenario.seed;
-    let first = run_scenario_with(scenario, Arc::clone(&make));
-    let second = run_scenario_with(scenario, Arc::clone(&make));
-    let rendered = report(scenario, &first);
-    if rendered != report(scenario, &second) {
-        return Err(format!(
-            "seed {seed}: NONDETERMINISM — two runs of the same scenario diverged\n\
-             first run:\n{rendered}"
-        ));
-    }
-    if first.violations.is_empty() {
-        return Ok(());
-    }
-    let shrunk = shrink(scenario, &make);
-    let shrunk_outcome = run_scenario_with(&shrunk, make);
-    Err(format!(
-        "seed {seed} ({}, {} nodes): {} invariant violation(s)\n\
-         replay with: HARNESS_SEED={seed} cargo test --test harness_smoke\n\
-         {}\
-         === original run ===\n{}\
-         === shrunk counterexample ({} ops) ===\n{}",
-        scenario.protocol.name(),
-        scenario.nodes,
-        first.violations.len(),
-        dump_failure(seed, scenario, &first),
-        rendered,
-        shrunk.ops.len(),
-        report(&shrunk, &shrunk_outcome),
-    ))
-}
-
-/// Smoke entry point: checks each seed in turn, stopping at the first
-/// failure with its full report.
-pub fn smoke(seeds: &[u64]) -> Result<(), String> {
-    for &seed in seeds {
-        check_seed(seed)?;
-    }
-    Ok(())
-}
-
-/// The seed list for the tier-1 smoke test: `HARNESS_SEED` (replay one
-/// seed) overrides the default `0..count` sweep.
-pub fn smoke_seeds(count: u64) -> Vec<u64> {
-    match std::env::var("HARNESS_SEED") {
-        Ok(value) => {
-            let seed = value
-                .trim()
-                .parse()
-                .unwrap_or_else(|_| panic!("HARNESS_SEED must be a u64, got {value:?}"));
-            vec![seed]
-        }
-        Err(_) => (0..count).collect(),
-    }
-}
-
-/// Seeds for the long fuzz mode: `HARNESS_FUZZ=N` enables a sweep of `N`
-/// fresh seeds (offset away from the smoke range); unset means skip.
-pub fn fuzz_seeds() -> Option<Vec<u64>> {
-    let value = std::env::var("HARNESS_FUZZ").ok()?;
-    let count: u64 = value
-        .trim()
-        .parse()
-        .unwrap_or_else(|_| panic!("HARNESS_FUZZ must be a u64, got {value:?}"));
-    Some((10_000..10_000 + count).collect())
 }
 
 #[cfg(test)]
@@ -558,7 +424,8 @@ mod tests {
     /// oracle misread an in-order delivery as a post-restart gap.
     #[test]
     fn seed_12805_overlapping_crash_windows() {
-        assert!(check_seed(12805).is_ok(), "{}", check_seed(12805).unwrap_err());
+        let checked = dimension::check(&Group::default(), 12805);
+        assert!(checked.is_ok(), "{}", checked.unwrap_err());
     }
 
     /// The same defect as a literal schedule, immune to future generator

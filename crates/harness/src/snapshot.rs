@@ -37,7 +37,6 @@
 //! must catch the resulting inconsistent cut.
 
 use std::collections::BTreeSet;
-use std::sync::{Arc, Mutex};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -45,10 +44,12 @@ use rand::{Rng, SeedableRng};
 use psc_dace::{DaceConfig, DaceNode};
 use psc_obvent::builtin::Certified;
 use psc_obvent::{declare_obvent_model, Obvent};
-use psc_simnet::Duration as SimDuration;
-use psc_simnet::{LatencyModel, Node, NodeId, SimConfig, SimNet, SimTime};
+use psc_simnet::{Node, NodeId};
 use psc_snapshot::{ClusterCut, MsgRef};
 use pubsub_core::FilterSpec;
+
+use crate::dimension::{edited, without_each, Dimension, Run};
+use crate::fixture::{activate, chaos_sim, exactly_once, run_chaos, subscribe};
 
 declare_obvent_model! {
     /// The snapshot fuzz workload: a certified obvent carrying its publish
@@ -102,9 +103,34 @@ pub struct SnapScenario {
     pub snap_at_ms: u64,
 }
 
-impl SnapScenario {
-    /// Samples a snapshot scenario from `seed`.
-    pub fn generate(seed: u64) -> SnapScenario {
+/// Builds one (re)built node incarnation from the cluster list.
+pub type MakeNode = fn(Vec<NodeId>) -> Box<dyn Node>;
+
+fn healthy_node(cluster: Vec<NodeId>) -> Box<dyn Node> {
+    Box::new(DaceNode::new(cluster, DaceConfig::default()))
+}
+
+/// The snapshot dimension, with the node constructor switchable: the
+/// default builds nodes with the correct capture discipline, and
+/// [`broken::SkewedMarkers::node`](crate::broken::SkewedMarkers::node) is
+/// the deliberately broken marker discipline the oracles must catch.
+#[derive(Debug, Clone, Copy)]
+pub struct Snapshot {
+    /// Builds every node incarnation of the run.
+    pub make_node: MakeNode,
+}
+
+impl Default for Snapshot {
+    fn default() -> Self {
+        Snapshot { make_node: healthy_node }
+    }
+}
+
+impl Dimension for Snapshot {
+    type Scenario = SnapScenario;
+    const NAME: &'static str = "snapshot";
+
+    fn generate(&self, seed: u64) -> SnapScenario {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5ee0_c47c_04a7_0001);
         let nodes = rng.gen_range(3..=4usize);
         let loss = [0.0, 0.05, 0.1, 0.2][rng.gen_range(0..4usize)];
@@ -129,16 +155,15 @@ impl SnapScenario {
         SnapScenario { seed, nodes, loss, pubs, crashes, snap_at_ms }
     }
 
-    /// Deterministic description used in reports.
-    pub fn describe(&self) -> String {
+    fn describe(&self, scenario: &SnapScenario) -> String {
         let mut out = format!(
             "snapshot scenario seed={} nodes={} loss={} snap_at={}ms\n",
-            self.seed, self.nodes, self.loss, self.snap_at_ms
+            scenario.seed, scenario.nodes, scenario.loss, scenario.snap_at_ms
         );
-        for (i, p) in self.pubs.iter().enumerate() {
+        for (i, p) in scenario.pubs.iter().enumerate() {
             out.push_str(&format!("  pub#{i} at={}ms\n", p.at_ms));
         }
-        for (i, c) in self.crashes.iter().enumerate() {
+        for (i, c) in scenario.crashes.iter().enumerate() {
             out.push_str(&format!(
                 "  crash#{i} node={} at={}ms down={}ms\n",
                 c.node, c.at_ms, c.down_ms
@@ -146,137 +171,78 @@ impl SnapScenario {
         }
         out
     }
-}
 
-/// What a snapshot run observed.
-#[derive(Debug, Clone)]
-pub struct SnapOutcome {
-    /// The completed cut, when the wave terminated.
-    pub cut: Option<ClusterCut>,
-    /// Values delivered to each subscriber incarnation, in delivery order
-    /// (a crash cycle opens a new incarnation for the crashed node).
-    pub got: Vec<(usize, Vec<u64>)>,
-    /// Snapshot-oracle findings, empty on a healthy run.
-    pub violations: Vec<String>,
-}
-
-impl SnapOutcome {
-    /// Canonical rendering (the determinism check compares these): the
-    /// byte-stable cluster image followed by the delivery log.
-    pub fn render(&self) -> String {
-        let mut out = match &self.cut {
-            Some(cut) => cut.render(),
-            None => "  (no completed cut)\n".to_string(),
-        };
-        for (i, (node, got)) in self.got.iter().enumerate() {
-            out.push_str(&format!("  inc#{i} node={node} got={got:?}\n"));
+    /// Executes the scenario and applies the cut oracles. The rendering is
+    /// the byte-stable cluster image followed by the values delivered to
+    /// each subscriber incarnation, in delivery order (a crash cycle opens
+    /// a new incarnation for the crashed node).
+    fn run(&self, scenario: &SnapScenario) -> Run {
+        let _ = SnapTick::kind();
+        let make_node = self.make_node;
+        let mut sim = chaos_sim(scenario.seed);
+        let ids: Vec<NodeId> = (0..scenario.nodes as u64).map(NodeId).collect();
+        for i in 0..scenario.nodes {
+            let cluster = ids.clone();
+            sim.add_node(format!("s{i}"), move || make_node(cluster.clone()));
         }
-        out
-    }
-}
+        let key = |e: &SnapTick| *e.n();
+        let mut sinks: Vec<_> = (1..scenario.nodes)
+            .map(|n| (n, subscribe(&mut sim, ids[n], FilterSpec::accept_all(), key, activate)))
+            .collect();
 
-type Sink = Arc<Mutex<Vec<u64>>>;
-
-/// Attaches one (volatile) subscriber incarnation.
-fn attach(sim: &mut SimNet, node: NodeId) -> Sink {
-    let sink: Sink = Arc::new(Mutex::new(Vec::new()));
-    let recorder = Arc::clone(&sink);
-    DaceNode::drive(sim, node, move |domain| {
-        let sub = domain.subscribe(FilterSpec::accept_all(), move |e: SnapTick| {
-            recorder.lock().unwrap().push(*e.n());
-        });
-        sub.activate().expect("subscriber attach");
-        sub.detach();
-    });
-    sink
-}
-
-/// Builds one (re)built node incarnation from the cluster list.
-pub type MakeNode = fn(Vec<NodeId>) -> Box<dyn Node>;
-
-fn healthy_node(cluster: Vec<NodeId>) -> Box<dyn Node> {
-    Box::new(DaceNode::new(cluster, DaceConfig::default()))
-}
-
-/// Executes a snapshot scenario with the correct capture discipline and
-/// applies the cut oracles.
-pub fn run_snapshot(scenario: &SnapScenario) -> SnapOutcome {
-    run_snapshot_with(scenario, healthy_node)
-}
-
-/// [`run_snapshot`] with the node constructor switchable — pass
-/// [`broken::SkewedMarkers::node`](crate::broken::SkewedMarkers::node) to
-/// run the deliberately broken marker discipline the oracles must catch.
-pub fn run_snapshot_with(scenario: &SnapScenario, make_node: MakeNode) -> SnapOutcome {
-    let _ = SnapTick::kind();
-    let mut sim = SimNet::new(SimConfig {
-        seed: scenario.seed,
-        latency: LatencyModel::Uniform {
-            min: SimDuration::from_millis(1),
-            max: SimDuration::from_millis(5),
-        },
-        drop_probability: 0.0,
-    });
-    let ids: Vec<NodeId> = (0..scenario.nodes as u64).map(NodeId).collect();
-    for i in 0..scenario.nodes {
-        let cluster = ids.clone();
-        sim.add_node(format!("s{i}"), move || make_node(cluster.clone()));
-    }
-    let mut sinks: Vec<(usize, Sink)> = (1..scenario.nodes)
-        .map(|n| (n, attach(&mut sim, ids[n])))
-        .collect();
-
-    enum Ev {
-        Pub(usize),
-        Snap,
-        Crash(usize),
-        Recover(usize),
-    }
-    let mut timeline: Vec<(u64, usize, Ev)> = Vec::new();
-    timeline.push((scenario.snap_at_ms, 0, Ev::Snap));
-    for (i, p) in scenario.pubs.iter().enumerate() {
-        timeline.push((p.at_ms, timeline.len(), Ev::Pub(i)));
-    }
-    for c in &scenario.crashes {
-        timeline.push((c.at_ms, timeline.len(), Ev::Crash(c.node)));
-        timeline.push((c.at_ms + c.down_ms, timeline.len(), Ev::Recover(c.node)));
-    }
-    timeline.sort_by_key(|&(at, k, _)| (at, k));
-
-    // Lossless warmup: subscription announcements converge, so every
-    // certified publish targets every subscriber.
-    sim.run_until(SimTime::from_millis(30));
-    sim.set_drop_probability(scenario.loss);
-
-    let mut last_at = 30;
-    for (at, _, ev) in timeline {
-        sim.run_until(SimTime::from_millis(at.max(30)));
-        match ev {
-            Ev::Pub(i) => {
-                DaceNode::publish_from(&mut sim, ids[PUB_NODE], SnapTick::new(i as u64));
-            }
-            Ev::Snap => DaceNode::snapshot_from(&mut sim, ids[PUB_NODE]),
+        enum Ev {
+            Pub(usize),
+            Snap,
+            Crash(usize),
+            Recover(usize),
+        }
+        let mut timeline = vec![(scenario.snap_at_ms, Ev::Snap)];
+        for (i, p) in scenario.pubs.iter().enumerate() {
+            timeline.push((p.at_ms, Ev::Pub(i)));
+        }
+        for c in &scenario.crashes {
+            timeline.push((c.at_ms, Ev::Crash(c.node)));
+            timeline.push((c.at_ms + c.down_ms, Ev::Recover(c.node)));
+        }
+        run_chaos(&mut sim, scenario.loss, timeline, |sim, ev| match ev {
+            Ev::Pub(i) => DaceNode::publish_from(sim, ids[PUB_NODE], SnapTick::new(i as u64)),
+            Ev::Snap => DaceNode::snapshot_from(sim, ids[PUB_NODE]),
             Ev::Crash(n) => sim.crash(ids[n]),
             Ev::Recover(n) => {
                 sim.recover(ids[n]);
                 // Re-subscribe in the same virtual instant: a plain
                 // subscription is volatile, and certified retransmissions
                 // resume as soon as the node is back.
-                sinks.push((n, attach(&mut sim, ids[n])));
+                sinks.push((n, subscribe(sim, ids[n], FilterSpec::accept_all(), key, activate)));
             }
-        }
-        last_at = at.max(30);
-    }
-    // Lossless settle: certified retransmission finishes delivery and the
-    // marker re-floods terminate the wave.
-    sim.set_drop_probability(0.0);
-    sim.run_until(SimTime::from_millis(last_at + 3_000));
+        });
 
-    let cut = DaceNode::snapshot_cut_of(&mut sim, ids[PUB_NODE]);
-    let got: Vec<(usize, Vec<u64>)> =
-        sinks.iter().map(|(n, s)| (*n, s.lock().unwrap().clone())).collect();
-    let violations = cut_violations(scenario, cut.as_ref(), &got);
-    SnapOutcome { cut, got, violations }
+        let cut = DaceNode::snapshot_cut_of(&mut sim, ids[PUB_NODE]);
+        let got: Vec<(usize, Vec<u64>)> =
+            sinks.iter().map(|(n, s)| (*n, s.lock().unwrap().clone())).collect();
+        let mut rendered = match &cut {
+            Some(cut) => cut.render(),
+            None => "  (no completed cut)\n".to_string(),
+        };
+        for (i, (node, got)) in got.iter().enumerate() {
+            rendered.push_str(&format!("  inc#{i} node={node} got={got:?}\n"));
+        }
+        Run { rendered, findings: cut_violations(scenario, cut.as_ref(), &got) }
+    }
+
+    /// Delete a publish (the oracle needs at least one to count) or a
+    /// crash cycle, zero the loss rate.
+    fn reductions(&self, scenario: &SnapScenario) -> Vec<SnapScenario> {
+        let mut out = Vec::new();
+        if scenario.pubs.len() > 1 {
+            out = without_each(scenario, |s| &mut s.pubs);
+        }
+        out.extend(without_each(scenario, |s| &mut s.crashes));
+        if scenario.loss > 0.0 {
+            out.push(edited(scenario, |s| s.loss = 0.0));
+        }
+        out
+    }
 }
 
 /// The global-invariant oracles over one run's cut and delivery log.
@@ -388,141 +354,8 @@ fn cut_violations(
     // certified delivery — per subscriber node, the union across its
     // incarnations delivers every publish exactly once.
     for node in 1..scenario.nodes {
-        let mut counts = vec![0usize; scenario.pubs.len()];
-        for (_, values) in got.iter().filter(|(n, _)| *n == node) {
-            for &v in values {
-                match counts.get_mut(v as usize) {
-                    Some(c) => *c += 1,
-                    None => violations
-                        .push(format!("n{node}: ghost delivery of unknown value {v}")),
-                }
-            }
-        }
-        for (i, &c) in counts.iter().enumerate() {
-            if c == 0 {
-                violations.push(format!(
-                    "delivery: certified publish #{i} never reached n{node}"
-                ));
-            } else if c > 1 {
-                violations.push(format!(
-                    "delivery: publish #{i} delivered {c} times at n{node} \
-                     (exactly-once broken)"
-                ));
-            }
-        }
+        let delivered = got.iter().filter(|(n, _)| *n == node).flat_map(|(_, values)| values);
+        exactly_once(&format!("n{node}"), scenario.pubs.len(), delivered, &mut violations);
     }
     violations
-}
-
-/// Greedy shrinking for snapshot counterexamples: while the failure
-/// reproduces, delete publishes and crash cycles, then zero the loss rate.
-pub fn shrink_snapshot(scenario: &SnapScenario, make_node: MakeNode) -> SnapScenario {
-    let violates = |s: &SnapScenario| !run_snapshot_with(s, make_node).violations.is_empty();
-    let mut current = scenario.clone();
-    loop {
-        let mut progressed = false;
-        let mut i = 0;
-        while i < current.pubs.len() {
-            if current.pubs.len() == 1 {
-                break; // the oracle needs at least one publish to count
-            }
-            let mut candidate = current.clone();
-            candidate.pubs.remove(i);
-            if violates(&candidate) {
-                current = candidate;
-                progressed = true;
-            } else {
-                i += 1;
-            }
-        }
-        let mut i = 0;
-        while i < current.crashes.len() {
-            let mut candidate = current.clone();
-            candidate.crashes.remove(i);
-            if violates(&candidate) {
-                current = candidate;
-                progressed = true;
-            } else {
-                i += 1;
-            }
-        }
-        if current.loss > 0.0 {
-            let mut candidate = current.clone();
-            candidate.loss = 0.0;
-            if violates(&candidate) {
-                current = candidate;
-                progressed = true;
-            }
-        }
-        if !progressed {
-            return current;
-        }
-    }
-}
-
-/// Writes the text post-mortem of a failing snapshot run under
-/// `HARNESS_DUMP_DIR` (if set); returns the context line for the report.
-fn dump_snapshot_failure(
-    seed: u64,
-    scenario: &SnapScenario,
-    outcome: &SnapOutcome,
-) -> String {
-    let Ok(dir) = std::env::var("HARNESS_DUMP_DIR") else {
-        return String::new();
-    };
-    let base = std::path::PathBuf::from(dir);
-    if std::fs::create_dir_all(&base).is_err() {
-        return String::new();
-    }
-    let path = base.join(format!("snapshot_postmortem_seed{seed}.txt"));
-    let mut dump = format!("=== snapshot post-mortem seed={seed} ===\n");
-    dump.push_str(&scenario.describe());
-    dump.push_str(&outcome.render());
-    for v in &outcome.violations {
-        dump.push_str(&format!("  {v}\n"));
-    }
-    if std::fs::write(&path, dump).is_ok() {
-        format!("post-mortem dumped to: {}\n", path.display())
-    } else {
-        String::new()
-    }
-}
-
-/// Determinism + snapshot oracles for one seed; `Err` carries a full
-/// replayable report with a shrunk counterexample.
-pub fn check_snapshot_seed(seed: u64) -> Result<(), String> {
-    let scenario = SnapScenario::generate(seed);
-    let first = run_snapshot(&scenario);
-    let second = run_snapshot(&scenario);
-    if first.render() != second.render() {
-        return Err(format!(
-            "snapshot seed {seed}: NONDETERMINISM across identical runs\n{}{}",
-            scenario.describe(),
-            first.render()
-        ));
-    }
-    if first.violations.is_empty() {
-        return Ok(());
-    }
-    let shrunk = shrink_snapshot(&scenario, healthy_node);
-    let shrunk_outcome = run_snapshot(&shrunk);
-    Err(format!(
-        "snapshot seed {seed}: {} cut violation(s)\n\
-         replay with: HARNESS_SEED={seed} cargo test --test harness_smoke\n\
-         {}{}{}{}\
-         === shrunk counterexample ({} pubs, {} crashes) ===\n{}{}",
-        first.violations.len(),
-        dump_snapshot_failure(seed, &scenario, &first),
-        scenario.describe(),
-        first.render(),
-        first
-            .violations
-            .iter()
-            .map(|v| format!("  {v}\n"))
-            .collect::<String>(),
-        shrunk.pubs.len(),
-        shrunk.crashes.len(),
-        shrunk.describe(),
-        shrunk_outcome.render(),
-    ))
 }

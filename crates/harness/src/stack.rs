@@ -19,11 +19,11 @@ use psc_filter::{rfilter, Value};
 use psc_obvent::builtin::Reliable;
 use psc_obvent::declare_obvent_model;
 use psc_simnet::{Duration, NodeId, SimConfig, SimNet, SimTime};
-use psc_telemetry::{
-    record_tracer_spans, FlightRecorder, HealthConfig, HealthMonitor, Registry, Tracer,
-    DEFAULT_FLIGHT_CAPACITY,
-};
+use psc_telemetry::{record_tracer_spans, Registry, Tracer};
 use pubsub_core::{FilterSpec, Subscription};
+
+use crate::dimension::{edited, without_each, Dimension, Run};
+use crate::fixture::{activate, observability, sorted, subscribe, Sink};
 
 declare_obvent_model! {
     /// Root of the fuzz hierarchy; every publication carries a unique tag
@@ -59,13 +59,8 @@ pub enum Level {
 impl Level {
     const ALL: [Level; 4] = [Level::Base, Level::Mid, Level::Leaf, Level::Side];
 
-    fn name(self) -> &'static str {
-        match self {
-            Level::Base => "Base",
-            Level::Mid => "Mid",
-            Level::Leaf => "Leaf",
-            Level::Side => "Side",
-        }
+    fn sample(rng: &mut StdRng) -> Level {
+        Level::ALL[rng.gen_range(0..Level::ALL.len())]
     }
 
     /// Subtype routing: does a subscription at `self` receive a
@@ -93,6 +88,14 @@ pub enum FilterKind {
 }
 
 impl FilterKind {
+    fn sample(rng: &mut StdRng) -> FilterKind {
+        match rng.gen_range(0..4u32) {
+            0 | 1 => FilterKind::None,
+            2 => FilterKind::Negative,
+            _ => FilterKind::Large,
+        }
+    }
+
     fn name(self) -> &'static str {
         match self {
             FilterKind::None => "none",
@@ -122,7 +125,7 @@ impl FilterKind {
 }
 
 /// One subscription of a stack scenario.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SubPlan {
     /// Hosting node.
     pub node: usize,
@@ -130,6 +133,12 @@ pub struct SubPlan {
     pub level: Level,
     /// Content filter.
     pub filter: FilterKind,
+}
+
+impl SubPlan {
+    fn describe(&self) -> String {
+        format!("node={} kind={:?} filter={}", self.node, self.level, self.filter.name())
+    }
 }
 
 /// One publication of a stack scenario.
@@ -168,18 +177,14 @@ impl StackScenario {
         let subs = (0..rng.gen_range(1..=4usize))
             .map(|_| SubPlan {
                 node: rng.gen_range(0..nodes),
-                level: Level::ALL[rng.gen_range(0..Level::ALL.len())],
-                filter: match rng.gen_range(0..4u32) {
-                    0 | 1 => FilterKind::None,
-                    2 => FilterKind::Negative,
-                    _ => FilterKind::Large,
-                },
+                level: Level::sample(&mut rng),
+                filter: FilterKind::sample(&mut rng),
             })
             .collect();
         let pubs = (0..rng.gen_range(2..=8usize))
             .map(|tag| PubPlan {
                 node: rng.gen_range(0..nodes),
-                level: Level::ALL[rng.gen_range(0..Level::ALL.len())],
+                level: Level::sample(&mut rng),
                 value: rng.gen_range(-100..=100i64),
                 tag: tag as u64,
             })
@@ -191,20 +196,12 @@ impl StackScenario {
     pub fn describe(&self) -> String {
         let mut out = format!("stack scenario seed={} nodes={}\n", self.seed, self.nodes);
         for (i, s) in self.subs.iter().enumerate() {
-            out.push_str(&format!(
-                "  sub#{i} node={} kind={} filter={}\n",
-                s.node,
-                s.level.name(),
-                s.filter.name()
-            ));
+            out.push_str(&format!("  sub#{i} {}\n", s.describe()));
         }
         for p in &self.pubs {
             out.push_str(&format!(
-                "  pub#{} node={} class={} value={}\n",
-                p.tag,
-                p.node,
-                p.level.name(),
-                p.value
+                "  pub#{} node={} class={:?} value={}\n",
+                p.tag, p.node, p.level, p.value
             ));
         }
         out
@@ -256,30 +253,21 @@ impl StackOutcome {
     }
 }
 
-type Sink = Arc<Mutex<Vec<u64>>>;
-
-fn install(sim: &mut SimNet, node: NodeId, level: Level, filter: FilterKind) -> Sink {
-    let sink: Sink = Arc::new(Mutex::new(Vec::new()));
-    let recorder = Arc::clone(&sink);
-    DaceNode::drive(sim, node, move |domain| {
-        let sub = match level {
-            Level::Base => domain.subscribe(filter.spec(), move |e: FuzzBase| {
-                recorder.lock().unwrap().push(*e.tag());
-            }),
-            Level::Mid => domain.subscribe(filter.spec(), move |e: FuzzMid| {
-                recorder.lock().unwrap().push(*e.tag());
-            }),
-            Level::Leaf => domain.subscribe(filter.spec(), move |e: FuzzLeaf| {
-                recorder.lock().unwrap().push(*e.tag());
-            }),
-            Level::Side => domain.subscribe(filter.spec(), move |e: FuzzSide| {
-                recorder.lock().unwrap().push(*e.tag());
-            }),
-        };
-        sub.activate().unwrap();
-        sub.detach();
-    });
-    sink
+/// Installs the planned subscription, recording delivered tags; `arm`
+/// decides what happens to the still-inactive subscription.
+fn install(
+    sim: &mut SimNet,
+    ids: &[NodeId],
+    plan: &SubPlan,
+    arm: impl FnOnce(Subscription) + 'static,
+) -> Sink {
+    let (node, filter) = (ids[plan.node], plan.filter);
+    match plan.level {
+        Level::Base => subscribe(sim, node, filter.spec(), |e: &FuzzBase| *e.tag(), arm),
+        Level::Mid => subscribe(sim, node, filter.spec(), |e: &FuzzMid| *e.tag(), arm),
+        Level::Leaf => subscribe(sim, node, filter.spec(), |e: &FuzzLeaf| *e.tag(), arm),
+        Level::Side => subscribe(sim, node, filter.spec(), |e: &FuzzSide| *e.tag(), arm),
+    }
 }
 
 fn publish(sim: &mut SimNet, node: NodeId, plan: &PubPlan) {
@@ -309,13 +297,7 @@ pub fn run_stack(scenario: &StackScenario) -> StackOutcome {
         ..DaceConfig::default()
     };
     for i in 0..scenario.nodes {
-        let registry = Arc::new(Registry::new());
-        let recorder = Arc::new(FlightRecorder::new(format!("n{i}"), DEFAULT_FLIGHT_CAPACITY));
-        let monitor = Arc::new(HealthMonitor::new(
-            registry.as_ref().clone(),
-            Some(Arc::clone(&recorder)),
-            HealthConfig::default(),
-        ));
+        let (registry, recorder, monitor) = observability(i);
         sim.add_node(
             format!("s{i}"),
             DaceNode::factory_observable(
@@ -331,7 +313,7 @@ pub fn run_stack(scenario: &StackScenario) -> StackOutcome {
     let sinks: Vec<Sink> = scenario
         .subs
         .iter()
-        .map(|s| install(&mut sim, ids[s.node], s.level, s.filter))
+        .map(|s| install(&mut sim, &ids, s, activate))
         .collect();
     sim.run_until(SimTime::from_millis(30));
 
@@ -343,32 +325,6 @@ pub fn run_stack(scenario: &StackScenario) -> StackOutcome {
     }
     sim.run_until(SimTime::from_millis(at + 800));
 
-    let mut expected = scenario.expected();
-    for tags in &mut expected {
-        tags.sort_unstable();
-    }
-    let got: Vec<Vec<u64>> = sinks
-        .iter()
-        .map(|sink| {
-            let mut tags = sink.lock().unwrap().clone();
-            tags.sort_unstable();
-            tags
-        })
-        .collect();
-
-    let mut violations = Vec::new();
-    for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
-        if g != e {
-            let s = &scenario.subs[i];
-            violations.push(format!(
-                "sub#{i} (node {}, kind {}, filter {}): got {g:?}, expected {e:?}",
-                s.node,
-                s.level.name(),
-                s.filter.name()
-            ));
-        }
-    }
-
     // Fold the trace stream into latency spans; a scratch registry absorbs
     // the histograms (per-run, the counts are what the determinism check
     // renders).
@@ -376,43 +332,61 @@ pub fn run_stack(scenario: &StackScenario) -> StackOutcome {
     let spans = record_tracer_spans(&tracer, &span_registry);
     let e2e_samples = spans.iter().map(|s| s.e2e.len()).sum();
 
-    StackOutcome {
-        expected,
-        got,
-        violations,
-        spans: spans.len(),
-        e2e_samples,
-    }
+    StackOutcome { spans: spans.len(), e2e_samples, ..routing_oracle(scenario, &sinks, "") }
 }
 
-/// Determinism + routing oracle for one stack seed; `Err` carries a full
-/// replayable report.
-pub fn check_stack_seed(seed: u64) -> Result<(), String> {
-    let scenario = StackScenario::generate(seed);
-    let first = run_stack(&scenario);
-    let second = run_stack(&scenario);
-    if first.render() != second.render() {
-        return Err(format!(
-            "stack seed {seed}: NONDETERMINISM across identical runs\n{}{}",
-            scenario.describe(),
-            first.render()
-        ));
+/// The exact routing oracle: each subscription's sorted tags against what
+/// its kind and filter say it must receive (`label` prefixes the findings).
+/// The span counts are left at zero.
+fn routing_oracle(scenario: &StackScenario, sinks: &[Sink], label: &str) -> StackOutcome {
+    let mut expected = scenario.expected();
+    for tags in &mut expected {
+        tags.sort_unstable();
     }
-    if first.violations.is_empty() {
-        return Ok(());
+    let got: Vec<Vec<u64>> = sinks.iter().map(sorted).collect();
+    let mut violations = Vec::new();
+    for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
+        if g != e {
+            let s = &scenario.subs[i];
+            violations.push(format!(
+                "{label}sub#{i} (node {}, kind {:?}, filter {}): got {g:?}, expected {e:?}",
+                s.node,
+                s.level,
+                s.filter.name()
+            ));
+        }
     }
-    Err(format!(
-        "stack seed {seed}: {} routing violation(s)\n\
-         replay with: HARNESS_SEED={seed} cargo test --test harness_smoke\n{}{}{}",
-        first.violations.len(),
-        scenario.describe(),
-        first.render(),
-        first
-            .violations
-            .iter()
-            .map(|v| format!("  {v}\n"))
-            .collect::<String>(),
-    ))
+    StackOutcome { expected, got, violations, spans: 0, e2e_samples: 0 }
+}
+
+/// The full-stack routing dimension.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Stack;
+
+impl Dimension for Stack {
+    type Scenario = StackScenario;
+    const NAME: &'static str = "stack";
+
+    fn generate(&self, seed: u64) -> StackScenario {
+        StackScenario::generate(seed)
+    }
+
+    fn describe(&self, scenario: &StackScenario) -> String {
+        scenario.describe()
+    }
+
+    fn run(&self, scenario: &StackScenario) -> Run {
+        let outcome = run_stack(scenario);
+        Run { rendered: outcome.render(), findings: outcome.violations }
+    }
+
+    /// Delete a subscription or a publication (tags are kept, so the
+    /// survivors stay recognisable).
+    fn reductions(&self, scenario: &StackScenario) -> Vec<StackScenario> {
+        let mut out = without_each(scenario, |s| &mut s.subs);
+        out.extend(without_each(scenario, |s| &mut s.pubs));
+        out
+    }
 }
 
 // ---- churn storms ------------------------------------------------------
@@ -424,12 +398,8 @@ pub fn check_stack_seed(seed: u64) -> Result<(), String> {
 /// matched through it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChurnPlan {
-    /// Hosting node.
-    pub node: usize,
-    /// Subscribed kind.
-    pub level: Level,
-    /// Content filter.
-    pub filter: FilterKind,
+    /// Where it lives and what it subscribes to.
+    pub sub: SubPlan,
     /// Publish window before which the subscription activates.
     pub join_before: usize,
     /// Publish window before which it deactivates (`pubs.len()` means it
@@ -448,111 +418,16 @@ pub struct ChurnScenario {
     pub churn: Vec<ChurnPlan>,
 }
 
-impl ChurnScenario {
-    /// Samples a churn storm from `seed`: the stable scenario from the same
-    /// seed, plus 3–8 transient subscriptions with random activity windows.
-    pub fn generate(seed: u64) -> ChurnScenario {
-        let stack = StackScenario::generate(seed);
-        // A distinct stream keeps the stable part byte-identical to the
-        // plain stack scenario of the same seed.
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xc42a_0157_0217_ed11);
-        let windows = stack.pubs.len();
-        let churn = (0..rng.gen_range(3..=8usize))
-            .map(|_| {
-                let join_before = rng.gen_range(0..windows);
-                ChurnPlan {
-                    node: rng.gen_range(0..stack.nodes),
-                    level: Level::ALL[rng.gen_range(0..Level::ALL.len())],
-                    filter: match rng.gen_range(0..4u32) {
-                        0 | 1 => FilterKind::None,
-                        2 => FilterKind::Negative,
-                        _ => FilterKind::Large,
-                    },
-                    join_before,
-                    leave_before: rng.gen_range(join_before..=windows),
-                }
-            })
-            .collect();
-        ChurnScenario { stack, churn }
-    }
-
-    /// Deterministic description used in reports.
-    pub fn describe(&self) -> String {
-        let mut out = self.stack.describe();
-        for (i, c) in self.churn.iter().enumerate() {
-            out.push_str(&format!(
-                "  churn#{i} node={} kind={} filter={} join_before={} leave_before={}\n",
-                c.node,
-                c.level.name(),
-                c.filter.name(),
-                c.join_before,
-                c.leave_before
-            ));
-        }
-        out
-    }
-}
-
-/// What a churn-storm run observed.
-#[derive(Debug, Clone)]
-pub struct ChurnOutcome {
-    /// The stable subscriptions' outcome (exact routing oracle).
-    pub stable: StackOutcome,
-    /// Tags each churn subscription received (sorted).
-    pub churn_got: Vec<Vec<u64>>,
-    /// Churn-integrity and filter-oracle findings, empty on a healthy run.
-    pub violations: Vec<String>,
-    /// Filter-oracle probes executed mid-storm.
-    pub oracle_probes: usize,
-}
-
-impl ChurnOutcome {
-    /// Canonical rendering (the determinism check compares these).
-    pub fn render(&self) -> String {
-        let mut out = self.stable.render();
-        for (i, got) in self.churn_got.iter().enumerate() {
-            out.push_str(&format!("  churn#{i} got={got:?}\n"));
-        }
-        out.push_str(&format!("  oracle_probes={}\n", self.oracle_probes));
-        out
-    }
-}
-
 /// Shared slot for a subscription handle that is activated/deactivated
 /// from later simulation callbacks.
 type SubSlot = Arc<Mutex<Option<Subscription>>>;
 
-fn install_inactive(sim: &mut SimNet, node: NodeId, level: Level, filter: FilterKind) -> (Sink, SubSlot) {
-    let sink: Sink = Arc::new(Mutex::new(Vec::new()));
-    let slot: SubSlot = Arc::new(Mutex::new(None));
-    let recorder = Arc::clone(&sink);
-    let stash = Arc::clone(&slot);
-    DaceNode::drive(sim, node, move |domain| {
-        let sub = match level {
-            Level::Base => domain.subscribe(filter.spec(), move |e: FuzzBase| {
-                recorder.lock().unwrap().push(*e.tag());
-            }),
-            Level::Mid => domain.subscribe(filter.spec(), move |e: FuzzMid| {
-                recorder.lock().unwrap().push(*e.tag());
-            }),
-            Level::Leaf => domain.subscribe(filter.spec(), move |e: FuzzLeaf| {
-                recorder.lock().unwrap().push(*e.tag());
-            }),
-            Level::Side => domain.subscribe(filter.spec(), move |e: FuzzSide| {
-                recorder.lock().unwrap().push(*e.tag());
-            }),
-        };
-        *stash.lock().unwrap() = Some(sub);
-    });
-    (sink, slot)
-}
-
-fn flip_sub(sim: &mut SimNet, node: NodeId, slot: &SubSlot, activate: bool) {
+fn flip_sub(sim: &mut SimNet, node: NodeId, slot: &SubSlot, join: bool) {
     let slot = Arc::clone(slot);
     DaceNode::drive(sim, node, move |_domain| {
         let guard = slot.lock().unwrap();
         let sub = guard.as_ref().expect("churn subscription installed");
-        if activate {
+        if join {
             sub.activate().expect("churn activation");
         } else {
             sub.deactivate().expect("churn deactivation");
@@ -582,196 +457,212 @@ fn sample_filter_oracle(
     ran
 }
 
-/// Executes a churn-storm scenario: the stable stack workload with
-/// transient subscriptions flapping between publish windows, the sampled
+/// The churn-storm dimension: the stable stack workload with transient
+/// subscriptions flapping between publish windows, the sampled
 /// indexed-vs-naive `FilterOracle` running mid-storm, an exact routing
 /// oracle on the stable subscriptions and an integrity oracle on the
 /// transient ones.
-pub fn run_churn(scenario: &ChurnScenario) -> ChurnOutcome {
-    let stack = &scenario.stack;
-    let _ = (FuzzBase::kind(), FuzzMid::kind(), FuzzLeaf::kind(), FuzzSide::kind());
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Churn;
 
-    let mut sim = SimNet::new(SimConfig::with_seed(stack.seed));
-    let ids: Vec<NodeId> = (0..stack.nodes as u64).map(NodeId).collect();
-    let config = DaceConfig {
-        watchdog: Some(Duration::from_millis(50)),
-        ..DaceConfig::default()
-    };
-    for i in 0..stack.nodes {
-        sim.add_node(format!("c{i}"), DaceNode::factory(ids.clone(), config.clone()));
+impl Dimension for Churn {
+    type Scenario = ChurnScenario;
+    const NAME: &'static str = "churn";
+
+    /// Samples a churn storm from `seed`: the stable scenario from the same
+    /// seed, plus 3–8 transient subscriptions with random activity windows.
+    fn generate(&self, seed: u64) -> ChurnScenario {
+        let stack = StackScenario::generate(seed);
+        // A distinct stream keeps the stable part byte-identical to the
+        // plain stack scenario of the same seed.
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xc42a_0157_0217_ed11);
+        let windows = stack.pubs.len();
+        let churn = (0..rng.gen_range(3..=8usize))
+            .map(|_| {
+                let join_before = rng.gen_range(0..windows);
+                ChurnPlan {
+                    sub: SubPlan {
+                        node: rng.gen_range(0..stack.nodes),
+                        level: Level::sample(&mut rng),
+                        filter: FilterKind::sample(&mut rng),
+                    },
+                    join_before,
+                    leave_before: rng.gen_range(join_before..=windows),
+                }
+            })
+            .collect();
+        ChurnScenario { stack, churn }
     }
-    let sinks: Vec<Sink> = stack
-        .subs
-        .iter()
-        .map(|s| install(&mut sim, ids[s.node], s.level, s.filter))
-        .collect();
-    let churn_slots: Vec<(Sink, SubSlot)> = scenario
-        .churn
-        .iter()
-        .map(|c| install_inactive(&mut sim, ids[c.node], c.level, c.filter))
-        .collect();
-    sim.run_until(SimTime::from_millis(30));
 
-    let mut violations = Vec::new();
-    let mut oracle_probes = 0;
-    let mut at = 50;
-    for (window, plan) in stack.pubs.iter().enumerate() {
-        // Churn burst: flips happen 20 ms before the window's publish, so
-        // (de)activation announcements race real traffic but local handler
-        // state is settled before the next publication is even made.
-        sim.run_until(SimTime::from_millis(at - 20));
-        for (c, (_, slot)) in scenario.churn.iter().zip(&churn_slots) {
-            if c.join_before == window {
-                flip_sub(&mut sim, ids[c.node], slot, true);
-            }
-            if c.leave_before == window {
-                flip_sub(&mut sim, ids[c.node], slot, false);
-            }
+    fn describe(&self, scenario: &ChurnScenario) -> String {
+        let mut out = scenario.stack.describe();
+        for (i, c) in scenario.churn.iter().enumerate() {
+            out.push_str(&format!(
+                "  churn#{i} {} join_before={} leave_before={}\n",
+                c.sub.describe(),
+                c.join_before,
+                c.leave_before
+            ));
         }
-        sim.run_until(SimTime::from_millis(at));
-        publish(&mut sim, ids[plan.node], plan);
-        // Mid-storm filter oracle: one typical probe mirroring the window's
-        // publication, plus edge probes (NaN content, missing fields)
-        // exercising the index's residual and fallback paths.
-        let probes = [
-            Value::record([
-                ("tag", Value::UInt(plan.tag)),
-                ("value", Value::Int(plan.value)),
-            ]),
-            Value::record([
-                ("tag", Value::UInt(plan.tag)),
-                ("value", Value::Float(f64::NAN)),
-            ]),
-            Value::record([("unrelated", Value::Int(plan.value))]),
-        ];
+        out
+    }
+
+    fn run(&self, scenario: &ChurnScenario) -> Run {
+        let stack = &scenario.stack;
+        let _ = (FuzzBase::kind(), FuzzMid::kind(), FuzzLeaf::kind(), FuzzSide::kind());
+
+        let mut sim = SimNet::new(SimConfig::with_seed(stack.seed));
+        let ids: Vec<NodeId> = (0..stack.nodes as u64).map(NodeId).collect();
+        let config = DaceConfig {
+            watchdog: Some(Duration::from_millis(50)),
+            ..DaceConfig::default()
+        };
+        for i in 0..stack.nodes {
+            sim.add_node(format!("c{i}"), DaceNode::factory(ids.clone(), config.clone()));
+        }
+        let sinks: Vec<Sink> = stack
+            .subs
+            .iter()
+            .map(|s| install(&mut sim, &ids, s, activate))
+            .collect();
+        let churn_slots: Vec<(Sink, SubSlot)> = scenario
+            .churn
+            .iter()
+            .map(|c| {
+                let slot = SubSlot::default();
+                let stash = Arc::clone(&slot);
+                let sink = install(&mut sim, &ids, &c.sub, move |sub| {
+                    *stash.lock().unwrap() = Some(sub);
+                });
+                (sink, slot)
+            })
+            .collect();
+        sim.run_until(SimTime::from_millis(30));
+
+        let mut findings = Vec::new();
+        let mut oracle_probes = 0;
+        let mut at = 50;
+        for (window, plan) in stack.pubs.iter().enumerate() {
+            // Churn burst: flips happen 20 ms before the window's publish,
+            // so (de)activation announcements race real traffic but local
+            // handler state is settled before the next publication is even
+            // made.
+            sim.run_until(SimTime::from_millis(at - 20));
+            for (c, (_, slot)) in scenario.churn.iter().zip(&churn_slots) {
+                if c.join_before == window {
+                    flip_sub(&mut sim, ids[c.sub.node], slot, true);
+                }
+                if c.leave_before == window {
+                    flip_sub(&mut sim, ids[c.sub.node], slot, false);
+                }
+            }
+            sim.run_until(SimTime::from_millis(at));
+            publish(&mut sim, ids[plan.node], plan);
+            // Mid-storm filter oracle: one typical probe mirroring the
+            // window's publication, plus edge probes (NaN content, missing
+            // fields) exercising the index's residual and fallback paths.
+            let probes = [
+                Value::record([
+                    ("tag", Value::UInt(plan.tag)),
+                    ("value", Value::Int(plan.value)),
+                ]),
+                Value::record([
+                    ("tag", Value::UInt(plan.tag)),
+                    ("value", Value::Float(f64::NAN)),
+                ]),
+                Value::record([("unrelated", Value::Int(plan.value))]),
+            ];
+            oracle_probes += sample_filter_oracle(
+                &mut sim,
+                &ids,
+                &probes,
+                &format!("window {window}"),
+                &mut findings,
+            );
+            at += 40;
+        }
+        sim.run_until(SimTime::from_millis(at + 800));
         oracle_probes += sample_filter_oracle(
             &mut sim,
             &ids,
-            &probes,
-            &format!("window {window}"),
-            &mut violations,
+            &[Value::record([("value", Value::Int(0))])],
+            "settled",
+            &mut findings,
         );
-        at += 40;
-    }
-    sim.run_until(SimTime::from_millis(at + 800));
-    oracle_probes += sample_filter_oracle(
-        &mut sim,
-        &ids,
-        &[Value::record([("value", Value::Int(0))])],
-        "settled",
-        &mut violations,
-    );
 
-    let mut expected = stack.expected();
-    for tags in &mut expected {
-        tags.sort_unstable();
-    }
-    let got: Vec<Vec<u64>> = sinks
-        .iter()
-        .map(|sink| {
-            let mut tags = sink.lock().unwrap().clone();
-            tags.sort_unstable();
-            tags
-        })
-        .collect();
-    for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
-        if g != e {
-            let s = &stack.subs[i];
-            violations.push(format!(
-                "stable sub#{i} (node {}, kind {}, filter {}): got {g:?}, expected {e:?}",
-                s.node,
-                s.level.name(),
-                s.filter.name()
-            ));
-        }
-    }
+        let mut stable = routing_oracle(stack, &sinks, "stable ");
+        findings.append(&mut stable.violations);
 
-    // Churn integrity: a transient subscription may miss publications near
-    // its activity boundaries (announcements race the traffic), but every
-    // tag it *did* receive must be unique, must pass its kind and filter,
-    // and cannot come from a window at/after its deactivation point —
-    // deactivation takes local effect strictly before that window's
-    // publication exists.
-    let churn_got: Vec<Vec<u64>> = churn_slots
-        .iter()
-        .map(|(sink, _)| {
-            let mut tags = sink.lock().unwrap().clone();
-            tags.sort_unstable();
-            tags
-        })
-        .collect();
-    for (i, (tags, c)) in churn_got.iter().zip(&scenario.churn).enumerate() {
-        for pair in tags.windows(2) {
-            if pair[0] == pair[1] {
-                violations.push(format!("churn#{i}: duplicate delivery of tag {}", pair[0]));
+        // Churn integrity: a transient subscription may miss publications
+        // near its activity boundaries (announcements race the traffic),
+        // but every tag it *did* receive must be unique, must pass its kind
+        // and filter, and cannot come from a window at/after its
+        // deactivation point — deactivation takes local effect strictly
+        // before that window's publication exists.
+        let churn_got: Vec<Vec<u64>> = churn_slots.iter().map(|(sink, _)| sorted(sink)).collect();
+        for (i, (tags, c)) in churn_got.iter().zip(&scenario.churn).enumerate() {
+            for pair in tags.windows(2) {
+                if pair[0] == pair[1] {
+                    findings.push(format!("churn#{i}: duplicate delivery of tag {}", pair[0]));
+                }
+            }
+            for &tag in tags {
+                // A shrunk workload keeps its tags, so the window is looked
+                // up rather than assumed equal to the tag.
+                let Some(window) = stack.pubs.iter().position(|p| p.tag == tag) else {
+                    findings.push(format!("churn#{i}: ghost delivery of unknown tag {tag}"));
+                    continue;
+                };
+                let plan = &stack.pubs[window];
+                if !c.sub.level.receives(plan.level) {
+                    findings.push(format!(
+                        "churn#{i} (kind {:?}): ghost delivery of class {:?} (tag {tag})",
+                        c.sub.level, plan.level
+                    ));
+                }
+                if !c.sub.filter.passes(plan.value) {
+                    findings.push(format!(
+                        "churn#{i} (filter {}): delivery violating filter (tag {tag}, value {})",
+                        c.sub.filter.name(),
+                        plan.value
+                    ));
+                }
+                if window >= c.leave_before {
+                    findings.push(format!(
+                        "churn#{i}: delivery from window {window} at/after deactivation \
+                         before window {}",
+                        c.leave_before
+                    ));
+                }
             }
         }
-        for &tag in tags {
-            let plan = &stack.pubs[tag as usize];
-            if !c.level.receives(plan.level) {
-                violations.push(format!(
-                    "churn#{i} (kind {}): ghost delivery of class {} (tag {tag})",
-                    c.level.name(),
-                    plan.level.name()
-                ));
-            }
-            if !c.filter.passes(plan.value) {
-                violations.push(format!(
-                    "churn#{i} (filter {}): delivery violating filter (tag {tag}, value {})",
-                    c.filter.name(),
-                    plan.value
-                ));
-            }
-            if tag as usize >= c.leave_before {
-                violations.push(format!(
-                    "churn#{i}: delivery from window {tag} at/after deactivation before window {}",
-                    c.leave_before
-                ));
-            }
+
+        // The stable part renders like a stack outcome (no tracer here, so
+        // the span counts are zero), then the transient deliveries.
+        let mut rendered = stable.render();
+        for (i, got) in churn_got.iter().enumerate() {
+            rendered.push_str(&format!("  churn#{i} got={got:?}\n"));
         }
+        rendered.push_str(&format!("  oracle_probes={oracle_probes}\n"));
+        Run { rendered, findings }
     }
 
-    let stable = StackOutcome {
-        expected,
-        got,
-        violations: Vec::new(),
-        spans: 0,
-        e2e_samples: 0,
-    };
-    ChurnOutcome {
-        stable,
-        churn_got,
-        violations,
-        oracle_probes,
+    /// Delete a transient subscription, a stable subscription, or a
+    /// publication. Deleting window `i` shifts every later activity
+    /// boundary down by one; a boundary at `i` now precedes what was
+    /// window `i + 1`.
+    fn reductions(&self, scenario: &ChurnScenario) -> Vec<ChurnScenario> {
+        let mut out = without_each(scenario, |s| &mut s.churn);
+        out.extend(without_each(scenario, |s| &mut s.stack.subs));
+        out.extend((0..scenario.stack.pubs.len()).map(|i| {
+            edited(scenario, |s| {
+                s.stack.pubs.remove(i);
+                for c in &mut s.churn {
+                    c.join_before -= usize::from(c.join_before > i);
+                    c.leave_before -= usize::from(c.leave_before > i);
+                }
+            })
+        }));
+        out
     }
-}
-
-/// Determinism + routing/churn/filter oracles for one churn-storm seed;
-/// `Err` carries a full replayable report.
-pub fn check_churn_seed(seed: u64) -> Result<(), String> {
-    let scenario = ChurnScenario::generate(seed);
-    let first = run_churn(&scenario);
-    let second = run_churn(&scenario);
-    if first.render() != second.render() {
-        return Err(format!(
-            "churn seed {seed}: NONDETERMINISM across identical runs\n{}{}",
-            scenario.describe(),
-            first.render()
-        ));
-    }
-    if first.violations.is_empty() {
-        return Ok(());
-    }
-    Err(format!(
-        "churn seed {seed}: {} violation(s)\n\
-         replay with: HARNESS_SEED={seed} cargo test --test harness_smoke\n{}{}{}",
-        first.violations.len(),
-        scenario.describe(),
-        first.render(),
-        first
-            .violations
-            .iter()
-            .map(|v| format!("  {v}\n"))
-            .collect::<String>(),
-    ))
 }

@@ -3,8 +3,8 @@
 //! The simulator runs protocols deterministically; examples want the real
 //! thing — actual threads, blocking handlers, thread policies (paper
 //! §3.3.5). This module wires N endpoints all-to-all with unbounded
-//! channels; each endpoint either polls explicitly or spawns a receiver
-//! thread that invokes a handler per message.
+//! channels; each endpoint either polls with a timeout or spawns a
+//! receiver thread that invokes a handler per message.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -85,13 +85,6 @@ impl Endpoint {
         self.id
     }
 
-    /// Ids of all endpoints in the network (including this one).
-    pub fn peer_ids(&self) -> Vec<NodeId> {
-        let mut ids: Vec<NodeId> = self.peers.keys().copied().collect();
-        ids.sort();
-        ids
-    }
-
     /// Sends `payload` to `to` (self-sends allowed).
     ///
     /// # Errors
@@ -107,40 +100,6 @@ impl Endpoint {
             .map_err(|_| SendError { to })
     }
 
-    /// Sends `payload` to every other endpoint.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failing peer, after attempting all sends.
-    pub fn broadcast(&self, payload: &[u8]) -> Result<(), SendError> {
-        let mut first_err = None;
-        for (&to, sender) in self.peers.iter() {
-            if to == self.id {
-                continue;
-            }
-            let result = sender.send(Incoming {
-                from: self.id,
-                payload: payload.to_vec(),
-            });
-            if result.is_err() && first_err.is_none() {
-                first_err = Some(SendError { to });
-            }
-        }
-        match first_err {
-            None => Ok(()),
-            Some(err) => Err(err),
-        }
-    }
-
-    /// Blocking receive.
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err` when every sender is gone.
-    pub fn recv(&self) -> Result<Incoming, crossbeam::channel::RecvError> {
-        self.rx.recv()
-    }
-
     /// Blocking receive with a timeout.
     ///
     /// # Errors
@@ -148,11 +107,6 @@ impl Endpoint {
     /// Timeout or disconnection.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Incoming, RecvTimeoutError> {
         self.rx.recv_timeout(timeout)
-    }
-
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<Incoming> {
-        self.rx.try_recv().ok()
     }
 
     /// Consumes the endpoint, spawning a receiver thread that calls
@@ -209,13 +163,6 @@ impl EndpointSender {
     /// This endpoint's id.
     pub fn id(&self) -> NodeId {
         self.id
-    }
-
-    /// Ids of all endpoints in the network (including this one).
-    pub fn peer_ids(&self) -> Vec<NodeId> {
-        let mut ids: Vec<NodeId> = self.peers.keys().copied().collect();
-        ids.sort();
-        ids
     }
 
     /// Sends `payload` to `to`.

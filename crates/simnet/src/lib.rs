@@ -25,8 +25,8 @@
 //! ## Threaded transport
 //!
 //! [`inproc`] provides N endpoints wired all-to-all with channels; each
-//! endpoint can run a receiver thread. `psc-dace` builds its live runtime on
-//! top of it.
+//! endpoint can run a receiver thread. `psc-rmi` and `psc-tuplespace` run
+//! over it.
 //!
 //! ```
 //! use psc_simnet::{Ctx, Node, NodeId, SimConfig, SimNet};

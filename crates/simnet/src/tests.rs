@@ -278,28 +278,6 @@ mod inproc {
     use crate::inproc;
 
     #[test]
-    fn point_to_point_and_broadcast() {
-        let eps = inproc::network(3);
-        let ids: Vec<NodeId> = eps.iter().map(|e| e.id()).collect();
-        eps[0].send(ids[1], b"one".to_vec()).unwrap();
-        eps[0].broadcast(b"all").unwrap();
-        let m = eps[1]
-            .recv_timeout(std::time::Duration::from_secs(1))
-            .unwrap();
-        assert_eq!(m.payload, b"one");
-        let m = eps[1]
-            .recv_timeout(std::time::Duration::from_secs(1))
-            .unwrap();
-        assert_eq!(m.payload, b"all");
-        let m = eps[2]
-            .recv_timeout(std::time::Duration::from_secs(1))
-            .unwrap();
-        assert_eq!(m.payload, b"all");
-        // Broadcast does not loop back.
-        assert!(eps[0].try_recv().is_none());
-    }
-
-    #[test]
     fn unknown_peer_is_an_error() {
         let eps = inproc::network(1);
         let err = eps[0].send(NodeId(99), vec![]).unwrap_err();

@@ -3,15 +3,18 @@
 //! harness report captured at commit `b144500`; a refactor of the stack
 //! under the harness must reproduce every one of them.
 //!
-//! - `stack`: `StackOutcome::render()` for stack seeds 1–5;
+//! - `stack`: the run's rendering (`StackOutcome::render()`) for stack
+//!   seeds 1–5;
 //! - `churn`, `durable`, `snapshot`: the dimension's report (scenario
-//!   description, outcome rendering, oracle findings) for seeds 1–3.
+//!   description, run rendering, oracle findings) for seeds 1–3.
+//!
+//! Every text is computed through `psc_harness::dimension::table`.
 //!
 //! Nothing in these reports is process-dependent — node ids are simulator
 //! indices, times are virtual, and `ClusterCut::render` already leaves
 //! wall-clock out — so the whole text is digested.
 
-use psc_harness::{durable, snapshot, stack};
+use psc_harness::dimension;
 
 fn fnv1a64(text: &str) -> u64 {
     text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
@@ -19,39 +22,20 @@ fn fnv1a64(text: &str) -> u64 {
     })
 }
 
-fn report(describe: String, render: String, violations: &[String]) -> String {
-    let findings: String = violations.iter().map(|v| format!("  {v}\n")).collect();
-    describe + &render + &findings
+/// The digested text of one seed, computed through the dimension table.
+fn replay(dimension: &str, seed: u64) -> String {
+    let row = dimension::named(dimension).expect("a shipped dimension");
+    let (report, run) = (row.replay)(seed);
+    if dimension == "stack" {
+        run.rendered // pinned as the outcome rendering alone
+    } else {
+        report
+    }
 }
 
-fn stack_report(seed: u64) -> String {
-    stack::run_stack(&stack::StackScenario::generate(seed)).render()
-}
-
-fn churn_report(seed: u64) -> String {
-    let scenario = stack::ChurnScenario::generate(seed);
-    let outcome = stack::run_churn(&scenario);
-    report(scenario.describe(), outcome.render(), &outcome.violations)
-}
-
-fn durable_report(seed: u64) -> String {
-    let scenario = durable::DurableScenario::generate(seed);
-    let outcome = durable::run_durable(&scenario);
-    report(scenario.describe(), outcome.render(), &outcome.violations)
-}
-
-fn snapshot_report(seed: u64) -> String {
-    let scenario = snapshot::SnapScenario::generate(seed);
-    let outcome = snapshot::run_snapshot(&scenario);
-    report(scenario.describe(), outcome.render(), &outcome.violations)
-}
-
-type Dimension = (&'static str, fn(u64) -> String, &'static [(u64, u64)]);
-
-const GOLDEN: [Dimension; 4] = [
+const GOLDEN: [(&str, &[(u64, u64)]); 4] = [
     (
         "stack",
-        stack_report,
         &[
             (1, 0xa9e9_d995_3e2c_ad10),
             (2, 0xdf70_0575_0c68_d379),
@@ -62,7 +46,6 @@ const GOLDEN: [Dimension; 4] = [
     ),
     (
         "churn",
-        churn_report,
         &[
             (1, 0x08b4_3251_3b64_a8d9),
             (2, 0x53a1_f6ee_3f75_3dfc),
@@ -71,7 +54,6 @@ const GOLDEN: [Dimension; 4] = [
     ),
     (
         "durable",
-        durable_report,
         &[
             (1, 0x6a61_cb4f_3180_e123),
             (2, 0x28e7_f074_53c8_7d35),
@@ -80,7 +62,6 @@ const GOLDEN: [Dimension; 4] = [
     ),
     (
         "snapshot",
-        snapshot_report,
         &[
             (1, 0x356d_40fd_16e9_81b4),
             (2, 0x779f_a39a_7970_bdc7),
@@ -92,9 +73,9 @@ const GOLDEN: [Dimension; 4] = [
 #[test]
 fn harness_reports_match_their_golden_digests() {
     let mut mismatches = Vec::new();
-    for (dimension, run, digests) in GOLDEN {
+    for (dimension, digests) in GOLDEN {
         for &(seed, expected) in digests {
-            let actual = fnv1a64(&run(seed));
+            let actual = fnv1a64(&replay(dimension, seed));
             if actual != expected {
                 mismatches.push(format!(
                     "seed={seed} dimension={dimension} expected={expected:#018x} actual={actual:#018x}"

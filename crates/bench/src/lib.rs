@@ -1,10 +1,21 @@
-//! Shared workload generators for the benchmark harness.
+//! Shared workload generators and experiment scenarios.
 //!
 //! Every experiment binary builds its inputs from these
 //! helpers, so the workloads stay comparable across experiments: a stock
 //! ticker in the paper's own domain (quotes with company / price / amount),
 //! plus subscription populations with controllable overlap and
 //! selectivity.
+//!
+//! The experiments whose counts are deterministic keep their scenario here
+//! rather than in their binary: the binary runs the full sweep and prints
+//! its table, and `tests/experiment_counts.rs` runs a small point of the
+//! same function and pins the counts exactly.
+
+pub mod fanout;
+pub mod match_scale;
+pub mod placement;
+pub mod serialize_once;
+pub mod snapshot;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -195,34 +206,6 @@ impl Table {
             line(row);
         }
     }
-}
-
-/// Writes `doc` as `BENCH_<name>.json` next to the text report, so the
-/// experiment series doubles as a machine-readable perf trajectory. The
-/// target directory comes from `BENCH_JSON_DIR` (default: the current
-/// directory). Returns the path written.
-pub fn write_bench_json(
-    name: &str,
-    doc: &psc_telemetry::json::JsonValue,
-) -> std::io::Result<std::path::PathBuf> {
-    let dir = std::env::var_os("BENCH_JSON_DIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("."));
-    let path = dir.join(format!("BENCH_{name}.json"));
-    std::fs::write(&path, format!("{}\n", doc.render()))?;
-    Ok(path)
-}
-
-/// The report's `"gates"` block: which numeric fields `bench_compare` holds
-/// against the committed baseline, as `(section, key, metric)` — `section`
-/// names a top-level array of rows, `key` the integer field that identifies
-/// a row across run sizes, `metric` the gated field. Only deterministic
-/// counts belong here; wall-clock claims are `benchmark/`'s.
-pub fn gates(entries: &[(&str, &str, &str)]) -> psc_telemetry::json::JsonValue {
-    use psc_telemetry::json::JsonValue;
-    entries.iter().fold(JsonValue::arr(), |arr, &(section, key, metric)| {
-        arr.push(JsonValue::obj().set("section", section).set("key", key).set("metric", metric))
-    })
 }
 
 /// Formats a float compactly for tables.

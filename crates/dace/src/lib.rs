@@ -33,8 +33,8 @@
 //!   together for the runnable examples.
 //!
 //! The deterministic deployment is [`node::DaceNode`] inside `psc-simnet`;
-//! every experiment in `EXPERIMENTS.md` drives that. The live deployment is
-//! [`inproc::Bus`].
+//! the live one is the same node over TCP, hosted by `psc_net::DaceEndpoint`.
+//! [`inproc::Bus`] is the in-process fabric of the runnable examples.
 
 pub mod config;
 pub mod control;
@@ -43,7 +43,7 @@ pub mod node;
 pub(crate) mod snapshot;
 
 pub use config::{DaceConfig, Placement};
-pub use node::{DaceNode, DaceStats};
+pub use node::DaceNode;
 
 #[cfg(test)]
 mod tests;

@@ -34,22 +34,6 @@ use crate::config::{DaceConfig, Placement};
 use crate::control::{AdvertiseCtl, SubscribeCtl, UnsubscribeCtl};
 use crate::snapshot::{SnapPlane, FORCE_CLOSE_TICKS, RETRY_PERIOD, UNKNOWN_INITIATOR};
 
-/// Per-node traffic and delivery counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DaceStats {
-    /// Obvents published from this node's domain.
-    pub published: u64,
-    /// Handler deliveries performed at this node.
-    pub delivered: u64,
-    /// Direct data messages sent (after publisher-side filtering).
-    pub direct_sent: u64,
-    /// Obvents dropped in the transmit queue or on arrival because their
-    /// time-to-live expired.
-    pub expired: u64,
-    /// Control obvents flooded.
-    pub control_sent: u64,
-}
-
 #[derive(Debug, Serialize, Deserialize)]
 enum NodeMsg {
     /// A reflexive control obvent.
@@ -426,7 +410,6 @@ pub struct DaceNode {
     park_seq: u64,
     /// WAL activity mirror for the [`Inspect`] report.
     wal_report: WalReport,
-    stats: DaceStats,
     /// Metrics registry (`dace.*`, `group.*`); externally owned with
     /// [`DaceNode::factory_with_telemetry`] so counters survive crash
     /// rebuilds.
@@ -519,7 +502,6 @@ impl DaceNode {
             parked: VecDeque::new(),
             park_seq: 0,
             wal_report: WalReport::default(),
-            stats: DaceStats::default(),
             telemetry,
             tracer,
             recorder,
@@ -598,11 +580,6 @@ impl DaceNode {
         self.domain.clone()
     }
 
-    /// This node's counters.
-    pub fn stats(&self) -> DaceStats {
-        self.stats
-    }
-
     /// The registry this node records into (shared handle).
     pub fn telemetry(&self) -> Arc<Registry> {
         Arc::clone(&self.telemetry)
@@ -652,13 +629,6 @@ impl DaceNode {
         DaceNode::drive(sim, node, move |domain| {
             domain.publish(obvent).expect("publish through DACE");
         });
-    }
-
-    /// Reads the node's counters (zero if the node is down).
-    pub fn stats_of(sim: &mut SimNet, node: NodeId) -> DaceStats {
-        sim.node_mut::<DaceNode>(node)
-            .map(|n| n.stats)
-            .unwrap_or_default()
     }
 
     /// Renders the node's deterministic state report ([`Inspect`]); `None`
@@ -813,7 +783,6 @@ impl DaceNode {
         let peers: Vec<NodeId> = self.cluster.iter().copied().filter(|&n| n != me).collect();
         for node in peers {
             self.queue_send(node, bytes.clone());
-            self.stats.control_sent += 1;
             self.telemetry.bump("dace.control_sent", 1);
         }
     }
@@ -1000,7 +969,6 @@ impl DaceNode {
 
     fn publish_flow(&mut self, ctx: &mut Ctx<'_>, mut wire: WireObvent) {
         let kind = wire.kind_id();
-        self.stats.published += 1;
         // Mint the obvent's end-to-end identity; it rides in the envelope
         // through every hop below.
         self.trace_seq += 1;
@@ -1102,7 +1070,6 @@ impl DaceNode {
             if dest == me {
                 self.local_deliver_matched(ctx, &wire, &local);
             } else {
-                self.stats.direct_sent += 1;
                 self.telemetry.bump("dace.direct_sent", 1);
                 let bytes = encoded
                     .get_or_insert_with(|| {
@@ -1154,7 +1121,6 @@ impl DaceNode {
         while let Some(item) = self.transmit.pop() {
             if let Some(deadline) = item.deadline {
                 if now > deadline {
-                    self.stats.expired += 1;
                     self.telemetry.bump("dace.expired", 1);
                     self.tracer.record(
                         item.trace,
@@ -1202,7 +1168,6 @@ impl DaceNode {
             self.snap.clock.merge(&wire.stamp().clock);
         }
         let matched = self.sink.dispatch(wire, local);
-        self.stats.delivered += matched as u64;
         if matched > 0
             && self.telemetry.is_enabled() {
                 let kname = kind_name(wire.kind_id());
@@ -1867,7 +1832,6 @@ impl DaceNode {
                 let expired =
                     deadline.is_some_and(|d| ctx.now() > SimTime::from_micros(d));
                 if expired {
-                    self.stats.expired += 1;
                     self.telemetry.bump("dace.expired", 1);
                     self.tracer.record(
                         wire.trace_id(),
@@ -1980,14 +1944,6 @@ impl Inspect for DaceNode {
                 .map(|n| format!("n{}", n.0))
                 .collect::<Vec<_>>()
                 .join(",")
-        ));
-        report.line(format!(
-            "stats published={} delivered={} direct_sent={} expired={} control_sent={}",
-            self.stats.published,
-            self.stats.delivered,
-            self.stats.direct_sent,
-            self.stats.expired,
-            self.stats.control_sent
         ));
         report.line(format!(
             "queues transmit={} parked={} durable_pending={}",

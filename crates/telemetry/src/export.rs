@@ -3,7 +3,7 @@
 //! Both renderings are **deterministic**: metrics are emitted in
 //! lexicographic name order (`BTreeMap` iteration), so two identical runs
 //! export byte-identical documents — the property the harness's determinism
-//! oracle and the `BENCH_*.json` perf trajectory both rely on.
+//! oracle relies on.
 
 use std::collections::BTreeMap;
 
@@ -81,7 +81,7 @@ impl Snapshot {
     }
 
     /// Machine-readable JSON value (`{"counters":{…},"gauges":{…},
-    /// "histograms":{…}}`), consumed by the `BENCH_*.json` perf trajectory.
+    /// "histograms":{…}}`), what `psc-node --snapshot <file>` writes.
     pub fn to_json(&self) -> JsonValue {
         let mut counters = JsonValue::obj();
         for (name, &value) in &self.counters {

@@ -17,8 +17,8 @@
 //!    can be reconstructed per node — deterministically, because ids derive
 //!    from `(node, publish seq)` and events are stamped with virtual time;
 //! 3. **exporters**: canonical text ([`Snapshot::render_text`]) and
-//!    machine-readable JSON ([`Snapshot::render_json`], [`json::JsonValue`])
-//!    feeding the `BENCH_*.json` perf trajectory;
+//!    machine-readable JSON ([`Snapshot::render_json`], [`json::JsonValue`],
+//!    what `psc-node --snapshot <file>` writes);
 //! 4. a **diagnosis layer**: latency [`span`]s derived from the trace
 //!    stream (per-stage and per-QoS-class end-to-end histograms with
 //!    p50/p90/p99/max), a per-node [`recorder::FlightRecorder`] that dumps

@@ -5,9 +5,9 @@
 //! monitoring stations subscribing with the *same* remote content filter
 //! (`value > 50`) — so the publisher's factored filter index shares their
 //! predicate — plus a FIFO `Command` channel. After the run, every node
-//! renders its `Inspect` report: engine counters, transmit/parked queue
-//! depths, the subscription table, per-channel protocol and membership, and
-//! the filter-DAG sharing statistics.
+//! renders its `Inspect` report: transmit/parked queue depths, the
+//! subscription table, per-channel protocol and membership, and the
+//! filter-DAG sharing statistics (the node's counters are in the registry).
 //!
 //! The reports are **deterministic**: the whole scenario runs twice and the
 //! renderings must match byte for byte — that is what makes them usable in

@@ -133,13 +133,10 @@ fn main() {
         "the prioritary alarm must arrive first"
     );
     let delivered_readings = readings.lock().unwrap().len();
-    let sensor_stats = DaceNode::stats_of(&mut sim, sensor);
-    println!(
-        "readings delivered: {delivered_readings}/5, expired in transit: {}",
-        sensor_stats.expired
-    );
+    let expired = telemetry.snapshot().counter("dace.expired");
+    println!("readings delivered: {delivered_readings}/5, expired in transit: {expired}");
     assert!(delivered_readings < 5, "some readings must expire");
-    assert_eq!(sensor_stats.expired as usize, 5 - delivered_readings);
+    assert_eq!(expired as usize, 5 - delivered_readings);
 
     // One traced publish path: every hop of the alarm, across both nodes,
     // in virtual-time order — publish at the sensor, filter evaluation,

@@ -8,43 +8,13 @@ use std::sync::Arc;
 
 use psc_bench::{fmt_f, Table};
 use psc_group::{
-    sim_host::GroupNode, BestEffort, Causal, Certified, Fifo, GroupIo, Multicast, Reliable,
-    TimerToken, Total,
+    sim_host::GroupNode, BestEffort, Causal, Certified, Fifo, Multicast, Reliable, Total,
 };
 use psc_simnet::{NodeId, SimConfig, SimNet, SimTime};
 use psc_telemetry::span::span_buckets;
 use psc_telemetry::{HistogramSnapshot, Registry};
 
 type MakeProto = fn() -> Box<dyn Multicast>;
-
-struct Boxed(Box<dyn Multicast>);
-
-impl Multicast for Boxed {
-    fn broadcast(&mut self, io: &mut dyn GroupIo, payload: psc_codec::WireBytes) {
-        self.0.broadcast(io, payload);
-    }
-    fn on_message(&mut self, io: &mut dyn GroupIo, from: NodeId, bytes: &[u8]) {
-        self.0.on_message(io, from, bytes);
-    }
-    fn on_timer(&mut self, io: &mut dyn GroupIo, token: TimerToken) {
-        self.0.on_timer(io, token);
-    }
-    fn on_start(&mut self, io: &mut dyn GroupIo) {
-        self.0.on_start(io);
-    }
-    fn on_recover(&mut self, io: &mut dyn GroupIo) {
-        self.0.on_recover(io);
-    }
-    fn proto_name(&self) -> &'static str {
-        self.0.proto_name()
-    }
-    fn queue_depths(&self) -> Vec<(&'static str, u64)> {
-        self.0.queue_depths()
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self.0.as_any_mut()
-    }
-}
 
 fn cluster(
     n: usize,
@@ -65,7 +35,7 @@ fn cluster(
         let make = make.clone();
         let registry = Arc::clone(&registry);
         sim.add_node(format!("n{i}"), move || {
-            GroupNode::boxed_with_telemetry(Boxed(make()), Arc::clone(&registry))
+            GroupNode::boxed_with_telemetry(make(), Arc::clone(&registry))
         });
     }
     for &id in &ids {

@@ -2,8 +2,10 @@
 //!
 //! Regenerates the EXPERIMENTS.md series: matching time per obvent and the
 //! predicate-sharing statistics, for overlapping and disjoint subscription
-//! populations. Run with `cargo run --release -p psc-bench --bin
-//! exp_factoring`.
+//! populations. `probed preds` is `IndexStats::indexed_preds`: the distinct
+//! predicates that sit in a batched bucket because some filter counts
+//! them; the rest are evaluated only when a candidate needs them. Run with
+//! `cargo run --release -p psc-bench --bin exp_factoring`.
 
 use std::time::Instant;
 
@@ -50,6 +52,7 @@ fn main() {
         let mut table = Table::new(&[
             "subscriptions",
             "unique preds",
+            "probed preds",
             "naive us/event",
             "factored us/event",
             "speedup",
@@ -67,6 +70,7 @@ fn main() {
             table.row(&[
                 n.to_string(),
                 stats.unique_predicates.to_string(),
+                stats.indexed_preds.to_string(),
                 fmt_f(naive_us),
                 fmt_f(fact_us),
                 format!("{:.1}x", naive_us / fact_us),

@@ -152,14 +152,16 @@ pub enum EvalNode {
 }
 
 impl EvalNode {
-    fn eval(&self, truths: &[bool]) -> bool {
+    /// Evaluates the tree, asking `leaf` for a predicate's truth only when
+    /// the short-circuiting walk reaches it.
+    fn eval(&self, leaf: &mut impl FnMut(usize) -> bool) -> bool {
         match self {
             EvalNode::True => true,
             EvalNode::False => false,
-            EvalNode::Pred(i) => truths.get(*i).copied().unwrap_or(false),
-            EvalNode::And(children) => children.iter().all(|c| c.eval(truths)),
-            EvalNode::Or(children) => children.iter().any(|c| c.eval(truths)),
-            EvalNode::Not(child) => !child.eval(truths),
+            EvalNode::Pred(i) => leaf(*i),
+            EvalNode::And(children) => children.iter().all(|c| c.eval(leaf)),
+            EvalNode::Or(children) => children.iter().any(|c| c.eval(leaf)),
+            EvalNode::Not(child) => !child.eval(leaf),
         }
     }
 
@@ -361,18 +363,12 @@ impl RemoteFilter {
         matches!(self.eval, EvalNode::True)
     }
 
-    /// Evaluates the filter against a property source, fetching each distinct
-    /// property exactly once.
+    /// Evaluates the filter against a property source. The walk
+    /// short-circuits, so a predicate whose truth cannot change the outcome
+    /// is never evaluated and its property never fetched.
     pub fn matches(&self, source: &dyn PropertySource) -> bool {
-        let truths: Vec<bool> = self.predicates.iter().map(|p| p.eval(source)).collect();
-        self.eval.eval(&truths)
-    }
-
-    /// Evaluates the filter given precomputed predicate truth values, in the
-    /// same order as [`RemoteFilter::predicates`]. Used by the factoring
-    /// index.
-    pub fn matches_with_truths(&self, truths: &[bool]) -> bool {
-        self.eval.eval(truths)
+        self.eval
+            .eval(&mut |i| self.predicates.get(i).is_some_and(|p| p.eval(source)))
     }
 
     /// Combines two filters into their conjunction (both must pass).

@@ -25,20 +25,23 @@
 //!    stored; non-enumerable sources fall back to one fetch per indexed
 //!    path;
 //! 4. **counting with access-predicate gating** — each satisfied predicate
-//!    bumps a per-filter counter of its posting-list subscribers.
-//!    Conjunctions mixing selective equality predicates with wide-range
-//!    ones post *only the equalities*: a wide threshold predicate is
-//!    satisfied by half the population on every event, so counting it
-//!    would cost O(filters) — instead the narrow hash buckets gate the
-//!    counter and a trigger verifies the remaining predicates directly.
-//!    All-range conjunctions post everything and match at their arity with
-//!    no verification; only predicates some posting list or evaluation DAG
-//!    actually consumes occupy probe buckets at all. General trees carry a
-//!    *trigger threshold* (a lower bound on how many of their predicates
-//!    any satisfying assignment needs) and are only DAG-evaluated when the
-//!    counter reaches it; trees satisfiable with zero true predicates
-//!    (negation-dominated shapes) sit in a residual set evaluated on every
-//!    event, and provably false trees are never evaluated at all;
+//!    bumps a per-filter counter of its posting-list subscribers, and a
+//!    predicate occupies a probe bucket exactly while something posts to
+//!    it: what is probed is what is counted. Conjunctions mixing selective
+//!    equality predicates with wide-range ones post *only the equalities*:
+//!    a wide threshold predicate is satisfied by half the population on
+//!    every event, so counting it would cost O(filters) — instead the
+//!    narrow hash buckets gate the counter, and a trigger checks the
+//!    predicates the filter did not post. Every un-posted predicate gets
+//!    its truth from one per-event memoized evaluator, so a range predicate
+//!    shared by a thousand gated candidates is fetched and compared once.
+//!    Other conjunctions post everything and match at their arity. General
+//!    trees carry a *trigger threshold* (a lower bound on how many of their
+//!    predicates any satisfying assignment needs) and are only
+//!    DAG-evaluated when the counter reaches it; trees satisfiable with
+//!    zero true predicates (negation-dominated shapes) sit in a residual
+//!    set evaluated on every event through the same memoized evaluator,
+//!    and provably false trees are never evaluated at all;
 //! 5. **sub-expression hash-consing** — general evaluation trees are
 //!    interned into a shared DAG at insert time (commutative operators
 //!    normalized), so identical sub-expressions across subscriptions are
@@ -64,6 +67,7 @@
 //! in a [`RefCell`], so read-side callers — the publish hot path — do not
 //! need a mutable index.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashMap;
 
@@ -104,10 +108,11 @@ pub struct IndexStats {
     /// Filters whose tree must be evaluated on every event (satisfiable
     /// with zero true predicates, e.g. negation-dominated shapes).
     pub residual_filters: usize,
-    /// Distinct predicates answered by batched buckets (equality hash,
-    /// threshold binary search, existence list).
+    /// Distinct posted predicates answered by batched buckets (equality
+    /// hash, threshold binary search, existence list). Predicates nothing
+    /// posts to are never probed and do not count here.
     pub indexed_preds: usize,
-    /// Distinct predicates in the residual per-path sets, evaluated
+    /// Distinct posted predicates in the residual per-path sets, evaluated
     /// individually when their path is present.
     pub residual_preds: usize,
 }
@@ -117,15 +122,14 @@ pub struct IndexStats {
 enum MatchPlan {
     /// Pass-all / zero-arity conjunction: matches every event.
     Unconditional,
-    /// Pure conjunction of `arity` distinct predicates. Ungated, it is
-    /// matched by counting alone — every predicate posts, the counter
-    /// reaching `arity` is the match. Gated, only the filter's selective
-    /// equality predicates ("access predicates") post: the counter reaching
-    /// the gate count makes the filter a *verification candidate*, whose
-    /// remaining wide-range predicates are checked directly instead of
-    /// being counted through threshold buckets that half the population
-    /// satisfies on every event.
-    Conjunction { arity: u32, gated: bool },
+    /// Pure conjunction, triggered when all of its posted predicates hold.
+    /// Gated, only its selective equality predicates ("access predicates")
+    /// post, and a trigger makes the filter a *verification candidate*
+    /// whose un-posted wide-range predicates are then looked up from the
+    /// per-event memoized truths instead of being counted through threshold
+    /// buckets that half the population satisfies on every event. Ungated,
+    /// every predicate posts and the trigger is the match.
+    Conjunction,
     /// General tree, DAG-evaluated only when at least `threshold` of the
     /// filter's distinct predicates are satisfied (a sound lower bound on
     /// any satisfying assignment).
@@ -143,17 +147,24 @@ impl MatchPlan {
             MatchPlan::CountedTree { root, .. }
             | MatchPlan::ResidualTree { root }
             | MatchPlan::Never { root } => Some(root),
-            MatchPlan::Unconditional | MatchPlan::Conjunction { .. } => None,
+            MatchPlan::Unconditional | MatchPlan::Conjunction => None,
         }
     }
 
     /// True when the filter subscribes to posting lists (its counter can
     /// trigger a match or a DAG evaluation).
     fn counted(self) -> bool {
-        matches!(
-            self,
-            MatchPlan::Conjunction { .. } | MatchPlan::CountedTree { .. }
-        )
+        matches!(self, MatchPlan::Conjunction | MatchPlan::CountedTree { .. })
+    }
+
+    /// The counter value that triggers the slot of a filter that posted to
+    /// `posted` predicates; [`NO_TARGET`] when counting never triggers it.
+    fn target(self, posted: usize) -> u32 {
+        match self {
+            MatchPlan::Conjunction => posted as u32,
+            MatchPlan::CountedTree { threshold, .. } => threshold,
+            _ => NO_TARGET,
+        }
     }
 }
 
@@ -163,7 +174,8 @@ struct StoredFilter {
     /// Global predicate ids in the order of the filter's own predicate list.
     globals: Vec<usize>,
     /// The sorted distinct globals this filter posted to (its access
-    /// predicates when gated; all counted predicates otherwise).
+    /// predicates when gated; all counted predicates otherwise). The rest
+    /// of a gated conjunction's predicates are in `slot_unposted`.
     posted: Vec<usize>,
     /// Dense counter slot.
     slot: usize,
@@ -196,10 +208,6 @@ const NO_ROOT: u32 = u32::MAX;
 /// unconditional, residual, or constant-false — or vacant).
 const NO_TARGET: u32 = u32::MAX;
 
-/// `slot_root` sentinel: the slot is a gated conjunction — on trigger the
-/// stored filter is verified directly instead of DAG-evaluated.
-const VERIFY: u32 = u32::MAX - 1;
-
 #[derive(Debug)]
 struct SharedNode {
     key: SharedKey,
@@ -220,6 +228,9 @@ struct Scratch {
     gen: u64,
     /// Per global predicate: generation at which it was last satisfied.
     truth_gen: Vec<u64>,
+    /// Per global predicate: generation at which an un-posted predicate was
+    /// last evaluated against the event (see [`FilterIndex::truth`]).
+    eval_gen: Vec<u64>,
     /// Per filter slot: generation stamp + count of satisfied conjuncts.
     counter_gen: Vec<u64>,
     counters: Vec<u32>,
@@ -236,16 +247,6 @@ struct Scratch {
 struct PredEntry {
     pred: Predicate,
     refcount: usize,
-    /// Filters (by slot) counting this predicate: gated conjunctions over
-    /// their equality gates, ungated ones over their distinct leaves,
-    /// counted trees over their distinct predicates — with multiplicity 1
-    /// either way.
-    postings: Vec<usize>,
-    /// True while the predicate occupies its path group's bucket. Only
-    /// predicates whose per-event truth is consumed — posted somewhere, or
-    /// referenced by a live DAG node — are bucketed and probed; a gated
-    /// conjunction's non-gate predicates cost nothing per event.
-    in_bucket: bool,
 }
 
 #[derive(Debug, Default)]
@@ -282,6 +283,16 @@ impl PathGroup {
             + self.eq.values().map(Vec::len).sum::<usize>()
             + self.exists.len()
     }
+
+    fn thresholds_mut(&mut self, op: CmpOp) -> &mut Vec<(f64, usize)> {
+        match op {
+            CmpOp::Lt => &mut self.lt,
+            CmpOp::Le => &mut self.le,
+            CmpOp::Gt => &mut self.gt,
+            CmpOp::Ge => &mut self.ge,
+            _ => unreachable!("classify returned threshold for non-ordering op"),
+        }
+    }
 }
 
 /// The factoring matching index; see the module docs.
@@ -306,10 +317,21 @@ pub struct FilterIndex {
     /// [`NO_TARGET`] when counting never triggers it. Dense so the counting
     /// loop never touches the filter hash map.
     slot_target: Vec<u32>,
-    /// slot -> evaluation DAG root, [`NO_ROOT`] for counting-only slots.
+    /// slot -> evaluation DAG root, [`NO_ROOT`] for conjunctions and for
+    /// unconditional or vacant slots.
     slot_root: Vec<u32>,
+    /// slot -> the distinct predicates a gated conjunction did not post,
+    /// checked when its counter triggers; empty for every other slot.
+    slot_unposted: Vec<Box<[usize]>>,
     free_slots: Vec<usize>,
     preds: Vec<PredEntry>,
+    /// pred id -> filters (by slot) counting the predicate: gated
+    /// conjunctions over their equality gates, ungated ones over their
+    /// distinct leaves, counted trees over their distinct predicates — with
+    /// multiplicity 1 either way. A predicate sits in its path group's
+    /// bucket exactly while its list is non-empty. Kept apart from `preds`
+    /// so the counting loop reads nothing else per satisfied predicate.
+    postings: Vec<Vec<usize>>,
     pred_lookup: HashMap<Predicate, usize>,
     free_preds: Vec<usize>,
     groups: HashMap<PropPath, PathGroup>,
@@ -382,6 +404,7 @@ impl FilterIndex {
                 self.slots.push(Some(id));
                 self.slot_target.push(NO_TARGET);
                 self.slot_root.push(NO_ROOT);
+                self.slot_unposted.push(Box::default());
                 let scratch = self.scratch.get_mut();
                 scratch.counter_gen.push(0);
                 scratch.counters.push(0);
@@ -395,72 +418,45 @@ impl FilterIndex {
             globals.push(self.intern_pred(pred));
         }
 
-        let (plan, posted) = match conjunction_leaves(filter.eval_tree()) {
+        let (plan, posted, unposted) = match conjunction_leaves(filter.eval_tree()) {
             Some(leaves) => {
                 // Deduplicate leaves within the filter so the counter target
                 // is the number of *distinct* conditions.
-                let mut distinct: Vec<usize> = leaves.iter().map(|&l| globals[l]).collect();
-                distinct.sort_unstable();
-                distinct.dedup();
+                let distinct = sorted_distinct(leaves.iter().map(|&l| globals[l]));
                 if distinct.is_empty() {
-                    (MatchPlan::Unconditional, Vec::new())
+                    (MatchPlan::Unconditional, Vec::new(), Vec::new())
                 } else {
-                    // Access-predicate gating: when the conjunction mixes
-                    // selective equality predicates with wide-range ones,
-                    // only the equalities post. Their narrow hash buckets
-                    // gate the counter; a trigger verifies the whole filter
-                    // directly rather than counting range predicates that
-                    // half the population satisfies on every event.
-                    let gates = self.equality_gates(&distinct);
-                    let gated = !gates.is_empty() && gates.len() < distinct.len();
-                    let arity = distinct.len() as u32;
-                    let posted = if gated { gates } else { distinct };
-                    for &g in &posted {
-                        self.preds[g].postings.push(slot);
-                    }
-                    (MatchPlan::Conjunction { arity, gated }, posted)
+                    let (posted, unposted) = self.gate(distinct);
+                    (MatchPlan::Conjunction, posted, unposted)
                 }
             }
             None => {
                 let root = self.intern_node(filter.eval_tree(), &globals);
                 match self.shared_nodes[root as usize].min_true {
-                    0 => (MatchPlan::ResidualTree { root }, Vec::new()),
-                    UNSATISFIABLE => (MatchPlan::Never { root }, Vec::new()),
-                    threshold => {
-                        // The tree triggers once `threshold` of the filter's
-                        // distinct predicates hold, so every distinct
-                        // predicate posts to this slot.
-                        let mut distinct: Vec<usize> = globals.clone();
-                        distinct.sort_unstable();
-                        distinct.dedup();
-                        for &g in &distinct {
-                            self.preds[g].postings.push(slot);
-                        }
-                        (MatchPlan::CountedTree { threshold, root }, distinct)
-                    }
+                    0 => (MatchPlan::ResidualTree { root }, Vec::new(), Vec::new()),
+                    UNSATISFIABLE => (MatchPlan::Never { root }, Vec::new(), Vec::new()),
+                    // The tree triggers once `threshold` of the filter's
+                    // distinct predicates hold, so every distinct predicate
+                    // posts to this slot.
+                    threshold => (
+                        MatchPlan::CountedTree { threshold, root },
+                        sorted_distinct(globals.iter().copied()),
+                        Vec::new(),
+                    ),
                 }
             }
         };
 
-        if let Some(root) = plan.root() {
-            self.slot_root[slot] = root;
+        for &g in &posted {
+            self.post(g, slot);
         }
+        self.slot_target[slot] = plan.target(posted.len());
+        self.slot_root[slot] = plan.root().unwrap_or(NO_ROOT);
+        self.slot_unposted[slot] = unposted.into_boxed_slice();
         match plan {
             MatchPlan::Unconditional => self.unconditional.push(slot),
-            MatchPlan::Conjunction { arity, gated } => {
-                if gated {
-                    self.slot_target[slot] = posted.len() as u32;
-                    self.slot_root[slot] = VERIFY;
-                } else {
-                    self.slot_target[slot] = arity;
-                }
-            }
-            MatchPlan::CountedTree { threshold, .. } => self.slot_target[slot] = threshold,
             MatchPlan::ResidualTree { .. } => self.residual_trees.push(slot),
-            MatchPlan::Never { .. } => {}
-        }
-        for &g in &globals {
-            self.sync_pred_bucket(g);
+            _ => {}
         }
 
         self.filters.insert(
@@ -476,15 +472,21 @@ impl FilterIndex {
         id
     }
 
-    /// The subset of `distinct` (sorted global ids) that classify into
-    /// equality hash buckets — the candidate access predicates of a gated
-    /// conjunction.
-    fn equality_gates(&self, distinct: &[usize]) -> Vec<usize> {
-        distinct
+    /// Access-predicate gating: splits a conjunction's sorted distinct
+    /// predicates into the ones it posts and the ones its trigger checks.
+    /// When the conjunction mixes selective equality predicates with
+    /// others, only the equalities post — their narrow hash buckets gate
+    /// the counter — rather than counting range predicates that half the
+    /// population satisfies on every event. Otherwise everything posts.
+    fn gate(&self, distinct: Vec<usize>) -> (Vec<usize>, Vec<usize>) {
+        let (gates, rest): (Vec<usize>, Vec<usize>) = distinct
             .iter()
-            .copied()
-            .filter(|&g| matches!(classify(&self.preds[g].pred), Bucket::Equality(_)))
-            .collect()
+            .partition(|&&g| matches!(classify(&self.preds[g].pred), Bucket::Equality(_)));
+        if gates.is_empty() || rest.is_empty() {
+            (distinct, Vec::new())
+        } else {
+            (gates, rest)
+        }
     }
 
     /// Removes a filter. Returns the filter if it was present.
@@ -494,25 +496,18 @@ impl FilterIndex {
         self.slots[slot] = None;
         self.slot_target[slot] = NO_TARGET;
         self.slot_root[slot] = NO_ROOT;
+        self.slot_unposted[slot] = Box::default();
         self.free_slots.push(slot);
         match stored.plan {
             MatchPlan::Unconditional => self.unconditional.retain(|&s| s != slot),
-            MatchPlan::Conjunction { .. } | MatchPlan::CountedTree { .. } => {
-                for &g in &stored.posted {
-                    self.preds[g].postings.retain(|&s| s != slot);
-                }
-            }
             MatchPlan::ResidualTree { .. } => self.residual_trees.retain(|&s| s != slot),
-            MatchPlan::Never { .. } => {}
+            _ => {}
+        }
+        for &g in &stored.posted {
+            self.unpost(g, slot);
         }
         if let Some(root) = stored.plan.root() {
             self.release_node(root);
-        }
-        // Postings and DAG references are gone; predicates nobody consumes
-        // per event leave their probe buckets (before the refcounts drop,
-        // while the entries are still live).
-        for &g in &stored.globals {
-            self.sync_pred_bucket(g);
         }
         self.pred_occurrences -= stored.globals.len();
         for &g in &stored.globals {
@@ -666,10 +661,31 @@ impl FilterIndex {
         self.free_nodes.push(id);
     }
 
+    /// The truth of predicate `g` for the current event. A posted predicate
+    /// sits in its path bucket, so phase 1 has already stamped it; any
+    /// other is evaluated against `source` on first use and memoized for
+    /// the rest of the event. Only valid once phase 2 is over.
+    fn truth(&self, scratch: &mut Scratch, source: &dyn PropertySource, g: usize) -> bool {
+        let gen = scratch.gen;
+        if self.postings[g].is_empty() && scratch.eval_gen[g] != gen {
+            scratch.eval_gen[g] = gen;
+            if self.preds[g].pred.eval(source) {
+                scratch.truth_gen[g] = gen;
+            }
+        }
+        scratch.truth_gen[g] == gen
+    }
+
     /// Evaluates shared node `id` with per-generation memoization. A memo
     /// hit is an evaluation another filter (or another branch) already paid
     /// for — counted into `saved`.
-    fn eval_shared(&self, scratch: &mut Scratch, id: u32, saved: &mut u64) -> bool {
+    fn eval_shared(
+        &self,
+        scratch: &mut Scratch,
+        source: &dyn PropertySource,
+        id: u32,
+        saved: &mut u64,
+    ) -> bool {
         let i = id as usize;
         if scratch.node_gen[i] == scratch.gen {
             *saved += 1;
@@ -678,14 +694,14 @@ impl FilterIndex {
         let truth = match &self.shared_nodes[i].key {
             SharedKey::True => true,
             SharedKey::False => false,
-            SharedKey::Pred(g) => scratch.truth_gen[*g] == scratch.gen,
+            SharedKey::Pred(g) => self.truth(scratch, source, *g),
             SharedKey::And(children) => children
                 .iter()
-                .all(|&c| self.eval_shared(scratch, c, saved)),
+                .all(|&c| self.eval_shared(scratch, source, c, saved)),
             SharedKey::Or(children) => children
                 .iter()
-                .any(|&c| self.eval_shared(scratch, c, saved)),
-            SharedKey::Not(c) => !self.eval_shared(scratch, *c, saved),
+                .any(|&c| self.eval_shared(scratch, source, c, saved)),
+            SharedKey::Not(c) => !self.eval_shared(scratch, source, *c, saved),
         };
         scratch.node_gen[i] = scratch.gen;
         scratch.node_truth[i] = truth;
@@ -698,7 +714,7 @@ impl FilterIndex {
     /// evaluation for the residual set.
     fn probe_group(&self, group: &PathGroup, value: &Value, satisfied: &mut Vec<usize>) {
         satisfied.extend_from_slice(&group.exists);
-        if let Some(eq_hits) = group.eq.get(&canonical(value)) {
+        if let Some(eq_hits) = group.eq.get(canonical(value).as_ref()) {
             satisfied.extend_from_slice(eq_hits);
         }
         match exact_f64(value) {
@@ -757,6 +773,7 @@ impl FilterIndex {
         let gen = scratch.gen;
         if scratch.truth_gen.len() < self.preds.len() {
             scratch.truth_gen.resize(self.preds.len(), 0);
+            scratch.eval_gen.resize(self.preds.len(), 0);
         }
         if scratch.node_gen.len() < self.shared_nodes.len() {
             scratch.node_gen.resize(self.shared_nodes.len(), 0);
@@ -790,8 +807,8 @@ impl FilterIndex {
         m.index_probes.add(probes);
 
         // Phase 2: counting. Each satisfied predicate bumps the counters of
-        // its posting slots; a conjunction reaching its arity matches
-        // outright, a counted tree reaching its threshold becomes a DAG
+        // its posting slots; an ungated conjunction reaching its target
+        // matches outright, a gated one or a counted tree becomes a
         // candidate. Dense slot arrays: no hash lookups in the loop.
         let mut matched: Vec<FilterId> = Vec::new();
         let mut candidates = std::mem::take(&mut scratch.candidates);
@@ -803,15 +820,16 @@ impl FilterIndex {
                 continue;
             }
             scratch.truth_gen[p] = gen;
-            for &slot in &self.preds[p].postings {
+            for &slot in &self.postings[p] {
+                let count = &mut scratch.counters[slot];
                 if scratch.counter_gen[slot] != gen {
                     scratch.counter_gen[slot] = gen;
-                    scratch.counters[slot] = 0;
+                    *count = 0;
                     touched += 1;
                 }
-                scratch.counters[slot] += 1;
-                if scratch.counters[slot] == self.slot_target[slot] {
-                    if self.slot_root[slot] == NO_ROOT {
+                *count += 1;
+                if *count == self.slot_target[slot] {
+                    if self.slot_root[slot] == NO_ROOT && self.slot_unposted[slot].is_empty() {
                         if let Some(id) = self.slots[slot] {
                             matched.push(id);
                         }
@@ -830,19 +848,22 @@ impl FilterIndex {
         }
 
         // Phase 4: counting-triggered candidates plus the residual trees.
-        // Gated conjunctions (all access predicates held) verify the stored
-        // filter directly; everything else walks the hash-consed DAG with
-        // per-generation memoization sharing sub-expression results.
+        // Gated conjunctions (all access predicates held) check their
+        // un-posted predicates; everything else walks the hash-consed DAG
+        // with per-generation memoization sharing sub-expression results.
+        // Both read predicate truths through `truth`, so an un-posted
+        // predicate is evaluated at most once per event.
         m.index_candidates
             .add((candidates.len() + self.residual_trees.len()) as u64);
         for &slot in candidates.iter().chain(&self.residual_trees) {
             let Some(id) = self.slots[slot] else { continue };
             let root = self.slot_root[slot];
-            debug_assert_ne!(root, NO_ROOT, "evaluated slots carry a DAG root");
-            let hit = if root == VERIFY {
-                self.filters[&id].filter.matches(source)
+            let hit = if root == NO_ROOT {
+                self.slot_unposted[slot]
+                    .iter()
+                    .all(|&g| self.truth(scratch, source, g))
             } else {
-                self.eval_shared(scratch, root, &mut saved)
+                self.eval_shared(scratch, source, root, &mut saved)
             };
             if hit {
                 matched.push(id);
@@ -887,13 +908,15 @@ impl FilterIndex {
     /// Cost is O(index); meant for tests and the harness's mid-chaos
     /// `FilterOracle`, not the hot path.
     pub fn check_consistency(&self) -> Result<(), String> {
-        if self.slots.len() != self.slot_target.len() || self.slots.len() != self.slot_root.len()
-        {
+        let tables = [
+            self.slot_target.len(),
+            self.slot_root.len(),
+            self.slot_unposted.len(),
+        ];
+        if tables.iter().any(|&len| len != self.slots.len()) {
             return Err(format!(
-                "slot tables disagree: slots={} targets={} roots={}",
-                self.slots.len(),
-                self.slot_target.len(),
-                self.slot_root.len()
+                "slot tables disagree: slots={} targets/roots/unposted={tables:?}",
+                self.slots.len()
             ));
         }
 
@@ -969,25 +992,13 @@ impl FilterIndex {
                 *expected_refs.entry(*g).or_default() += 1;
             }
 
-            let (want_target, want_root) = match stored.plan {
-                MatchPlan::Unconditional => {
-                    expected_unconditional.push(stored.slot);
-                    (NO_TARGET, NO_ROOT)
-                }
-                MatchPlan::Conjunction { arity, gated } => {
-                    if gated {
-                        (stored.posted.len() as u32, VERIFY)
-                    } else {
-                        (arity, NO_ROOT)
-                    }
-                }
-                MatchPlan::CountedTree { threshold, root } => (threshold, root),
-                MatchPlan::ResidualTree { root } => {
-                    expected_residual.push(stored.slot);
-                    (NO_TARGET, root)
-                }
-                MatchPlan::Never { root } => (NO_TARGET, root),
-            };
+            match stored.plan {
+                MatchPlan::Unconditional => expected_unconditional.push(stored.slot),
+                MatchPlan::ResidualTree { .. } => expected_residual.push(stored.slot),
+                _ => {}
+            }
+            let want_target = stored.plan.target(stored.posted.len());
+            let want_root = stored.plan.root().unwrap_or(NO_ROOT);
             if self.slot_target[stored.slot] != want_target {
                 return Err(format!(
                     "filter {}: slot target {} != plan target {want_target}",
@@ -1002,59 +1013,41 @@ impl FilterIndex {
                     self.slot_root[stored.slot]
                 ));
             }
-            if stored.plan.counted() {
-                let mut distinct = stored.globals.clone();
-                distinct.sort_unstable();
-                distinct.dedup();
-                let want_posted = match stored.plan {
-                    MatchPlan::Conjunction { gated, .. } => {
-                        // Conjunctions post their distinct *leaves*; with
-                        // `from_parts` the tree may reference a subset of
-                        // the predicate list.
-                        let leaves = conjunction_leaves(stored.filter.eval_tree())
-                            .ok_or_else(|| {
-                                format!(
-                                    "filter {}: Conjunction plan but tree is not a conjunction",
-                                    id.as_u64()
-                                )
-                            })?;
-                        distinct = leaves.iter().map(|&l| stored.globals[l]).collect();
-                        distinct.sort_unstable();
-                        distinct.dedup();
-                        let gates = self.equality_gates(&distinct);
-                        let want_gated = !gates.is_empty() && gates.len() < distinct.len();
-                        if gated != want_gated {
-                            return Err(format!(
-                                "filter {}: gated={gated} but {} equality gates of {} leaves",
-                                id.as_u64(),
-                                gates.len(),
-                                distinct.len()
-                            ));
-                        }
-                        if gated {
-                            gates
-                        } else {
-                            distinct
-                        }
-                    }
-                    _ => distinct,
-                };
-                if stored.posted != want_posted {
-                    return Err(format!(
-                        "filter {}: posted {:?} but reconstruction says {want_posted:?}",
-                        id.as_u64(),
-                        stored.posted
-                    ));
+            let (want_posted, want_unposted) = match stored.plan {
+                MatchPlan::Conjunction => {
+                    // Conjunctions post their distinct *leaves*; with
+                    // `from_parts` the tree may reference a subset of the
+                    // predicate list.
+                    let leaves =
+                        conjunction_leaves(stored.filter.eval_tree()).ok_or_else(|| {
+                            format!(
+                                "filter {}: Conjunction plan but tree is not a conjunction",
+                                id.as_u64()
+                            )
+                        })?;
+                    self.gate(sorted_distinct(leaves.iter().map(|&l| stored.globals[l])))
                 }
-                for &g in &stored.posted {
-                    expected_postings.entry(g).or_default().push(stored.slot);
+                MatchPlan::CountedTree { .. } => {
+                    (sorted_distinct(stored.globals.iter().copied()), Vec::new())
                 }
-            } else if !stored.posted.is_empty() {
+                _ => (Vec::new(), Vec::new()),
+            };
+            if stored.posted != want_posted {
                 return Err(format!(
-                    "filter {}: uncounted plan with posted set {:?}",
+                    "filter {}: posted {:?} but reconstruction says {want_posted:?}",
                     id.as_u64(),
                     stored.posted
                 ));
+            }
+            if *self.slot_unposted[stored.slot] != *want_unposted {
+                return Err(format!(
+                    "filter {}: un-posted {:?} but reconstruction says {want_unposted:?}",
+                    id.as_u64(),
+                    self.slot_unposted[stored.slot]
+                ));
+            }
+            for &g in &stored.posted {
+                expected_postings.entry(g).or_default().push(stored.slot);
             }
         }
         if expected_occurrences != self.pred_occurrences {
@@ -1099,6 +1092,13 @@ impl FilterIndex {
         if let Some(&p) = self.free_preds.iter().find(|&&p| self.preds[p].refcount > 0) {
             return Err(format!("pred {p} is both free and live"));
         }
+        if self.postings.len() != self.preds.len() {
+            return Err(format!(
+                "{} posting lists for {} predicate entries",
+                self.postings.len(),
+                self.preds.len()
+            ));
+        }
         for (idx, entry) in self.preds.iter().enumerate() {
             let want_refs = expected_refs.get(&idx).copied().unwrap_or(0);
             if entry.refcount != want_refs {
@@ -1107,7 +1107,7 @@ impl FilterIndex {
                     entry.pred, entry.refcount
                 ));
             }
-            let mut got = entry.postings.clone();
+            let mut got = self.postings[idx].clone();
             got.sort_unstable();
             let mut want = expected_postings.remove(&idx).unwrap_or_default();
             want.sort_unstable();
@@ -1130,10 +1130,8 @@ impl FilterIndex {
             }
         }
 
-        // Bucket placement: every live predicate whose truth is consumed
-        // per event (posted, or referenced by a live DAG node) sits in
-        // exactly one bucket of its path's group, in the bucket `classify`
-        // chooses; every other predicate sits in none.
+        // Bucket placement: every posted predicate sits in exactly one
+        // bucket of its path's group; every other predicate sits in none.
         let mut placements: HashMap<usize, usize> = HashMap::new();
         for (path, group) in &self.groups {
             if group.is_empty() {
@@ -1167,24 +1165,11 @@ impl FilterIndex {
             }
         }
         for (idx, entry) in self.preds.iter().enumerate() {
-            if entry.refcount == 0 {
-                if entry.in_bucket {
-                    return Err(format!("freed pred {idx} still flagged in_bucket"));
-                }
-                continue;
-            }
-            let needed = !entry.postings.is_empty()
-                || self.shared_lookup.contains_key(&SharedKey::Pred(idx));
-            if entry.in_bucket != needed {
-                return Err(format!(
-                    "live pred {idx} `{}`: in_bucket={} but consumption says {needed}",
-                    entry.pred, entry.in_bucket
-                ));
-            }
+            let posted = !self.postings[idx].is_empty();
             let placed = placements.get(&idx).copied().unwrap_or(0);
-            if placed != usize::from(needed) {
+            if placed != usize::from(posted) {
                 return Err(format!(
-                    "live pred {idx} `{}` appears {placed} times across buckets (needed={needed})",
+                    "pred {idx} `{}` appears {placed} times across buckets (posted={posted})",
                     entry.pred
                 ));
             }
@@ -1261,8 +1246,6 @@ impl FilterIndex {
                 self.preds[idx] = PredEntry {
                     pred: pred.clone(),
                     refcount: 1,
-                    postings: Vec::new(),
-                    in_bucket: false,
                 };
                 idx
             }
@@ -1270,9 +1253,8 @@ impl FilterIndex {
                 self.preds.push(PredEntry {
                     pred: pred.clone(),
                     refcount: 1,
-                    postings: Vec::new(),
-                    in_bucket: false,
                 });
+                self.postings.push(Vec::new());
                 self.preds.len() - 1
             }
         };
@@ -1284,82 +1266,55 @@ impl FilterIndex {
         self.preds[idx].refcount -= 1;
         if self.preds[idx].refcount == 0 {
             self.live_preds -= 1;
-            self.sync_pred_bucket(idx);
-            let pred = self.preds[idx].pred.clone();
-            self.pred_lookup.remove(&pred);
+            self.pred_lookup.remove(&self.preds[idx].pred);
             self.free_preds.push(idx);
         }
     }
 
-    /// Moves predicate `idx` in or out of its path group's probe bucket
-    /// according to whether its per-event truth is consumed at all: by a
-    /// posting list (counting) or a live DAG node (evaluation). Everything
-    /// else — notably the non-gate predicates of gated conjunctions — stays
-    /// out and costs nothing per event.
-    fn sync_pred_bucket(&mut self, idx: usize) {
-        let entry = &self.preds[idx];
-        let needed = entry.refcount > 0
-            && (!entry.postings.is_empty()
-                || self.shared_lookup.contains_key(&SharedKey::Pred(idx)));
-        if needed == entry.in_bucket {
+    /// Adds `slot` to predicate `g`'s posting list. The first posting files
+    /// the predicate into its path group's bucket, so phase 1 probes it
+    /// from then on.
+    fn post(&mut self, g: usize, slot: usize) {
+        if self.postings[g].is_empty() {
+            let pred = &self.preds[g].pred;
+            let group = self.groups.entry(pred.path.clone()).or_default();
+            match classify(pred) {
+                Bucket::Threshold(op, t) => {
+                    let list = group.thresholds_mut(op);
+                    let pos = list.partition_point(|(x, _)| *x < t);
+                    list.insert(pos, (t, g));
+                }
+                Bucket::Equality(key) => group.eq.entry(key).or_default().push(g),
+                Bucket::Exists => group.exists.push(g),
+                Bucket::General => group.general.push(g),
+            }
+        }
+        self.postings[g].push(slot);
+    }
+
+    /// Removes `slot` from predicate `g`'s posting list. The last posting
+    /// takes the predicate out of its bucket: it is no longer probed.
+    fn unpost(&mut self, g: usize, slot: usize) {
+        self.postings[g].retain(|&s| s != slot);
+        if !self.postings[g].is_empty() {
             return;
         }
-        if needed {
-            self.index_pred(idx);
-        } else {
-            let pred = self.preds[idx].pred.clone();
-            self.unindex_pred(idx, &pred);
-        }
-    }
-
-    fn index_pred(&mut self, idx: usize) {
-        self.preds[idx].in_bucket = true;
-        let pred = self.preds[idx].pred.clone();
-        let group = self.groups.entry(pred.path.clone()).or_default();
-        match classify(&pred) {
-            Bucket::Threshold(op, t) => {
-                let vec = match op {
-                    CmpOp::Lt => &mut group.lt,
-                    CmpOp::Le => &mut group.le,
-                    CmpOp::Gt => &mut group.gt,
-                    CmpOp::Ge => &mut group.ge,
-                    _ => unreachable!("classify returned threshold for non-ordering op"),
-                };
-                let pos = vec.partition_point(|(x, _)| *x < t);
-                vec.insert(pos, (t, idx));
-            }
-            Bucket::Equality(key) => group.eq.entry(key).or_default().push(idx),
-            Bucket::Exists => group.exists.push(idx),
-            Bucket::General => group.general.push(idx),
-        }
-    }
-
-    fn unindex_pred(&mut self, idx: usize, pred: &Predicate) {
-        self.preds[idx].in_bucket = false;
+        let pred = &self.preds[g].pred;
         let Some(group) = self.groups.get_mut(&pred.path) else {
             return;
         };
         match classify(pred) {
-            Bucket::Threshold(op, _) => {
-                let vec = match op {
-                    CmpOp::Lt => &mut group.lt,
-                    CmpOp::Le => &mut group.le,
-                    CmpOp::Gt => &mut group.gt,
-                    CmpOp::Ge => &mut group.ge,
-                    _ => unreachable!("classify returned threshold for non-ordering op"),
-                };
-                vec.retain(|&(_, p)| p != idx);
-            }
+            Bucket::Threshold(op, _) => group.thresholds_mut(op).retain(|&(_, p)| p != g),
             Bucket::Equality(key) => {
                 if let Some(list) = group.eq.get_mut(&key) {
-                    list.retain(|&p| p != idx);
+                    list.retain(|&p| p != g);
                     if list.is_empty() {
                         group.eq.remove(&key);
                     }
                 }
             }
-            Bucket::Exists => group.exists.retain(|&p| p != idx),
-            Bucket::General => group.general.retain(|&p| p != idx),
+            Bucket::Exists => group.exists.retain(|&p| p != g),
+            Bucket::General => group.general.retain(|&p| p != g),
         }
         if group.is_empty() {
             self.groups.remove(&pred.path);
@@ -1379,10 +1334,9 @@ fn classify(pred: &Predicate) -> Bucket {
         CmpOp::Exists => Bucket::Exists,
         CmpOp::Eq => match &pred.operand {
             Value::Float(f) if f.is_nan() => Bucket::General,
-            Value::Int(_) | Value::UInt(_) | Value::Float(_) => {
-                Bucket::Equality(canonical(&pred.operand))
+            Value::Int(_) | Value::UInt(_) | Value::Float(_) | Value::Str(_) | Value::Bool(_) => {
+                Bucket::Equality(canonical(&pred.operand).into_owned())
             }
-            Value::Str(_) | Value::Bool(_) => Bucket::Equality(pred.operand.clone()),
             _ => Bucket::General,
         },
         CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge => match exact_f64(&pred.operand) {
@@ -1394,20 +1348,29 @@ fn classify(pred: &Predicate) -> Bucket {
 }
 
 /// Canonicalizes numeric values so that `Int(1)`, `UInt(1)` and `Float(1.0)`
-/// share one hash-map key, matching [`Value::loose_eq`].
-fn canonical(value: &Value) -> Value {
+/// share one hash-map key, matching [`Value::loose_eq`]. Every other value
+/// is its own key and is borrowed, so probing a string allocates nothing.
+fn canonical(value: &Value) -> Cow<'_, Value> {
     match value {
-        Value::UInt(u) if *u <= i64::MAX as u64 => Value::Int(*u as i64),
+        Value::UInt(u) if *u <= i64::MAX as u64 => Cow::Owned(Value::Int(*u as i64)),
         Value::Float(f)
             if f.fract() == 0.0
                 && *f >= i64::MIN as f64
                 && *f < i64::MAX as f64
                 && (*f as i64) as f64 == *f =>
         {
-            Value::Int(*f as i64)
+            Cow::Owned(Value::Int(*f as i64))
         }
-        other => other.clone(),
+        other => Cow::Borrowed(other),
     }
+}
+
+/// The sorted, deduplicated global predicate ids.
+fn sorted_distinct(ids: impl IntoIterator<Item = usize>) -> Vec<usize> {
+    let mut ids: Vec<usize> = ids.into_iter().collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids
 }
 
 /// Returns the value as `f64` only if the conversion is exact, so binary

@@ -190,13 +190,6 @@ mod filters {
     }
 
     #[test]
-    fn matches_with_truths_uses_positional_assignment() {
-        let f = rfilter!(price < 10.0 && amount > 5);
-        assert!(f.matches_with_truths(&[true, true]));
-        assert!(!f.matches_with_truths(&[true, false]));
-    }
-
-    #[test]
     #[should_panic(expected = "references predicate")]
     fn from_parts_rejects_out_of_bounds_leaves() {
         RemoteFilter::from_parts(vec![], EvalNode::Pred(0));
@@ -962,6 +955,90 @@ mod index {
         index.remove(never).unwrap();
         index.check_consistency().unwrap();
         assert_eq!(index.stats().shared_nodes, 0);
+    }
+
+    /// Enumerates exactly like the wrapped event, but counts the
+    /// `property` fetches the index makes outside phase 1.
+    struct CountingFetches<'a> {
+        event: &'a Value,
+        fetches: std::cell::Cell<usize>,
+    }
+
+    impl PropertySource for CountingFetches<'_> {
+        fn property(&self, path: &PropPath) -> Option<Value> {
+            self.fetches.set(self.fetches.get() + 1);
+            self.event.property(path)
+        }
+
+        fn visit_properties(&self, visit: &mut dyn FnMut(&[String], &Value)) -> bool {
+            self.event.visit_properties(visit)
+        }
+    }
+
+    #[test]
+    fn gated_candidates_fetch_each_shared_range_predicate_once_per_event() {
+        // E1's overlapping population: `price < t && company == c` with t on
+        // a coarse grid of 19 thresholds. Every filter is gated on its
+        // company equality, so only those are probed; the range predicates
+        // are checked per candidate from memoized truths.
+        const COMPANIES: [&str; 4] = ["Telco", "Banco", "Aero", "Hydro"];
+        let mut index = FilterIndex::new();
+        for i in 0..1_000usize {
+            index.insert(RemoteFilter::conjunction(vec![
+                Predicate::new("price", CmpOp::Lt, ((i * 7) % 19 + 1) as f64 * 10.0),
+                Predicate::new("company", CmpOp::Eq, COMPANIES[i % COMPANIES.len()]),
+            ]));
+        }
+        assert_eq!(index.stats().indexed_preds, COMPANIES.len());
+        for price in [5.0, 55.0, 150.0, 250.0] {
+            for company in COMPANIES {
+                let event = quote(company, price, 1);
+                let source = CountingFetches {
+                    event: &event,
+                    fetches: std::cell::Cell::new(0),
+                };
+                assert_eq!(index.matching(&source), index.naive_matching(&event));
+                // 250 candidates share 19 range predicates.
+                assert!(
+                    source.fetches.get() <= 19,
+                    "{} fetches for one `{company}` event",
+                    source.fetches.get()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn residual_trees_probe_nothing() {
+        // Trees satisfiable with no true predicate are evaluated on every
+        // event; their leaves come from the memoized evaluator, so nothing
+        // enters a probe bucket for them.
+        let mut index = FilterIndex::new();
+        let not_above_1 = index.insert(rfilter!(price > 1.0).negate());
+        let not_cheap_telco = index.insert(rfilter!(price < 50.0 && company == "Telco").negate());
+        let stats = index.stats();
+        assert_eq!(stats.residual_filters, 2);
+        assert_eq!((stats.indexed_preds, stats.residual_preds), (0, 0));
+        assert_eq!(index.matching(&quote("Telco", 0.5, 1)), vec![not_above_1]);
+        assert_eq!(
+            index.matching(&quote("Telco", 80.0, 1)),
+            vec![not_cheap_telco]
+        );
+        assert_eq!(
+            index.matching(&quote("Banco", 0.5, 1)),
+            vec![not_above_1, not_cheap_telco]
+        );
+
+        // A counted filter posting the same predicate files it into its
+        // bucket; removing that filter takes it out again.
+        let counted = index.insert(rfilter!(price > 1.0));
+        assert_eq!(index.stats().indexed_preds, 1);
+        let event = quote("Telco", 80.0, 1);
+        assert_eq!(index.matching(&event), index.naive_matching(&event));
+        index.check_consistency().unwrap();
+        index.remove(counted).unwrap();
+        assert_eq!(index.stats().indexed_preds, 0);
+        index.check_consistency().unwrap();
     }
 
     #[test]

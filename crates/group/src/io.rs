@@ -107,6 +107,39 @@ pub trait Multicast: Send {
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
 }
 
+/// A boxed protocol is a protocol: every method forwards, so factories can
+/// return `Box<dyn Multicast>` to hosts that take `impl Multicast`, and
+/// `as_any_mut` still downcasts to the inner protocol.
+impl<M: Multicast + ?Sized> Multicast for Box<M> {
+    fn broadcast(&mut self, io: &mut dyn GroupIo, payload: WireBytes) {
+        (**self).broadcast(io, payload);
+    }
+    fn on_message(&mut self, io: &mut dyn GroupIo, from: NodeId, bytes: &[u8]) {
+        (**self).on_message(io, from, bytes);
+    }
+    fn on_timer(&mut self, io: &mut dyn GroupIo, token: TimerToken) {
+        (**self).on_timer(io, token);
+    }
+    fn on_recover(&mut self, io: &mut dyn GroupIo) {
+        (**self).on_recover(io);
+    }
+    fn on_start(&mut self, io: &mut dyn GroupIo) {
+        (**self).on_start(io);
+    }
+    fn proto_name(&self) -> &'static str {
+        (**self).proto_name()
+    }
+    fn capture(&mut self, io: &mut dyn GroupIo) -> psc_snapshot::ProtoCapture {
+        (**self).capture(io)
+    }
+    fn queue_depths(&self) -> Vec<(&'static str, u64)> {
+        (**self).queue_depths()
+    }
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        (**self).as_any_mut()
+    }
+}
+
 /// Encodes a protocol message into a shared, pooled buffer, panicking on
 /// failure.
 ///

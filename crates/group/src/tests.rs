@@ -16,42 +16,13 @@ fn cluster(
     let ids: Vec<NodeId> = (0..n)
         .map(|i| {
             let make = make.clone();
-            sim.add_node(format!("n{i}"), move || {
-                let proto = make();
-                // GroupNode::boxed takes an impl Multicast; wrap the box.
-                GroupNode::boxed(BoxedProto(proto))
-            })
+            sim.add_node(format!("n{i}"), move || GroupNode::boxed(make()))
         })
         .collect();
     for &id in &ids {
         GroupNode::set_members(&mut sim, id, ids.clone());
     }
     (sim, ids)
-}
-
-/// Adapter: lets factories produce `Box<dyn Multicast>` while GroupNode
-/// wants a concrete `impl Multicast`.
-struct BoxedProto(Box<dyn Multicast>);
-
-impl Multicast for BoxedProto {
-    fn broadcast(&mut self, io: &mut dyn crate::GroupIo, payload: psc_codec::WireBytes) {
-        self.0.broadcast(io, payload);
-    }
-    fn on_message(&mut self, io: &mut dyn crate::GroupIo, from: NodeId, bytes: &[u8]) {
-        self.0.on_message(io, from, bytes);
-    }
-    fn on_timer(&mut self, io: &mut dyn crate::GroupIo, token: crate::TimerToken) {
-        self.0.on_timer(io, token);
-    }
-    fn on_recover(&mut self, io: &mut dyn crate::GroupIo) {
-        self.0.on_recover(io);
-    }
-    fn on_start(&mut self, io: &mut dyn crate::GroupIo) {
-        self.0.on_start(io);
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self.0.as_any_mut()
-    }
 }
 
 fn payload(tag: u8, i: u64) -> Vec<u8> {

@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use psc_group::sim_host::{GroupNode, Watchdog};
-use psc_group::{GroupIo, Multicast, TimerToken};
+use psc_group::Multicast;
 use psc_simnet::{LatencyModel, NodeId, SimConfig, SimNet, SimTime};
 use psc_simnet::Duration as SimDuration;
 use psc_telemetry::json::JsonValue;
@@ -27,38 +27,6 @@ use crate::trace::{Delivery, PubRecord, Trace};
 
 /// Shared protocol factory, clonable into every node's rebuild closure.
 pub type ProtoFactory = Arc<dyn Fn() -> Box<dyn Multicast> + Send + Sync>;
-
-/// Adapts a boxed protocol to `GroupNode::boxed`, which takes
-/// `impl Multicast`. Downcasts pass through to the inner protocol so
-/// `GroupNode::with_proto` still reaches it.
-struct BoxedProto(Box<dyn Multicast>);
-
-impl Multicast for BoxedProto {
-    fn broadcast(&mut self, io: &mut dyn GroupIo, payload: psc_codec::WireBytes) {
-        self.0.broadcast(io, payload);
-    }
-    fn on_message(&mut self, io: &mut dyn GroupIo, from: NodeId, bytes: &[u8]) {
-        self.0.on_message(io, from, bytes);
-    }
-    fn on_timer(&mut self, io: &mut dyn GroupIo, token: TimerToken) {
-        self.0.on_timer(io, token);
-    }
-    fn on_recover(&mut self, io: &mut dyn GroupIo) {
-        self.0.on_recover(io);
-    }
-    fn on_start(&mut self, io: &mut dyn GroupIo) {
-        self.0.on_start(io);
-    }
-    fn proto_name(&self) -> &'static str {
-        self.0.proto_name()
-    }
-    fn queue_depths(&self) -> Vec<(&'static str, u64)> {
-        self.0.queue_depths()
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self.0.as_any_mut()
-    }
-}
 
 /// The stall-watchdog sweep period used by harness runs.
 const WATCHDOG_SWEEP: SimDuration = SimDuration::from_millis(50);
@@ -121,7 +89,7 @@ pub fn run_scenario_with(scenario: &Scenario, make: ProtoFactory) -> RunOutcome 
         };
         sim.add_node(format!("h{i}"), move || {
             GroupNode::boxed_observable(
-                BoxedProto(mk()),
+                mk(),
                 Arc::clone(&registry),
                 Some(Arc::clone(&recorder)),
                 Some(watchdog.clone()),

@@ -11,6 +11,7 @@
 //! its table, and `tests/experiment_counts.rs` runs a small point of the
 //! same function and pins the counts exactly.
 
+pub mod delivery;
 pub mod fanout;
 pub mod match_scale;
 pub mod placement;

@@ -1,5 +1,5 @@
 //! Exact counts behind the EXPERIMENTS.md tables whose scenarios are
-//! deterministic (E2, E6, E8, E11, E15). Each test runs a small point of
+//! deterministic (E2, E3, E6, E8, E11, E15). Each test runs a small point of
 //! the same `psc_bench` function its `exp_*` binary sweeps, so a change to
 //! the mechanism a table measures fails here rather than drifting the
 //! table.
@@ -9,6 +9,7 @@
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
+use psc_bench::delivery::{self, PROTOCOLS};
 use psc_bench::match_scale::{self, EVENTS};
 use psc_bench::placement::{self, PLACEMENTS, SELECTIVITIES};
 use psc_bench::snapshot::run_wave;
@@ -37,6 +38,27 @@ fn e2_placement_traffic_at_four_subscribers() {
         for ((name, placement), cell) in PLACEMENTS.into_iter().zip(row) {
             let got = placement::run(placement, selectivity, 4);
             assert_eq!(got, cell, "selectivity {selectivity}, {name} placement");
+        }
+    }
+}
+
+/// E3: (messages sent, deliveries) per protocol, in the order
+/// `exp_delivery_semantics` prints them — 8 nodes at 0, 5 and 20 % loss,
+/// then 3 nodes at 20 %. Complete is 160 deliveries on 8 nodes, 60 on 3:
+/// every kind above best-effort, under every loss.
+#[test]
+fn e3_delivery_ladder_counts() {
+    let _turn = turn();
+    let expected: [[(u64, usize); 6]; 4] = [
+        [(140, 160), (1_120, 160), (1_120, 160), (1_120, 160), (206, 160), (280, 160)],
+        [(140, 154), (1_140, 160), (1_140, 160), (1_140, 160), (245, 160), (298, 160)],
+        [(140, 138), (1_206, 160), (1_206, 160), (1_206, 160), (284, 160), (352, 160)],
+        [(40, 53), (139, 60), (139, 60), (139, 60), (130, 60), (110, 60)],
+    ];
+    for ((nodes, loss), row) in [(8, 0.0), (8, 0.05), (8, 0.2), (3, 0.2)].into_iter().zip(expected) {
+        for ((name, make), cell) in PROTOCOLS.into_iter().zip(row) {
+            let point = delivery::run(name, make, nodes, loss);
+            assert_eq!((point.sent, point.delivered), cell, "{name}, {nodes} nodes, loss {loss}");
         }
     }
 }

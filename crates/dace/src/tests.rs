@@ -1,10 +1,12 @@
 use std::sync::{Arc, Mutex};
 
 use psc_group::LpbcastConfig;
-use psc_obvent::builtin::{Certified, FifoOrder, Prioritary, Reliable, Timely, TotalOrder};
+use psc_obvent::builtin::{
+    CausalOrder, Certified, FifoOrder, Prioritary, Reliable, Timely, TotalOrder,
+};
 use psc_obvent::declare_obvent_model;
 use psc_simnet::{Duration, LatencyModel, NodeId, SimConfig, SimNet, SimTime};
-use pubsub_core::FilterSpec;
+use pubsub_core::{Domain, FilterSpec};
 
 use crate::{DaceConfig, DaceNode, Placement};
 
@@ -19,6 +21,9 @@ declare_obvent_model! {
 }
 declare_obvent_model! {
     pub class FifoTick implements [FifoOrder] { n: u64 }
+}
+declare_obvent_model! {
+    pub class CausalTick implements [CausalOrder] { n: u64 }
 }
 declare_obvent_model! {
     pub class TotalTick implements [TotalOrder] { n: u64 }
@@ -240,6 +245,60 @@ fn fifo_obvents_arrive_in_publish_order() {
     settle(&mut sim, 500);
     let got = seen.lock().unwrap().clone();
     assert_eq!(got, (0..25).collect::<Vec<u64>>());
+}
+
+/// Node 0 publishes 3 obvents nobody has subscribed to, node 1 then
+/// subscribes, and node 0 publishes `0..10`: node 1's channel stream starts
+/// at the publisher's seq 4, which the frame header tells it.
+fn late_subscriber_receives(
+    subscribe: impl FnOnce(&Domain, Seen<u64>) + 'static,
+    publish: impl Fn(&mut SimNet, NodeId, u64),
+) -> Vec<u64> {
+    let (mut sim, ids) = cluster(2, SimConfig::with_seed(5), DaceConfig::default());
+    for i in 100..103 {
+        publish(&mut sim, ids[0], i);
+    }
+    settle(&mut sim, 100);
+    let seen: Seen<u64> = Arc::new(Mutex::new(Vec::new()));
+    let sink = seen.clone();
+    DaceNode::drive(&mut sim, ids[1], move |domain| subscribe(domain, sink));
+    settle(&mut sim, 10);
+    for i in 0..10 {
+        publish(&mut sim, ids[0], i);
+    }
+    settle(&mut sim, 500);
+    let got = seen.lock().unwrap().clone();
+    got
+}
+
+#[test]
+fn a_late_fifo_subscriber_receives_what_follows_its_subscription() {
+    let got = late_subscriber_receives(
+        |domain, sink| {
+            let sub = domain.subscribe(FilterSpec::accept_all(), move |t: FifoTick| {
+                sink.lock().unwrap().push(*t.n());
+            });
+            sub.activate().unwrap();
+            sub.detach();
+        },
+        |sim, node, n| DaceNode::publish_from(sim, node, FifoTick::new(n)),
+    );
+    assert_eq!(got, (0..10).collect::<Vec<u64>>());
+}
+
+#[test]
+fn a_late_causal_subscriber_receives_what_follows_its_subscription() {
+    let got = late_subscriber_receives(
+        |domain, sink| {
+            let sub = domain.subscribe(FilterSpec::accept_all(), move |t: CausalTick| {
+                sink.lock().unwrap().push(*t.n());
+            });
+            sub.activate().unwrap();
+            sub.detach();
+        },
+        |sim, node, n| DaceNode::publish_from(sim, node, CausalTick::new(n)),
+    );
+    assert_eq!(got, (0..10).collect::<Vec<u64>>());
 }
 
 #[test]

@@ -5,9 +5,11 @@
 //! classic vector-clock construction: each broadcast carries the origin's
 //! vector clock; a receiver holds a message from origin `j` back until it
 //! has delivered (a) `j`'s previous broadcast and (b) every broadcast that
-//! happened-before it at other processes. Transport is the eager reliable
-//! relay, since causal order subsumes reliability in the paper's lattice
-//! (`CausalOrder extends FIFOOrder extends Reliable`).
+//! happened-before it at other processes. It is a hold-back policy over the
+//! reliable delivery layer ([`Eager`](crate::reliable::Eager)), since causal
+//! order subsumes reliability in the paper's lattice (`CausalOrder extends
+//! FIFOOrder extends Reliable`); relay, retransmission and bounded
+//! duplicate suppression are the layer's.
 //!
 //! Clock entries are tagged with the counted process's *incarnation epoch*
 //! (see [`MsgId`]): a crashed process loses its counters, so its next
@@ -17,32 +19,30 @@
 //! volatile protocol, and waiting for them would block the new incarnation
 //! forever.
 //!
-//! ## Bounded duplicate suppression (matrix-clock GC)
-//!
-//! The eager relay needs a `seen` set to stop relay storms and duplicate
-//! deliveries — but kept naively it grows with every message ever
-//! broadcast, which is unbounded retention on a long-lived group. The
-//! classic matrix-clock bound [SES89-style] fixes this: every broadcast
-//! already carries its origin's delivered vector (the `deps`), so each
-//! receipt teaches us a row of the *matrix clock* — what the origin had
-//! delivered when it published. The column-wise minimum over all members
-//! is then a floor: every member has delivered the origin's messages up
-//! to it, so no correct member will ever relay them again, and their
-//! `seen` entries can be dropped. A *watermark guard* in `accept` makes
-//! the GC safe against the bounded number of copies still in flight: any
-//! arrival at or below the delivered watermark (or from a dead
-//! incarnation) is discarded before it can re-deliver or park forever.
+//! A member the origin starts addressing mid-epoch learns its first owed
+//! seq from the frame header ([`Joins`]), as under FIFO. Two gaps remain:
+//! a dependency on what a quiet *other* publisher sent before the member
+//! joined is held until that publisher speaks again, and a receiver
+//! restarted after a crash waits for seq 1 of every stream that began
+//! before its recovery (FIFO adopts the first frame instead; a causal
+//! receiver cannot, without delivering a message whose predecessors it
+//! never had).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
 use psc_codec::WireBytes;
 use psc_simnet::NodeId;
-use psc_snapshot::MatrixClock;
+use psc_snapshot::ProtoCapture;
 
-use crate::io::{decode_msg, encode_msg, GroupIo, Multicast};
-use crate::reliable::MsgId;
+use crate::dedup::{Delivered, MsgId};
+use crate::fifo::Joins;
+use crate::io::GroupIo;
+use crate::reliable::{Eager, HoldBack};
+
+/// Vector-clock causal broadcast over the reliable delivery layer.
+pub type Causal = Eager<CausalHoldBack>;
 
 /// One component of an epoch-tagged vector clock: `count` broadcasts
 /// delivered from `node`'s incarnation `epoch`.
@@ -53,271 +53,140 @@ struct ClockEntry {
     count: u64,
 }
 
-#[derive(Debug, Serialize, Deserialize)]
-struct Data {
-    id: MsgId,
+/// What a causal broadcast carries besides its id.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub struct CausalHeader {
+    /// Late members' first owed seqs (see [`Joins`]).
+    joins: Vec<(NodeId, u64)>,
     /// Causal dependencies on processes other than the origin; the origin
-    /// component is `id` itself (`id.epoch`/`id.seq`).
+    /// component is the id itself (`id.epoch`/`id.seq`).
+    deps: Vec<ClockEntry>,
+}
+
+#[derive(Debug)]
+struct Pending {
+    id: MsgId,
     deps: Vec<ClockEntry>,
     payload: WireBytes,
 }
 
-/// Vector-clock causal broadcast over eager reliable relay.
+/// Causal hold-back; see the module docs.
 #[derive(Debug, Default)]
-pub struct Causal {
-    /// This incarnation's epoch (see [`MsgId`]).
-    epoch: u64,
-    next_seq: u64,
-    seen: HashSet<MsgId>,
+pub struct CausalHoldBack {
+    joins: Joins,
     /// Latest delivered broadcast per origin: (incarnation epoch, counter
     /// within that incarnation).
     delivered: HashMap<NodeId, (u64, u64)>,
     /// Messages awaiting their causal predecessors.
-    pending: Vec<Data>,
-    /// What each member is known to have delivered (its row, learned from
-    /// the dependency vectors its broadcasts carry); the column minimum
-    /// bounds `seen` GC. Entries always refer to the incarnation this node
-    /// currently tracks for the counted process.
-    matrix: MatrixClock,
-    /// Total `seen` entries reclaimed by the matrix-clock bound.
-    gc_reclaimed: u64,
+    pending: Vec<Pending>,
 }
 
 impl Causal {
-    /// Creates a causal-broadcast instance.
-    pub fn new() -> Self {
-        Causal::default()
-    }
-
     /// Number of messages currently held back (diagnostics).
     pub fn pending_len(&self) -> usize {
-        self.pending.len()
+        self.order.pending.len()
     }
+}
 
-    /// Current size of the duplicate-suppression set (diagnostics; bounded
-    /// by the matrix-clock GC under all-to-all traffic).
-    pub fn seen_len(&self) -> usize {
-        self.seen.len()
-    }
-
-    /// Total `seen` entries reclaimed so far (diagnostics).
-    pub fn gc_reclaimed(&self) -> u64 {
-        self.gc_reclaimed
-    }
-
-    /// Delivered counter for `node`'s *current* known incarnation
-    /// (diagnostics / assertions).
-    pub fn delivered_count(&self, node: NodeId) -> u64 {
-        self.delivered.get(&node).map_or(0, |&(_, c)| c)
-    }
-
-    /// The data-message identity inside `bytes` (snapshot in-flight
-    /// recording; every causal frame is a data frame).
-    pub(crate) fn peek_id(bytes: &[u8]) -> Option<MsgId> {
-        decode_msg::<Data>(bytes).map(|data| data.id)
-    }
-
-    fn relay(&self, io: &mut dyn GroupIo, data: &Data) {
-        let me = io.self_id();
-        let bytes = encode_msg(data);
-        for member in io.members().to_vec() {
-            if member != me {
-                io.send(member, bytes.clone());
-            }
-        }
-    }
-
-    /// True when `data` is deliverable given the local delivered-clock.
-    fn deliverable(&self, data: &Data) -> bool {
+impl CausalHoldBack {
+    /// True when `msg` is deliverable given the local delivered-clock.
+    fn deliverable(&self, msg: &Pending) -> bool {
         // Origin component: the next message of the incarnation we are
         // tracking — or the first message of a newer incarnation, which
         // severs the (unrecoverable) tail of the old one.
-        let (le, lc) = *self.delivered.get(&data.id.origin).unwrap_or(&(0, 0));
-        let origin_ok = (data.id.epoch == le && data.id.seq == lc + 1)
-            || (data.id.epoch > le && data.id.seq == 1);
+        let (le, lc) = *self.delivered.get(&msg.id.origin).unwrap_or(&(0, 0));
+        let origin_ok =
+            (msg.id.epoch == le && msg.id.seq == lc + 1) || (msg.id.epoch > le && msg.id.seq == 1);
         if !origin_ok {
             return false;
         }
         // Other components: satisfied once we delivered at least as much of
         // that incarnation, or once that incarnation is already superseded
         // locally (its undelivered tail is lost for good).
-        data.deps.iter().all(|dep| {
+        msg.deps.iter().all(|dep| {
             let (le, lc) = *self.delivered.get(&dep.node).unwrap_or(&(0, 0));
             dep.epoch < le || (dep.epoch == le && dep.count <= lc)
         })
     }
+}
 
-    fn accept(&mut self, io: &mut dyn GroupIo, data: Data) {
-        // Watermark duplicate guard: `seen` is GC'd below the matrix-clock
-        // floor, so a straggling relay of an old message can get past the
-        // set again. Anything at or below the delivered watermark (or from
-        // a dead incarnation) was already delivered or is permanently lost
-        // — drop it before it can re-deliver or park in `pending` forever.
-        let (le, lc) = *self.delivered.get(&data.id.origin).unwrap_or(&(0, 0));
-        if data.id.epoch < le || (data.id.epoch == le && data.id.seq <= lc) {
-            io.metric("causal.watermark_drops", 1);
-            return;
+impl HoldBack for CausalHoldBack {
+    type Header = CausalHeader;
+    const NAME: &'static str = "causal";
+
+    fn stamp(&mut self, id: MsgId, targets: &[NodeId]) -> CausalHeader {
+        // Dependencies: everything delivered here from other processes.
+        let deps = self
+            .delivered
+            .iter()
+            .filter(|&(&node, _)| node != id.origin)
+            .map(|(&node, &(epoch, count))| ClockEntry { node, epoch, count })
+            .collect();
+        CausalHeader {
+            joins: self.joins.stamp(id.seq, targets),
+            deps,
         }
-        if !self.deliverable(&data) {
+    }
+
+    fn accept(
+        &mut self,
+        io: &mut dyn GroupIo,
+        id: MsgId,
+        header: CausalHeader,
+        payload: WireBytes,
+        seen: &mut Delivered,
+    ) {
+        if let Some(first) = Joins::start_of(&header.joins, io.self_id()) {
+            let (le, lc) = *self.delivered.get(&id.origin).unwrap_or(&(0, 0));
+            if id.epoch > le || (id.epoch == le && lc + 1 < first) {
+                // Seqs below the start were never sent here.
+                self.delivered.insert(id.origin, (id.epoch, first - 1));
+                self.pending.retain(|p| {
+                    p.id.origin != id.origin || p.id.epoch != id.epoch || p.id.seq >= first
+                });
+                seen.skip_to(first - 1);
+            }
+        }
+        let msg = Pending {
+            id,
+            deps: header.deps,
+            payload,
+        };
+        if !self.deliverable(&msg) {
             io.metric("causal.held_back", 1);
         }
-        self.pending.push(data);
-        let me = io.self_id();
+        self.pending.push(msg);
         // Drain everything that became deliverable, to fixpoint.
-        while let Some(pos) = self.pending.iter().position(|d| self.deliverable(d)) {
-            let data = self.pending.swap_remove(pos);
-            let prev = self
-                .delivered
-                .insert(data.id.origin, (data.id.epoch, data.id.seq));
-            if prev.is_some_and(|(pe, _)| pe != data.id.epoch) {
-                // An incarnation we track changed: matrix entries counting
-                // the old incarnation are now overstatements (the new one
-                // restarted at 1). Start the matrix over from this node's
-                // own delivered state; peers' rows repopulate from their
-                // subsequent traffic.
-                self.matrix = MatrixClock::new();
-                for (&node, &(_, count)) in &self.delivered {
-                    self.matrix.observe_entry(me.0, node.0, count);
-                }
-            } else {
-                self.matrix.observe_entry(me.0, data.id.origin.0, data.id.seq);
-            }
-            io.deliver(data.id.origin, data.payload);
+        while let Some(pos) = self.pending.iter().position(|p| self.deliverable(p)) {
+            let msg = self.pending.swap_remove(pos);
+            self.delivered
+                .insert(msg.id.origin, (msg.id.epoch, msg.id.seq));
+            io.deliver(msg.id.origin, msg.payload);
         }
         // Drop stragglers of incarnations we have already moved past; they
         // can never become deliverable.
         let delivered = &self.delivered;
-        self.pending.retain(|d| {
+        self.pending.retain(|p| {
             delivered
-                .get(&d.id.origin)
-                .is_none_or(|&(le, _)| d.id.epoch >= le)
+                .get(&p.id.origin)
+                .is_none_or(|&(le, _)| p.id.epoch >= le)
         });
-        self.gc_seen(io);
     }
 
-    /// Teaches the matrix `data`'s origin's row: the dependency vector is a
-    /// faithful image of what the origin had delivered when it broadcast.
-    /// Entries are only incorporated when they refer to the incarnation
-    /// this node currently tracks for the counted process — skipping a
-    /// mismatched entry just delays GC, never unsounds it.
-    fn learn(&mut self, data: &Data) {
-        let origin = data.id.origin;
-        let (le, _) = *self.delivered.get(&origin).unwrap_or(&(0, 0));
-        if data.id.epoch == le {
-            self.matrix.observe_entry(origin.0, origin.0, data.id.seq);
-        }
-        for dep in &data.deps {
-            let (le, _) = *self.delivered.get(&dep.node).unwrap_or(&(0, 0));
-            if dep.epoch == le {
-                self.matrix.observe_entry(origin.0, dep.node.0, dep.count);
-            }
-        }
+    fn on_ack(&mut self, from: NodeId, seq: u64) {
+        self.joins.on_ack(from, seq);
     }
 
-    /// Reclaims `seen` entries below the matrix-clock floor: an id every
-    /// member is known to have delivered can never be relayed again by a
-    /// correct member, and the watermark guard in [`Causal::accept`]
-    /// swallows the bounded number of copies still in flight.
-    fn gc_seen(&mut self, io: &mut dyn GroupIo) {
-        let members = io.members();
-        if members.is_empty() {
-            return;
-        }
-        let before = self.seen.len();
-        let delivered = &self.delivered;
-        let matrix = &self.matrix;
-        self.seen.retain(|id| {
-            let (le, _) = *delivered.get(&id.origin).unwrap_or(&(0, 0));
-            if id.epoch != le {
-                // Dead incarnations are unconditionally reclaimable (the
-                // guard drops their stragglers); newer ones are kept.
-                return id.epoch > le;
-            }
-            id.seq > matrix.min_entry(id.origin.0, members.iter().map(|n| n.0))
-        });
-        let reclaimed = (before - self.seen.len()) as u64;
-        if reclaimed > 0 {
-            self.gc_reclaimed += reclaimed;
-            io.metric("causal.seen_gced", reclaimed);
-        }
-    }
-}
-
-impl Multicast for Causal {
-    fn broadcast(&mut self, io: &mut dyn GroupIo, payload: WireBytes) {
-        io.metric("causal.broadcasts", 1);
-        let me = io.self_id();
-        self.next_seq += 1;
-        let id = MsgId {
-            origin: me,
-            epoch: self.epoch,
-            seq: self.next_seq,
-        };
-        // Dependencies: everything delivered here from other processes.
-        let deps: Vec<ClockEntry> = self
-            .delivered
-            .iter()
-            .filter(|&(&node, _)| node != me)
-            .map(|(&node, &(epoch, count))| ClockEntry { node, epoch, count })
-            .collect();
-        let data = Data { id, deps, payload };
-        self.seen.insert(id);
-        self.relay(io, &data);
-        if io.members().contains(&me) {
-            self.accept(io, data);
-        }
-    }
-
-    fn on_message(&mut self, io: &mut dyn GroupIo, _from: NodeId, bytes: &[u8]) {
-        let Some(data) = decode_msg::<Data>(bytes) else {
-            return;
-        };
-        if !self.seen.insert(data.id) {
-            io.metric("causal.duplicates", 1);
-            return;
-        }
-        self.learn(&data);
-        self.relay(io, &data);
-        self.accept(io, data);
-    }
-
-    fn on_start(&mut self, io: &mut dyn GroupIo) {
-        self.epoch = io.now().as_millis();
-    }
-
-    fn on_recover(&mut self, io: &mut dyn GroupIo) {
-        self.epoch = io.now().as_millis();
-    }
-
-    fn capture(&mut self, _io: &mut dyn GroupIo) -> psc_snapshot::ProtoCapture {
-        let mut cap = psc_snapshot::ProtoCapture::new(self.proto_name());
-        cap.epoch = self.epoch;
-        cap.next_seq = self.next_seq;
+    fn capture(&self, cap: &mut ProtoCapture) {
         cap.watermarks = self
             .delivered
             .iter()
             .map(|(&node, &(epoch, count))| (node.0, epoch, count))
             .collect();
-        cap.pending = self.pending_len() as u64;
-        cap.extra.push(("seen".to_string(), self.seen.len() as u64));
-        cap.extra
-            .push(("seen_gced".to_string(), self.gc_reclaimed));
-        cap.normalize();
-        cap
+        cap.pending = self.pending.len() as u64;
     }
 
-    fn proto_name(&self) -> &'static str {
-        "causal"
-    }
-
-    fn queue_depths(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("causal.pending", self.pending_len() as u64),
-            ("causal.seen", self.seen_len() as u64),
-        ]
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
+    fn queue_depths(&self, depths: &mut Vec<(&'static str, u64)>) {
+        depths.push(("causal.pending", self.pending.len() as u64));
     }
 }

@@ -10,19 +10,19 @@
 //! across failures).
 //!
 //! The delivered set is kept per `(origin, epoch)` as a watermark plus the
-//! seqs delivered above it ([`Delivered`]), stored under one key per
+//! seqs delivered above it (the shared [`Dedup`]), stored under one key per
 //! origin: a first delivery rewrites only its origin's key, one record of
 //! O(1 + gaps) bytes whether it arrived in order or not.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
 use psc_codec::WireBytes;
 use psc_simnet::{Duration, NodeId};
 
+use crate::dedup::{Dedup, MsgId, OriginDelivered};
 use crate::io::{decode_msg, encode_msg, GroupIo, Multicast, TimerToken};
-use crate::reliable::MsgId;
 
 const RETRANSMIT: TimerToken = TimerToken(2);
 
@@ -51,41 +51,6 @@ struct LogEntry {
     acked: Vec<NodeId>,
 }
 
-/// The seqs of one `(origin, epoch)` stream delivered locally. Seqs start
-/// at 1, so the empty set is `upto == 0`.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-struct Delivered {
-    /// Every seq `<= upto` is delivered.
-    upto: u64,
-    /// Seqs delivered past a gap; all `> upto + 1`.
-    above: BTreeSet<u64>,
-}
-
-impl Delivered {
-    /// Records `seq`; false when it was already delivered.
-    fn insert(&mut self, seq: u64) -> bool {
-        if seq <= self.upto || !self.above.insert(seq) {
-            return false;
-        }
-        while self.above.remove(&(self.upto + 1)) {
-            self.upto += 1;
-        }
-        true
-    }
-
-    fn len(&self) -> usize {
-        self.upto as usize + self.above.len()
-    }
-
-    fn seqs(&self) -> impl Iterator<Item = u64> + '_ {
-        (1..=self.upto).chain(self.above.iter().copied())
-    }
-}
-
-/// Per-origin delivered state, epoch → seqs; the value of one
-/// `cert/delivered/<origin>` key.
-type OriginDelivered = BTreeMap<u64, Delivered>;
-
 /// Certified (crash-surviving, exactly-once) broadcast.
 #[derive(Debug)]
 pub struct Certified {
@@ -93,7 +58,7 @@ pub struct Certified {
     /// Outgoing log, mirrored in stable storage.
     log: BTreeMap<u64, LogEntry>,
     /// Ids delivered locally, mirrored in stable storage one origin per key.
-    delivered: BTreeMap<NodeId, OriginDelivered>,
+    delivered: Dedup,
     timer_armed: bool,
     loaded: bool,
 }
@@ -116,7 +81,7 @@ impl Certified {
         Certified {
             retransmit_interval,
             log: BTreeMap::new(),
-            delivered: BTreeMap::new(),
+            delivered: Dedup::default(),
             timer_armed: false,
             loaded: false,
         }
@@ -129,7 +94,7 @@ impl Certified {
 
     /// Number of distinct messages delivered locally (diagnostics).
     pub fn delivered_len(&self) -> usize {
-        self.delivered.values().flat_map(BTreeMap::values).map(Delivered::len).sum()
+        self.delivered.len()
     }
 
     fn load(&mut self, io: &mut dyn GroupIo) {
@@ -141,12 +106,12 @@ impl Certified {
         for key in storage.keys_with_prefix(KEY_DELIVERED_PREFIX) {
             let origin = key[KEY_DELIVERED_PREFIX.len()..].parse::<u64>();
             if let (Ok(origin), Ok(Some(state))) = (origin, storage.get::<OriginDelivered>(&key)) {
-                self.delivered.insert(NodeId(origin), state);
+                self.delivered.restore(NodeId(origin), state);
             }
         }
         if let Ok(Some(ids)) = storage.get::<Vec<MsgId>>(KEY_LEGACY_DELIVERED) {
             for id in ids {
-                self.mark_delivered(id);
+                self.delivered.insert(id);
             }
         }
         for key in storage.keys_with_prefix(KEY_LOG_PREFIX) {
@@ -162,19 +127,14 @@ impl Certified {
             .expect("log entry serialization cannot fail");
     }
 
-    /// Records `id` in memory; false when it was already delivered.
-    fn mark_delivered(&mut self, id: MsgId) -> bool {
-        self.delivered.entry(id.origin).or_default().entry(id.epoch).or_default().insert(id.seq)
-    }
-
     /// Records a first delivery of `id` and persists its origin's state:
     /// one small record. False (and no write) for a duplicate.
     fn deliver_once(&mut self, io: &mut dyn GroupIo, id: MsgId) -> bool {
-        if !self.mark_delivered(id) {
+        if !self.delivered.insert(id) {
             return false;
         }
         io.storage()
-            .put(&format!("{KEY_DELIVERED_PREFIX}{}", id.origin.0), &self.delivered[&id.origin])
+            .put(&format!("{KEY_DELIVERED_PREFIX}{}", id.origin.0), self.delivered.origin(id.origin))
             .expect("delivered-state serialization cannot fail");
         true
     }
@@ -322,12 +282,8 @@ impl Multicast for Certified {
         cap.next_seq = io.storage().get::<u64>(KEY_SEQ).ok().flatten().unwrap_or(0);
         cap.delivered = self
             .delivered
-            .iter()
-            .flat_map(|(origin, epochs)| {
-                epochs.iter().flat_map(move |(&epoch, seqs)| {
-                    seqs.seqs().map(move |seq| psc_snapshot::MsgRef::new(origin.0, epoch, seq))
-                })
-            })
+            .ids()
+            .map(|id| psc_snapshot::MsgRef::new(id.origin.0, id.epoch, id.seq))
             .collect();
         cap.retransmit = self
             .log
@@ -360,9 +316,12 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    use std::collections::BTreeSet;
+
     use psc_simnet::{DiskFault, ScopedStorage, SimTime, Storage};
 
     use super::*;
+    use crate::dedup::Delivered;
 
     const PUBLISHER: NodeId = NodeId(0);
     const ME: NodeId = NodeId(1);
@@ -474,7 +433,7 @@ mod tests {
         }
         assert_eq!(disk.delivered.len(), 10_000);
         assert_eq!(disk.delivered_keys(), ["cert/delivered/0"]);
-        assert_eq!(proto.delivered[&PUBLISHER][&0], Delivered { upto: 10_000, above: BTreeSet::new() });
+        assert_eq!(proto.delivered.origin(PUBLISHER)[&0], Delivered { upto: 10_000, above: BTreeSet::new() });
         let bytes = disk.storage.get_raw("cert/delivered/0").unwrap().len();
         assert!(bytes < 16, "the record does not grow with the deliveries: {bytes} B");
     }

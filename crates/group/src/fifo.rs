@@ -2,170 +2,175 @@
 //!
 //! "Two obvents o1 and o2 that are published through the same object are
 //! delivered … in the same order they were published (publisher-side
-//! order)" (§3.1.2). Built on the eager reliable layer's message ids: a
-//! hold-back queue per origin releases messages strictly by per-origin
-//! sequence number.
+//! order)" (§3.1.2). A hold-back policy over the reliable delivery layer's
+//! `(origin, epoch, seq)` stream: a queue per origin releases messages
+//! strictly by sequence number. Relay, retransmission and duplicate
+//! suppression are the layer's ([`Eager`](crate::reliable::Eager)).
+//!
+//! Where a receiver's part of a stream starts:
+//!
+//! - at seq 1 of each origin incarnation;
+//! - for a member the origin starts addressing mid-epoch (a late
+//!   subscriber), at the seq the frame header ([`Joins`]) names for it;
+//! - after this process recovers from a crash, at the first frame it sees
+//!   of each stream that began before the recovery — the stream's earlier
+//!   messages went to the previous incarnation. A message of that stream
+//!   overtaken by a later one is dropped, never delivered out of order.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
-
-use serde::{Deserialize, Serialize};
+use std::collections::{BTreeMap, HashMap};
 
 use psc_codec::WireBytes;
 use psc_simnet::NodeId;
+use psc_snapshot::ProtoCapture;
 
-use crate::io::{decode_msg, encode_msg, GroupIo, Multicast};
-use crate::reliable::MsgId;
-
-#[derive(Debug, Serialize, Deserialize)]
-struct Data {
-    id: MsgId,
-    payload: WireBytes,
-}
+use crate::dedup::{Delivered, MsgId};
+use crate::io::GroupIo;
+use crate::reliable::{Eager, HoldBack};
 
 /// Reliable broadcast with per-publisher FIFO delivery.
 ///
 /// Sequencing is per publisher *incarnation* (see [`MsgId`]): when a
 /// publisher crashes its counters are lost, so a receiver that spots a
 /// higher epoch from an origin abandons that origin's old hold-back queue
-/// and restarts the expected counter at 1. FIFO order is guaranteed within
-/// an incarnation; messages of a dead incarnation still in flight are
-/// dropped rather than delivered out of a now-meaningless order.
+/// and follows the new stream. FIFO order is guaranteed within an
+/// incarnation; messages of a dead incarnation still in flight are dropped
+/// rather than delivered out of a now-meaningless order.
+pub type Fifo = Eager<FifoHoldBack>;
+
+/// The members an origin started addressing after seq 1 of its epoch,
+/// with the first seq each is owed. Every frame carries the list until the
+/// member acknowledges a seq at or past its start, so it is usually empty
+/// and one encoded frame still serves every target.
 #[derive(Debug, Default)]
-pub struct Fifo {
-    /// This incarnation's epoch (see [`MsgId`]).
-    epoch: u64,
-    next_seq: u64,
-    seen: HashSet<MsgId>,
+pub(crate) struct Joins {
+    /// Targets of the previous broadcast.
+    last_targets: Vec<NodeId>,
+    /// `(member, first owed seq)`, unacknowledged.
+    owed: Vec<(NodeId, u64)>,
+}
+
+impl Joins {
+    /// The header of own broadcast `seq` to `targets`.
+    pub(crate) fn stamp(&mut self, seq: u64, targets: &[NodeId]) -> Vec<(NodeId, u64)> {
+        if self.last_targets != targets {
+            // A member that left is owed nothing more.
+            self.owed.retain(|(m, _)| targets.contains(m));
+            for &member in targets {
+                if seq > 1 && !self.last_targets.contains(&member) {
+                    self.owed.retain(|&(m, _)| m != member);
+                    self.owed.push((member, seq));
+                }
+            }
+            self.last_targets = targets.to_vec();
+        }
+        self.owed.clone()
+    }
+
+    /// `from` acknowledged `seq`: a frame naming its start reached it.
+    pub(crate) fn on_ack(&mut self, from: NodeId, seq: u64) {
+        self.owed.retain(|&(m, first)| m != from || seq < first);
+    }
+
+    /// The first seq `header` says `me` is owed, if it names one.
+    pub(crate) fn start_of(header: &[(NodeId, u64)], me: NodeId) -> Option<u64> {
+        header
+            .iter()
+            .find(|&&(m, _)| m == me)
+            .map(|&(_, first)| first)
+    }
+}
+
+/// FIFO hold-back; see the module docs.
+#[derive(Debug, Default)]
+pub struct FifoHoldBack {
+    joins: Joins,
     /// Per origin: the incarnation epoch being tracked and the next
     /// expected sequence number within it.
     expected: HashMap<NodeId, (u64, u64)>,
     /// Held-back out-of-order messages per origin (current epoch only).
     holdback: HashMap<NodeId, BTreeMap<u64, WireBytes>>,
+    /// The epoch this incarnation recovered at, if it did.
+    recovered_at: Option<u64>,
 }
 
-impl Fifo {
-    /// Creates a FIFO-broadcast instance.
-    pub fn new() -> Self {
-        Fifo::default()
-    }
-
-    /// Number of messages currently held back (diagnostics).
-    pub fn holdback_len(&self) -> usize {
+impl FifoHoldBack {
+    fn holdback_len(&self) -> usize {
         self.holdback.values().map(BTreeMap::len).sum()
     }
+}
 
-    fn relay(&self, io: &mut dyn GroupIo, data: &Data) {
-        let me = io.self_id();
-        let bytes = encode_msg(data);
-        for member in io.members().to_vec() {
-            if member != me {
-                io.send(member, bytes.clone());
-            }
-        }
+impl HoldBack for FifoHoldBack {
+    type Header = Vec<(NodeId, u64)>;
+    const NAME: &'static str = "fifo";
+
+    fn stamp(&mut self, id: MsgId, targets: &[NodeId]) -> Self::Header {
+        self.joins.stamp(id.seq, targets)
     }
 
-    /// The data-message identity inside `bytes` (snapshot in-flight
-    /// recording; every FIFO frame is a data frame).
-    pub(crate) fn peek_id(bytes: &[u8]) -> Option<MsgId> {
-        decode_msg::<Data>(bytes).map(|data| data.id)
-    }
-
-    fn accept(&mut self, io: &mut dyn GroupIo, id: MsgId, payload: WireBytes) {
-        let (epoch, expected) = self.expected.entry(id.origin).or_insert((id.epoch, 1));
-        if id.epoch < *epoch {
+    fn accept(
+        &mut self,
+        io: &mut dyn GroupIo,
+        id: MsgId,
+        header: Self::Header,
+        payload: WireBytes,
+        seen: &mut Delivered,
+    ) {
+        let tracked = self.expected.get(&id.origin).map(|&(epoch, _)| epoch);
+        if tracked.is_some_and(|epoch| id.epoch < epoch) {
             return; // straggler from a dead incarnation
         }
-        if id.epoch > *epoch {
-            // The origin restarted: its old counters are gone for good.
-            *epoch = id.epoch;
-            *expected = 1;
+        if tracked != Some(id.epoch) {
+            // A new stream: first sight, or the origin restarted.
+            let resumed = self.recovered_at.is_some_and(|at| id.epoch < at);
+            self.expected
+                .insert(id.origin, (id.epoch, if resumed { id.seq } else { 1 }));
             self.holdback.remove(&id.origin);
         }
-        if id.seq < self.expected[&id.origin].1 {
+        let queue = self.holdback.entry(id.origin).or_default();
+        let (_, expected) = self.expected.get_mut(&id.origin).expect("tracked above");
+        if let Some(first) = Joins::start_of(&header, io.self_id()).filter(|&f| f > *expected) {
+            // Seqs below the start were never sent here: release what
+            // arrived of them anyway, in order, and go on at the start.
+            let owed = queue.split_off(&first);
+            for (_, payload) in std::mem::replace(queue, owed) {
+                io.deliver(id.origin, payload);
+            }
+            *expected = first;
+        }
+        // Below `expected` everything is delivered or never will be.
+        seen.skip_to(*expected - 1);
+        if id.seq < *expected {
             return; // stale duplicate
         }
-        if id.seq > self.expected[&id.origin].1 {
+        if id.seq > *expected {
             io.metric("fifo.out_of_order", 1);
         }
-        self.holdback
-            .entry(id.origin)
-            .or_default()
-            .insert(id.seq, payload);
+        queue.insert(id.seq, payload);
         // Release the contiguous prefix.
-        let queue = self.holdback.get_mut(&id.origin).expect("just inserted");
-        let (_, expected) = self.expected.get_mut(&id.origin).expect("just inserted");
         while let Some(payload) = queue.remove(expected) {
             io.deliver(id.origin, payload);
             *expected += 1;
         }
     }
-}
 
-impl Multicast for Fifo {
-    fn broadcast(&mut self, io: &mut dyn GroupIo, payload: WireBytes) {
-        io.metric("fifo.broadcasts", 1);
-        let me = io.self_id();
-        self.next_seq += 1;
-        let id = MsgId {
-            origin: me,
-            epoch: self.epoch,
-            seq: self.next_seq,
-        };
-        let data = Data {
-            id,
-            payload: payload.clone(),
-        };
-        self.seen.insert(id);
-        self.relay(io, &data);
-        if io.members().contains(&me) {
-            self.accept(io, id, payload);
-        }
+    fn on_ack(&mut self, from: NodeId, seq: u64) {
+        self.joins.on_ack(from, seq);
     }
 
-    fn on_message(&mut self, io: &mut dyn GroupIo, _from: NodeId, bytes: &[u8]) {
-        let Some(data) = decode_msg::<Data>(bytes) else {
-            return;
-        };
-        if !self.seen.insert(data.id) {
-            io.metric("fifo.duplicates", 1);
-            return;
-        }
-        self.relay(io, &data);
-        self.accept(io, data.id, data.payload);
+    fn on_recover(&mut self, epoch: u64) {
+        self.recovered_at = Some(epoch);
     }
 
-    fn on_start(&mut self, io: &mut dyn GroupIo) {
-        self.epoch = io.now().as_millis();
-    }
-
-    fn on_recover(&mut self, io: &mut dyn GroupIo) {
-        self.epoch = io.now().as_millis();
-    }
-
-    fn capture(&mut self, _io: &mut dyn GroupIo) -> psc_snapshot::ProtoCapture {
-        let mut cap = psc_snapshot::ProtoCapture::new(self.proto_name());
-        cap.epoch = self.epoch;
-        cap.next_seq = self.next_seq;
+    fn capture(&self, cap: &mut ProtoCapture) {
         cap.watermarks = self
             .expected
             .iter()
             .map(|(&node, &(epoch, expected))| (node.0, epoch, expected - 1))
             .collect();
         cap.pending = self.holdback_len() as u64;
-        cap.extra.push(("seen".to_string(), self.seen.len() as u64));
-        cap.normalize();
-        cap
     }
 
-    fn proto_name(&self) -> &'static str {
-        "fifo"
-    }
-
-    fn queue_depths(&self) -> Vec<(&'static str, u64)> {
-        vec![("fifo.holdback", self.holdback_len() as u64)]
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
+    fn queue_depths(&self, depths: &mut Vec<(&'static str, u64)>) {
+        depths.push(("fifo.holdback", self.holdback_len() as u64));
     }
 }

@@ -17,9 +17,9 @@
 //! | protocol | paper semantics (§3.1.2) | mechanism |
 //! |---|---|---|
 //! | [`BestEffort`] | *Unreliable* (the default) | one send per member |
-//! | [`Reliable`] | *Reliable* | eager re-forwarding + duplicate suppression |
-//! | [`Fifo`] | *FIFO ordered* | per-origin sequence numbers + hold-back |
-//! | [`Causal`] | *Causally ordered* | vector clocks + hold-back |
+//! | [`Reliable`] | *Reliable* | eager re-forwarding, origin retransmission until acked, bounded duplicate suppression |
+//! | [`Fifo`] | *FIFO ordered* | `Reliable`'s delivery layer + per-origin hold-back |
+//! | [`Causal`] | *Causally ordered* | `Reliable`'s delivery layer + vector-clock hold-back |
 //! | [`Total`] | *Totally ordered* | fixed sequencer, gap repair by NACK |
 //! | [`Certified`] | *Certified* | persistent publisher log, per-member acks, retransmission across subscriber crashes |
 //! | [`Lpbcast`] | scalable best-effort (gossip) | periodic push gossip with bounded event buffer |
@@ -47,6 +47,7 @@
 mod besteffort;
 mod causal;
 mod certified;
+mod dedup;
 mod fifo;
 mod io;
 mod lpbcast;

@@ -17,7 +17,7 @@ use psc_codec::WireBytes;
 use psc_simnet::{Duration, NodeId};
 
 use crate::io::{decode_msg, encode_msg, GroupIo, Multicast, TimerToken};
-use crate::reliable::MsgId;
+use crate::dedup::MsgId;
 
 const GOSSIP: TimerToken = TimerToken(3);
 

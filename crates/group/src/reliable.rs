@@ -1,8 +1,9 @@
-//! Reliable broadcast: the paper's *Reliable* semantics.
+//! Reliable broadcast: the paper's *Reliable* semantics, and the one
+//! volatile delivery layer the ordered kinds stand on.
 //!
 //! "Once successfully published, a reliable obvent will be received by any
-//! notifiable that is 'up for long enough'" (§3.1.2). Two mechanisms
-//! combine:
+//! notifiable that is 'up for long enough'" (§3.1.2). Three mechanisms
+//! combine in [`Eager`]:
 //!
 //! - **eager re-forwarding** [BJ87]: on first receipt every member relays
 //!   the message to every other member, so one successful link suffices for
@@ -11,113 +12,186 @@
 //! - **origin-side retransmission**: the origin keeps the message until
 //!   every member acknowledged it, retransmitting periodically — this is
 //!   what makes delivery deterministic under message loss even for small
-//!   groups, where relay redundancy alone is a single network path.
+//!   groups, where relay redundancy alone is a single network path;
+//! - **bounded duplicate suppression** ([`Dedup`]): a watermark plus the
+//!   seqs past a gap per `(origin, epoch)`.
+//!
+//! What happens to a first receipt is the [`HoldBack`] policy's business:
+//! [`Reliable`] delivers at once, [`Fifo`](crate::Fifo) and
+//! [`Causal`](crate::Causal) hold back over the same `(origin, epoch, seq)`
+//! stream — Fig. 4's `CausalOrder extends FIFOOrder extends Reliable`.
 //!
 //! Unlike [`Certified`](crate::Certified), all state is volatile: a crashed
 //! subscriber loses the message (reliability only covers processes that
 //! stay "up for long enough").
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
+use std::fmt;
+use std::marker::PhantomData;
 
+use serde::de::{self, DeserializeOwned, VariantAccess};
+use serde::ser;
 use serde::{Deserialize, Serialize};
 
 use psc_codec::WireBytes;
 use psc_simnet::{Duration, NodeId};
+use psc_snapshot::ProtoCapture;
 
+use crate::dedup::{Dedup, Delivered, MsgId};
 use crate::io::{decode_msg, encode_msg, GroupIo, Multicast, TimerToken};
 
 const RETRANSMIT: TimerToken = TimerToken(6);
 const RETRANSMIT_INTERVAL: Duration = Duration::from_millis(40);
 
-/// Globally unique message id: origin, incarnation epoch, and per-origin
-/// sequence number.
-///
-/// The epoch disambiguates incarnations of the same process: volatile
-/// protocols lose their sequence counters on a crash, so a recovered
-/// publisher restarts at `seq = 1` — without the epoch those ids would
-/// collide with its pre-crash messages and survivors' duplicate-suppression
-/// sets would silently swallow the new, distinct messages. Each incarnation
-/// stamps its ids with its start time (strictly later than any previous
-/// incarnation's), keeping ids unique across crash–recover cycles.
-/// Persistent protocols ([`Certified`](crate::Certified)) recover their
-/// counters from stable storage and use a constant epoch of 0.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, PartialOrd, Ord)]
-pub(crate) struct MsgId {
-    pub origin: NodeId,
-    pub epoch: u64,
-    pub seq: u64,
+/// A delivery-layer frame; the hold-back policy's header follows the id.
+/// `()` encodes as zero bytes, so [`Reliable`]'s frames carry none.
+#[derive(Debug)]
+enum Frame<H> {
+    /// `(id, header, payload, from_origin)`. `from_origin` is true when
+    /// this copy comes straight from the origin (receivers acknowledge
+    /// those; relayed copies are not re-acked).
+    Data(MsgId, H, WireBytes, bool),
+    Ack(MsgId),
 }
 
-#[derive(Debug, Serialize, Deserialize)]
-enum Msg {
-    Data {
-        id: MsgId,
-        payload: WireBytes,
-        /// True when this copy comes straight from the origin (receivers
-        /// acknowledge those; relayed copies are not re-acked).
-        from_origin: bool,
-    },
-    Ack {
-        id: MsgId,
-    },
+// By hand, as the vendored derive takes no generics. The codec writes a
+// variant as its index and then its fields in order, so a variant holding
+// the fields as one tuple has the same bytes as the derived struct variant
+// `Reliable`'s frames had.
+impl<H: Serialize> Serialize for Frame<H> {
+    fn serialize<S: ser::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        match self {
+            Frame::Data(id, header, payload, from_origin) => {
+                let fields = (id, header, payload, from_origin);
+                serializer.serialize_newtype_variant("Frame", 0, "Data", &fields)
+            }
+            Frame::Ack(id) => serializer.serialize_newtype_variant("Frame", 1, "Ack", id),
+        }
+    }
 }
+
+impl<'de, H: Deserialize<'de>> Deserialize<'de> for Frame<H> {
+    fn deserialize<D: de::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        deserializer.deserialize_enum("Frame", &["Data", "Ack"], FrameVisitor(PhantomData))
+    }
+}
+
+struct FrameVisitor<H>(PhantomData<H>);
+
+impl<'de, H: Deserialize<'de>> de::Visitor<'de> for FrameVisitor<H> {
+    type Value = Frame<H>;
+
+    fn expecting(&self, formatter: &mut fmt::Formatter<'_>) -> fmt::Result {
+        formatter.write_str("a delivery-layer frame")
+    }
+
+    fn visit_enum<A: de::EnumAccess<'de>>(self, data: A) -> Result<Frame<H>, A::Error> {
+        match data.variant::<u32>()? {
+            (0, fields) => {
+                let (id, header, payload, from_origin) = fields.newtype_variant()?;
+                Ok(Frame::Data(id, header, payload, from_origin))
+            }
+            (1, fields) => fields.newtype_variant().map(Frame::Ack),
+            (index, _) => Err(de::Error::invalid_variant(index, "Frame")),
+        }
+    }
+}
+
+/// What an ordered kind does with the delivery layer's stream of first
+/// receipts.
+pub trait HoldBack: Default + fmt::Debug + Send + 'static {
+    /// What the origin stamps on each broadcast (`()` for none).
+    type Header: Serialize + DeserializeOwned + Clone + Default + fmt::Debug + Send;
+
+    /// [`Multicast::proto_name`] of the composed protocol.
+    const NAME: &'static str;
+
+    /// The header of own broadcast `id`, addressed to `targets`.
+    fn stamp(&mut self, id: MsgId, targets: &[NodeId]) -> Self::Header;
+
+    /// Takes a first receipt of `id` (own broadcasts included) and delivers
+    /// whatever it makes deliverable. `seen` is `id`'s stream record,
+    /// which a policy may advance past seqs it will never deliver.
+    fn accept(
+        &mut self,
+        io: &mut dyn GroupIo,
+        id: MsgId,
+        header: Self::Header,
+        payload: WireBytes,
+        seen: &mut Delivered,
+    );
+
+    /// `from` acknowledged own broadcast `seq` of this incarnation.
+    fn on_ack(&mut self, _from: NodeId, _seq: u64) {}
+
+    /// This incarnation recovered from a crash at `epoch`.
+    fn on_recover(&mut self, _epoch: u64) {}
+
+    /// Adds the policy's state to a snapshot capture.
+    fn capture(&self, _cap: &mut ProtoCapture) {}
+
+    /// The policy's queue depths (see [`Multicast::queue_depths`]).
+    fn queue_depths(&self, _depths: &mut Vec<(&'static str, u64)>) {}
+}
+
+/// No hold-back: every first receipt is delivered at once.
+impl HoldBack for () {
+    type Header = ();
+    const NAME: &'static str = "reliable";
+
+    fn stamp(&mut self, _id: MsgId, _targets: &[NodeId]) {}
+
+    fn accept(
+        &mut self,
+        io: &mut dyn GroupIo,
+        id: MsgId,
+        _: (),
+        payload: WireBytes,
+        _: &mut Delivered,
+    ) {
+        io.deliver(id.origin, payload);
+    }
+}
+
+/// Eager-push reliable broadcast with origin retransmission: the delivery
+/// layer with no hold-back.
+pub type Reliable = Eager<()>;
 
 #[derive(Debug)]
-struct Outgoing {
+struct Outgoing<H> {
+    header: H,
     payload: WireBytes,
     unacked: Vec<NodeId>,
 }
 
-/// Eager-push reliable broadcast with origin retransmission; see the module
-/// docs.
+/// The delivery layer under hold-back policy `H`; see the module docs.
 #[derive(Debug, Default)]
-pub struct Reliable {
+pub struct Eager<H: HoldBack> {
     /// This incarnation's epoch (see [`MsgId`]).
     epoch: u64,
     next_seq: u64,
-    seen: HashSet<MsgId>,
+    pub(crate) seen: Dedup,
     /// Origin state: messages not yet acknowledged by every member.
-    outgoing: BTreeMap<u64, Outgoing>,
+    outgoing: BTreeMap<u64, Outgoing<H::Header>>,
     timer_armed: bool,
+    pub(crate) order: H,
 }
 
-impl Reliable {
-    /// Creates a reliable-broadcast instance.
+impl<H: HoldBack> Eager<H> {
+    /// Creates an instance.
     pub fn new() -> Self {
-        Reliable::default()
+        Eager::default()
     }
 
-    /// Number of distinct messages seen (diagnostics).
-    pub fn seen_count(&self) -> usize {
-        self.seen.len()
-    }
-
-    /// Own messages not yet fully acknowledged (diagnostics).
-    pub fn unacked_len(&self) -> usize {
-        self.outgoing.len()
-    }
-
-    fn relay(&self, io: &mut dyn GroupIo, id: MsgId, payload: &WireBytes) {
-        io.metric("reliable.relays", 1);
-        let me = io.self_id();
-        let bytes = encode_msg(&Msg::Data {
-            id,
-            payload: payload.clone(),
-            from_origin: false,
-        });
-        for member in io.members().to_vec() {
-            if member != me && member != id.origin {
-                io.send(member, bytes.clone());
-            }
-        }
-    }
-
-    fn send_from_origin(io: &mut dyn GroupIo, id: MsgId, payload: &WireBytes, targets: &[NodeId]) {
-        let bytes = encode_msg(&Msg::Data {
-            id,
-            payload: payload.clone(),
-            from_origin: true,
-        });
+    fn send_data(
+        io: &mut dyn GroupIo,
+        id: MsgId,
+        header: &H::Header,
+        payload: &WireBytes,
+        from_origin: bool,
+        targets: &[NodeId],
+    ) {
+        let bytes = encode_msg(&Frame::Data(id, header, payload.clone(), from_origin));
         for &member in targets {
             io.send(member, bytes.clone());
         }
@@ -133,14 +207,14 @@ impl Reliable {
     /// The data-message identity inside `bytes`, if it is a `Data` frame
     /// (snapshot in-flight recording).
     pub(crate) fn peek_id(bytes: &[u8]) -> Option<MsgId> {
-        match decode_msg::<Msg>(bytes)? {
-            Msg::Data { id, .. } => Some(id),
-            Msg::Ack { .. } => None,
+        match decode_msg::<Frame<H::Header>>(bytes)? {
+            Frame::Data(id, ..) => Some(id),
+            Frame::Ack(_) => None,
         }
     }
 }
 
-impl Multicast for Reliable {
+impl<H: HoldBack> Multicast for Eager<H> {
     fn broadcast(&mut self, io: &mut dyn GroupIo, payload: WireBytes) {
         io.metric("reliable.broadcasts", 1);
         let me = io.self_id();
@@ -150,52 +224,61 @@ impl Multicast for Reliable {
             epoch: self.epoch,
             seq: self.next_seq,
         };
-        self.seen.insert(id);
         let targets: Vec<NodeId> = io.members().iter().copied().filter(|&m| m != me).collect();
-        Reliable::send_from_origin(io, id, &payload, &targets);
+        let header = self.order.stamp(id, &targets);
+        Self::send_data(io, id, &header, &payload, true, &targets);
         if !targets.is_empty() {
             self.outgoing.insert(
                 id.seq,
                 Outgoing {
+                    header: header.clone(),
                     payload: payload.clone(),
                     unacked: targets,
                 },
             );
             self.arm_timer(io);
         }
+        let seen = self.seen.stream(id);
+        seen.insert(id.seq);
         if io.members().contains(&me) {
-            io.deliver(me, payload);
+            self.order.accept(io, id, header, payload, seen);
         }
     }
 
     fn on_message(&mut self, io: &mut dyn GroupIo, from: NodeId, bytes: &[u8]) {
-        let Some(msg) = decode_msg::<Msg>(bytes) else {
+        let Some(frame) = decode_msg::<Frame<H::Header>>(bytes) else {
             return;
         };
-        match msg {
-            Msg::Data {
-                id,
-                payload,
-                from_origin,
-            } => {
+        match frame {
+            Frame::Data(id, header, payload, from_origin) => {
                 // Acknowledge every copy arriving straight from the origin
                 // (covers lost acks via the origin's retransmissions).
                 if from_origin {
                     io.metric("reliable.acks_sent", 1);
-                    io.send(from, encode_msg(&Msg::Ack { id }));
+                    io.send(from, encode_msg(&Frame::<()>::Ack(id)));
                 }
-                if !self.seen.insert(id) {
+                let seen = self.seen.stream(id);
+                if !seen.insert(id.seq) {
                     io.metric("reliable.duplicates", 1);
-                    return; // duplicate
+                    return;
                 }
                 // Re-forward before delivering: the agreement step.
-                self.relay(io, id, &payload);
-                io.deliver(id.origin, payload);
+                io.metric("reliable.relays", 1);
+                let me = io.self_id();
+                let others: Vec<NodeId> = io
+                    .members()
+                    .iter()
+                    .copied()
+                    .filter(|&m| m != me && m != id.origin)
+                    .collect();
+                Self::send_data(io, id, &header, &payload, false, &others);
+                self.order.accept(io, id, header, payload, seen);
             }
-            Msg::Ack { id } => {
+            Frame::Ack(id) => {
                 if id.origin != io.self_id() || id.epoch != self.epoch {
                     return;
                 }
+                self.order.on_ack(from, id.seq);
                 if let Some(outgoing) = self.outgoing.get_mut(&id.seq) {
                     outgoing.unacked.retain(|&m| m != from);
                     if outgoing.unacked.is_empty() {
@@ -219,7 +302,14 @@ impl Multicast for Reliable {
                 epoch: self.epoch,
                 seq,
             };
-            Reliable::send_from_origin(io, id, &outgoing.payload, &outgoing.unacked);
+            Self::send_data(
+                io,
+                id,
+                &outgoing.header,
+                &outgoing.payload,
+                true,
+                &outgoing.unacked,
+            );
         }
         self.arm_timer(io);
     }
@@ -230,11 +320,12 @@ impl Multicast for Reliable {
 
     fn on_recover(&mut self, io: &mut dyn GroupIo) {
         self.epoch = io.now().as_millis();
+        self.order.on_recover(self.epoch);
     }
 
-    fn capture(&mut self, io: &mut dyn GroupIo) -> psc_snapshot::ProtoCapture {
+    fn capture(&mut self, io: &mut dyn GroupIo) -> ProtoCapture {
         let me = io.self_id();
-        let mut cap = psc_snapshot::ProtoCapture::new(self.proto_name());
+        let mut cap = ProtoCapture::new(self.proto_name());
         cap.epoch = self.epoch;
         cap.next_seq = self.next_seq;
         cap.retransmit = self
@@ -247,19 +338,67 @@ impl Multicast for Reliable {
             })
             .collect();
         cap.extra.push(("seen".to_string(), self.seen.len() as u64));
+        self.order.capture(&mut cap);
         cap.normalize();
         cap
     }
 
     fn proto_name(&self) -> &'static str {
-        "reliable"
+        H::NAME
     }
 
     fn queue_depths(&self) -> Vec<(&'static str, u64)> {
-        vec![("reliable.unacked", self.unacked_len() as u64)]
+        let mut depths = vec![("reliable.unacked", self.outgoing.len() as u64)];
+        self.order.queue_depths(&mut depths);
+        depths
     }
 
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `Reliable`'s frames as they were before the ordered kinds shared
+    /// the layer; the generic frame with a `()` header must match them.
+    #[derive(Serialize)]
+    enum Plain {
+        Data {
+            id: MsgId,
+            payload: WireBytes,
+            from_origin: bool,
+        },
+        Ack {
+            id: MsgId,
+        },
+    }
+
+    #[test]
+    fn reliable_frames_keep_their_bytes() {
+        let id = MsgId {
+            origin: NodeId(3),
+            epoch: 1_234,
+            seq: 300,
+        };
+        let payload = WireBytes::from(b"tick".to_vec());
+        for from_origin in [true, false] {
+            let plain = encode_msg(&Plain::Data {
+                id,
+                payload: payload.clone(),
+                from_origin,
+            });
+            let frame = encode_msg(&Frame::Data(id, (), payload.clone(), from_origin));
+            assert_eq!(plain[..], frame[..]);
+            let back = decode_msg::<Frame<()>>(&frame);
+            assert!(
+                matches!(back, Some(Frame::Data(got, (), _, f)) if got == id && f == from_origin)
+            );
+        }
+        let ack = encode_msg(&Frame::<()>::Ack(id));
+        assert_eq!(ack[..], encode_msg(&Plain::Ack { id })[..]);
+        assert!(matches!(decode_msg::<Frame<()>>(&ack), Some(Frame::Ack(got)) if got == id));
     }
 }

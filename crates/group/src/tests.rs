@@ -2,6 +2,9 @@ use proptest::prelude::*;
 
 use psc_simnet::{Duration, NodeId, SimConfig, SimNet, SimTime};
 
+use crate::causal::CausalHoldBack;
+use crate::fifo::FifoHoldBack;
+use crate::reliable::{Eager, HoldBack};
 use crate::sim_host::GroupNode;
 use crate::{BestEffort, Causal, Certified, Fifo, Lpbcast, LpbcastConfig, Multicast, Reliable, Total};
 
@@ -23,6 +26,16 @@ fn cluster(
         GroupNode::set_members(&mut sim, id, ids.clone());
     }
     (sim, ids)
+}
+
+/// Node `id`'s duplicate-suppression records: `(origin, watermark, seqs
+/// past a gap)` per stream.
+fn stream_records<H: HoldBack>(sim: &mut SimNet, id: NodeId) -> Vec<(NodeId, u64, usize)> {
+    GroupNode::with_proto::<Eager<H>, _>(sim, id, |proto| {
+        let streams = proto.seen.0.iter().flat_map(|(&origin, epochs)| epochs.values().map(move |seen| (origin, seen)));
+        streams.map(|(origin, seen)| (origin, seen.upto, seen.above.len())).collect()
+    })
+    .unwrap()
 }
 
 fn payload(tag: u8, i: u64) -> Vec<u8> {
@@ -188,11 +201,11 @@ mod causal {
         }
     }
 
-    /// Regression for unbounded `seen` retention: the matrix-clock GC must
-    /// keep the duplicate-suppression set pinned near the in-flight window
-    /// on a long-lived group, instead of growing with every message ever
-    /// broadcast. 120 rounds × 3 publishers = 360 broadcasts; without the
-    /// GC `seen` holds all 360 ids at every node.
+    /// Regression for unbounded `seen` retention: duplicate suppression on
+    /// a long-lived group must stay one watermark per stream instead of
+    /// growing with every message ever broadcast. 120 rounds × 3
+    /// publishers = 360 broadcasts; a set of ids would hold all 360 at
+    /// every node.
     #[test]
     fn seen_set_stays_bounded_on_a_long_lived_group() {
         let (mut sim, ids) = cluster(3, SimConfig::with_seed(13), || Box::new(Causal::new()));
@@ -201,8 +214,6 @@ mod causal {
             for (i, &id) in ids.iter().enumerate() {
                 GroupNode::broadcast(&mut sim, id, payload(i as u8, round));
             }
-            // Let the round propagate so dependency vectors advance the
-            // matrix floor.
             sim.run_for(Duration::from_millis(5));
         }
         sim.run_to_quiescence();
@@ -212,18 +223,8 @@ mod causal {
                 (rounds * 3) as usize,
                 "node {id} lost messages"
             );
-            let (seen, reclaimed) = GroupNode::with_proto::<Causal, (usize, u64)>(
-                &mut sim,
-                id,
-                |c| (c.seen_len(), c.gc_reclaimed()),
-            )
-            .unwrap();
-            assert!(reclaimed > 0, "node {id}: GC never reclaimed anything");
-            assert!(
-                seen <= 24,
-                "node {id}: seen grew to {seen} entries over {rounds} rounds \
-                 — matrix-clock GC is not bounding retention"
-            );
+            let expected: Vec<_> = ids.iter().map(|&origin| (origin, rounds, 0)).collect();
+            assert_eq!(stream_records::<CausalHoldBack>(&mut sim, id), expected, "node {id}");
         }
     }
 
@@ -465,6 +466,58 @@ mod lpbcast {
     }
 }
 
+/// The delivery layer `Reliable`, `Fifo` and `Causal` share.
+mod delivery_layer {
+    use super::*;
+
+    fn long_stream_keeps_one_record<H: HoldBack>() {
+        let (mut sim, ids) = cluster(2, SimConfig::with_seed(3), || Box::new(Eager::<H>::new()));
+        for i in 0..10_000u64 {
+            GroupNode::broadcast(&mut sim, ids[0], payload(0, i));
+        }
+        sim.run_to_quiescence();
+        assert_eq!(GroupNode::delivered(&mut sim, ids[1]).len(), 10_000);
+        for &id in &ids {
+            assert_eq!(stream_records::<H>(&mut sim, id), [(ids[0], 10_000, 0)], "node {id}");
+        }
+    }
+
+    #[test]
+    fn ten_thousand_reliable_deliveries_keep_one_record_per_stream() {
+        long_stream_keeps_one_record::<()>();
+    }
+
+    #[test]
+    fn ten_thousand_fifo_deliveries_keep_one_record_per_stream() {
+        long_stream_keeps_one_record::<FifoHoldBack>();
+    }
+
+    /// Relay alone is a single path in a 2-node group; the origin's
+    /// retransmission is what completes every kind under loss.
+    fn two_nodes_at_twenty_percent_loss_deliver_everything<H: HoldBack>() {
+        for seed in 1..=5 {
+            let config = SimConfig { seed, drop_probability: 0.2, ..SimConfig::default() };
+            let (mut sim, ids) = cluster(2, config, || Box::new(Eager::<H>::new()));
+            for i in 0..20u64 {
+                GroupNode::broadcast(&mut sim, ids[0], payload(0, i));
+            }
+            sim.run_until(SimTime::from_secs(5));
+            let mut got = GroupNode::delivered_payloads(&mut sim, ids[1]);
+            if H::NAME == "reliable" {
+                got.sort(); // no order promised
+            }
+            assert_eq!(got, (0..20).map(|i| payload(0, i)).collect::<Vec<_>>(), "{}, seed {seed}", H::NAME);
+        }
+    }
+
+    #[test]
+    fn reliable_fifo_and_causal_pairs_complete_at_twenty_percent_loss() {
+        two_nodes_at_twenty_percent_loss_deliver_everything::<()>();
+        two_nodes_at_twenty_percent_loss_deliver_everything::<FifoHoldBack>();
+        two_nodes_at_twenty_percent_loss_deliver_everything::<CausalHoldBack>();
+    }
+}
+
 /// Crash–recovery regressions for the volatile protocols' incarnation
 /// epochs (`MsgId::epoch`). Each test pins the defect class the simulation
 /// harness's oracles surfaced on the seed suite: without epochs, a
@@ -524,6 +577,33 @@ mod crash_recovery {
                 "node {id}: both incarnations' streams, each in FIFO order"
             );
         }
+    }
+
+    /// A restarted receiver has no record of the streams that began before
+    /// its crash: the first frame of each fixes where FIFO delivery
+    /// resumes, instead of waiting for a seq 1 that went to its previous
+    /// incarnation.
+    #[test]
+    fn fifo_receiver_restarted_mid_stream_resumes_at_the_first_frame() {
+        let (mut sim, ids) = cluster(3, SimConfig::with_seed(41), || Box::new(Fifo::new()));
+        for i in 0..3u64 {
+            GroupNode::broadcast(&mut sim, ids[0], payload(0, i));
+            sim.run_for(Duration::from_millis(10));
+        }
+        sim.crash(ids[2]);
+        sim.run_for(Duration::from_millis(10));
+        sim.recover(ids[2]);
+        GroupNode::set_members(&mut sim, ids[2], ids.clone());
+        for i in 3..6u64 {
+            GroupNode::broadcast(&mut sim, ids[0], payload(0, i));
+            sim.run_for(Duration::from_millis(10));
+        }
+        sim.run_to_quiescence();
+        assert_eq!(
+            GroupNode::delivered_payloads(&mut sim, ids[2]),
+            (3..6).map(|i| payload(0, i)).collect::<Vec<_>>()
+        );
+        assert_eq!(stream_records::<FifoHoldBack>(&mut sim, ids[2]), [(ids[0], 6, 0)]);
     }
 
     #[test]

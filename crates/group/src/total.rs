@@ -19,7 +19,7 @@
 //! order.
 //!
 //! State is volatile, so crash–recovery is handled with *incarnation
-//! epochs* (see [`MsgId`](crate::reliable)):
+//! epochs* (see [`MsgId`](crate::dedup::MsgId)):
 //!
 //! - every `Ordered` message carries the sequencer incarnation's
 //!   `seq_epoch`; a receiver follows one sequencer stream at a time and
@@ -277,7 +277,7 @@ impl Total {
     /// frame (snapshot in-flight recording). Both the submit leg and the
     /// ordered leg carry the same `(origin, origin_epoch, local_seq)`
     /// identity; NACKs and heartbeats are control traffic.
-    pub(crate) fn peek_id(bytes: &[u8]) -> Option<crate::reliable::MsgId> {
+    pub(crate) fn peek_id(bytes: &[u8]) -> Option<crate::dedup::MsgId> {
         match decode_msg::<Msg>(bytes)? {
             Msg::Submit {
                 origin,
@@ -290,7 +290,7 @@ impl Total {
                 origin_epoch,
                 local_seq,
                 ..
-            } => Some(crate::reliable::MsgId {
+            } => Some(crate::dedup::MsgId {
                 origin,
                 epoch: origin_epoch,
                 seq: local_seq,

@@ -91,11 +91,12 @@ impl Flood {
     }
 }
 
-/// A "FIFO" broadcast with the sequence check disabled: it numbers and
-/// relays messages exactly like [`psc_group::Fifo`] but delivers in
-/// arrival order, without the hold-back queue. Under latency jitter this
-/// reorders per-publisher messages — the defect the FIFO oracle must
-/// catch.
+/// A "FIFO" broadcast with the sequence check disabled: it numbers its
+/// messages per origin and floods them to every member, as
+/// [`psc_group::Fifo`]'s delivery layer does (without its acks and origin
+/// retransmission), but delivers in arrival order, without a hold-back
+/// queue. Under latency jitter this reorders per-publisher messages — the
+/// defect the FIFO oracle must catch.
 #[derive(Debug, Default)]
 pub struct BrokenFifo(Flood);
 

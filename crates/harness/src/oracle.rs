@@ -277,8 +277,11 @@ pub fn check_no_cross_incarnation_redelivery(trace: &Trace) -> Vec<Violation> {
 ///   (a same-incarnation hole is a protocol bug; a hole that exactly spans
 ///   dead-incarnation publishes is the crash itself);
 /// - a **receiver** crash wipes the receiver's sequencing state, so
-///   expectations restart at each receiver incarnation. Inversions inside
-///   one receiver incarnation are always violations.
+///   expectations restart at each receiver incarnation: a restarted
+///   receiver resumes each origin's stream at the first publish it
+///   delivers from it (what it missed went to its previous incarnation).
+///   Inversions and gaps after that point inside one receiver incarnation
+///   are always violations.
 pub fn check_fifo(trace: &Trace) -> Vec<Violation> {
     // origin → (origin_seq → publisher incarnation), to classify skipped
     // publishes inside a gap.
@@ -298,7 +301,8 @@ pub fn check_fifo(trace: &Trace) -> Vec<Violation> {
             let Some(p) = trace.publishes.get(d.index) else {
                 continue; // ghosts are reported by check_integrity
             };
-            let next = expected.entry(p.origin).or_insert(1);
+            let start = if receiver_inc == 0 { 1 } else { p.origin_seq };
+            let next = expected.entry(p.origin).or_insert(start);
             let violation = if p.origin_seq < *next {
                 true // inversion: delivered after a later same-origin publish
             } else {

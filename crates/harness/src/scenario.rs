@@ -139,7 +139,7 @@ impl Scenario {
     /// loss and healed partitions for everyone, crash/recovery windows for
     /// `Certified` (the only §3.1.2 semantics that promises delivery
     /// across failures) and for the volatile epoch-tagged protocols
-    /// (`Reliable`/`Fifo`/`Causal`, safety-only) — completeness is only
+    /// (`Reliable`/`Fifo`/`Causal`, safety-only there) — completeness is only
     /// asserted where the drawn faults stay inside the protocol's
     /// guarantee (see [`Scenario::expects_completeness`]); outside it the
     /// run still checks every safety oracle.
@@ -173,10 +173,12 @@ impl Scenario {
                 }
             }
             _ => {
-                // Half the scenarios are benign (completeness asserted);
-                // the other half add loss, sometimes a healed partition,
-                // and — for the epoch-tagged volatile protocols — crash
-                // windows, checking safety only. `Total` is excluded from
+                // Half the scenarios are benign; the other half add loss,
+                // sometimes a healed partition (see
+                // `expects_completeness` for who must still deliver
+                // everything), and — for the epoch-tagged volatile
+                // protocols — crash windows, checking safety only. `Total`
+                // is excluded from
                 // crashes: its fixed sequencer keeps no stable state, so a
                 // sequencer restart can legitimately re-order messages two
                 // survivors saw in different prefixes — agreement across a
@@ -247,18 +249,21 @@ impl Scenario {
     ///
     /// `Certified` promises delivery across every fault the generator can
     /// draw (all crashes recover, all partitions heal, loss is repaired by
-    /// retransmission). The other protocols only guarantee completeness on
-    /// a fault-free network; under loss or partitions the run checks their
-    /// ordering/integrity contracts only.
+    /// retransmission). `Reliable`, `Fifo` and `Causal` share one delivery
+    /// layer whose origin retransmits until every member acknowledged, so
+    /// loss and healed partitions are inside their guarantee; a crash is
+    /// not (volatile state dies with the process). `Total` only guarantees
+    /// completeness on a fault-free network: its NACK repair stops after a
+    /// few idle heartbeats, so under loss a trailing message can be missed.
+    /// Outside these envelopes the run checks the ordering/integrity
+    /// contracts only.
     pub fn expects_completeness(&self) -> bool {
+        let crashes = self.ops.iter().any(|op| matches!(op, Op::CrashWindow { .. }));
+        let partitions = self.ops.iter().any(|op| matches!(op, Op::PartitionWindow { .. }));
         match self.protocol {
             ProtocolKind::Certified => true,
-            _ => {
-                self.loss == 0.0
-                    && !self.ops.iter().any(|op| {
-                        matches!(op, Op::CrashWindow { .. } | Op::PartitionWindow { .. })
-                    })
-            }
+            ProtocolKind::Reliable | ProtocolKind::Fifo | ProtocolKind::Causal => !crashes,
+            ProtocolKind::Total => self.loss == 0.0 && !crashes && !partitions,
         }
     }
 

@@ -1,4 +1,4 @@
-//! Vector and matrix clocks [Mat89] keyed by raw node id.
+//! Vector clocks [Mat89] keyed by raw node id.
 //!
 //! The workspace's one clock implementation, used by the snapshot plane
 //! (`psc-group`'s causal protocol keeps its own epoch-tagged dependency
@@ -124,86 +124,6 @@ impl fmt::Display for VClock {
     }
 }
 
-/// A matrix clock: `rows[m]` is the best known vector clock *at* member
-/// `m` — what this node knows that `m` knows. The pointwise minimum over
-/// the rows of a member set bounds what **every** member is guaranteed to
-/// have observed, which is exactly the garbage-collection floor for
-/// causal delivery buffers: an event at or below the min-row has been
-/// delivered everywhere and can never be needed (or relayed afresh)
-/// again.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct MatrixClock {
-    rows: BTreeMap<u64, VClock>,
-}
-
-impl MatrixClock {
-    /// The empty matrix (every row the zero clock).
-    pub fn new() -> MatrixClock {
-        MatrixClock::default()
-    }
-
-    /// The row for `node`, if anything is known about it.
-    pub fn row(&self, node: u64) -> Option<&VClock> {
-        self.rows.get(&node)
-    }
-
-    /// Merges `clock` into `node`'s row — knowledge about a node only
-    /// ever grows.
-    pub fn observe(&mut self, node: u64, clock: &VClock) {
-        self.rows.entry(node).or_default().merge(clock);
-    }
-
-    /// Records a single observed counter in `node`'s row.
-    pub fn observe_entry(&mut self, node: u64, origin: u64, count: u64) {
-        let row = self.rows.entry(node).or_default();
-        if row.get(origin) < count {
-            row.set(origin, count);
-        }
-    }
-
-    /// The GC floor for `origin` over `members`: the largest counter
-    /// every member of the set is known to have reached. A member with no
-    /// row yet contributes zero (nothing may be collected until every
-    /// member has been heard from).
-    pub fn min_entry(&self, origin: u64, members: impl IntoIterator<Item = u64>) -> u64 {
-        let mut floor = u64::MAX;
-        let mut any = false;
-        for member in members {
-            any = true;
-            let known = self.rows.get(&member).map_or(0, |row| row.get(origin));
-            floor = floor.min(known);
-        }
-        if any { floor } else { 0 }
-    }
-
-    /// The pointwise min-row over `members`: the full GC-floor clock.
-    pub fn min_row(&self, members: &[u64]) -> VClock {
-        let mut origins: Vec<u64> = Vec::new();
-        for member in members {
-            if let Some(row) = self.rows.get(member) {
-                origins.extend(row.iter().map(|(n, _)| n));
-            }
-        }
-        origins.sort_unstable();
-        origins.dedup();
-        let mut out = VClock::new();
-        for origin in origins {
-            out.set(origin, self.min_entry(origin, members.iter().copied()));
-        }
-        out
-    }
-
-    /// Number of known rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when no row has been observed.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-}
-
 /// The causal stamp carried in every wire envelope next to the
 /// `TraceId`: the highest snapshot wave the sender has joined (zero when
 /// none) and the sender's vector clock at send time.
@@ -262,26 +182,6 @@ mod tests {
         assert_eq!(c.compare(&b), Causality::After);
     }
 
-    #[test]
-    fn matrix_min_row_is_the_floor() {
-        let mut m = MatrixClock::new();
-        let mut r0 = VClock::new();
-        r0.set(0, 5);
-        r0.set(1, 2);
-        let mut r1 = VClock::new();
-        r1.set(0, 3);
-        r1.set(1, 4);
-        m.observe(0, &r0);
-        m.observe(1, &r1);
-        assert_eq!(m.min_entry(0, [0, 1]), 3);
-        assert_eq!(m.min_entry(1, [0, 1]), 2);
-        // A member never heard from pins the floor at zero.
-        assert_eq!(m.min_entry(0, [0, 1, 2]), 0);
-        let row = m.min_row(&[0, 1]);
-        assert_eq!(row.get(0), 3);
-        assert_eq!(row.get(1), 2);
-    }
-
     fn arb_clock() -> impl Strategy<Value = VClock> {
         proptest::collection::btree_map(0u64..5, 0u64..6, 0..5).prop_map(|m| {
             let mut vc = VClock::new();
@@ -289,16 +189,6 @@ mod tests {
                 vc.set(k, v);
             }
             vc
-        })
-    }
-
-    fn arb_matrix() -> impl Strategy<Value = MatrixClock> {
-        proptest::collection::btree_map(0u64..4, arb_clock(), 0..4).prop_map(|rows| {
-            let mut m = MatrixClock::new();
-            for (node, clock) in rows {
-                m.observe(node, &clock);
-            }
-            m
         })
     }
 
@@ -360,24 +250,6 @@ mod tests {
         fn prop_concurrent_iff_neither_le(a in arb_clock(), b in arb_clock()) {
             let concurrent = a.compare(&b) == Causality::Concurrent;
             prop_assert_eq!(concurrent, !a.le(&b) && !b.le(&a));
-        }
-
-        /// The matrix min-row is ≤ every member row, and observing more
-        /// knowledge never lowers the floor.
-        #[test]
-        fn prop_matrix_min_row_bounds(m in arb_matrix(), extra in arb_clock(), node in 0u64..4) {
-            let members: Vec<u64> = (0..4).collect();
-            let floor = m.min_row(&members);
-            for member in &members {
-                if let Some(row) = m.row(*member) {
-                    prop_assert!(floor.le(row));
-                } else {
-                    prop_assert!(floor.is_empty());
-                }
-            }
-            let mut grown = m.clone();
-            grown.observe(node, &extra);
-            prop_assert!(floor.le(&grown.min_row(&members)));
         }
 
         /// Stamps survive the codec.

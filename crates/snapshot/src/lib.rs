@@ -8,15 +8,13 @@
 //! "what is the state of the *whole* system right now?" — as a
 //! Chandy–Lamport [CL85] consistent global snapshot:
 //!
-//! - [`causal`] — vector and matrix clocks keyed by raw node id. A
+//! - [`causal`] — vector clocks keyed by raw node id. A
 //!   [`CausalStamp`] (snapshot wave id + vector clock) rides in every
 //!   wire envelope next to the `TraceId`: the wave id propagates the
 //!   snapshot cut even when marker messages are lost or overtaken
 //!   (Lai–Yang-style piggybacking, so the protocol stays correct over
 //!   the non-FIFO simulated network), and the vector clocks let an
-//!   oracle *check* the assembled cut for consistency. The matrix
-//!   clock's min-row gives the causal protocol a principled GC bound
-//!   for its delivery buffers.
+//!   oracle *check* the assembled cut for consistency.
 //! - [`capture`] — the cut data model: each participant captures a
 //!   [`NodeFrag`] (per-channel protocol state via `ProtoCapture`,
 //!   parked obvents, durable-subscription table, its clock) plus the
@@ -40,4 +38,4 @@ pub use capture::{
     ChannelFrag, ClusterCut, InFlightObvent, InFlightRec, MsgRef, NodeFrag, ProtoCapture,
     RetransmitEntry,
 };
-pub use causal::{CausalStamp, Causality, MatrixClock, VClock};
+pub use causal::{CausalStamp, Causality, VClock};

@@ -3,7 +3,9 @@
 //! counts:
 //!
 //! - 50 randomized group-protocol seeds (scenario generation → execution →
-//!   invariant oracles);
+//!   invariant oracles; `Reliable`, `Fifo` and `Causal` must deliver
+//!   everything on every crash-free run, loss and healed partitions
+//!   included), plus seeds 77 and 138 pinned as regressions;
 //! - 25 full-stack seeds (DACE routing with supertype subscriptions and
 //!   remote filters) and 10 churn-storm seeds over the same workload;
 //! - 10 durable-restart seeds (certified subscriber crash-restarted with
@@ -54,6 +56,30 @@ fn full_stack_routing_smoke_over_25_seeds() {
 #[test]
 fn churn_storm_matching_smoke_over_10_seeds() {
     smoke("churn");
+}
+
+/// Group seeds the ordered kinds used to fail under loss, pinned: one
+/// lost frame stalled a `Fifo` or `Causal` origin's stream for good, since
+/// only `Reliable` retransmitted from the origin. All three now share that
+/// delivery layer, and the group row asserts completeness for them on
+/// every crash-free run.
+fn group_seed_completes_under_loss(seed: u64, protocol: ProtocolKind) {
+    let scenario = Scenario::generate(seed);
+    assert_eq!(scenario.protocol, protocol, "seed {seed}");
+    assert!(scenario.loss > 0.0 && scenario.expects_completeness(), "seed {seed}");
+    if let Err(report) = dimension::check(&Group::default(), seed) {
+        panic!("{report}");
+    }
+}
+
+#[test]
+fn group_seed_77_fifo_under_loss_delivers_everything() {
+    group_seed_completes_under_loss(77, ProtocolKind::Fifo);
+}
+
+#[test]
+fn group_seed_138_causal_under_loss_delivers_everything() {
+    group_seed_completes_under_loss(138, ProtocolKind::Causal);
 }
 
 /// Durable-restart sweep: a certified subscriber crash-restarted with

@@ -50,10 +50,10 @@ fn e2_placement_traffic_at_four_subscribers() {
 fn e3_delivery_ladder_counts() {
     let _turn = turn();
     let expected: [[(u64, usize); 6]; 4] = [
-        [(140, 160), (1_120, 160), (1_120, 160), (1_120, 160), (206, 160), (280, 160)],
-        [(140, 154), (1_140, 160), (1_140, 160), (1_140, 160), (245, 160), (298, 160)],
-        [(140, 138), (1_206, 160), (1_206, 160), (1_206, 160), (284, 160), (352, 160)],
-        [(40, 53), (139, 60), (139, 60), (139, 60), (130, 60), (110, 60)],
+        [(140, 160), (1_120, 160), (1_120, 160), (1_120, 160), (314, 160), (280, 160)],
+        [(140, 154), (1_140, 160), (1_140, 160), (1_140, 160), (333, 160), (298, 160)],
+        [(140, 138), (1_206, 160), (1_206, 160), (1_206, 160), (409, 160), (352, 160)],
+        [(40, 53), (139, 60), (139, 60), (139, 60), (135, 60), (110, 60)],
     ];
     for ((nodes, loss), row) in [(8, 0.0), (8, 0.05), (8, 0.2), (3, 0.2)].into_iter().zip(expected) {
         for ((name, make), cell) in PROTOCOLS.into_iter().zip(row) {

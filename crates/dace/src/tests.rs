@@ -302,6 +302,55 @@ fn a_late_causal_subscriber_receives_what_follows_its_subscription() {
 }
 
 #[test]
+fn a_late_total_subscriber_receives_what_follows_its_subscription() {
+    let got = late_subscriber_receives(
+        |domain, sink| {
+            let sub = domain.subscribe(FilterSpec::accept_all(), move |t: TotalTick| {
+                sink.lock().unwrap().push(*t.n());
+            });
+            sub.activate().unwrap();
+            sub.detach();
+        },
+        |sim, node, n| DaceNode::publish_from(sim, node, TotalTick::new(n)),
+    );
+    assert_eq!(got, (0..10).collect::<Vec<u64>>());
+}
+
+/// The usual pub/sub case: the publisher is not subscribed to its own
+/// `TotalOrder` kind, so it is not a member of the channel's group. The
+/// sequencer acknowledges its submissions, and then it goes quiet.
+#[test]
+fn a_non_member_total_publisher_stops_sending_once_acknowledged() {
+    // Re-announcements only at subscription time: in the idle window
+    // below, any frame sent is the group protocol's.
+    let config = DaceConfig {
+        announce_interval: Duration::from_secs(3_600),
+        ..DaceConfig::default()
+    };
+    let (mut sim, ids) = cluster(2, SimConfig::with_seed(7), config);
+    let seen: Seen<u64> = Arc::new(Mutex::new(Vec::new()));
+    let sink = seen.clone();
+    DaceNode::drive(&mut sim, ids[1], move |domain| {
+        let sub = domain.subscribe(FilterSpec::accept_all(), move |t: TotalTick| {
+            sink.lock().unwrap().push(*t.n());
+        });
+        sub.activate().unwrap();
+        sub.detach();
+    });
+    settle(&mut sim, 10);
+    for i in 0..10u64 {
+        DaceNode::publish_from(&mut sim, ids[0], TotalTick::new(i));
+    }
+    settle(&mut sim, 500);
+    let report = DaceNode::inspect_of(&mut sim, ids[0]).expect("node up");
+    assert!(report.contains("queue reliable.unacked=0"), "{report}");
+    let sent = sim.stats().sent;
+    settle(&mut sim, 3_000);
+    assert_eq!(sim.stats().sent, sent, "an idle group sends nothing");
+    assert_eq!(*seen.lock().unwrap(), (0..10).collect::<Vec<u64>>());
+}
+
+#[test]
 fn total_order_obvents_agree_across_subscribers() {
     let (mut sim, ids) = cluster(4, SimConfig::with_seed(31), DaceConfig::default());
     let mut seens = Vec::new();

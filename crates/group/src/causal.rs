@@ -39,7 +39,7 @@ use psc_snapshot::ProtoCapture;
 use crate::dedup::{Delivered, MsgId};
 use crate::fifo::Joins;
 use crate::io::GroupIo;
-use crate::reliable::{Eager, HoldBack};
+use crate::reliable::{Eager, HoldBack, Outbox};
 
 /// Vector-clock causal broadcast over the reliable delivery layer.
 pub type Causal = Eager<CausalHoldBack>;
@@ -131,6 +131,7 @@ impl HoldBack for CausalHoldBack {
     fn accept(
         &mut self,
         io: &mut dyn GroupIo,
+        _: &mut Outbox<CausalHeader>,
         id: MsgId,
         header: CausalHeader,
         payload: WireBytes,

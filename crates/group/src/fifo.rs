@@ -25,7 +25,7 @@ use psc_snapshot::ProtoCapture;
 
 use crate::dedup::{Delivered, MsgId};
 use crate::io::GroupIo;
-use crate::reliable::{Eager, HoldBack};
+use crate::reliable::{Eager, HoldBack, Outbox};
 
 /// Reliable broadcast with per-publisher FIFO delivery.
 ///
@@ -80,23 +80,101 @@ impl Joins {
     }
 }
 
-/// FIFO hold-back; see the module docs.
-#[derive(Debug, Default)]
-pub struct FifoHoldBack {
-    joins: Joins,
+/// Per-origin release in stream order: a queue per origin holds a
+/// stream's messages until every earlier seq is released or will never
+/// come (see the module docs for where a stream starts).
+#[derive(Debug)]
+pub(crate) struct Streams<T> {
     /// Per origin: the incarnation epoch being tracked and the next
     /// expected sequence number within it.
     expected: HashMap<NodeId, (u64, u64)>,
     /// Held-back out-of-order messages per origin (current epoch only).
-    holdback: HashMap<NodeId, BTreeMap<u64, WireBytes>>,
+    holdback: HashMap<NodeId, BTreeMap<u64, T>>,
     /// The epoch this incarnation recovered at, if it did.
-    recovered_at: Option<u64>,
+    pub(crate) recovered_at: Option<u64>,
 }
 
-impl FifoHoldBack {
-    fn holdback_len(&self) -> usize {
+impl<T> Default for Streams<T> {
+    fn default() -> Self {
+        Streams {
+            expected: HashMap::new(),
+            holdback: HashMap::new(),
+            recovered_at: None,
+        }
+    }
+}
+
+impl<T> Streams<T> {
+    /// Takes the first receipt `id` of `item` and hands `release` every
+    /// item it makes releasable, in stream order. `start` is the first seq
+    /// the frame says this member is owed, if it names one; `resumable`
+    /// lets a stream that began before this incarnation recovered start at
+    /// its first frame seen. True when `item` arrived out of order.
+    pub(crate) fn accept(
+        &mut self,
+        id: MsgId,
+        start: Option<u64>,
+        resumable: bool,
+        item: T,
+        seen: &mut Delivered,
+        mut release: impl FnMut(T),
+    ) -> bool {
+        let tracked = self.expected.get(&id.origin).map(|&(epoch, _)| epoch);
+        if tracked.is_some_and(|epoch| id.epoch < epoch) {
+            return false; // straggler from a dead incarnation
+        }
+        if tracked != Some(id.epoch) {
+            // A new stream: first sight, or the origin restarted.
+            let resumed = resumable && self.recovered_at.is_some_and(|at| id.epoch < at);
+            self.expected
+                .insert(id.origin, (id.epoch, if resumed { id.seq } else { 1 }));
+            self.holdback.remove(&id.origin);
+        }
+        let queue = self.holdback.entry(id.origin).or_default();
+        let (_, expected) = self.expected.get_mut(&id.origin).expect("tracked above");
+        if let Some(first) = start.filter(|&f| f > *expected) {
+            // Seqs below the start were never sent here: release what
+            // arrived of them anyway, in order, and go on at the start.
+            let owed = queue.split_off(&first);
+            for (_, item) in std::mem::replace(queue, owed) {
+                release(item);
+            }
+            *expected = first;
+        }
+        // Below `expected` everything is released or never will be.
+        seen.skip_to(*expected - 1);
+        if id.seq < *expected {
+            return false; // stale duplicate
+        }
+        let out_of_order = id.seq > *expected;
+        queue.insert(id.seq, item);
+        // Release the contiguous prefix.
+        while let Some(item) = queue.remove(expected) {
+            release(item);
+            *expected += 1;
+        }
+        out_of_order
+    }
+
+    /// Messages held back over all origins.
+    pub(crate) fn held(&self) -> usize {
         self.holdback.values().map(BTreeMap::len).sum()
     }
+
+    /// `(origin, epoch, last released seq)` per tracked stream.
+    pub(crate) fn watermarks(&self) -> Vec<(u64, u64, u64)> {
+        self.expected
+            .iter()
+            .map(|(&node, &(epoch, expected))| (node.0, epoch, expected - 1))
+            .collect()
+    }
+}
+
+/// FIFO hold-back; see the module docs.
+#[derive(Debug, Default)]
+pub struct FifoHoldBack {
+    joins: Joins,
+    streams: Streams<WireBytes>,
 }
 
 impl HoldBack for FifoHoldBack {
@@ -110,46 +188,16 @@ impl HoldBack for FifoHoldBack {
     fn accept(
         &mut self,
         io: &mut dyn GroupIo,
+        _: &mut Outbox<Self::Header>,
         id: MsgId,
         header: Self::Header,
         payload: WireBytes,
         seen: &mut Delivered,
     ) {
-        let tracked = self.expected.get(&id.origin).map(|&(epoch, _)| epoch);
-        if tracked.is_some_and(|epoch| id.epoch < epoch) {
-            return; // straggler from a dead incarnation
-        }
-        if tracked != Some(id.epoch) {
-            // A new stream: first sight, or the origin restarted.
-            let resumed = self.recovered_at.is_some_and(|at| id.epoch < at);
-            self.expected
-                .insert(id.origin, (id.epoch, if resumed { id.seq } else { 1 }));
-            self.holdback.remove(&id.origin);
-        }
-        let queue = self.holdback.entry(id.origin).or_default();
-        let (_, expected) = self.expected.get_mut(&id.origin).expect("tracked above");
-        if let Some(first) = Joins::start_of(&header, io.self_id()).filter(|&f| f > *expected) {
-            // Seqs below the start were never sent here: release what
-            // arrived of them anyway, in order, and go on at the start.
-            let owed = queue.split_off(&first);
-            for (_, payload) in std::mem::replace(queue, owed) {
-                io.deliver(id.origin, payload);
-            }
-            *expected = first;
-        }
-        // Below `expected` everything is delivered or never will be.
-        seen.skip_to(*expected - 1);
-        if id.seq < *expected {
-            return; // stale duplicate
-        }
-        if id.seq > *expected {
+        let start = Joins::start_of(&header, io.self_id());
+        let deliver = |payload| io.deliver(id.origin, payload);
+        if self.streams.accept(id, start, true, payload, seen, deliver) {
             io.metric("fifo.out_of_order", 1);
-        }
-        queue.insert(id.seq, payload);
-        // Release the contiguous prefix.
-        while let Some(payload) = queue.remove(expected) {
-            io.deliver(id.origin, payload);
-            *expected += 1;
         }
     }
 
@@ -158,19 +206,15 @@ impl HoldBack for FifoHoldBack {
     }
 
     fn on_recover(&mut self, epoch: u64) {
-        self.recovered_at = Some(epoch);
+        self.streams.recovered_at = Some(epoch);
     }
 
     fn capture(&self, cap: &mut ProtoCapture) {
-        cap.watermarks = self
-            .expected
-            .iter()
-            .map(|(&node, &(epoch, expected))| (node.0, epoch, expected - 1))
-            .collect();
-        cap.pending = self.holdback_len() as u64;
+        cap.watermarks = self.streams.watermarks();
+        cap.pending = self.streams.held() as u64;
     }
 
     fn queue_depths(&self, depths: &mut Vec<(&'static str, u64)>) {
-        depths.push(("fifo.holdback", self.holdback_len() as u64));
+        depths.push(("fifo.holdback", self.streams.held() as u64));
     }
 }

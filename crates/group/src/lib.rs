@@ -20,7 +20,7 @@
 //! | [`Reliable`] | *Reliable* | eager re-forwarding, origin retransmission until acked, bounded duplicate suppression |
 //! | [`Fifo`] | *FIFO ordered* | `Reliable`'s delivery layer + per-origin hold-back |
 //! | [`Causal`] | *Causally ordered* | `Reliable`'s delivery layer + vector-clock hold-back |
-//! | [`Total`] | *Totally ordered* | fixed sequencer, gap repair by NACK |
+//! | [`Total`] | *Totally ordered* | `Reliable`'s delivery layer, unrelayed: submissions to a fixed sequencer, which orders each publisher's in publish order |
 //! | [`Certified`] | *Certified* | persistent publisher log, per-member acks, retransmission across subscriber crashes |
 //! | [`Lpbcast`] | scalable best-effort (gossip) | periodic push gossip with bounded event buffer |
 //!
@@ -68,9 +68,10 @@ pub use total::Total;
 /// Best-effort decode of a protocol frame's message identity, for the
 /// snapshot plane's in-flight recorder: given the protocol a channel runs
 /// and raw protocol bytes, returns `(origin, epoch, seq)` when the frame
-/// carries an application payload. Control traffic (acks, NACKs,
-/// heartbeats, gossip digests) and undecodable bytes return `None` and are
-/// counted, not identified.
+/// carries an application payload (for `"total"`, the publisher's id on
+/// both the submission and the ordered frame). Control traffic (acks,
+/// gossip digests) and undecodable bytes return `None` and are counted,
+/// not identified.
 pub fn peek_data_id(proto: &str, bytes: &[u8]) -> Option<(u64, u64, u64)> {
     match proto {
         "certified" => certified::Certified::peek_id(bytes),

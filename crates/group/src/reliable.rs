@@ -6,11 +6,11 @@
 //! combine in [`Eager`]:
 //!
 //! - **eager re-forwarding** [BJ87]: on first receipt every member relays
-//!   the message to every other member, so one successful link suffices for
-//!   group-wide agreement (and a crashed origin cannot strand a partially
-//!   delivered message);
+//!   the message to every other member (unless the policy opts out), so
+//!   one successful link suffices for group-wide agreement (and a crashed
+//!   origin cannot strand a partially delivered message);
 //! - **origin-side retransmission**: the origin keeps the message until
-//!   every member acknowledged it, retransmitting periodically — this is
+//!   every target acknowledged it, retransmitting periodically — this is
 //!   what makes delivery deterministic under message loss even for small
 //!   groups, where relay redundancy alone is a single network path;
 //! - **bounded duplicate suppression** ([`Dedup`]): a watermark plus the
@@ -20,6 +20,10 @@
 //! [`Reliable`] delivers at once, [`Fifo`](crate::Fifo) and
 //! [`Causal`](crate::Causal) hold back over the same `(origin, epoch, seq)`
 //! stream — Fig. 4's `CausalOrder extends FIFOOrder extends Reliable`.
+//! A policy also addresses its origin's frames and decides whether
+//! receivers relay them: [`Total`](crate::Total) sends a submission to the
+//! sequencer alone and has the sequencer order it in a frame of its own,
+//! neither relayed (`TotalOrder extends Reliable`).
 //!
 //! Unlike [`Certified`](crate::Certified), all state is volatile: a crashed
 //! subscriber loses the message (reliability only covers processes that
@@ -106,20 +110,51 @@ pub trait HoldBack: Default + fmt::Debug + Send + 'static {
     /// [`Multicast::proto_name`] of the composed protocol.
     const NAME: &'static str;
 
+    /// Whether a receiver relays a first receipt to the other members (the
+    /// eager agreement step). A policy whose frames reach their targets
+    /// from the origin alone opts out of its O(n²) cost.
+    const RELAY: bool = true;
+
+    /// The targets and header of own broadcast `id`; `oldest_unacked` is
+    /// this incarnation's oldest frame some target has not acknowledged.
+    /// By default every other member, stamped by [`stamp`](Self::stamp).
+    fn address(
+        &mut self,
+        me: NodeId,
+        members: &[NodeId],
+        id: MsgId,
+        oldest_unacked: Option<u64>,
+    ) -> (Vec<NodeId>, Self::Header) {
+        let _ = oldest_unacked;
+        let targets = others(me, members);
+        let header = self.stamp(id, &targets);
+        (targets, header)
+    }
+
     /// The header of own broadcast `id`, addressed to `targets`.
-    fn stamp(&mut self, id: MsgId, targets: &[NodeId]) -> Self::Header;
+    fn stamp(&mut self, _id: MsgId, _targets: &[NodeId]) -> Self::Header {
+        Self::Header::default()
+    }
 
     /// Takes a first receipt of `id` (own broadcasts included) and delivers
     /// whatever it makes deliverable. `seen` is `id`'s stream record,
-    /// which a policy may advance past seqs it will never deliver.
+    /// which a policy may advance past seqs it will never deliver; `out`
+    /// originates further frames.
     fn accept(
         &mut self,
         io: &mut dyn GroupIo,
+        out: &mut Outbox<Self::Header>,
         id: MsgId,
         header: Self::Header,
         payload: WireBytes,
         seen: &mut Delivered,
     );
+
+    /// The application message a frame carries, named in snapshot
+    /// in-flight records: by default the frame itself.
+    fn data_id(id: MsgId, _header: &Self::Header) -> MsgId {
+        id
+    }
 
     /// `from` acknowledged own broadcast `seq` of this incarnation.
     fn on_ack(&mut self, _from: NodeId, _seq: u64) {}
@@ -134,16 +169,20 @@ pub trait HoldBack: Default + fmt::Debug + Send + 'static {
     fn queue_depths(&self, _depths: &mut Vec<(&'static str, u64)>) {}
 }
 
+/// Every member but `me`.
+pub(crate) fn others(me: NodeId, members: &[NodeId]) -> Vec<NodeId> {
+    members.iter().copied().filter(|&m| m != me).collect()
+}
+
 /// No hold-back: every first receipt is delivered at once.
 impl HoldBack for () {
     type Header = ();
     const NAME: &'static str = "reliable";
 
-    fn stamp(&mut self, _id: MsgId, _targets: &[NodeId]) {}
-
     fn accept(
         &mut self,
         io: &mut dyn GroupIo,
+        _: &mut Outbox<()>,
         id: MsgId,
         _: (),
         payload: WireBytes,
@@ -158,42 +197,59 @@ impl HoldBack for () {
 pub type Reliable = Eager<()>;
 
 #[derive(Debug)]
-struct Outgoing<H> {
-    header: H,
+struct Outgoing<Hd> {
+    header: Hd,
     payload: WireBytes,
     unacked: Vec<NodeId>,
 }
 
-/// The delivery layer under hold-back policy `H`; see the module docs.
+/// Origin state: this incarnation's frames, each kept and retransmitted
+/// until every target acknowledged it.
 #[derive(Debug, Default)]
-pub struct Eager<H: HoldBack> {
+pub struct Outbox<Hd> {
     /// This incarnation's epoch (see [`MsgId`]).
     epoch: u64,
     next_seq: u64,
-    pub(crate) seen: Dedup,
-    /// Origin state: messages not yet acknowledged by every member.
-    outgoing: BTreeMap<u64, Outgoing<H::Header>>,
+    outgoing: BTreeMap<u64, Outgoing<Hd>>,
     timer_armed: bool,
-    pub(crate) order: H,
 }
 
-impl<H: HoldBack> Eager<H> {
-    /// Creates an instance.
-    pub fn new() -> Self {
-        Eager::default()
+impl<Hd: Serialize> Outbox<Hd> {
+    /// The id of the next frame this process originates.
+    pub(crate) fn next_id(&mut self, me: NodeId) -> MsgId {
+        self.next_seq += 1;
+        MsgId {
+            origin: me,
+            epoch: self.epoch,
+            seq: self.next_seq,
+        }
     }
 
-    fn send_data(
+    fn oldest_unacked(&self) -> Option<u64> {
+        self.outgoing.keys().next().copied()
+    }
+
+    /// Sends own frame `id` to `targets` and keeps it until they all
+    /// acknowledge it.
+    pub(crate) fn send(
+        &mut self,
         io: &mut dyn GroupIo,
         id: MsgId,
-        header: &H::Header,
-        payload: &WireBytes,
-        from_origin: bool,
-        targets: &[NodeId],
+        header: Hd,
+        payload: WireBytes,
+        targets: Vec<NodeId>,
     ) {
-        let bytes = encode_msg(&Frame::Data(id, header, payload.clone(), from_origin));
-        for &member in targets {
-            io.send(member, bytes.clone());
+        send_data(io, id, &header, &payload, true, &targets);
+        if !targets.is_empty() {
+            self.outgoing.insert(
+                id.seq,
+                Outgoing {
+                    header,
+                    payload,
+                    unacked: targets,
+                },
+            );
+            self.arm_timer(io);
         }
     }
 
@@ -203,12 +259,41 @@ impl<H: HoldBack> Eager<H> {
             io.set_timer(RETRANSMIT_INTERVAL, RETRANSMIT);
         }
     }
+}
 
-    /// The data-message identity inside `bytes`, if it is a `Data` frame
-    /// (snapshot in-flight recording).
+fn send_data<Hd: Serialize>(
+    io: &mut dyn GroupIo,
+    id: MsgId,
+    header: &Hd,
+    payload: &WireBytes,
+    from_origin: bool,
+    targets: &[NodeId],
+) {
+    let bytes = encode_msg(&Frame::Data(id, header, payload.clone(), from_origin));
+    for &member in targets {
+        io.send(member, bytes.clone());
+    }
+}
+
+/// The delivery layer under hold-back policy `H`; see the module docs.
+#[derive(Debug, Default)]
+pub struct Eager<H: HoldBack> {
+    out: Outbox<H::Header>,
+    pub(crate) seen: Dedup,
+    pub(crate) order: H,
+}
+
+impl<H: HoldBack> Eager<H> {
+    /// Creates an instance.
+    pub fn new() -> Self {
+        Eager::default()
+    }
+
+    /// The application message identity inside `bytes`, if it is a `Data`
+    /// frame (snapshot in-flight recording).
     pub(crate) fn peek_id(bytes: &[u8]) -> Option<MsgId> {
         match decode_msg::<Frame<H::Header>>(bytes)? {
-            Frame::Data(id, ..) => Some(id),
+            Frame::Data(id, header, ..) => Some(H::data_id(id, &header)),
             Frame::Ack(_) => None,
         }
     }
@@ -218,30 +303,16 @@ impl<H: HoldBack> Multicast for Eager<H> {
     fn broadcast(&mut self, io: &mut dyn GroupIo, payload: WireBytes) {
         io.metric("reliable.broadcasts", 1);
         let me = io.self_id();
-        self.next_seq += 1;
-        let id = MsgId {
-            origin: me,
-            epoch: self.epoch,
-            seq: self.next_seq,
-        };
-        let targets: Vec<NodeId> = io.members().iter().copied().filter(|&m| m != me).collect();
-        let header = self.order.stamp(id, &targets);
-        Self::send_data(io, id, &header, &payload, true, &targets);
-        if !targets.is_empty() {
-            self.outgoing.insert(
-                id.seq,
-                Outgoing {
-                    header: header.clone(),
-                    payload: payload.clone(),
-                    unacked: targets,
-                },
-            );
-            self.arm_timer(io);
-        }
+        let id = self.out.next_id(me);
+        let oldest_unacked = self.out.oldest_unacked();
+        let (targets, header) = self.order.address(me, io.members(), id, oldest_unacked);
+        self.out.send(io, id, header.clone(), payload.clone(), targets);
         let seen = self.seen.stream(id);
-        seen.insert(id.seq);
+        if H::RELAY {
+            seen.insert(id.seq); // a relay may bring it back
+        }
         if io.members().contains(&me) {
-            self.order.accept(io, id, header, payload, seen);
+            self.order.accept(io, &mut self.out, id, header, payload, seen);
         }
     }
 
@@ -262,27 +333,30 @@ impl<H: HoldBack> Multicast for Eager<H> {
                     io.metric("reliable.duplicates", 1);
                     return;
                 }
-                // Re-forward before delivering: the agreement step.
-                io.metric("reliable.relays", 1);
-                let me = io.self_id();
-                let others: Vec<NodeId> = io
-                    .members()
-                    .iter()
-                    .copied()
-                    .filter(|&m| m != me && m != id.origin)
-                    .collect();
-                Self::send_data(io, id, &header, &payload, false, &others);
-                self.order.accept(io, id, header, payload, seen);
+                if H::RELAY {
+                    // Re-forward before delivering: the agreement step.
+                    io.metric("reliable.relays", 1);
+                    let me = io.self_id();
+                    let others: Vec<NodeId> = io
+                        .members()
+                        .iter()
+                        .copied()
+                        .filter(|&m| m != me && m != id.origin)
+                        .collect();
+                    send_data(io, id, &header, &payload, false, &others);
+                }
+                self.order.accept(io, &mut self.out, id, header, payload, seen);
             }
             Frame::Ack(id) => {
-                if id.origin != io.self_id() || id.epoch != self.epoch {
+                if id.origin != io.self_id() || id.epoch != self.out.epoch {
                     return;
                 }
                 self.order.on_ack(from, id.seq);
-                if let Some(outgoing) = self.outgoing.get_mut(&id.seq) {
-                    outgoing.unacked.retain(|&m| m != from);
-                    if outgoing.unacked.is_empty() {
-                        self.outgoing.remove(&id.seq);
+                let outgoing = &mut self.out.outgoing;
+                if let Some(frame) = outgoing.get_mut(&id.seq) {
+                    frame.unacked.retain(|&m| m != from);
+                    if frame.unacked.is_empty() {
+                        outgoing.remove(&id.seq);
                     }
                 }
             }
@@ -293,47 +367,42 @@ impl<H: HoldBack> Multicast for Eager<H> {
         if token != RETRANSMIT {
             return;
         }
-        self.timer_armed = false;
-        io.metric("reliable.retransmits", self.outgoing.len() as u64);
+        let out = &mut self.out;
+        out.timer_armed = false;
+        io.metric("reliable.retransmits", out.outgoing.len() as u64);
         let me = io.self_id();
-        for (&seq, outgoing) in &self.outgoing {
+        for (&seq, frame) in &out.outgoing {
             let id = MsgId {
                 origin: me,
-                epoch: self.epoch,
+                epoch: out.epoch,
                 seq,
             };
-            Self::send_data(
-                io,
-                id,
-                &outgoing.header,
-                &outgoing.payload,
-                true,
-                &outgoing.unacked,
-            );
+            send_data(io, id, &frame.header, &frame.payload, true, &frame.unacked);
         }
-        self.arm_timer(io);
+        out.arm_timer(io);
     }
 
     fn on_start(&mut self, io: &mut dyn GroupIo) {
-        self.epoch = io.now().as_millis();
+        self.out.epoch = io.now().as_millis();
     }
 
     fn on_recover(&mut self, io: &mut dyn GroupIo) {
-        self.epoch = io.now().as_millis();
-        self.order.on_recover(self.epoch);
+        self.out.epoch = io.now().as_millis();
+        self.order.on_recover(self.out.epoch);
     }
 
     fn capture(&mut self, io: &mut dyn GroupIo) -> ProtoCapture {
         let me = io.self_id();
         let mut cap = ProtoCapture::new(self.proto_name());
-        cap.epoch = self.epoch;
-        cap.next_seq = self.next_seq;
+        cap.epoch = self.out.epoch;
+        cap.next_seq = self.out.next_seq;
         cap.retransmit = self
+            .out
             .outgoing
             .iter()
-            .map(|(&seq, outgoing)| psc_snapshot::RetransmitEntry {
-                id: psc_snapshot::MsgRef::new(me.0, self.epoch, seq),
-                targets: outgoing.unacked.iter().map(|n| n.0).collect(),
+            .map(|(&seq, frame)| psc_snapshot::RetransmitEntry {
+                id: psc_snapshot::MsgRef::new(me.0, self.out.epoch, seq),
+                targets: frame.unacked.iter().map(|n| n.0).collect(),
                 acked: Vec::new(),
             })
             .collect();
@@ -348,7 +417,7 @@ impl<H: HoldBack> Multicast for Eager<H> {
     }
 
     fn queue_depths(&self) -> Vec<(&'static str, u64)> {
-        let mut depths = vec![("reliable.unacked", self.outgoing.len() as u64)];
+        let mut depths = vec![("reliable.unacked", self.out.outgoing.len() as u64)];
         self.order.queue_depths(&mut depths);
         depths
     }

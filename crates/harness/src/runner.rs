@@ -255,8 +255,10 @@ pub fn run_scenario_with(scenario: &Scenario, make: ProtoFactory) -> RunOutcome 
             violations.extend(oracle::check_causal(&trace));
         }
         // Total (horizon adoption) and Certified (persistent delivered set)
-        // must not re-deliver across a receiver's own crash either.
+        // must not re-deliver across a receiver's own crash either. Total
+        // order implies per-publisher FIFO order.
         ProtocolKind::Total => {
+            violations.extend(oracle::check_fifo(&trace));
             violations.extend(oracle::check_total(&trace));
             violations.extend(oracle::check_no_cross_incarnation_redelivery(&trace));
         }

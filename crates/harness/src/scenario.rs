@@ -22,7 +22,7 @@ pub enum ProtocolKind {
     Fifo,
     /// Vector-clock causal order.
     Causal,
-    /// Fixed-sequencer total order with NACK gap repair.
+    /// Fixed-sequencer total order over the reliable delivery layer.
     Total,
     /// Persistent-log certified delivery surviving crashes.
     Certified,
@@ -178,8 +178,8 @@ impl Scenario {
                 // `expects_completeness` for who must still deliver
                 // everything), and — for the epoch-tagged volatile
                 // protocols — crash windows, checking safety only. `Total`
-                // is excluded from
-                // crashes: its fixed sequencer keeps no stable state, so a
+                // is excluded from crashes: its fixed sequencer keeps no
+                // stable state, so a
                 // sequencer restart can legitimately re-order messages two
                 // survivors saw in different prefixes — agreement across a
                 // sequencer crash is out of its volatile contract (the
@@ -252,18 +252,17 @@ impl Scenario {
     /// retransmission). `Reliable`, `Fifo` and `Causal` share one delivery
     /// layer whose origin retransmits until every member acknowledged, so
     /// loss and healed partitions are inside their guarantee; a crash is
-    /// not (volatile state dies with the process). `Total` only guarantees
-    /// completeness on a fault-free network: its NACK repair stops after a
-    /// few idle heartbeats, so under loss a trailing message can be missed.
-    /// Outside these envelopes the run checks the ordering/integrity
-    /// contracts only.
+    /// not (volatile state dies with the process). `Total` orders over the
+    /// same layer and is held to the same rule. Outside these envelopes
+    /// the run checks the ordering/integrity contracts only.
     pub fn expects_completeness(&self) -> bool {
         let crashes = self.ops.iter().any(|op| matches!(op, Op::CrashWindow { .. }));
-        let partitions = self.ops.iter().any(|op| matches!(op, Op::PartitionWindow { .. }));
         match self.protocol {
             ProtocolKind::Certified => true,
-            ProtocolKind::Reliable | ProtocolKind::Fifo | ProtocolKind::Causal => !crashes,
-            ProtocolKind::Total => self.loss == 0.0 && !crashes && !partitions,
+            ProtocolKind::Reliable
+            | ProtocolKind::Fifo
+            | ProtocolKind::Causal
+            | ProtocolKind::Total => !crashes,
         }
     }
 

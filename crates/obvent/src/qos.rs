@@ -41,8 +41,9 @@ pub enum Delivery {
 ///
 /// `Causal` implies FIFO (the paper declares `CausalOrder extends
 /// FIFOOrder`); `Total` is the subscriber-side order and, in this
-/// implementation, is provided by a fixed sequencer reached over FIFO links,
-/// so it also preserves per-publisher order.
+/// implementation, is provided by a fixed sequencer that orders each
+/// publisher's obvents in publish order, so it also preserves
+/// per-publisher order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
 pub enum Ordering {
     /// No ordering constraint.

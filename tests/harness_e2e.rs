@@ -279,6 +279,7 @@ fn total_order_end_to_end_all_nodes_agree() {
             .collect(),
     );
     assert_clean(oracle::check_integrity(&trace), &trace, "total integrity");
+    assert_clean(oracle::check_fifo(&trace), &trace, "total implies fifo");
     assert_clean(oracle::check_total(&trace), &trace, "total-order agreement");
     assert_clean(oracle::check_complete(&trace), &trace, "total completeness");
 }

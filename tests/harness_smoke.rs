@@ -3,9 +3,10 @@
 //! counts:
 //!
 //! - 50 randomized group-protocol seeds (scenario generation → execution →
-//!   invariant oracles; `Reliable`, `Fifo` and `Causal` must deliver
-//!   everything on every crash-free run, loss and healed partitions
-//!   included), plus seeds 77 and 138 pinned as regressions;
+//!   invariant oracles; `Reliable`, `Fifo`, `Causal` and `Total` must
+//!   deliver everything on every crash-free run, loss and healed
+//!   partitions included), plus seeds 77, 138, 141 and 253 pinned as
+//!   regressions;
 //! - 25 full-stack seeds (DACE routing with supertype subscriptions and
 //!   remote filters) and 10 churn-storm seeds over the same workload;
 //! - 10 durable-restart seeds (certified subscriber crash-restarted with
@@ -60,9 +61,9 @@ fn churn_storm_matching_smoke_over_10_seeds() {
 
 /// Group seeds the ordered kinds used to fail under loss, pinned: one
 /// lost frame stalled a `Fifo` or `Causal` origin's stream for good, since
-/// only `Reliable` retransmitted from the origin. All three now share that
-/// delivery layer, and the group row asserts completeness for them on
-/// every crash-free run.
+/// only `Reliable` retransmitted from the origin, and `Total`'s own repair
+/// missed a trailing message. All four now share that delivery layer, and
+/// the group row asserts completeness for them on every crash-free run.
 fn group_seed_completes_under_loss(seed: u64, protocol: ProtocolKind) {
     let scenario = Scenario::generate(seed);
     assert_eq!(scenario.protocol, protocol, "seed {seed}");
@@ -80,6 +81,25 @@ fn group_seed_77_fifo_under_loss_delivers_everything() {
 #[test]
 fn group_seed_138_causal_under_loss_delivers_everything() {
     group_seed_completes_under_loss(138, ProtocolKind::Causal);
+}
+
+#[test]
+fn group_seed_141_total_under_loss_delivers_everything() {
+    group_seed_completes_under_loss(141, ProtocolKind::Total);
+}
+
+/// A fault-free group seed on which `Total` delivered a publisher's
+/// obvents out of publish order: submissions raced to the sequencer, which
+/// ordered them as they arrived. Total order implies FIFO order.
+#[test]
+fn group_seed_253_total_keeps_publisher_order() {
+    let scenario = Scenario::generate(253);
+    assert_eq!(scenario.protocol, ProtocolKind::Total);
+    assert_eq!(scenario.loss, 0.0);
+    assert!(!scenario.ops.iter().any(|op| !matches!(op, Op::Publish { .. })));
+    if let Err(report) = dimension::check(&Group::default(), 253) {
+        panic!("{report}");
+    }
 }
 
 /// Durable-restart sweep: a certified subscriber crash-restarted with

@@ -79,10 +79,10 @@ fn end_to_end(fanout: usize, publishes: usize) -> (f64, [u64; 3], u64, u64) {
     sim.run_until(deadline);
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let grown = std::array::from_fn(|i| counters[i].get() - before[i]);
-    // Let one periodic announce round fire: each node re-floods all its
-    // subscriptions in one timer callback, which is where the per-peer
-    // control batching takes effect. Coalescing is counted in the
-    // deployment registry (covering setup, publish and announce phases).
+    // Let one periodic announce round fire: the publisher's digest and
+    // advertisement to each peer leave in one batch, as each subscriber's
+    // three joins did at setup. Coalescing is counted in the deployment
+    // registry (covering setup, publish and announce phases).
     let announce_deadline = sim.now() + psc_simnet::Duration::from_secs(31);
     sim.run_until(announce_deadline);
     let coalesced = registry.snapshot().counter("dace.batch.coalesced");

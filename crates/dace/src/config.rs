@@ -35,9 +35,10 @@ pub struct DaceConfig {
     /// and that backlog is where priorities reorder and `Timely` obvents
     /// expire.
     pub transmit_interval: Duration,
-    /// Period of the reflexive control re-announcements (subscriptions and
-    /// published kinds), providing anti-entropy under loss and for late
-    /// joiners.
+    /// Period of the control plane's anti-entropy: each node sends every
+    /// peer one digest of its subscription set (a peer whose view
+    /// disagrees pulls the whole set) and re-advertises its published
+    /// kinds, repairing what loss, restarts and late joins left behind.
     pub announce_interval: Duration,
     /// Stall-watchdog sweep period. `None` (the default) disables the
     /// watchdog and leaves the simulator's event schedule untouched; when

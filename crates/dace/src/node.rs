@@ -10,6 +10,7 @@
 use std::any::Any;
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use psc_codec::WireBytes;
@@ -31,7 +32,9 @@ use pubsub_core::{
 use serde::{Deserialize, Serialize};
 
 use crate::config::{DaceConfig, Placement};
-use crate::control::{AdvertiseCtl, SubscribeCtl, UnsubscribeCtl};
+use crate::control::{
+    entry_hash, AdvertiseCtl, DigestCtl, PullCtl, SubSetCtl, SubscribeCtl, UnsubscribeCtl,
+};
 use crate::snapshot::{SnapPlane, FORCE_CLOSE_TICKS, RETRY_PERIOD, UNKNOWN_INITIATOR};
 
 #[derive(Debug, Serialize, Deserialize)]
@@ -173,6 +176,14 @@ fn decode_filter(
 /// subscriptions (oldest dropped beyond this).
 const MAX_PARKED: usize = 1024;
 
+/// The reserved subscription id under which a recovered durable
+/// subscription stays joined until its application re-attaches. A
+/// `Domain` numbers its subscriptions from 1 up and never reaches the top
+/// bit.
+fn stand_in_id(durable_id: u64) -> u64 {
+    1 << 63 | durable_id
+}
+
 /// Counters describing one node's WAL activity, mirrored into the
 /// [`Inspect`] report (the report renders from `&self`, without storage
 /// access, so the commit path maintains this copy).
@@ -245,6 +256,22 @@ enum Route {
     Filtered(FilterId),
 }
 
+/// One subscription a channel knows about: how it routes, and the
+/// [`entry_hash`] it contributes to its node's [`SetDigest`].
+struct SubEntry {
+    route: Route,
+    hash: u64,
+}
+
+/// One node's subscription set in constant size: the XOR of its entries'
+/// hashes and their count. Kept incrementally wherever an entry enters or
+/// leaves a channel, so comparing a peer's [`DigestCtl`] costs nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct SetDigest {
+    xor: u64,
+    count: u64,
+}
+
 struct Channel {
     proto: Option<Box<dyn Multicast>>,
     /// Subscriber nodes, sorted (gives every node the same sequencer).
@@ -254,7 +281,7 @@ struct Channel {
     /// Indexed filter → the node that registered it.
     filter_owner: HashMap<FilterId, u64>,
     /// (node, sub) → how the channel routes to it.
-    sub_entries: HashMap<(u64, u64), Route>,
+    sub_entries: HashMap<(u64, u64), SubEntry>,
     /// Subscriptions per node; `members` is its key set.
     node_subs: HashMap<u64, u32>,
     /// Unfiltered subscriptions per remote node.
@@ -274,11 +301,25 @@ impl Channel {
         }
     }
 
-    /// Registers a remote node's subscription.
-    fn subscribe(&mut self, node: u64, sub: u64, filter: Option<RemoteFilter>) {
-        if self.sub_entries.contains_key(&(node, sub)) {
-            return; // idempotent (periodic re-announcements)
-        }
+    /// Whether the channel holds `(node, sub)` as exactly the entry `hash`
+    /// stands for.
+    fn holds(&self, node: u64, sub: u64, hash: u64) -> bool {
+        self.sub_entries
+            .get(&(node, sub))
+            .is_some_and(|entry| entry.hash == hash)
+    }
+
+    /// Registers a remote node's subscription, replacing whatever the key
+    /// held before (a restarted node reuses its subscription ids).
+    fn subscribe(
+        &mut self,
+        node: u64,
+        sub: u64,
+        hash: u64,
+        filter: Option<RemoteFilter>,
+        digest: &mut SetDigest,
+    ) {
+        self.unsubscribe(node, sub, digest);
         let route = match filter {
             Some(filter) => {
                 let id = self.index.insert(filter);
@@ -290,19 +331,25 @@ impl Channel {
                 Route::Unfiltered
             }
         };
-        self.enter(node, sub, route);
+        self.enter(node, sub, SubEntry { route, hash }, digest);
     }
 
     /// Registers one of the hosting node's own subscriptions: membership
     /// (group protocols address `members`), no filter.
-    fn subscribe_local(&mut self, me: u64, sub: u64) {
+    fn subscribe_local(&mut self, me: u64, sub: u64, hash: u64, digest: &mut SetDigest) {
         if !self.sub_entries.contains_key(&(me, sub)) {
-            self.enter(me, sub, Route::Local);
+            let entry = SubEntry {
+                route: Route::Local,
+                hash,
+            };
+            self.enter(me, sub, entry, digest);
         }
     }
 
-    fn enter(&mut self, node: u64, sub: u64, route: Route) {
-        self.sub_entries.insert((node, sub), route);
+    fn enter(&mut self, node: u64, sub: u64, entry: SubEntry, digest: &mut SetDigest) {
+        digest.xor ^= entry.hash;
+        digest.count += 1;
+        self.sub_entries.insert((node, sub), entry);
         let subs = self.node_subs.entry(node).or_insert(0);
         *subs += 1;
         if *subs == 1 {
@@ -311,11 +358,13 @@ impl Channel {
         }
     }
 
-    fn unsubscribe(&mut self, node: u64, sub: u64) {
-        let Some(route) = self.sub_entries.remove(&(node, sub)) else {
+    fn unsubscribe(&mut self, node: u64, sub: u64, digest: &mut SetDigest) {
+        let Some(entry) = self.sub_entries.remove(&(node, sub)) else {
             return;
         };
-        match route {
+        digest.xor ^= entry.hash;
+        digest.count -= 1;
+        match entry.route {
             Route::Local => {}
             Route::Unfiltered => {
                 release(&mut self.unfiltered, node);
@@ -368,10 +417,10 @@ fn release(counts: &mut HashMap<u64, u32>, node: u64) -> bool {
 }
 
 struct LocalSub {
-    record: Arc<SubscriptionRecord>,
-    /// The subscription's remote filter, encoded exactly once; every
-    /// join/announce flood clones the shared buffer instead of re-encoding
-    /// (empty when unfiltered).
+    record: SubscriptionRecord,
+    /// The subscription's remote filter, encoded exactly once; every join
+    /// flood and pulled set clones the shared buffer instead of
+    /// re-encoding (empty when unfiltered).
     filter_bytes: WireBytes,
     joined: HashSet<KindId>,
 }
@@ -388,6 +437,10 @@ pub struct DaceNode {
     published_kinds: HashSet<KindId>,
     known_kinds: HashSet<KindId>,
     channels: HashMap<KindId, Channel>,
+    /// Per node, the digest of the entries this node's channels hold for
+    /// it: its own set under its own id, its view of each peer's set under
+    /// the peer's.
+    digests: HashMap<u64, SetDigest>,
     timer_map: HashMap<TimerId, DaceTimer>,
     transmit: BinaryHeap<TransmitItem>,
     transmit_seq: u64,
@@ -395,8 +448,9 @@ pub struct DaceNode {
     /// `transmit_interval` ago, and the timer that ends the interval is set.
     transmit_armed: bool,
     /// Per-callback control outbox: messages queued per destination and
-    /// coalesced into one [`NodeMsg::Batch`] frame on flush (announce storms
-    /// fan many small control floods to the same peers in one tick).
+    /// coalesced into [`NodeMsg::Batch`] frames on flush (installing many
+    /// subscriptions fans many small control floods to the same peers in
+    /// one tick).
     outbox: HashMap<NodeId, Vec<WireBytes>>,
     /// Destinations in first-queued order, for a deterministic flush.
     outbox_order: Vec<NodeId>,
@@ -492,6 +546,7 @@ impl DaceNode {
             published_kinds: HashSet::new(),
             known_kinds: HashSet::new(),
             channels: HashMap::new(),
+            digests: HashMap::new(),
             timer_map: HashMap::new(),
             transmit: BinaryHeap::new(),
             transmit_seq: 0,
@@ -735,11 +790,31 @@ impl DaceNode {
         // with `activate_with_id`) and parked obvents. Here rather than in
         // `on_recover`: a real transport restarting a process calls
         // `on_start`, and the WAL is what makes that a resume.
+        let mut stand_ins = Vec::new();
         for (_, bytes) in ctx.storage().entries_with_prefix("dursub/") {
             if let Ok(record) = psc_codec::from_bytes::<DurableRecord>(&bytes) {
-                self.durable_pending
-                    .insert(record.durable_id, PendingDurable::load(&record, &self.telemetry));
+                let pending = PendingDurable::load(&record, &self.telemetry);
+                // Its routing outlives the process too: until the
+                // application re-attaches, a stand-in under a reserved id
+                // keeps the subscription's classes joined, so peers keep
+                // sending its obvents here to be parked.
+                let filter_bytes = match pending.filter {
+                    Some(_) => WireBytes::from(record.filter),
+                    None => WireBytes::default(),
+                };
+                let stand_in = SubscriptionRecord {
+                    id: SubId(stand_in_id(record.durable_id)),
+                    kind: pending.kind,
+                    remote_filter: pending.filter.clone(),
+                    durable_id: Some(record.durable_id),
+                };
+                stand_ins.push((stand_in, filter_bytes));
+                self.durable_pending.insert(record.durable_id, pending);
             }
+        }
+        stand_ins.sort_by_key(|(record, _)| record.id);
+        for (record, filter_bytes) in stand_ins {
+            self.join_all(ctx, record, filter_bytes);
         }
         for (key, bytes) in ctx.storage().entries_with_prefix("park/") {
             let Ok(seq) = key["park/".len()..].parse::<u64>() else {
@@ -776,15 +851,18 @@ impl DaceNode {
         }
     }
 
-    fn flood_control<O: Obvent>(&mut self, _ctx: &mut Ctx<'_>, ctl: &O) {
-        let wire = WireObvent::encode(ctl).expect("control obvents encode");
-        let bytes = encode_node_msg(&NodeMsg::Control(wire));
+    fn flood_control<O: Obvent>(&mut self, ctl: &O) {
+        let bytes = encode_control(ctl);
         let me = self.me();
         let peers: Vec<NodeId> = self.cluster.iter().copied().filter(|&n| n != me).collect();
         for node in peers {
-            self.queue_send(node, bytes.clone());
-            self.telemetry.bump("dace.control_sent", 1);
+            self.send_control(node, bytes.clone());
         }
+    }
+
+    fn send_control(&mut self, to: NodeId, bytes: WireBytes) {
+        self.queue_send(to, bytes);
+        self.telemetry.bump("dace.control_sent", 1);
     }
 
     /// Queues a control message for `to`; the outbox coalesces everything
@@ -797,21 +875,25 @@ impl DaceNode {
         queue.push(bytes);
     }
 
-    /// Drains the control outbox: one message per destination goes out
-    /// as-is; two or more are frame-concatenated into one
-    /// [`NodeMsg::Batch`], so an announce storm costs each peer one
-    /// network message instead of one per subscription × channel.
+    /// Drains the control outbox: a destination's queue leaves in runs of
+    /// at most [`BATCH_BUDGET`] bytes ([`batch_runs`]); a run of one
+    /// message goes out as-is, a longer one is frame-concatenated into one
+    /// [`NodeMsg::Batch`], so installing many subscriptions costs each peer
+    /// a few network messages instead of one per subscription × channel.
     fn flush_outbox(&mut self, ctx: &mut Ctx<'_>) {
         for to in std::mem::take(&mut self.outbox_order) {
-            let Some(mut msgs) = self.outbox.remove(&to) else {
+            let Some(msgs) = self.outbox.remove(&to) else {
                 continue;
             };
-            if msgs.len() == 1 {
-                ctx.send(to, msgs.pop().expect("one message"));
-            } else {
+            let lens: Vec<usize> = msgs.iter().map(|m| m.len()).collect();
+            for run in batch_runs(&lens) {
+                if let [msg] = &msgs[run.clone()] {
+                    ctx.send(to, msg.clone());
+                    continue;
+                }
                 self.telemetry
-                    .bump("dace.batch.coalesced", msgs.len() as u64 - 1);
-                let batch = psc_codec::batch_frames(msgs.iter().map(|m| &**m));
+                    .bump("dace.batch.coalesced", run.len() as u64 - 1);
+                let batch = psc_codec::batch_frames(msgs[run].iter().map(|m| &**m));
                 ctx.send(to, encode_node_msg(&NodeMsg::Batch(batch)));
             }
         }
@@ -836,15 +918,14 @@ impl DaceNode {
     }
 
     fn subscribe_flow(&mut self, ctx: &mut Ctx<'_>, record: SubscriptionRecord) {
-        let record = Arc::new(record);
-        let sub_raw = record.id.0;
-        // Encode the remote filter once; joins and announces share it.
+        // Encode the remote filter once; joins and pulled sets share it.
         let filter_bytes = record
             .remote_filter
             .as_ref()
             .map(|f| psc_codec::to_wire_bytes(f).expect("filters encode"))
             .unwrap_or_default();
-        if let Some(durable_id) = record.durable_id {
+        let durable_id = record.durable_id;
+        if let Some(durable_id) = durable_id {
             // Persist the subscription so it outlives the process
             // (§3.4.1); a matching pending record means this is a
             // re-attachment after recovery.
@@ -856,33 +937,15 @@ impl DaceNode {
             ctx.storage()
                 .put(format!("dursub/{durable_id:020}"), &durable)
                 .expect("durable record serialization cannot fail");
-            self.durable_pending.remove(&durable_id);
         }
-        self.local_subs.insert(
-            sub_raw,
-            LocalSub {
-                record: Arc::clone(&record),
-                filter_bytes,
-                joined: HashSet::new(),
-            },
-        );
-        // Join the channel of every known concrete subtype of the declared
-        // kind; future subtypes join on advertisement.
-        let mut targets: HashSet<KindId> = self
-            .known_kinds
-            .iter()
-            .copied()
-            .filter(|&k| psc_obvent::registry::is_subtype(k, record.kind))
-            .collect();
-        for kind in psc_obvent::registry::subtypes_of(record.kind) {
-            if kind.role() == KindRole::Class {
-                targets.insert(kind.id());
+        self.join_all(ctx, record, filter_bytes);
+        if let Some(durable_id) = durable_id {
+            // Re-attached: the record's own joins replace the stand-in's,
+            // joined first so that the node never leaves a class it stays
+            // in.
+            if self.durable_pending.remove(&durable_id).is_some() {
+                self.leave_all(stand_in_id(durable_id));
             }
-        }
-        let mut sorted: Vec<KindId> = targets.into_iter().collect();
-        sorted.sort();
-        for channel in sorted {
-            self.join_channel(ctx, sub_raw, channel);
         }
         // Re-offer obvents parked while a durable subscription was
         // detached; anything still unmatched (other pending records) is
@@ -896,6 +959,37 @@ impl DaceNode {
         }
     }
 
+    /// Enters a local subscription and joins the channel of every known
+    /// concrete subtype of its declared kind; future subtypes join on
+    /// advertisement.
+    fn join_all(&mut self, ctx: &mut Ctx<'_>, record: SubscriptionRecord, filter_bytes: WireBytes) {
+        let (sub_raw, declared) = (record.id.0, record.kind);
+        self.local_subs.insert(
+            sub_raw,
+            LocalSub {
+                record,
+                filter_bytes,
+                joined: HashSet::new(),
+            },
+        );
+        let mut targets: HashSet<KindId> = self
+            .known_kinds
+            .iter()
+            .copied()
+            .filter(|&k| psc_obvent::registry::is_subtype(k, declared))
+            .collect();
+        for kind in psc_obvent::registry::subtypes_of(declared) {
+            if kind.role() == KindRole::Class {
+                targets.insert(kind.id());
+            }
+        }
+        let mut sorted: Vec<KindId> = targets.into_iter().collect();
+        sorted.sort();
+        for channel in sorted {
+            self.join_channel(ctx, sub_raw, channel);
+        }
+    }
+
     fn join_channel(&mut self, ctx: &mut Ctx<'_>, sub_raw: u64, channel: KindId) {
         let me = self.me();
         let Some(local) = self.local_subs.get_mut(&sub_raw) else {
@@ -904,38 +998,43 @@ impl DaceNode {
         if !local.joined.insert(channel) {
             return;
         }
+        let declared = local.record.kind.as_u64();
+        let hash = entry_hash(sub_raw, channel.as_u64(), declared, &local.filter_bytes);
         let ctl = SubscribeCtl::new(
             me.0,
             sub_raw,
             channel.as_u64(),
-            local.record.kind.as_u64(),
+            declared,
             local.filter_bytes.clone(),
         );
-        self.flood_control(ctx, &ctl);
+        self.flood_control(&ctl);
         self.ensure_channel(ctx, channel);
         let ch = self.channels.get_mut(&channel).expect("just ensured");
-        ch.subscribe_local(me.0, sub_raw);
+        ch.subscribe_local(me.0, sub_raw, hash, self.digests.entry(me.0).or_default());
     }
 
     fn unsubscribe_flow(&mut self, ctx: &mut Ctx<'_>, id: SubId) {
-        let me = self.me();
-        let Some(local) = self.local_subs.remove(&id.0) else {
+        let Some(durable_id) = self.leave_all(id.0) else {
             return;
         };
-        if let Some(durable_id) = local.record.durable_id {
-            // Explicit deactivation ends the durable lifetime.
-            ctx.storage().remove(&format!("dursub/{durable_id:020}"));
-            self.durable_pending.remove(&durable_id);
-        }
+        // Explicit deactivation ends the durable lifetime.
+        ctx.storage().remove(&format!("dursub/{durable_id:020}"));
+        self.durable_pending.remove(&durable_id);
+    }
+
+    /// Removes a local subscription and leaves every class it joined;
+    /// returns its durable id, if it has one.
+    fn leave_all(&mut self, sub_raw: u64) -> Option<u64> {
+        let me = self.me();
+        let local = self.local_subs.remove(&sub_raw)?;
         let mut joined: Vec<KindId> = local.joined.into_iter().collect();
         joined.sort();
         for channel in joined {
-            let ctl = UnsubscribeCtl::new(me.0, id.0, channel.as_u64());
-            self.flood_control(ctx, &ctl);
-            if let Some(ch) = self.channels.get_mut(&channel) {
-                ch.unsubscribe(me.0, id.0);
-            }
+            let ctl = UnsubscribeCtl::new(me.0, sub_raw, channel.as_u64());
+            self.flood_control(&ctl);
+            self.forget(channel, me.0, sub_raw);
         }
+        local.record.durable_id
     }
 
     fn advertise(&mut self, ctx: &mut Ctx<'_>, kind: KindId) {
@@ -947,7 +1046,7 @@ impl DaceNode {
             None => (kind.to_string(), vec![kind.as_u64()]),
         };
         let ctl = AdvertiseCtl::new(kind.as_u64(), name, ancestry);
-        self.flood_control(ctx, &ctl);
+        self.flood_control(&ctl);
         self.apply_advertise(ctx, kind);
     }
 
@@ -1277,30 +1376,163 @@ impl DaceNode {
     }
 
     fn handle_control(&mut self, ctx: &mut Ctx<'_>, wire: &WireObvent) {
-        if wire.kind_id() == SubscribeCtl::kind_id() {
+        let kind = wire.kind_id();
+        if kind == SubscribeCtl::kind_id() {
             if let Ok(ctl) = wire.decode_exact::<SubscribeCtl>() {
-                let channel = KindId::from_raw(*ctl.channel());
-                // Hostile or corrupt: nothing of it reaches the index, the
-                // subscription is ignored.
-                let Ok(filter) = decode_filter(ctl.filter(), &self.telemetry) else {
-                    return;
-                };
-                self.ensure_channel(ctx, channel);
-                let ch = self.channels.get_mut(&channel).expect("just ensured");
-                ch.subscribe(*ctl.node(), *ctl.sub(), filter);
+                self.apply_subscribe(ctx, &ctl);
             }
-        } else if wire.kind_id() == UnsubscribeCtl::kind_id() {
+        } else if kind == UnsubscribeCtl::kind_id() {
             if let Ok(ctl) = wire.decode_exact::<UnsubscribeCtl>() {
-                let channel = KindId::from_raw(*ctl.channel());
-                if let Some(ch) = self.channels.get_mut(&channel) {
-                    ch.unsubscribe(*ctl.node(), *ctl.sub());
+                if *ctl.node() != self.me().0 {
+                    let channel = KindId::from_raw(*ctl.channel());
+                    self.forget(channel, *ctl.node(), *ctl.sub());
                 }
             }
-        } else if wire.kind_id() == AdvertiseCtl::kind_id() {
+        } else if kind == AdvertiseCtl::kind_id() {
             if let Ok(ctl) = wire.decode_exact::<AdvertiseCtl>() {
                 let kind = KindId::from_raw(*ctl.adv_kind());
                 self.apply_advertise(ctx, kind);
             }
+        } else if kind == DigestCtl::kind_id() {
+            if let Ok(ctl) = wire.decode_exact::<DigestCtl>() {
+                let node = NodeId(*ctl.node());
+                let view = self.digests.get(&node.0).copied().unwrap_or_default();
+                let told = SetDigest {
+                    xor: *ctl.digest(),
+                    count: *ctl.count(),
+                };
+                if self.is_peer(node) && view != told {
+                    self.telemetry.bump("dace.control.pulls", 1);
+                    let pull = encode_control(&PullCtl::new(self.me().0));
+                    self.send_control(node, pull);
+                }
+            }
+        } else if kind == PullCtl::kind_id() {
+            if let Ok(ctl) = wire.decode_exact::<PullCtl>() {
+                let to = NodeId(*ctl.node());
+                if self.is_peer(to) {
+                    self.send_set(to);
+                }
+            }
+        } else if kind == SubSetCtl::kind_id() {
+            if let Ok(ctl) = wire.decode_exact::<SubSetCtl>() {
+                self.apply_set(ctx, &ctl);
+            }
+        }
+    }
+
+    /// Whether `node` is another member of the cluster: the only nodes a
+    /// digest is compared for and a set is sent to.
+    fn is_peer(&self, node: NodeId) -> bool {
+        node != self.me() && self.cluster.contains(&node)
+    }
+
+    /// Enters a peer's subscription into this node's view of it.
+    fn apply_subscribe(&mut self, ctx: &mut Ctx<'_>, ctl: &SubscribeCtl) {
+        let (node, sub) = (*ctl.node(), *ctl.sub());
+        if node == self.me().0 {
+            return; // this node's own entries are its own business
+        }
+        let channel = KindId::from_raw(*ctl.channel());
+        let hash = entry_hash(sub, *ctl.channel(), *ctl.declared(), ctl.filter());
+        // Idempotent before any decoding: what the view already holds
+        // costs one hash.
+        if self
+            .channels
+            .get(&channel)
+            .is_some_and(|ch| ch.holds(node, sub, hash))
+        {
+            return;
+        }
+        // Hostile or corrupt: nothing of it reaches the index, and the
+        // key no longer routes by whatever it held before.
+        let Ok(filter) = decode_filter(ctl.filter(), &self.telemetry) else {
+            self.forget(channel, node, sub);
+            return;
+        };
+        self.ensure_channel(ctx, channel);
+        let ch = self.channels.get_mut(&channel).expect("just ensured");
+        let digest = self.digests.entry(node).or_default();
+        ch.subscribe(node, sub, hash, filter, digest);
+    }
+
+    /// Drops `(node, sub)` from `channel`, keeping `node`'s digest.
+    fn forget(&mut self, channel: KindId, node: u64, sub: u64) {
+        if let Some(ch) = self.channels.get_mut(&channel) {
+            ch.unsubscribe(node, sub, self.digests.entry(node).or_default());
+        }
+    }
+
+    /// Answers a pull: this node's whole subscription set, to `to` alone,
+    /// in [`SubSetCtl`] parts of about [`BATCH_BUDGET`] bytes of entries
+    /// each, cut between subscriptions.
+    fn send_set(&mut self, to: NodeId) {
+        let me = self.me().0;
+        let mut subs: Vec<u64> = self.local_subs.keys().copied().collect();
+        subs.sort_unstable();
+        let mut parts = Vec::new();
+        let (mut first, mut entries, mut bytes) = (0, Vec::new(), 0);
+        for sub in subs {
+            if bytes >= BATCH_BUDGET {
+                let part = std::mem::take(&mut entries);
+                parts.push(SubSetCtl::new(me, first, sub - 1, part));
+                (first, bytes) = (sub, 0);
+            }
+            let local = &self.local_subs[&sub];
+            let mut joined: Vec<KindId> = local.joined.iter().copied().collect();
+            joined.sort();
+            for channel in joined {
+                bytes += local.filter_bytes.len() + SET_ENTRY_BYTES;
+                entries.push(SubscribeCtl::new(
+                    me,
+                    sub,
+                    channel.as_u64(),
+                    local.record.kind.as_u64(),
+                    local.filter_bytes.clone(),
+                ));
+            }
+        }
+        parts.push(SubSetCtl::new(me, first, u64::MAX, entries));
+        for part in parts {
+            let bytes = encode_control(&part);
+            self.send_control(to, bytes);
+        }
+    }
+
+    /// Replaces this node's view of a peer's subscriptions in the part's
+    /// id range by what the part lists.
+    fn apply_set(&mut self, ctx: &mut Ctx<'_>, set: &SubSetCtl) {
+        let node = *set.node();
+        if node == self.me().0 {
+            return;
+        }
+        let ids = *set.first()..=*set.last();
+        let entries: Vec<&SubscribeCtl> = set
+            .subs()
+            .iter()
+            .filter(|entry| *entry.node() == node && ids.contains(entry.sub()))
+            .collect();
+        let listed: HashSet<(u64, u64)> = entries
+            .iter()
+            .map(|entry| (*entry.channel(), *entry.sub()))
+            .collect();
+        let mut stale: Vec<(KindId, u64)> = Vec::new();
+        for (&kind, ch) in &self.channels {
+            stale.extend(
+                ch.sub_entries
+                    .keys()
+                    .filter(|&&(n, sub)| {
+                        n == node && ids.contains(&sub) && !listed.contains(&(kind.as_u64(), sub))
+                    })
+                    .map(|&(_, sub)| (kind, sub)),
+            );
+        }
+        stale.sort_unstable();
+        for (channel, sub) in stale {
+            self.forget(channel, node, sub);
+        }
+        for entry in entries {
+            self.apply_subscribe(ctx, entry);
         }
     }
 
@@ -1339,28 +1571,13 @@ impl DaceNode {
         health.sweep(now.as_micros(), &depths, &self.telemetry.snapshot());
     }
 
+    /// Anti-entropy: one digest of this node's subscription set per peer,
+    /// whatever the set's size (a peer whose view disagrees pulls the set),
+    /// and the published kinds re-advertised.
     fn announce(&mut self, ctx: &mut Ctx<'_>) {
-        // Re-flood subscriptions (anti-entropy under loss / for restarts).
-        let me = self.me();
-        let subs: Vec<(u64, KindId, KindId, WireBytes)> = self
-            .local_subs
-            .iter()
-            .flat_map(|(&sub, local)| {
-                // The cached encode is shared: each re-flood clones the
-                // buffer handle, never re-serializes the filter.
-                local
-                    .joined
-                    .iter()
-                    .map(|&channel| {
-                        (sub, channel, local.record.kind, local.filter_bytes.clone())
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        for (sub, channel, declared, filter) in subs {
-            let ctl = SubscribeCtl::new(me.0, sub, channel.as_u64(), declared.as_u64(), filter);
-            self.flood_control(ctx, &ctl);
-        }
+        let me = self.me().0;
+        let own = self.digests.get(&me).copied().unwrap_or_default();
+        self.flood_control(&DigestCtl::new(me, own.xor, own.count));
         let published: Vec<KindId> = self.published_kinds.iter().copied().collect();
         for kind in published {
             self.advertise(ctx, kind);
@@ -2125,10 +2342,74 @@ fn encode_node_msg(msg: &NodeMsg) -> WireBytes {
     psc_codec::to_wire_bytes(msg).expect("node messages encode")
 }
 
+fn encode_control<O: Obvent>(ctl: &O) -> WireBytes {
+    let wire = WireObvent::encode(ctl).expect("control obvents encode");
+    encode_node_msg(&NodeMsg::Control(wire))
+}
+
+/// Payload bytes one [`NodeMsg::Batch`] carries at most, and about what one
+/// [`SubSetCtl`] part carries: far below the transport's 16 MiB frame limit
+/// (`psc_codec::frame::MAX_FRAME_LEN`), so a node with any number of
+/// subscriptions can install them or answer a pull.
+pub(crate) const BATCH_BUDGET: usize = 1 << 20;
+const _: () = assert!(BATCH_BUDGET < psc_codec::frame::MAX_FRAME_LEN / 8);
+
+/// What a [`SubSetCtl`] entry costs beyond its filter bytes, at most: five
+/// varint ids and the filter's length.
+pub(crate) const SET_ENTRY_BYTES: usize = 60;
+
+/// Splits a destination's queue of messages `lens` bytes long, in order,
+/// into runs of at most [`BATCH_BUDGET`] bytes; a message longer than the
+/// budget travels alone.
+fn batch_runs(lens: &[usize]) -> Vec<Range<usize>> {
+    let mut runs = Vec::new();
+    let (mut start, mut bytes) = (0, 0);
+    for (i, &len) in lens.iter().enumerate() {
+        if i > start && bytes + len > BATCH_BUDGET {
+            runs.push(start..i);
+            (start, bytes) = (i, 0);
+        }
+        bytes += len;
+    }
+    if start < lens.len() {
+        runs.push(start..lens.len());
+    }
+    runs
+}
+
 /// The registered name of `kind`, used in per-channel metric names
 /// (`dace.channel.<name>.published`); falls back to the numeric id.
 fn kind_name(kind: KindId) -> String {
     psc_obvent::registry::lookup(kind)
         .map(|k| k.name().to_string())
         .unwrap_or_else(|| kind.to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{batch_runs, BATCH_BUDGET};
+
+    #[test]
+    fn control_batches_split_under_the_byte_budget() {
+        assert!(batch_runs(&[]).is_empty());
+        assert_eq!(batch_runs(&[10, 20, 30]), vec![0..3]);
+        // Two half-budget messages fill one batch; the next starts another.
+        let half = BATCH_BUDGET / 2;
+        assert_eq!(batch_runs(&[half, half, 1]), vec![0..2, 2..3]);
+        // A message over the budget travels alone.
+        let over = BATCH_BUDGET + 1;
+        assert_eq!(batch_runs(&[1, over, 1]), vec![0..1, 1..2, 2..3]);
+        // 140 000 subscriptions installed in one callback: ~120-byte
+        // `SubscribeCtl`s, 16.8 MB in one frame before the split.
+        let lens = vec![120; 140_000];
+        let runs = batch_runs(&lens);
+        assert_eq!(runs.len(), 17);
+        assert_eq!((runs[0].start, runs[16].end), (0, lens.len()));
+        for pair in runs.windows(2) {
+            assert_eq!(pair[0].end, pair[1].start);
+        }
+        for run in runs {
+            assert!(lens[run].iter().sum::<usize>() <= BATCH_BUDGET);
+        }
+    }
 }

@@ -95,6 +95,33 @@ fn cross_node_delivery_with_publisher_side_filtering() {
     assert_eq!(*expensive.lock().unwrap(), vec!["high".to_string()]);
 }
 
+/// A restarted subscriber's fresh `Domain` numbers its subscriptions from
+/// 1 again: the publisher must route by the new incarnation's filter under
+/// the reused id, not keep the old one.
+#[test]
+fn a_restarted_subscriber_is_routed_by_its_new_filter() {
+    let (mut sim, ids) = cluster(2, SimConfig::default(), DaceConfig::default());
+    subscribe_plain(
+        &mut sim,
+        ids[1],
+        FilterSpec::remote(psc_filter::rfilter!(n < 10)),
+    );
+    settle(&mut sim, 10);
+    sim.crash(ids[1]);
+    sim.recover(ids[1]);
+    let seen = subscribe_plain(
+        &mut sim,
+        ids[1],
+        FilterSpec::remote(psc_filter::rfilter!(n >= 10)),
+    );
+    settle(&mut sim, 10);
+
+    DaceNode::publish_from(&mut sim, ids[0], PlainTick::new("low".into(), 5));
+    DaceNode::publish_from(&mut sim, ids[0], PlainTick::new("high".into(), 50));
+    settle(&mut sim, 50);
+    assert_eq!(*seen.lock().unwrap(), vec!["high".to_string()]);
+}
+
 #[test]
 fn publisher_side_filtering_saves_messages_vs_subscriber_side() {
     let run = |placement: Placement| {
@@ -213,7 +240,7 @@ fn reliable_obvents_survive_loss() {
         })
         .collect();
     // Let control traffic (subject to the same loss) converge via
-    // re-announcements.
+    // anti-entropy (digests, and pulls on mismatch).
     settle(&mut sim, 700);
     for i in 0..5u64 {
         DaceNode::publish_from(&mut sim, ids[0], ReliableTick::new(i));
@@ -664,6 +691,29 @@ mod inproc_bus {
 
 mod failure_injection {
     use super::*;
+    use crate::node::{BATCH_BUDGET, SET_ENTRY_BYTES};
+    use psc_filter::{CmpOp, Predicate, RemoteFilter};
+    use psc_telemetry::{Registry, Tracer};
+
+    /// Two nodes; n0 records into the returned registry.
+    fn observed_pair(config: SimConfig) -> (SimNet, Vec<NodeId>, Arc<Registry>) {
+        let registry = Arc::new(Registry::new());
+        let mut sim = SimNet::new(config);
+        let ids: Vec<NodeId> = (0..2u64).map(NodeId).collect();
+        for (i, telemetry) in [Arc::clone(&registry), Arc::new(Registry::disabled())]
+            .into_iter()
+            .enumerate()
+        {
+            let factory = DaceNode::factory_with_telemetry(
+                ids.clone(),
+                DaceConfig::default(),
+                telemetry,
+                Arc::new(Tracer::default()),
+            );
+            sim.add_node(format!("dace{i}"), factory);
+        }
+        (sim, ids, registry)
+    }
 
     /// A partition separates publisher and subscriber; reliable obvents
     /// published during the partition are lost (links dropped), but the
@@ -707,7 +757,7 @@ mod failure_injection {
     }
 
     /// Subscriptions installed while the control plane is lossy still
-    /// converge via periodic re-announcement.
+    /// converge via periodic anti-entropy.
     #[test]
     fn subscription_announcements_survive_control_loss() {
         let config = DaceConfig {
@@ -716,8 +766,8 @@ mod failure_injection {
         };
         let (mut sim, ids) = cluster(2, SimConfig::with_loss(0.6), config);
         let seen = subscribe_plain(&mut sim, ids[1], FilterSpec::accept_all());
-        // With 60% loss the first announcement probably died; anti-entropy
-        // re-floods every 100 ms.
+        // With 60% loss the first announcement probably died; every 100 ms
+        // a digest shows the publisher what it lacks, and it pulls.
         settle(&mut sim, 2_000);
         for i in 0..30u64 {
             DaceNode::publish_from(&mut sim, ids[0], PlainTick::new(format!("m{i}"), i));
@@ -728,6 +778,98 @@ mod failure_injection {
             got > 0,
             "after control-plane convergence some best-effort obvents must land"
         );
+    }
+
+    /// An unsubscription lost on the wire is repaired by anti-entropy: the
+    /// subscriber's digest disagrees with the publisher's view, the pulled
+    /// set lacks the entry, and the publisher stops sending what only the
+    /// removed filter matched.
+    #[test]
+    fn a_lost_unsubscribe_is_repaired() {
+        let (mut sim, ids, registry) = observed_pair(SimConfig::with_loss(0.2));
+        subscribe_plain(
+            &mut sim,
+            ids[1],
+            FilterSpec::remote(psc_filter::rfilter!(n >= 100)),
+        );
+        let handle: Arc<Mutex<Option<pubsub_core::Subscription>>> = Arc::new(Mutex::new(None));
+        let slot = handle.clone();
+        DaceNode::drive(&mut sim, ids[1], move |domain| {
+            let sub = domain.subscribe(
+                FilterSpec::remote(psc_filter::rfilter!(n < 10)),
+                |_t: PlainTick| {},
+            );
+            sub.activate().unwrap();
+            *slot.lock().unwrap() = Some(sub);
+        });
+        // Both subscriptions reach the publisher.
+        settle(&mut sim, 2_000);
+        DaceNode::publish_from(&mut sim, ids[0], PlainTick::new("low".into(), 5));
+        settle(&mut sim, 10);
+        let direct_sent = || registry.snapshot().counter("dace.direct_sent");
+        assert_eq!(direct_sent(), 1, "the filter to be removed is routed to");
+
+        // The unsubscription is lost.
+        sim.set_drop_probability(1.0);
+        DaceNode::drive(&mut sim, ids[1], move |_domain| {
+            handle.lock().unwrap().take().unwrap().deactivate().unwrap();
+        });
+        settle(&mut sim, 5);
+        sim.set_drop_probability(0.2);
+        settle(&mut sim, 2_000);
+
+        DaceNode::publish_from(&mut sim, ids[0], PlainTick::new("low".into(), 5));
+        settle(&mut sim, 10);
+        assert_eq!(
+            direct_sent(),
+            1,
+            "no Direct frame for what only the removed filter matched"
+        );
+        DaceNode::publish_from(&mut sim, ids[0], PlainTick::new("high".into(), 500));
+        settle(&mut sim, 10);
+        assert_eq!(direct_sent(), 2, "the kept filter is still routed to");
+    }
+
+    /// A set too large for one batch is answered in several `SubSetCtl`
+    /// parts, each replacing only its own id range: a restarted publisher
+    /// pulls once, and its view then routes to the first and the last of
+    /// 20 000 subscriptions.
+    #[test]
+    fn a_pulled_set_larger_than_one_batch_arrives_in_parts() {
+        const SUBS: u64 = 20_000;
+        let (mut sim, ids, registry) = observed_pair(SimConfig::default());
+        let seen: Seen<String> = Arc::new(Mutex::new(Vec::new()));
+        let sink = seen.clone();
+        DaceNode::drive(&mut sim, ids[1], move |domain| {
+            for n in 0..SUBS {
+                let filter = RemoteFilter::conjunction(vec![Predicate::new("n", CmpOp::Eq, n)]);
+                let sink = sink.clone();
+                let sub = domain.subscribe(FilterSpec::remote(filter), move |t: PlainTick| {
+                    sink.lock().unwrap().push(t.tag().clone());
+                });
+                sub.activate().unwrap();
+                sub.detach();
+            }
+        });
+        // More than one part's worth of entries.
+        let filter = RemoteFilter::conjunction(vec![Predicate::new("n", CmpOp::Eq, SUBS)]);
+        let entry_bytes = psc_codec::to_bytes(&filter).unwrap().len() + SET_ENTRY_BYTES;
+        assert!(SUBS as usize * entry_bytes > BATCH_BUDGET);
+
+        settle(&mut sim, 10);
+        sim.crash(ids[0]);
+        sim.recover(ids[0]);
+        settle(&mut sim, 1_000);
+        assert_eq!(registry.snapshot().counter("dace.control.pulls"), 1);
+        for (tag, n) in [("first", 0), ("last", SUBS - 1), ("none", SUBS)] {
+            DaceNode::publish_from(&mut sim, ids[0], PlainTick::new(tag.into(), n));
+        }
+        settle(&mut sim, 50);
+        assert_eq!(
+            *seen.lock().unwrap(),
+            vec!["first".to_string(), "last".to_string()]
+        );
+        assert_eq!(registry.snapshot().counter("dace.direct_sent"), 2);
     }
 
     /// Gossip keeps disseminating while nodes crash and recover mid-rumor.

@@ -1,12 +1,13 @@
 //! Exact per-publish counts, alone in their process on purpose:
 //! `codec.encodes` lives in the process-global telemetry registry, which
-//! any other test's traffic would bump concurrently (the two cases below
+//! any other test's traffic would bump concurrently (the cases below
 //! take turns for the same reason).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use psc_dace::{DaceConfig, DaceNode};
+use psc_filter::{CmpOp, Predicate, RemoteFilter};
 use psc_obvent::builtin::Certified;
 use psc_obvent::declare_obvent_model;
 use psc_simnet::{DiskFault, Duration, NodeId, SimConfig, SimNet};
@@ -151,4 +152,40 @@ fn certified_publish_costs_at_most_four_appends_and_two_syncs_and_recovers_exact
     );
     assert_eq!(second.load(Ordering::Relaxed), 0, "the delivered set survived: no redelivery");
     assert_eq!(first.load(Ordering::Relaxed), PUBLISHES, "the dead handler stays silent");
+}
+
+/// `dace.control_sent`, summed over a two-node cluster, across ten announce
+/// intervals after the control plane has converged: `subs` filtered
+/// subscriptions at n1, one published kind at n0.
+fn steady_control_sent(subs: u64) -> u64 {
+    let (mut sim, ids, registry) = cluster(2, DaceConfig::default());
+    DaceNode::drive(&mut sim, ids[1], move |domain| {
+        for n in 0..subs {
+            let filter = RemoteFilter::conjunction(vec![Predicate::new("n", CmpOp::Eq, n)]);
+            let sub = domain.subscribe(FilterSpec::remote(filter), |_t: PlainTick| {});
+            sub.activate().unwrap();
+            sub.detach();
+        }
+    });
+    DaceNode::publish_from(&mut sim, ids[0], PlainTick::new(0));
+    // Announces fire every 200 ms from t = 0; measure from between two.
+    settle(&mut sim, 1_100);
+    let before = registry.snapshot().counter("dace.control_sent");
+    settle(&mut sim, 2_000);
+    registry.snapshot().counter("dace.control_sent") - before
+}
+
+/// Anti-entropy's steady-state price does not grow with the subscription
+/// count: per interval, one digest per peer from each node, plus n0's one
+/// advertisement of its published kind — 10 × (2 + 1) = 30.
+#[test]
+fn steady_state_control_traffic_does_not_grow_with_the_subscription_count() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap();
+    for subs in [20, 2_000] {
+        assert_eq!(
+            steady_control_sent(subs),
+            30,
+            "dace.control_sent at {subs} subscriptions"
+        );
+    }
 }

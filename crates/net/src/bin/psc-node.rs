@@ -189,8 +189,9 @@ fn main() {
         }
     };
     net.data_dir = args.data_dir.as_ref().map(std::path::PathBuf::from);
-    // Keep the default simulation-tuned intervals: announce anti-entropy
-    // every 200ms keeps late joiners converging on a real wire too.
+    // Keep the default simulation-tuned intervals: a subscription-set
+    // digest every 200ms (and a pull on mismatch) keeps late joiners and
+    // restarted peers converging on a real wire too.
     let dace = DaceConfig {
         watchdog: Some(Duration::from_millis(200)),
         ..DaceConfig::default()

@@ -57,6 +57,7 @@ mod bytes;
 mod de;
 mod error;
 pub mod frame;
+pub mod hash;
 mod metrics;
 mod ser;
 pub mod varint;

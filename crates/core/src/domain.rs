@@ -1,11 +1,13 @@
 //! The [`Domain`]: one address space's publish/subscribe endpoint.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 use parking_lot::{Mutex, RwLock};
 
+use psc_codec::hash::FastMap;
+use psc_codec::WireBytes;
 use psc_filter::{FilterId, FilterIndex, PropertySource, RemoteFilter};
 use psc_obvent::{KindId, Obvent, ObventKind, ObventView, WireObvent};
 use psc_telemetry::{Counter, Registry};
@@ -29,9 +31,12 @@ pub struct SubscriptionRecord {
     pub id: SubId,
     /// Subscribed obvent kind (instances of subtypes match).
     pub kind: KindId,
-    /// The migratable filter part, if any (may be factored/migrated by the
-    /// fabric); the local closure part always runs subscriber-side.
-    pub remote_filter: Option<RemoteFilter>,
+    /// The migratable filter part, encoded once at activation (empty when
+    /// the subscription has none): what a fabric ships to and factors at
+    /// other hosts. The decoded filter itself stays in the domain's own
+    /// index, so activation copies no filter; the local closure part
+    /// always runs subscriber-side.
+    pub filter: WireBytes,
     /// Durable identity for subscriptions outliving the process.
     pub durable_id: Option<u64>,
 }
@@ -100,7 +105,7 @@ impl SubEntry {
 struct KindBucket {
     /// Compound filter over the remote-filtered subscriptions.
     filters: FilterIndex,
-    owners: HashMap<FilterId, SubId>,
+    owners: FastMap<FilterId, SubId>,
     unfiltered: BTreeSet<SubId>,
 }
 
@@ -109,10 +114,10 @@ struct KindBucket {
 /// `RefCell`); it is never held while a handler runs.
 #[derive(Default)]
 struct SubTable {
-    entries: HashMap<SubId, SubEntry>,
+    entries: FastMap<SubId, SubEntry>,
     /// Declared kind → its active subscriptions. An obvent probes one
     /// bucket per kind of its ancestry.
-    buckets: HashMap<KindId, KindBucket>,
+    buckets: FastMap<KindId, KindBucket>,
 }
 
 impl SubTable {
@@ -616,10 +621,14 @@ impl DomainInner {
             let SubState::Inactive(remote_filter) = &entry.state else {
                 return Err(SubscribeError::AlreadyActive);
             };
+            let filter = remote_filter
+                .as_ref()
+                .map(|f| psc_codec::to_wire_bytes(f).expect("filters encode"))
+                .unwrap_or_default();
             let record = SubscriptionRecord {
                 id,
                 kind: entry.kind,
-                remote_filter: remote_filter.clone(),
+                filter,
                 durable_id,
             };
             entry.durable_id = durable_id;

@@ -13,8 +13,9 @@ use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
-use psc_codec::WireBytes;
-use psc_filter::{FilterId, FilterIndex, InvalidFilter, RemoteFilter, Value};
+use psc_codec::hash::{FastMap, FastSet};
+use psc_codec::{CodecError, WireBytes};
+use psc_filter::{FilterId, FilterIndex, InvalidFilter, RemoteFilter, Value, WireFilter};
 use psc_group::{
     Causal, Certified, Fifo, GroupIo, Lpbcast, Multicast, Reliable, TimerToken, Total,
 };
@@ -155,11 +156,11 @@ impl PendingDurable {
     }
 }
 
-/// Decodes a filter that arrived as bytes — from a peer's `SubscribeCtl` or
-/// a persisted [`DurableRecord`] — through the checked entrance
-/// [`RemoteFilter::from_wire`]; empty means unfiltered. A refused filter is
-/// counted in `dace.control.rejected`; what becomes of its subscription is
-/// the caller's call.
+/// Decodes a filter a persisted [`DurableRecord`] holds through the checked
+/// entrance [`RemoteFilter::from_wire`]; empty means unfiltered. A refused
+/// filter is counted in `dace.control.rejected`; what becomes of its
+/// subscription is the caller's call. (A peer's `SubscribeCtl` filter is
+/// checked by [`WireFilter::parse`] and indexed from its bytes.)
 fn decode_filter(
     bytes: &[u8],
     telemetry: &Registry,
@@ -279,13 +280,13 @@ struct Channel {
     /// Compound filter over the *remote* nodes' filtered subscriptions.
     index: FilterIndex,
     /// Indexed filter → the node that registered it.
-    filter_owner: HashMap<FilterId, u64>,
+    filter_owner: FastMap<FilterId, u64>,
     /// (node, sub) → how the channel routes to it.
-    sub_entries: HashMap<(u64, u64), SubEntry>,
+    sub_entries: FastMap<(u64, u64), SubEntry>,
     /// Subscriptions per node; `members` is its key set.
-    node_subs: HashMap<u64, u32>,
+    node_subs: FastMap<u64, u32>,
     /// Unfiltered subscriptions per remote node.
-    unfiltered: HashMap<u64, u32>,
+    unfiltered: FastMap<u64, u32>,
 }
 
 impl Channel {
@@ -294,10 +295,10 @@ impl Channel {
             proto,
             members: Vec::new(),
             index: FilterIndex::new(),
-            filter_owner: HashMap::new(),
-            sub_entries: HashMap::new(),
-            node_subs: HashMap::new(),
-            unfiltered: HashMap::new(),
+            filter_owner: FastMap::default(),
+            sub_entries: FastMap::default(),
+            node_subs: FastMap::default(),
+            unfiltered: FastMap::default(),
         }
     }
 
@@ -310,19 +311,21 @@ impl Channel {
     }
 
     /// Registers a remote node's subscription, replacing whatever the key
-    /// held before (a restarted node reuses its subscription ids).
+    /// held before (a restarted node reuses its subscription ids). A
+    /// filter whose predicates do not decode (which a parsed filter's never
+    /// do) leaves the key unrouted and is refused.
     fn subscribe(
         &mut self,
         node: u64,
         sub: u64,
         hash: u64,
-        filter: Option<RemoteFilter>,
+        filter: Option<WireFilter<'_>>,
         digest: &mut SetDigest,
-    ) {
+    ) -> Result<(), CodecError> {
         self.unsubscribe(node, sub, digest);
         let route = match filter {
             Some(filter) => {
-                let id = self.index.insert(filter);
+                let id = self.index.insert_wire(filter)?;
                 self.filter_owner.insert(id, node);
                 Route::Filtered(id)
             }
@@ -332,6 +335,7 @@ impl Channel {
             }
         };
         self.enter(node, sub, SubEntry { route, hash }, digest);
+        Ok(())
     }
 
     /// Registers one of the hosting node's own subscriptions: membership
@@ -370,7 +374,7 @@ impl Channel {
                 release(&mut self.unfiltered, node);
             }
             Route::Filtered(filter_id) => {
-                self.index.remove(filter_id);
+                self.index.discard(filter_id);
                 self.filter_owner.remove(&filter_id);
             }
         }
@@ -404,7 +408,7 @@ impl Channel {
 
 /// Drops one reference from `counts[node]`, forgetting the node at zero.
 /// True when that was the last one.
-fn release(counts: &mut HashMap<u64, u32>, node: u64) -> bool {
+fn release(counts: &mut FastMap<u64, u32>, node: u64) -> bool {
     let Some(count) = counts.get_mut(&node) else {
         return false;
     };
@@ -417,12 +421,13 @@ fn release(counts: &mut HashMap<u64, u32>, node: u64) -> bool {
 }
 
 struct LocalSub {
+    /// The domain's record. Its filter is the one encoding the domain made
+    /// at activation: every join flood, pulled set and durable record
+    /// shares that buffer, and the node holds no decoded copy (its own
+    /// subscriptions are matched by the domain's index).
     record: SubscriptionRecord,
-    /// The subscription's remote filter, encoded exactly once; every join
-    /// flood and pulled set clones the shared buffer instead of
-    /// re-encoding (empty when unfiltered).
-    filter_bytes: WireBytes,
-    joined: HashSet<KindId>,
+    /// The classes joined, ascending.
+    joined: Vec<KindId>,
 }
 
 /// One DACE address space, deployable as a `psc-simnet` node.
@@ -433,14 +438,20 @@ pub struct DaceNode {
     domain: Domain,
     sink: DeliverySink,
     ops: Arc<Mutex<VecDeque<BackendOp>>>,
-    local_subs: HashMap<u64, LocalSub>,
+    local_subs: FastMap<u64, LocalSub>,
     published_kinds: HashSet<KindId>,
-    known_kinds: HashSet<KindId>,
-    channels: HashMap<KindId, Channel>,
+    known_kinds: FastSet<KindId>,
+    /// Declared kind → the classes a subscription to it joins
+    /// ([`DaceNode::classes_of`]).
+    classes: FastMap<KindId, Arc<[KindId]>>,
+    /// The registry's [`registered`](psc_obvent::registry::registered)
+    /// count `classes` was resolved against.
+    classes_registered: usize,
+    channels: FastMap<KindId, Channel>,
     /// Per node, the digest of the entries this node's channels hold for
     /// it: its own set under its own id, its view of each peer's set under
     /// the peer's.
-    digests: HashMap<u64, SetDigest>,
+    digests: FastMap<u64, SetDigest>,
     timer_map: HashMap<TimerId, DaceTimer>,
     transmit: BinaryHeap<TransmitItem>,
     transmit_seq: u64,
@@ -451,7 +462,7 @@ pub struct DaceNode {
     /// coalesced into [`NodeMsg::Batch`] frames on flush (installing many
     /// subscriptions fans many small control floods to the same peers in
     /// one tick).
-    outbox: HashMap<NodeId, Vec<WireBytes>>,
+    outbox: FastMap<NodeId, Vec<WireBytes>>,
     /// Destinations in first-queued order, for a deterministic flush.
     outbox_order: Vec<NodeId>,
     /// Durable subscriptions persisted but not yet re-attached (loaded on
@@ -542,16 +553,18 @@ impl DaceNode {
             domain,
             sink,
             ops,
-            local_subs: HashMap::new(),
+            local_subs: FastMap::default(),
             published_kinds: HashSet::new(),
-            known_kinds: HashSet::new(),
-            channels: HashMap::new(),
-            digests: HashMap::new(),
+            known_kinds: FastSet::default(),
+            classes: FastMap::default(),
+            classes_registered: 0,
+            channels: FastMap::default(),
+            digests: FastMap::default(),
             timer_map: HashMap::new(),
             transmit: BinaryHeap::new(),
             transmit_seq: 0,
             transmit_armed: false,
-            outbox: HashMap::new(),
+            outbox: FastMap::default(),
             outbox_order: Vec::new(),
             durable_pending: HashMap::new(),
             parked: VecDeque::new(),
@@ -798,23 +811,22 @@ impl DaceNode {
                 // application re-attaches, a stand-in under a reserved id
                 // keeps the subscription's classes joined, so peers keep
                 // sending its obvents here to be parked.
-                let filter_bytes = match pending.filter {
+                let filter = match pending.filter {
                     Some(_) => WireBytes::from(record.filter),
                     None => WireBytes::default(),
                 };
-                let stand_in = SubscriptionRecord {
+                stand_ins.push(SubscriptionRecord {
                     id: SubId(stand_in_id(record.durable_id)),
                     kind: pending.kind,
-                    remote_filter: pending.filter.clone(),
+                    filter,
                     durable_id: Some(record.durable_id),
-                };
-                stand_ins.push((stand_in, filter_bytes));
+                });
                 self.durable_pending.insert(record.durable_id, pending);
             }
         }
-        stand_ins.sort_by_key(|(record, _)| record.id);
-        for (record, filter_bytes) in stand_ins {
-            self.join_all(ctx, record, filter_bytes);
+        stand_ins.sort_by_key(|record| record.id);
+        for record in stand_ins {
+            self.join_all(ctx, record);
         }
         for (key, bytes) in ctx.storage().entries_with_prefix("park/") {
             let Ok(seq) = key["park/".len()..].parse::<u64>() else {
@@ -854,9 +866,11 @@ impl DaceNode {
     fn flood_control<O: Obvent>(&mut self, ctl: &O) {
         let bytes = encode_control(ctl);
         let me = self.me();
-        let peers: Vec<NodeId> = self.cluster.iter().copied().filter(|&n| n != me).collect();
-        for node in peers {
-            self.send_control(node, bytes.clone());
+        for i in 0..self.cluster.len() {
+            let node = self.cluster[i];
+            if node != me {
+                self.send_control(node, bytes.clone());
+            }
         }
     }
 
@@ -918,12 +932,6 @@ impl DaceNode {
     }
 
     fn subscribe_flow(&mut self, ctx: &mut Ctx<'_>, record: SubscriptionRecord) {
-        // Encode the remote filter once; joins and pulled sets share it.
-        let filter_bytes = record
-            .remote_filter
-            .as_ref()
-            .map(|f| psc_codec::to_wire_bytes(f).expect("filters encode"))
-            .unwrap_or_default();
         let durable_id = record.durable_id;
         if let Some(durable_id) = durable_id {
             // Persist the subscription so it outlives the process
@@ -932,13 +940,13 @@ impl DaceNode {
             let durable = DurableRecord {
                 durable_id,
                 kind: record.kind.as_u64(),
-                filter: filter_bytes.to_vec(),
+                filter: record.filter.to_vec(),
             };
             ctx.storage()
                 .put(format!("dursub/{durable_id:020}"), &durable)
                 .expect("durable record serialization cannot fail");
         }
-        self.join_all(ctx, record, filter_bytes);
+        self.join_all(ctx, record);
         if let Some(durable_id) = durable_id {
             // Re-attached: the record's own joins replace the stand-in's,
             // joined first so that the node never leaves a class it stays
@@ -962,17 +970,36 @@ impl DaceNode {
     /// Enters a local subscription and joins the channel of every known
     /// concrete subtype of its declared kind; future subtypes join on
     /// advertisement.
-    fn join_all(&mut self, ctx: &mut Ctx<'_>, record: SubscriptionRecord, filter_bytes: WireBytes) {
+    fn join_all(&mut self, ctx: &mut Ctx<'_>, record: SubscriptionRecord) {
         let (sub_raw, declared) = (record.id.0, record.kind);
         self.local_subs.insert(
             sub_raw,
             LocalSub {
                 record,
-                filter_bytes,
-                joined: HashSet::new(),
+                joined: Vec::new(),
             },
         );
-        let mut targets: HashSet<KindId> = self
+        let classes = self.classes_of(declared);
+        for &channel in classes.iter() {
+            self.join_channel(ctx, sub_raw, channel);
+        }
+    }
+
+    /// The classes a subscription to `declared` joins, ascending: every
+    /// advertised kind that is a subtype of it and every concrete subtype
+    /// registered here. Resolved once per declared kind and cached until
+    /// `known_kinds` or the process's kind registry grows, so the cache
+    /// holds at most one entry per kind.
+    fn classes_of(&mut self, declared: KindId) -> Arc<[KindId]> {
+        let registered = psc_obvent::registry::registered();
+        if registered != self.classes_registered {
+            self.classes.clear();
+            self.classes_registered = registered;
+        }
+        if let Some(classes) = self.classes.get(&declared) {
+            return Arc::clone(classes);
+        }
+        let mut targets: Vec<KindId> = self
             .known_kinds
             .iter()
             .copied()
@@ -980,14 +1007,14 @@ impl DaceNode {
             .collect();
         for kind in psc_obvent::registry::subtypes_of(declared) {
             if kind.role() == KindRole::Class {
-                targets.insert(kind.id());
+                targets.push(kind.id());
             }
         }
-        let mut sorted: Vec<KindId> = targets.into_iter().collect();
-        sorted.sort();
-        for channel in sorted {
-            self.join_channel(ctx, sub_raw, channel);
-        }
+        targets.sort();
+        targets.dedup();
+        let classes: Arc<[KindId]> = targets.into();
+        self.classes.insert(declared, Arc::clone(&classes));
+        classes
     }
 
     fn join_channel(&mut self, ctx: &mut Ctx<'_>, sub_raw: u64, channel: KindId) {
@@ -995,18 +1022,14 @@ impl DaceNode {
         let Some(local) = self.local_subs.get_mut(&sub_raw) else {
             return;
         };
-        if !local.joined.insert(channel) {
+        let Err(at) = local.joined.binary_search(&channel) else {
             return;
-        }
+        };
+        local.joined.insert(at, channel);
         let declared = local.record.kind.as_u64();
-        let hash = entry_hash(sub_raw, channel.as_u64(), declared, &local.filter_bytes);
-        let ctl = SubscribeCtl::new(
-            me.0,
-            sub_raw,
-            channel.as_u64(),
-            declared,
-            local.filter_bytes.clone(),
-        );
+        let filter = &local.record.filter;
+        let hash = entry_hash(sub_raw, channel.as_u64(), declared, filter);
+        let ctl = SubscribeCtl::new(me.0, sub_raw, channel.as_u64(), declared, filter.clone());
         self.flood_control(&ctl);
         self.ensure_channel(ctx, channel);
         let ch = self.channels.get_mut(&channel).expect("just ensured");
@@ -1027,9 +1050,7 @@ impl DaceNode {
     fn leave_all(&mut self, sub_raw: u64) -> Option<u64> {
         let me = self.me();
         let local = self.local_subs.remove(&sub_raw)?;
-        let mut joined: Vec<KindId> = local.joined.into_iter().collect();
-        joined.sort();
-        for channel in joined {
+        for channel in local.joined {
             let ctl = UnsubscribeCtl::new(me.0, sub_raw, channel.as_u64());
             self.flood_control(&ctl);
             self.forget(channel, me.0, sub_raw);
@@ -1054,6 +1075,8 @@ impl DaceNode {
         if !self.known_kinds.insert(kind) {
             return;
         }
+        // A class subscriptions may join: resolve them afresh.
+        self.classes.clear();
         // Join the new class on behalf of matching local subscriptions.
         let matching: Vec<u64> = self
             .local_subs
@@ -1375,26 +1398,26 @@ impl DaceNode {
         }
     }
 
+    /// Applies one control obvent. One that names a control kind but does
+    /// not decode as it is dropped and counted in `dace.control.rejected`,
+    /// like a refused filter.
     fn handle_control(&mut self, ctx: &mut Ctx<'_>, wire: &WireObvent) {
         let kind = wire.kind_id();
-        if kind == SubscribeCtl::kind_id() {
-            if let Ok(ctl) = wire.decode_exact::<SubscribeCtl>() {
-                self.apply_subscribe(ctx, &ctl);
-            }
+        let applied = if kind == SubscribeCtl::kind_id() {
+            wire.decode_exact::<SubscribeCtl>()
+                .map(|ctl| self.apply_subscribe(ctx, &ctl))
         } else if kind == UnsubscribeCtl::kind_id() {
-            if let Ok(ctl) = wire.decode_exact::<UnsubscribeCtl>() {
+            wire.decode_exact::<UnsubscribeCtl>().map(|ctl| {
                 if *ctl.node() != self.me().0 {
                     let channel = KindId::from_raw(*ctl.channel());
                     self.forget(channel, *ctl.node(), *ctl.sub());
                 }
-            }
+            })
         } else if kind == AdvertiseCtl::kind_id() {
-            if let Ok(ctl) = wire.decode_exact::<AdvertiseCtl>() {
-                let kind = KindId::from_raw(*ctl.adv_kind());
-                self.apply_advertise(ctx, kind);
-            }
+            wire.decode_exact::<AdvertiseCtl>()
+                .map(|ctl| self.apply_advertise(ctx, KindId::from_raw(*ctl.adv_kind())))
         } else if kind == DigestCtl::kind_id() {
-            if let Ok(ctl) = wire.decode_exact::<DigestCtl>() {
+            wire.decode_exact::<DigestCtl>().map(|ctl| {
                 let node = NodeId(*ctl.node());
                 let view = self.digests.get(&node.0).copied().unwrap_or_default();
                 let told = SetDigest {
@@ -1406,18 +1429,22 @@ impl DaceNode {
                     let pull = encode_control(&PullCtl::new(self.me().0));
                     self.send_control(node, pull);
                 }
-            }
+            })
         } else if kind == PullCtl::kind_id() {
-            if let Ok(ctl) = wire.decode_exact::<PullCtl>() {
+            wire.decode_exact::<PullCtl>().map(|ctl| {
                 let to = NodeId(*ctl.node());
                 if self.is_peer(to) {
                     self.send_set(to);
                 }
-            }
+            })
         } else if kind == SubSetCtl::kind_id() {
-            if let Ok(ctl) = wire.decode_exact::<SubSetCtl>() {
-                self.apply_set(ctx, &ctl);
-            }
+            wire.decode_exact::<SubSetCtl>()
+                .map(|ctl| self.apply_set(ctx, &ctl))
+        } else {
+            Ok(())
+        };
+        if applied.is_err() {
+            self.telemetry.bump("dace.control.rejected", 1);
         }
     }
 
@@ -1446,14 +1473,21 @@ impl DaceNode {
         }
         // Hostile or corrupt: nothing of it reaches the index, and the
         // key no longer routes by whatever it held before.
-        let Ok(filter) = decode_filter(ctl.filter(), &self.telemetry) else {
+        let filter = match ctl.filter().as_slice() {
+            [] => Ok(None),
+            bytes => WireFilter::parse(bytes).map(Some),
+        };
+        let Ok(filter) = filter else {
+            self.telemetry.bump("dace.control.rejected", 1);
             self.forget(channel, node, sub);
             return;
         };
         self.ensure_channel(ctx, channel);
         let ch = self.channels.get_mut(&channel).expect("just ensured");
         let digest = self.digests.entry(node).or_default();
-        ch.subscribe(node, sub, hash, filter, digest);
+        if ch.subscribe(node, sub, hash, filter, digest).is_err() {
+            self.telemetry.bump("dace.control.rejected", 1);
+        }
     }
 
     /// Drops `(node, sub)` from `channel`, keeping `node`'s digest.
@@ -1479,16 +1513,14 @@ impl DaceNode {
                 (first, bytes) = (sub, 0);
             }
             let local = &self.local_subs[&sub];
-            let mut joined: Vec<KindId> = local.joined.iter().copied().collect();
-            joined.sort();
-            for channel in joined {
-                bytes += local.filter_bytes.len() + SET_ENTRY_BYTES;
+            for channel in &local.joined {
+                bytes += local.record.filter.len() + SET_ENTRY_BYTES;
                 entries.push(SubscribeCtl::new(
                     me,
                     sub,
                     channel.as_u64(),
                     local.record.kind.as_u64(),
-                    local.filter_bytes.clone(),
+                    local.record.filter.clone(),
                 ));
             }
         }
@@ -2202,7 +2234,7 @@ impl Inspect for DaceNode {
             report.line(format!(
                 "sub={id} kind={} filtered={} durable={} joined={}",
                 kind_name(sub.record.kind),
-                sub.record.remote_filter.is_some(),
+                !sub.record.filter.is_empty(),
                 sub.record.durable_id.is_some(),
                 joined.join(",")
             ));

@@ -1451,13 +1451,20 @@ mod hostile_control {
     //! A peer's bytes are hostile: a `SubscribeCtl` filter is decoded with
     //! bounded nesting and validated before it reaches any index.
     use super::*;
-    use crate::control::SubscribeCtl;
+    use crate::control::{AdvertiseCtl, SubscribeCtl};
     use psc_filter::{CmpOp, EvalNode, Predicate};
     use psc_obvent::{Obvent, WireObvent};
     use psc_telemetry::{Registry, Tracer};
 
-    /// The transport image of `NodeMsg::Control(ctl)`, assembled the way a
-    /// peer that does not link this crate would: variant 0, then the obvent.
+    /// The transport image of `NodeMsg::Control(wire)`, assembled the way
+    /// a peer that does not link this crate would: variant 0, then the
+    /// obvent.
+    fn frame_of(wire: &WireObvent) -> Vec<u8> {
+        let mut frame = vec![0u8];
+        frame.extend(psc_codec::to_bytes(wire).unwrap());
+        frame
+    }
+
     fn control_frame(filter: Vec<u8>) -> Vec<u8> {
         let ctl = SubscribeCtl::new(
             2,
@@ -1466,9 +1473,74 @@ mod hostile_control {
             PlainTick::kind_id().as_u64(),
             filter.into(),
         );
-        let mut frame = vec![0u8];
-        frame.extend(psc_codec::to_bytes(&WireObvent::encode(&ctl).unwrap()).unwrap());
-        frame
+        frame_of(&WireObvent::encode(&ctl).unwrap())
+    }
+
+    /// `ctl`'s envelope with its payload cut three bytes short.
+    fn truncated<O: Obvent>(ctl: &O) -> Vec<u8> {
+        let payload = psc_codec::to_bytes(ctl).unwrap();
+        frame_of(&WireObvent::from_parts(
+            O::kind_id(),
+            payload[..payload.len() - 3].to_vec(),
+        ))
+    }
+
+    /// A control obvent that does not decode as its kind is dropped and
+    /// counted like a refused filter; nothing of it reaches the view, the
+    /// index or the digests.
+    #[test]
+    fn undecodable_control_obvents_are_counted_and_change_nothing() {
+        let registry = Arc::new(Registry::new());
+        let mut sim = SimNet::new(SimConfig::default());
+        let ids: Vec<NodeId> = (0..3u64).map(NodeId).collect();
+        for i in 0..3 {
+            let telemetry = if i == 0 {
+                Arc::clone(&registry)
+            } else {
+                Arc::new(Registry::disabled())
+            };
+            let factory = DaceNode::factory_with_telemetry(
+                ids.clone(),
+                DaceConfig::default(),
+                telemetry,
+                Arc::new(Tracer::default()),
+            );
+            sim.add_node(format!("dace{i}"), factory);
+        }
+        let honest = subscribe_plain(
+            &mut sim,
+            ids[1],
+            FilterSpec::remote(psc_filter::rfilter!(n < 10)),
+        );
+        settle(&mut sim, 10);
+        let before = DaceNode::inspect_of(&mut sim, ids[0]).unwrap();
+
+        let kind = PlainTick::kind_id().as_u64();
+        let subscribe = SubscribeCtl::new(
+            2,
+            7,
+            kind,
+            kind,
+            psc_codec::to_bytes(&psc_filter::rfilter!(n < 99))
+                .unwrap()
+                .into(),
+        );
+        let advertise = AdvertiseCtl::new(0xad, "x.Hostile".into(), vec![0xad, 1, 2, 3]);
+        for frame in [truncated(&subscribe), truncated(&advertise)] {
+            sim.send_external(ids[2], ids[0], frame);
+        }
+        settle(&mut sim, 10);
+        let counts = registry.snapshot();
+        assert_eq!(counts.counter("dace.control.rejected"), 2);
+        assert_eq!(DaceNode::inspect_of(&mut sim, ids[0]).unwrap(), before);
+
+        // The digests agree: the next announces start no pull.
+        settle(&mut sim, 1_000);
+        assert_eq!(registry.snapshot().counter("dace.control.pulls"), 0);
+        DaceNode::publish_from(&mut sim, ids[0], PlainTick::new("a".into(), 5));
+        settle(&mut sim, 50);
+        assert_eq!(*honest.lock().unwrap(), vec!["a".to_string()]);
+        assert_eq!(registry.snapshot().counter("dace.direct_sent"), 1);
     }
 
     #[test]
@@ -1527,5 +1599,83 @@ mod hostile_control {
             &psc_filter::Value::record([("n", psc_filter::Value::Int(5))])
         )
         .is_empty());
+    }
+}
+
+mod class_resolution {
+    //! A subscription to an interface joins every class of it the node
+    //! knows of, also when the class became known after an earlier
+    //! subscription to the same interface resolved its classes.
+    use super::*;
+    use crate::control::AdvertiseCtl;
+    use psc_obvent::{declare_obvent_interface, WireObvent};
+
+    declare_obvent_interface! {
+        pub interface Watched;
+    }
+    declare_obvent_interface! {
+        pub interface WatchedMore extends [Watched];
+    }
+    declare_obvent_model! {
+        pub class EarlyWatch implements [Watched] { n: u64 }
+    }
+    declare_obvent_model! {
+        pub class PeerWatch implements [Watched] { n: u64 }
+    }
+    declare_obvent_model! {
+        pub class LocalWatch implements [Watched] { n: u64 }
+    }
+
+    fn subscribe_watched(sim: &mut SimNet, node: NodeId) {
+        DaceNode::drive(sim, node, |domain| {
+            let sub = domain.subscribe_view(Watched::kind(), FilterSpec::accept_all(), |_| {});
+            sub.activate().unwrap();
+            sub.detach();
+        });
+        settle(sim, 10);
+    }
+
+    /// The classes `node`'s newest subscription joined, as its inspect
+    /// report lists them.
+    fn newest_joined(sim: &mut SimNet, node: NodeId) -> String {
+        let report = DaceNode::inspect_of(sim, node).unwrap();
+        let line = report.lines().rfind(|l| l.trim_start().starts_with("sub="));
+        line.and_then(|l| l.split("joined=").nth(1))
+            .unwrap()
+            .to_string()
+    }
+
+    #[test]
+    fn later_subscriptions_join_classes_that_became_known_meanwhile() {
+        let (mut sim, ids) = cluster(3, SimConfig::default(), DaceConfig::default());
+        let _ = (EarlyWatch::kind(), WatchedMore::kind());
+        subscribe_watched(&mut sim, ids[1]);
+        assert!(newest_joined(&mut sim, ids[1]).contains("EarlyWatch"));
+
+        // A peer publishes a class of the interface: it advertises it.
+        DaceNode::publish_from(&mut sim, ids[0], PeerWatch::new(1));
+        settle(&mut sim, 10);
+        subscribe_watched(&mut sim, ids[1]);
+        assert!(newest_joined(&mut sim, ids[1]).contains("PeerWatch"));
+
+        // A class first registered in this process, advertised by nobody.
+        let _ = LocalWatch::kind();
+        subscribe_watched(&mut sim, ids[1]);
+        assert!(newest_joined(&mut sim, ids[1]).contains("LocalWatch"));
+
+        // A peer advertises a kind this process registered long ago: only
+        // the node's known kinds grew.
+        let more = WatchedMore::kind();
+        let advert = AdvertiseCtl::new(
+            more.id().as_u64(),
+            more.name().to_string(),
+            more.ancestry().iter().map(|k| k.as_u64()).collect(),
+        );
+        let mut frame = vec![0u8];
+        frame.extend(psc_codec::to_bytes(&WireObvent::encode(&advert).unwrap()).unwrap());
+        sim.send_external(ids[2], ids[1], frame);
+        settle(&mut sim, 10);
+        subscribe_watched(&mut sim, ids[1]);
+        assert!(newest_joined(&mut sim, ids[1]).contains("WatchedMore"));
     }
 }

@@ -189,3 +189,79 @@ fn steady_state_control_traffic_does_not_grow_with_the_subscription_count() {
         );
     }
 }
+
+declare_obvent_model! {
+    /// `filter_match`'s subscription shape: an equality gate and a price
+    /// band per subscription.
+    pub class InstallQuote { symbol: String, price: f64 }
+}
+
+/// What installing `SUBS` filtered subscriptions on n1 in one drive costs:
+/// `dace.control_sent`, the frames and bytes n0 receives (n0 sends nothing
+/// back: announces are held off), and the codec's encodes and decodes
+/// across both nodes.
+fn install_traffic() -> (u64, u64, u64, u64, u64) {
+    const SUBS: u32 = 2_000;
+    let config = DaceConfig {
+        announce_interval: Duration::from_secs(30),
+        ..DaceConfig::default()
+    };
+    let (mut sim, ids, registry) = cluster(2, config);
+    settle(&mut sim, 50);
+    sim.reset_stats();
+    let codec = psc_telemetry::global();
+    let (encodes, decodes) = (
+        codec.counter("codec.encodes"),
+        codec.counter("codec.decodes"),
+    );
+    let before = (
+        registry.snapshot().counter("dace.control_sent"),
+        encodes.get(),
+        decodes.get(),
+    );
+    DaceNode::drive(&mut sim, ids[1], move |domain| {
+        for n in 0..SUBS {
+            let band = f64::from(n % 4) * 25.0;
+            let filter = RemoteFilter::conjunction(vec![
+                Predicate::new("symbol", CmpOp::Eq, format!("S{:04}", n / 4)),
+                Predicate::new("price", CmpOp::Ge, band),
+                Predicate::new("price", CmpOp::Lt, band + 25.0),
+            ]);
+            let sub = domain.subscribe(FilterSpec::remote(filter), |_q: InstallQuote| {});
+            sub.activate().unwrap();
+            sub.detach();
+        }
+    });
+    settle(&mut sim, 50);
+    let stats = sim.stats();
+    assert_eq!(
+        stats.delivered, stats.sent,
+        "n0 received all of it and sent nothing"
+    );
+    (
+        registry.snapshot().counter("dace.control_sent") - before.0,
+        stats.sent,
+        stats.bytes_sent,
+        encodes.get() - before.1,
+        decodes.get() - before.2,
+    )
+}
+
+/// Installing subscriptions costs the wire exactly one `SubscribeCtl` per
+/// subscription and class, coalesced into one batch frame to the peer.
+#[test]
+fn filtered_subscription_install_traffic_is_pinned() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap();
+    psc_telemetry::set_global_enabled(true);
+    let (control_sent, frames, bytes, encodes, decodes) = install_traffic();
+    assert_eq!(control_sent, 2_000, "dace.control_sent");
+    assert_eq!(frames, 1, "control frames n0 receives");
+    assert_eq!(bytes, 201_877, "control bytes n0 receives");
+    assert_eq!(encodes, 6_001, "codec.encodes");
+    // Per subscription, n1 encodes its filter once (at activation) and
+    // its `SubscribeCtl` twice (obvent, envelope); n0 decodes the envelope
+    // and the obvent. n0's index decodes only the predicates it does not
+    // hold yet, once each: 500 symbols and 8 price bounds. The rest are
+    // found by their bytes.
+    assert_eq!(decodes, 4_509, "codec.decodes");
+}

@@ -154,7 +154,7 @@ pub enum EvalNode {
 impl EvalNode {
     /// Evaluates the tree, asking `leaf` for a predicate's truth only when
     /// the short-circuiting walk reaches it.
-    fn eval(&self, leaf: &mut impl FnMut(usize) -> bool) -> bool {
+    pub(crate) fn eval(&self, leaf: &mut impl FnMut(usize) -> bool) -> bool {
         match self {
             EvalNode::True => true,
             EvalNode::False => false,
@@ -260,12 +260,43 @@ impl fmt::Display for InvalidFilter {
 
 impl std::error::Error for InvalidFilter {}
 
+/// [`RemoteFilter::validate`]'s walk of a tree over `predicates` leaves:
+/// every `Pred(i)` in range, at most [`MAX_WIRE_NODES`] nodes. An explicit
+/// stack makes it safe on any nesting.
+pub(crate) fn check_tree(eval: &EvalNode, predicates: usize) -> Result<(), InvalidFilter> {
+    let mut nodes = 1usize;
+    let mut pending = vec![eval];
+    while let Some(node) = pending.pop() {
+        let children: &[EvalNode] = match node {
+            EvalNode::True | EvalNode::False => &[],
+            EvalNode::Pred(index) => {
+                if *index >= predicates {
+                    return Err(InvalidFilter::PredOutOfRange {
+                        index: *index,
+                        predicates,
+                    });
+                }
+                &[]
+            }
+            EvalNode::And(children) | EvalNode::Or(children) => children,
+            EvalNode::Not(child) => std::slice::from_ref(&**child),
+        };
+        nodes += children.len();
+        if nodes > MAX_WIRE_NODES {
+            return Err(InvalidFilter::TooLarge);
+        }
+        pending.extend(children);
+    }
+    Ok(())
+}
+
 impl RemoteFilter {
     /// Decodes a filter that arrived from a peer or a disk. Derived
     /// `Deserialize` builds whatever the bytes describe, bypassing
     /// [`RemoteFilter::from_parts`]; this is the checked entrance: nesting
     /// is bounded by the decoder, size and predicate references by
-    /// [`RemoteFilter::validate`].
+    /// [`RemoteFilter::validate`]. [`WireFilter::parse`](crate::WireFilter)
+    /// accepts the same bytes without decoding the predicates.
     ///
     /// # Errors
     ///
@@ -289,30 +320,7 @@ impl RemoteFilter {
         if self.predicates.len() > MAX_WIRE_PREDICATES {
             return Err(InvalidFilter::TooLarge);
         }
-        let mut nodes = 1usize;
-        let mut pending = vec![&self.eval];
-        while let Some(node) = pending.pop() {
-            let children: &[EvalNode] = match node {
-                EvalNode::True | EvalNode::False => &[],
-                EvalNode::Pred(index) => {
-                    if *index >= self.predicates.len() {
-                        return Err(InvalidFilter::PredOutOfRange {
-                            index: *index,
-                            predicates: self.predicates.len(),
-                        });
-                    }
-                    &[]
-                }
-                EvalNode::And(children) | EvalNode::Or(children) => children,
-                EvalNode::Not(child) => std::slice::from_ref(&**child),
-            };
-            nodes += children.len();
-            if nodes > MAX_WIRE_NODES {
-                return Err(InvalidFilter::TooLarge);
-            }
-            pending.extend(children);
-        }
-        Ok(())
+        check_tree(&self.eval, self.predicates.len())
     }
 
     /// Filter that accepts every obvent of the subscribed type.
@@ -346,6 +354,16 @@ impl RemoteFilter {
             );
         }
         RemoteFilter { predicates, eval }
+    }
+
+    /// A filter from parts already checked (or known to be whole).
+    pub(crate) fn from_parts_unchecked(predicates: Vec<Predicate>, eval: EvalNode) -> Self {
+        RemoteFilter { predicates, eval }
+    }
+
+    /// The predicate leaves and the evaluation tree, moved out.
+    pub(crate) fn into_parts(self) -> (Vec<Predicate>, EvalNode) {
+        (self.predicates, self.eval)
     }
 
     /// The predicate leaves (the invocation-tree leaves).

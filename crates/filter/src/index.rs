@@ -49,6 +49,11 @@
 //!    evaluations avoided relative to the naive baseline are counted in the
 //!    `filter.factored_evals_saved` telemetry counter.
 //!
+//! Each predicate is stored once, in the interning table; a stored filter
+//! is its evaluation tree over interned ids. A filter that arrives as bytes
+//! ([`FilterIndex::insert_wire`]) names the predicates the index already
+//! holds by their encoding, so only new predicates are decoded.
+//!
 //! Selectivity is observable: `filter.index.probes` counts bucket probes
 //! per call, `filter.index.candidates` counts DAG evaluations actually
 //! performed, and `filter.index.shortcircuits` counts live filters the
@@ -70,11 +75,16 @@
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::sync::Arc;
 
+use psc_codec::hash::FastMap;
+use psc_codec::CodecError;
 use psc_telemetry::{Inspect, ReportBuilder};
 
 use crate::metrics::metrics;
-use crate::{CmpOp, EvalNode, Predicate, PropPath, PropertySource, RemoteFilter, Value};
+use crate::{
+    CmpOp, EvalNode, Predicate, PropPath, PropertySource, RemoteFilter, Value, WireFilter,
+};
 
 /// Stable handle for a filter stored in a [`FilterIndex`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -168,9 +178,12 @@ impl MatchPlan {
     }
 }
 
+/// A filter as the index holds it: its predicates live once, interned in
+/// `preds`, so a filter is its tree and the ids of its leaves.
 #[derive(Debug)]
 struct StoredFilter {
-    filter: RemoteFilter,
+    /// The filter's evaluation tree; `Pred(i)` names `globals[i]`.
+    eval: EvalNode,
     /// Global predicate ids in the order of the filter's own predicate list.
     globals: Vec<usize>,
     /// The sorted distinct globals this filter posted to (its access
@@ -245,7 +258,11 @@ struct Scratch {
 
 #[derive(Debug)]
 struct PredEntry {
-    pred: Predicate,
+    /// Shared with the entry's `pred_lookup` key.
+    pred: Arc<Predicate>,
+    /// The predicate's encoding, once a filter brought it as bytes
+    /// ([`FilterIndex::insert_wire`]); shared with its `wire_lookup` key.
+    wire: Option<Arc<[u8]>>,
     refcount: usize,
 }
 
@@ -257,7 +274,7 @@ struct PathGroup {
     gt: Vec<(f64, usize)>,
     ge: Vec<(f64, usize)>,
     /// Equality predicates keyed by the canonicalized operand.
-    eq: HashMap<Value, Vec<usize>>,
+    eq: FastMap<Value, Vec<usize>>,
     /// Predicates satisfied whenever the property exists.
     exists: Vec<usize>,
     /// Everything else: evaluated individually (still sharing the fetch).
@@ -310,7 +327,7 @@ impl PathGroup {
 #[derive(Debug, Default)]
 pub struct FilterIndex {
     next_id: u64,
-    filters: HashMap<FilterId, StoredFilter>,
+    filters: FastMap<FilterId, StoredFilter>,
     /// slot -> FilterId of the occupant (freed slots go on `free_slots`).
     slots: Vec<Option<FilterId>>,
     /// slot -> counter value that triggers the slot (arity or threshold);
@@ -332,9 +349,14 @@ pub struct FilterIndex {
     /// bucket exactly while its list is non-empty. Kept apart from `preds`
     /// so the counting loop reads nothing else per satisfied predicate.
     postings: Vec<Vec<usize>>,
-    pred_lookup: HashMap<Predicate, usize>,
+    pred_lookup: FastMap<Arc<Predicate>, usize>,
+    /// Encoded predicate → its id, for the predicates that arrived as
+    /// bytes: a filter from a peer names what the index holds without
+    /// decoding it. The codec's encoding is deterministic and tells unequal
+    /// predicates apart, so equal bytes are an equal predicate.
+    wire_lookup: FastMap<Arc<[u8]>, usize>,
     free_preds: Vec<usize>,
-    groups: HashMap<PropPath, PathGroup>,
+    groups: FastMap<PropPath, PathGroup>,
     /// Slots whose tree must be evaluated on every event (satisfiable with
     /// zero true predicates).
     residual_trees: Vec<usize>,
@@ -342,7 +364,7 @@ pub struct FilterIndex {
     unconditional: Vec<usize>,
     /// Hash-consed sub-expression DAG shared by all general-tree filters.
     shared_nodes: Vec<SharedNode>,
-    shared_lookup: HashMap<SharedKey, u32>,
+    shared_lookup: FastMap<SharedKey, u32>,
     free_nodes: Vec<u32>,
     /// Total predicate occurrences across stored filters (naive evaluation
     /// cost per obvent); `live_preds` is the deduplicated count.
@@ -371,11 +393,7 @@ impl FilterIndex {
     pub fn stats(&self) -> IndexStats {
         IndexStats {
             filters: self.filters.len(),
-            total_predicates: self
-                .filters
-                .values()
-                .map(|f| f.filter.predicates().len())
-                .sum(),
+            total_predicates: self.pred_occurrences,
             unique_predicates: self.preds.iter().filter(|p| p.refcount > 0).count(),
             paths: self.groups.len(),
             shared_nodes: self.shared_nodes.len() - self.free_nodes.len(),
@@ -390,8 +408,43 @@ impl FilterIndex {
         }
     }
 
-    /// Inserts a filter and returns its handle.
+    /// Inserts a filter and returns its handle. A predicate the index
+    /// already holds is dropped; a new one is moved in, not copied.
     pub fn insert(&mut self, filter: RemoteFilter) -> FilterId {
+        let (predicates, eval) = filter.into_parts();
+        let globals = predicates
+            .into_iter()
+            .map(|pred| self.intern_pred(pred))
+            .collect();
+        self.place(globals, eval)
+    }
+
+    /// Inserts a filter that arrived as bytes and was checked by
+    /// [`WireFilter::parse`]: each predicate the index already holds is
+    /// found by its encoding, and only new ones are decoded.
+    ///
+    /// # Errors
+    ///
+    /// A predicate that does not decode, which a parsed filter's never
+    /// does; the index is then left as it was.
+    pub fn insert_wire(&mut self, filter: WireFilter<'_>) -> Result<FilterId, CodecError> {
+        let mut globals = Vec::with_capacity(filter.predicate_bytes().len());
+        for span in filter.predicate_bytes() {
+            match self.intern_wire(span) {
+                Ok(g) => globals.push(g),
+                Err(err) => {
+                    for g in globals {
+                        self.release_pred(g);
+                    }
+                    return Err(err);
+                }
+            }
+        }
+        Ok(self.place(globals, filter.into_eval()))
+    }
+
+    /// Stores a filter whose predicates are interned as `globals`.
+    fn place(&mut self, globals: Vec<usize>, eval: EvalNode) -> FilterId {
         let id = FilterId(self.next_id);
         self.next_id += 1;
 
@@ -412,36 +465,35 @@ impl FilterIndex {
             }
         };
 
-        self.pred_occurrences += filter.predicates().len();
-        let mut globals = Vec::with_capacity(filter.predicates().len());
-        for pred in filter.predicates() {
-            globals.push(self.intern_pred(pred));
-        }
-
-        let (plan, posted, unposted) = match conjunction_leaves(filter.eval_tree()) {
-            Some(leaves) => {
+        self.pred_occurrences += globals.len();
+        let (plan, posted, unposted) = match conjunction_leaves(&eval) {
+            Some(mut distinct) => {
                 // Deduplicate leaves within the filter so the counter target
                 // is the number of *distinct* conditions.
-                let distinct = sorted_distinct(leaves.iter().map(|&l| globals[l]));
+                for leaf in &mut distinct {
+                    *leaf = globals[*leaf];
+                }
+                distinct.sort_unstable();
+                distinct.dedup();
                 if distinct.is_empty() {
-                    (MatchPlan::Unconditional, Vec::new(), Vec::new())
+                    (MatchPlan::Unconditional, Vec::new(), Box::default())
                 } else {
                     let (posted, unposted) = self.gate(distinct);
                     (MatchPlan::Conjunction, posted, unposted)
                 }
             }
             None => {
-                let root = self.intern_node(filter.eval_tree(), &globals);
+                let root = self.intern_node(&eval, &globals);
                 match self.shared_nodes[root as usize].min_true {
-                    0 => (MatchPlan::ResidualTree { root }, Vec::new(), Vec::new()),
-                    UNSATISFIABLE => (MatchPlan::Never { root }, Vec::new(), Vec::new()),
+                    0 => (MatchPlan::ResidualTree { root }, Vec::new(), Box::default()),
+                    UNSATISFIABLE => (MatchPlan::Never { root }, Vec::new(), Box::default()),
                     // The tree triggers once `threshold` of the filter's
                     // distinct predicates hold, so every distinct predicate
                     // posts to this slot.
                     threshold => (
                         MatchPlan::CountedTree { threshold, root },
                         sorted_distinct(globals.iter().copied()),
-                        Vec::new(),
+                        Box::default(),
                     ),
                 }
             }
@@ -452,7 +504,7 @@ impl FilterIndex {
         }
         self.slot_target[slot] = plan.target(posted.len());
         self.slot_root[slot] = plan.root().unwrap_or(NO_ROOT);
-        self.slot_unposted[slot] = unposted.into_boxed_slice();
+        self.slot_unposted[slot] = unposted;
         match plan {
             MatchPlan::Unconditional => self.unconditional.push(slot),
             MatchPlan::ResidualTree { .. } => self.residual_trees.push(slot),
@@ -462,7 +514,7 @@ impl FilterIndex {
         self.filters.insert(
             id,
             StoredFilter {
-                filter,
+                eval,
                 globals,
                 posted,
                 slot,
@@ -478,19 +530,39 @@ impl FilterIndex {
     /// others, only the equalities post — their narrow hash buckets gate
     /// the counter — rather than counting range predicates that half the
     /// population satisfies on every event. Otherwise everything posts.
-    fn gate(&self, distinct: Vec<usize>) -> (Vec<usize>, Vec<usize>) {
-        let (gates, rest): (Vec<usize>, Vec<usize>) = distinct
-            .iter()
-            .partition(|&&g| matches!(classify(&self.preds[g].pred), Bucket::Equality(_)));
-        if gates.is_empty() || rest.is_empty() {
-            (distinct, Vec::new())
-        } else {
-            (gates, rest)
+    fn gate(&self, mut distinct: Vec<usize>) -> (Vec<usize>, Box<[usize]>) {
+        let is_gate = |g: &usize| matches!(classify(&self.preds[*g].pred), Bucket::Equality(_));
+        let gates = distinct.iter().filter(|g| is_gate(g)).count();
+        if gates == 0 || gates == distinct.len() {
+            return (distinct, Box::default());
         }
+        let mut rest = Vec::with_capacity(distinct.len() - gates);
+        rest.extend(distinct.iter().copied().filter(|g| !is_gate(g)));
+        distinct.retain(is_gate);
+        (distinct, rest.into_boxed_slice())
     }
 
-    /// Removes a filter. Returns the filter if it was present.
+    /// Removes a filter. Returns the filter if it was present, its
+    /// predicates copied out of the index ([`FilterIndex::discard`] skips
+    /// the copies).
     pub fn remove(&mut self, id: FilterId) -> Option<RemoteFilter> {
+        let stored = self.filters.get(&id)?;
+        let predicates = stored
+            .globals
+            .iter()
+            .map(|&g| Predicate::clone(&self.preds[g].pred))
+            .collect();
+        let eval = self.unstore(id)?;
+        Some(RemoteFilter::from_parts_unchecked(predicates, eval))
+    }
+
+    /// Removes a filter; true if it was present.
+    pub fn discard(&mut self, id: FilterId) -> bool {
+        self.unstore(id).is_some()
+    }
+
+    /// Takes filter `id` out of every table; returns its tree.
+    fn unstore(&mut self, id: FilterId) -> Option<EvalNode> {
         let stored = self.filters.remove(&id)?;
         let slot = stored.slot;
         self.slots[slot] = None;
@@ -513,7 +585,7 @@ impl FilterIndex {
         for &g in &stored.globals {
             self.release_pred(g);
         }
-        Some(stored.filter)
+        Some(stored.eval)
     }
 
     /// Interns `node` into the shared DAG, returning a node id with one
@@ -892,7 +964,14 @@ impl FilterIndex {
         let mut matched: Vec<FilterId> = self
             .filters
             .iter()
-            .filter(|(_, stored)| stored.filter.matches(source))
+            .filter(|(_, stored)| {
+                stored.eval.eval(&mut |i| {
+                    stored
+                        .globals
+                        .get(i)
+                        .is_some_and(|&g| self.preds[g].pred.eval(source))
+                })
+            })
             .map(|(&id, _)| id)
             .collect();
         matched.sort_unstable();
@@ -962,16 +1041,8 @@ impl FilterIndex {
                     stored.slot
                 ));
             }
-            if stored.globals.len() != stored.filter.predicates().len() {
-                return Err(format!(
-                    "filter {}: {} globals for {} predicates",
-                    id.as_u64(),
-                    stored.globals.len(),
-                    stored.filter.predicates().len()
-                ));
-            }
             expected_occurrences += stored.globals.len();
-            for (g, pred) in stored.globals.iter().zip(stored.filter.predicates()) {
+            for g in &stored.globals {
                 let entry = self
                     .preds
                     .get(*g)
@@ -980,13 +1051,6 @@ impl FilterIndex {
                     return Err(format!(
                         "filter {}: global {g} points at a freed predicate",
                         id.as_u64()
-                    ));
-                }
-                if entry.pred != *pred {
-                    return Err(format!(
-                        "filter {}: global {g} stores `{}` but the filter says `{pred}`",
-                        id.as_u64(),
-                        entry.pred
                     ));
                 }
                 *expected_refs.entry(*g).or_default() += 1;
@@ -1018,19 +1082,19 @@ impl FilterIndex {
                     // Conjunctions post their distinct *leaves*; with
                     // `from_parts` the tree may reference a subset of the
                     // predicate list.
-                    let leaves =
-                        conjunction_leaves(stored.filter.eval_tree()).ok_or_else(|| {
-                            format!(
-                                "filter {}: Conjunction plan but tree is not a conjunction",
-                                id.as_u64()
-                            )
-                        })?;
+                    let leaves = conjunction_leaves(&stored.eval).ok_or_else(|| {
+                        format!(
+                            "filter {}: Conjunction plan but tree is not a conjunction",
+                            id.as_u64()
+                        )
+                    })?;
                     self.gate(sorted_distinct(leaves.iter().map(|&l| stored.globals[l])))
                 }
-                MatchPlan::CountedTree { .. } => {
-                    (sorted_distinct(stored.globals.iter().copied()), Vec::new())
-                }
-                _ => (Vec::new(), Vec::new()),
+                MatchPlan::CountedTree { .. } => (
+                    sorted_distinct(stored.globals.iter().copied()),
+                    Box::default(),
+                ),
+                _ => (Vec::new(), Box::default()),
             };
             if stored.posted != want_posted {
                 return Err(format!(
@@ -1127,6 +1191,28 @@ impl FilterIndex {
         for (pred, &idx) in &self.pred_lookup {
             if self.preds.get(idx).map(|e| &e.pred) != Some(pred) {
                 return Err(format!("pred_lookup maps `{pred}` to mismatched entry {idx}"));
+            }
+        }
+        // Encodings: each known one names a live entry that keeps it, and
+        // decodes to that entry's predicate.
+        let encoded = self.preds.iter().filter(|p| p.wire.is_some()).count();
+        if self.wire_lookup.len() != encoded {
+            return Err(format!(
+                "wire_lookup has {} entries for {encoded} encoded predicates",
+                self.wire_lookup.len()
+            ));
+        }
+        for (wire, &idx) in &self.wire_lookup {
+            let entry = self
+                .preds
+                .get(idx)
+                .filter(|e| e.refcount > 0 && e.wire.as_ref() == Some(wire))
+                .ok_or_else(|| format!("wire_lookup maps {wire:?} to mismatched entry {idx}"))?;
+            if WireFilter::decode_predicate(wire).as_ref() != Ok(&*entry.pred) {
+                return Err(format!(
+                    "pred {idx} `{}` is known by bytes that do not decode to it",
+                    entry.pred
+                ));
             }
         }
 
@@ -1235,38 +1321,60 @@ impl FilterIndex {
         Ok(())
     }
 
-    fn intern_pred(&mut self, pred: &Predicate) -> usize {
-        if let Some(&idx) = self.pred_lookup.get(pred) {
+    fn intern_pred(&mut self, pred: Predicate) -> usize {
+        if let Some(&idx) = self.pred_lookup.get(&pred) {
             self.preds[idx].refcount += 1;
             return idx;
         }
         self.live_preds += 1;
+        let entry = PredEntry {
+            pred: Arc::new(pred),
+            wire: None,
+            refcount: 1,
+        };
+        let key = Arc::clone(&entry.pred);
         let idx = match self.free_preds.pop() {
             Some(idx) => {
-                self.preds[idx] = PredEntry {
-                    pred: pred.clone(),
-                    refcount: 1,
-                };
+                self.preds[idx] = entry;
                 idx
             }
             None => {
-                self.preds.push(PredEntry {
-                    pred: pred.clone(),
-                    refcount: 1,
-                });
+                self.preds.push(entry);
                 self.postings.push(Vec::new());
                 self.preds.len() - 1
             }
         };
-        self.pred_lookup.insert(pred.clone(), idx);
+        self.pred_lookup.insert(key, idx);
         idx
     }
 
+    /// Interns the predicate `span` encodes: found by its bytes when a
+    /// filter brought the same bytes before, else decoded and interned by
+    /// value (and known by these bytes from then on).
+    fn intern_wire(&mut self, span: &[u8]) -> Result<usize, CodecError> {
+        if let Some(&idx) = self.wire_lookup.get(span) {
+            self.preds[idx].refcount += 1;
+            return Ok(idx);
+        }
+        let idx = self.intern_pred(WireFilter::decode_predicate(span)?);
+        let entry = &mut self.preds[idx];
+        if entry.wire.is_none() {
+            let wire: Arc<[u8]> = span.into();
+            entry.wire = Some(Arc::clone(&wire));
+            self.wire_lookup.insert(wire, idx);
+        }
+        Ok(idx)
+    }
+
     fn release_pred(&mut self, idx: usize) {
-        self.preds[idx].refcount -= 1;
-        if self.preds[idx].refcount == 0 {
+        let entry = &mut self.preds[idx];
+        entry.refcount -= 1;
+        if entry.refcount == 0 {
             self.live_preds -= 1;
-            self.pred_lookup.remove(&self.preds[idx].pred);
+            self.pred_lookup.remove(&entry.pred);
+            if let Some(wire) = entry.wire.take() {
+                self.wire_lookup.remove(&wire);
+            }
             self.free_preds.push(idx);
         }
     }
@@ -1277,14 +1385,23 @@ impl FilterIndex {
     fn post(&mut self, g: usize, slot: usize) {
         if self.postings[g].is_empty() {
             let pred = &self.preds[g].pred;
-            let group = self.groups.entry(pred.path.clone()).or_default();
+            // The path is cloned only for the first predicate on it.
+            if !self.groups.contains_key(&pred.path) {
+                self.groups.insert(pred.path.clone(), PathGroup::default());
+            }
+            let group = self.groups.get_mut(&pred.path).expect("just ensured");
             match classify(pred) {
                 Bucket::Threshold(op, t) => {
                     let list = group.thresholds_mut(op);
                     let pos = list.partition_point(|(x, _)| *x < t);
                     list.insert(pos, (t, g));
                 }
-                Bucket::Equality(key) => group.eq.entry(key).or_default().push(g),
+                Bucket::Equality(key) => match group.eq.get_mut(key.as_ref()) {
+                    Some(list) => list.push(g),
+                    None => {
+                        group.eq.insert(key.into_owned(), vec![g]);
+                    }
+                },
                 Bucket::Exists => group.exists.push(g),
                 Bucket::General => group.general.push(g),
             }
@@ -1306,10 +1423,10 @@ impl FilterIndex {
         match classify(pred) {
             Bucket::Threshold(op, _) => group.thresholds_mut(op).retain(|&(_, p)| p != g),
             Bucket::Equality(key) => {
-                if let Some(list) = group.eq.get_mut(&key) {
+                if let Some(list) = group.eq.get_mut(key.as_ref()) {
                     list.retain(|&p| p != g);
                     if list.is_empty() {
-                        group.eq.remove(&key);
+                        group.eq.remove(key.as_ref());
                     }
                 }
             }
@@ -1322,20 +1439,22 @@ impl FilterIndex {
     }
 }
 
-enum Bucket {
+enum Bucket<'a> {
     Threshold(CmpOp, f64),
-    Equality(Value),
+    /// Keyed by the canonical operand, borrowed unless canonicalizing
+    /// changed it: classifying a string equality allocates nothing.
+    Equality(Cow<'a, Value>),
     Exists,
     General,
 }
 
-fn classify(pred: &Predicate) -> Bucket {
+fn classify(pred: &Predicate) -> Bucket<'_> {
     match pred.op {
         CmpOp::Exists => Bucket::Exists,
         CmpOp::Eq => match &pred.operand {
             Value::Float(f) if f.is_nan() => Bucket::General,
             Value::Int(_) | Value::UInt(_) | Value::Float(_) | Value::Str(_) | Value::Bool(_) => {
-                Bucket::Equality(canonical(&pred.operand).into_owned())
+                Bucket::Equality(canonical(&pred.operand))
             }
             _ => Bucket::General,
         },

@@ -63,6 +63,7 @@ mod path;
 pub mod restrict;
 pub mod typed;
 mod value;
+mod wire;
 
 #[macro_use]
 mod macros;
@@ -74,6 +75,7 @@ pub use expr::{
 pub use index::{FilterId, FilterIndex, IndexStats};
 pub use path::PropPath;
 pub use value::{IntoValue, PropertySource, Value};
+pub use wire::WireFilter;
 
 #[cfg(test)]
 mod tests;

@@ -3,7 +3,7 @@ use proptest::prelude::*;
 use crate::typed::{prop, Expr};
 use crate::{
     restrict, CmpOp, EvalNode, FilterIndex, Predicate, PropPath, PropertySource, RemoteFilter,
-    Value,
+    Value, WireFilter,
 };
 
 fn quote(company: &str, price: f64, amount: i64) -> Value {
@@ -746,6 +746,76 @@ mod index {
         ]
     }
 
+    /// `WireFilter::parse`, every predicate then decoded from its span.
+    fn parsed(bytes: &[u8]) -> Result<RemoteFilter, crate::InvalidFilter> {
+        let filter = WireFilter::parse(bytes)?;
+        let predicates = filter
+            .predicate_bytes()
+            .iter()
+            .map(|span| WireFilter::decode_predicate(span).unwrap())
+            .collect();
+        Ok(RemoteFilter::from_parts_unchecked(
+            predicates,
+            filter.into_eval(),
+        ))
+    }
+
+    /// A filter whose tree is `depth` nested `Not`s over one `Pred(0)` and
+    /// whose one predicate's operand is a record nesting lists `nest` deep:
+    /// both sides of the decoder's depth bound.
+    fn deep_filter_bytes(depth: usize, nest: usize) -> Vec<u8> {
+        let mut operand = Value::Int(1);
+        for _ in 0..nest {
+            operand = Value::List(vec![Value::record([("k", operand)])]);
+        }
+        let filter = RemoteFilter::conjunction(vec![Predicate::new("p", CmpOp::Eq, operand)]);
+        let mut bytes = psc_codec::to_bytes(filter.predicates()).unwrap();
+        let not_tag = psc_codec::to_bytes(&EvalNode::Not(Box::new(EvalNode::True))).unwrap()[0];
+        bytes.extend(std::iter::repeat_n(not_tag, depth));
+        bytes.extend(psc_codec::to_bytes(&EvalNode::Pred(0)).unwrap());
+        bytes
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// `WireFilter::parse` accepts and refuses exactly what
+        /// `RemoteFilter::from_wire` (the codec's serde decode plus
+        /// `validate`) does, with the same error, on encoded filters and on
+        /// the same bytes truncated, overwritten or grown by one byte; what
+        /// it accepts decodes to the same filter.
+        #[test]
+        fn wire_parse_agrees_with_the_codec(
+            filter in arb_edge_filter(),
+            mode in 0u8..4,
+            at in any::<usize>(),
+            byte in any::<u8>(),
+        ) {
+            let mut bytes = psc_codec::to_bytes(&filter).unwrap();
+            match mode {
+                0 => {}
+                1 => bytes.truncate(at % bytes.len()),
+                2 => {
+                    let at = at % bytes.len();
+                    bytes[at] = byte;
+                }
+                _ => bytes.insert(at % (bytes.len() + 1), byte),
+            }
+            let decoded = parsed(&bytes);
+            prop_assert_eq!(&decoded, &RemoteFilter::from_wire(&bytes));
+            if mode == 0 {
+                prop_assert_eq!(decoded, Ok(filter));
+            }
+        }
+
+        /// Around the depth bound, in the tree and in an operand.
+        #[test]
+        fn wire_parse_agrees_at_the_depth_bound(depth in 118usize..132, nest in 0usize..64) {
+            let bytes = deep_filter_bytes(depth, nest);
+            prop_assert_eq!(parsed(&bytes), RemoteFilter::from_wire(&bytes));
+        }
+    }
+
     /// Wraps a source, hiding its enumeration capability: forces the index
     /// down the per-path fallback so both phase-1 strategies are compared.
     struct FetchOnly<'a>(&'a Value);
@@ -841,7 +911,14 @@ mod index {
             for step in script {
                 match step {
                     ChurnStep::Insert(filter) => {
-                        let id = index.insert(filter.clone());
+                        // Every other filter arrives as bytes, so the two
+                        // entrances share predicates both ways.
+                        let id = if live.len().is_multiple_of(2) {
+                            index.insert(filter.clone())
+                        } else {
+                            let bytes = psc_codec::to_bytes(&filter).unwrap();
+                            index.insert_wire(WireFilter::parse(&bytes).unwrap()).unwrap()
+                        };
                         live.push((id, filter));
                     }
                     ChurnStep::Remove(pick) => {

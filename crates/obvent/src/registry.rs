@@ -117,6 +117,17 @@ pub(crate) fn register_raw(
     inner.kinds.entry(id).or_insert(kind)
 }
 
+/// How many kinds this process has registered. Kinds are never
+/// unregistered, so a cache of registry answers (such as which classes a
+/// subscription to some kind joins) stays valid while this number does.
+pub fn registered() -> usize {
+    registry()
+        .read()
+        .expect("kind registry poisoned")
+        .kinds
+        .len()
+}
+
 /// Looks up a kind by id.
 pub fn lookup(id: KindId) -> Option<&'static ObventKind> {
     registry()

@@ -27,10 +27,6 @@ const MAX_POOLED_BUFFERS: usize = 64;
 /// Buffers with more capacity than this are not retained (a single giant
 /// message must not pin its allocation forever).
 const MAX_POOLED_CAPACITY: usize = 1 << 20;
-/// Capacity of a buffer allocated when the pool is empty: a burst of small
-/// encodes (a subscription install queues three per subscription) takes
-/// one allocation each rather than growing through 8, 16, 32, 64 bytes.
-const MISS_CAPACITY: usize = 128;
 
 thread_local! {
     static POOL: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
@@ -47,7 +43,7 @@ pub(crate) fn acquire_buffer() -> Vec<u8> {
         }
         None => {
             m.pool_misses.inc();
-            Vec::with_capacity(MISS_CAPACITY)
+            Vec::new()
         }
     }
 }

@@ -2,17 +2,20 @@
 //!
 //! `std`'s default `SipHash` is keyed per process to resist hash flooding
 //! and costs tens of nanoseconds per short key. The maps a subscription
-//! install writes — a filter index's predicate, path and node tables, a
-//! domain's subscription table, a node's channel entries — hash small
-//! integers, ids and short strings many times per subscription, so they use
-//! [`FastMap`]: a word-at-a-time multiplicative hash in the style of
-//! `rustc`'s `FxHasher`, finished with a folded multiply so that keys
-//! differing only in their high bits still spread over the table. No map
-//! that uses it depends on its iteration order.
+//! install writes whose keys the node assigns itself or are one word — a
+//! filter index's filter and sub-expression tables, a domain's subscription
+//! table, a node's per-node counts and kind tables — hash small integers
+//! and ids many times per subscription, so they use [`FastMap`]: a word-at-a-time
+//! multiplicative hash in the style of `rustc`'s `FxHasher`, finished with
+//! a folded multiply so that keys differing only in their high bits still
+//! spread over the table. No map that uses it depends on its iteration
+//! order.
 //!
-//! It is not keyed: a peer that chooses many colliding keys (subscription
-//! ids, filter predicates) slows the maps it writes into, which DESIGN.md's
-//! failure policy records.
+//! It is not keyed, and full collisions cost nothing to construct: for
+//! words `a`, `b`, `a'`, the word `b + (a - a')·K` after `a'` leaves the
+//! same state as `b` after `a`. So a map keyed by more than one word a peer
+//! chooses (a filter's predicates, their encodings, paths and operands; a
+//! channel's `(node, subscription)` entries) keeps `std`'s keyed hasher.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

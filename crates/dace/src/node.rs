@@ -281,8 +281,10 @@ struct Channel {
     index: FilterIndex,
     /// Indexed filter → the node that registered it.
     filter_owner: FastMap<FilterId, u64>,
-    /// (node, sub) → how the channel routes to it.
-    sub_entries: FastMap<(u64, u64), SubEntry>,
+    /// (node, sub) → how the channel routes to it. A peer names both
+    /// words, so two-word keys that collide in `FastMap` are free to
+    /// build: this map keeps `std`'s keyed hasher.
+    sub_entries: HashMap<(u64, u64), SubEntry>,
     /// Subscriptions per node; `members` is its key set.
     node_subs: FastMap<u64, u32>,
     /// Unfiltered subscriptions per remote node.
@@ -296,7 +298,7 @@ impl Channel {
             members: Vec::new(),
             index: FilterIndex::new(),
             filter_owner: FastMap::default(),
-            sub_entries: FastMap::default(),
+            sub_entries: HashMap::new(),
             node_subs: FastMap::default(),
             unfiltered: FastMap::default(),
         }

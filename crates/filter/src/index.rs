@@ -49,8 +49,9 @@
 //!    evaluations avoided relative to the naive baseline are counted in the
 //!    `filter.factored_evals_saved` telemetry counter.
 //!
-//! Each predicate is stored once, in the interning table; a stored filter
-//! is its evaluation tree over interned ids. A filter that arrives as bytes
+//! Each distinct predicate is interned once (its entry, plus the lookup
+//! key that finds it); a stored filter is its evaluation tree over
+//! interned ids. A filter that arrives as bytes
 //! ([`FilterIndex::insert_wire`]) names the predicates the index already
 //! holds by their encoding, so only new predicates are decoded.
 //!
@@ -258,8 +259,8 @@ struct Scratch {
 
 #[derive(Debug)]
 struct PredEntry {
-    /// Shared with the entry's `pred_lookup` key.
-    pred: Arc<Predicate>,
+    /// Inline, not behind a pointer: the match path evaluates it.
+    pred: Predicate,
     /// The predicate's encoding, once a filter brought it as bytes
     /// ([`FilterIndex::insert_wire`]); shared with its `wire_lookup` key.
     wire: Option<Arc<[u8]>>,
@@ -274,7 +275,7 @@ struct PathGroup {
     gt: Vec<(f64, usize)>,
     ge: Vec<(f64, usize)>,
     /// Equality predicates keyed by the canonicalized operand.
-    eq: FastMap<Value, Vec<usize>>,
+    eq: HashMap<Value, Vec<usize>>,
     /// Predicates satisfied whenever the property exists.
     exists: Vec<usize>,
     /// Everything else: evaluated individually (still sharing the fetch).
@@ -349,14 +350,18 @@ pub struct FilterIndex {
     /// bucket exactly while its list is non-empty. Kept apart from `preds`
     /// so the counting loop reads nothing else per satisfied predicate.
     postings: Vec<Vec<usize>>,
-    pred_lookup: FastMap<Arc<Predicate>, usize>,
+    /// The maps keyed by what a peer chose (predicates, their encodings,
+    /// paths, operands) keep `std`'s keyed hasher: an unkeyed one would let
+    /// a peer ship predicates that all collide. `FastMap` is for the ids
+    /// the index assigns itself.
+    pred_lookup: HashMap<Predicate, usize>,
     /// Encoded predicate → its id, for the predicates that arrived as
     /// bytes: a filter from a peer names what the index holds without
     /// decoding it. The codec's encoding is deterministic and tells unequal
     /// predicates apart, so equal bytes are an equal predicate.
-    wire_lookup: FastMap<Arc<[u8]>, usize>,
+    wire_lookup: HashMap<Arc<[u8]>, usize>,
     free_preds: Vec<usize>,
-    groups: FastMap<PropPath, PathGroup>,
+    groups: HashMap<PropPath, PathGroup>,
     /// Slots whose tree must be evaluated on every event (satisfiable with
     /// zero true predicates).
     residual_trees: Vec<usize>,
@@ -409,7 +414,8 @@ impl FilterIndex {
     }
 
     /// Inserts a filter and returns its handle. A predicate the index
-    /// already holds is dropped; a new one is moved in, not copied.
+    /// already holds is dropped; a new one is moved in and copied once,
+    /// into its lookup key.
     pub fn insert(&mut self, filter: RemoteFilter) -> FilterId {
         let (predicates, eval) = filter.into_parts();
         let globals = predicates
@@ -550,7 +556,7 @@ impl FilterIndex {
         let predicates = stored
             .globals
             .iter()
-            .map(|&g| Predicate::clone(&self.preds[g].pred))
+            .map(|&g| self.preds[g].pred.clone())
             .collect();
         let eval = self.unstore(id)?;
         Some(RemoteFilter::from_parts_unchecked(predicates, eval))
@@ -1208,7 +1214,7 @@ impl FilterIndex {
                 .get(idx)
                 .filter(|e| e.refcount > 0 && e.wire.as_ref() == Some(wire))
                 .ok_or_else(|| format!("wire_lookup maps {wire:?} to mismatched entry {idx}"))?;
-            if WireFilter::decode_predicate(wire).as_ref() != Ok(&*entry.pred) {
+            if WireFilter::decode_predicate(wire).as_ref() != Ok(&entry.pred) {
                 return Err(format!(
                     "pred {idx} `{}` is known by bytes that do not decode to it",
                     entry.pred
@@ -1327,12 +1333,12 @@ impl FilterIndex {
             return idx;
         }
         self.live_preds += 1;
+        let key = pred.clone();
         let entry = PredEntry {
-            pred: Arc::new(pred),
+            pred,
             wire: None,
             refcount: 1,
         };
-        let key = Arc::clone(&entry.pred);
         let idx = match self.free_preds.pop() {
             Some(idx) => {
                 self.preds[idx] = entry;

@@ -620,7 +620,9 @@ mod index {
     /// but incomparable), empty strings, signed zero, and the integer
     /// boundaries where `f64` conversion goes lossy — each one a known way
     /// to knock a predicate off the batched fast path or flip a bucket
-    /// comparison. Ordinary operands appear twice as often as edge cases.
+    /// comparison — plus lists and records nested two deep, whose keys,
+    /// lengths and nesting the wire reader walks. Ordinary operands appear
+    /// as often as edge cases and nested values together.
     fn arb_edge_operand() -> impl Strategy<Value = Value> {
         let edges = proptest::sample::select(vec![
             Value::Float(f64::NAN),
@@ -639,7 +641,16 @@ mod index {
             Value::Unit,
             Value::List(vec![Value::Int(1), Value::Str("a".into())]),
         ]);
-        prop_oneof![arb_operand(), arb_operand(), edges]
+        let list = |element: BoxedStrategy<Value>| {
+            proptest::collection::vec(element, 0..3).prop_map(Value::List)
+        };
+        let record = |element: BoxedStrategy<Value>| {
+            proptest::collection::btree_map("[a-c]{0,2}", element, 0..3).prop_map(Value::Record)
+        };
+        let shallow =
+            || prop_oneof![list(arb_operand().boxed()), record(arb_operand().boxed())].boxed();
+        let nested = prop_oneof![list(shallow()), record(shallow()), shallow()];
+        prop_oneof![arb_operand(), arb_operand(), edges, nested]
     }
 
     fn arb_pred_with(
@@ -816,6 +827,59 @@ mod index {
         }
     }
 
+    /// The reader's variant lists are the codec's: each variant encodes as
+    /// its place in the list, and the first index past the list is one the
+    /// codec refuses too, with the reader's error.
+    #[test]
+    fn wire_tags_follow_the_codec() {
+        use crate::wire::{cmp_op_index, EvalTag, ValueTag, CMP_OPS};
+        fn refused<T: serde::de::DeserializeOwned + std::fmt::Debug>(name: &str, count: usize) {
+            assert_eq!(
+                psc_codec::from_bytes::<T>(&[count as u8]).unwrap_err(),
+                psc_codec::CodecError::Message(format!(
+                    "invalid variant index {count} for enum {name}"
+                )),
+            );
+        }
+        for (i, op) in CMP_OPS.iter().enumerate() {
+            assert_eq!(cmp_op_index(*op), i);
+            assert_eq!(psc_codec::to_bytes(op).unwrap(), [i as u8], "{op:?}");
+        }
+        refused::<CmpOp>("CmpOp", CMP_OPS.len());
+
+        let values = [
+            Value::Unit,
+            Value::Bool(true),
+            Value::Int(1),
+            Value::UInt(1),
+            Value::Float(1.0),
+            Value::Str("s".into()),
+            Value::List(Vec::new()),
+            Value::record([("k", Value::Unit)]),
+        ];
+        assert_eq!(values.len(), ValueTag::ALL.len());
+        for (i, (value, tag)) in values.iter().zip(ValueTag::ALL).enumerate() {
+            assert_eq!(ValueTag::of(value), tag);
+            assert_eq!(psc_codec::to_bytes(value).unwrap()[0], i as u8, "{value:?}");
+        }
+        refused::<Value>("Value", ValueTag::ALL.len());
+
+        let nodes = [
+            EvalNode::True,
+            EvalNode::False,
+            EvalNode::Pred(0),
+            EvalNode::And(Vec::new()),
+            EvalNode::Or(Vec::new()),
+            EvalNode::Not(Box::new(EvalNode::True)),
+        ];
+        assert_eq!(nodes.len(), EvalTag::ALL.len());
+        for (i, (node, tag)) in nodes.iter().zip(EvalTag::ALL).enumerate() {
+            assert_eq!(EvalTag::of(node), tag);
+            assert_eq!(psc_codec::to_bytes(node).unwrap()[0], i as u8, "{node:?}");
+        }
+        refused::<EvalNode>("EvalNode", EvalTag::ALL.len());
+    }
+
     /// Wraps a source, hiding its enumeration capability: forces the index
     /// down the per-path fallback so both phase-1 strategies are compared.
     struct FetchOnly<'a>(&'a Value);
@@ -826,26 +890,42 @@ mod index {
         }
     }
 
+    /// The ids of the `live` filters that match `event`, each judged by
+    /// its own predicates: a reference that shares no table with the
+    /// index, so an interning fault that `naive_matching` would repeat
+    /// (it evaluates the index's own predicate table) still shows.
+    fn reference(
+        live: &[(crate::FilterId, RemoteFilter)],
+        event: &dyn PropertySource,
+    ) -> Vec<crate::FilterId> {
+        let mut ids: Vec<_> = live
+            .iter()
+            .filter(|(_, filter)| filter.matches(event))
+            .map(|(id, _)| *id)
+            .collect();
+        ids.sort_unstable();
+        ids
+    }
+
     proptest! {
-        /// The factored index and the naive per-filter evaluation must be
-        /// extensionally equal — the factoring is a pure optimization.
+        /// The factored index, the naive per-filter evaluation and the
+        /// filters' own evaluation must be extensionally equal — the
+        /// factoring is a pure optimization.
         #[test]
         fn prop_factored_equals_naive(
             filters in proptest::collection::vec(arb_filter(), 0..12),
             events in proptest::collection::vec(arb_event(), 1..8),
         ) {
             let mut index = FilterIndex::new();
-            for f in filters {
-                index.insert(f);
-            }
+            let live: Vec<_> = filters.into_iter().map(|f| (index.insert(f.clone()), f)).collect();
             for event in &events {
                 let fast = index.matching(event);
-                let slow = index.naive_matching(event);
-                prop_assert_eq!(fast, slow);
+                prop_assert_eq!(&fast, &index.naive_matching(event));
+                prop_assert_eq!(&fast, &reference(&live, event));
             }
         }
 
-        /// Insert/remove churn keeps the index consistent with the oracle.
+        /// Insert/remove churn keeps the index consistent with the oracles.
         #[test]
         fn prop_consistent_under_churn(
             filters in proptest::collection::vec(arb_filter(), 4..10),
@@ -853,36 +933,41 @@ mod index {
             event in arb_event(),
         ) {
             let mut index = FilterIndex::new();
-            let ids: Vec<_> = filters.into_iter().map(|f| index.insert(f)).collect();
-            for (id, remove) in ids.iter().zip(&remove_mask) {
-                if *remove {
+            let mut live: Vec<_> = filters.into_iter().map(|f| (index.insert(f.clone()), f)).collect();
+            let mut mask = remove_mask.iter();
+            live.retain(|(id, _)| {
+                let remove = mask.next().copied().unwrap_or(false);
+                if remove {
                     index.remove(*id);
                 }
-            }
-            prop_assert_eq!(index.matching(&event), index.naive_matching(&event));
+                !remove
+            });
+            let fast = index.matching(&event);
+            prop_assert_eq!(&fast, &index.naive_matching(&event));
+            prop_assert_eq!(&fast, &reference(&live, &event));
         }
 
         /// The edge-value battery: NaN, empty strings, signed zero,
         /// integer boundaries past f64 precision, Unit/List operands, and
         /// non-indexable ops (`!=`, string suffix tests) that fall to the
         /// residual bucket — the counting engine, the per-path fallback
-        /// (non-enumerable source), and the naive oracle must agree on all
-        /// of it.
+        /// (non-enumerable source), the naive oracle and the filters' own
+        /// evaluation must agree on all of it.
         #[test]
         fn prop_indexed_equals_naive_on_edge_values(
             filters in proptest::collection::vec(arb_edge_filter(), 0..12),
             events in proptest::collection::vec(arb_edge_event(), 1..8),
         ) {
             let mut index = FilterIndex::new();
-            for f in filters {
-                index.insert(f);
-            }
+            let live: Vec<_> = filters.into_iter().map(|f| (index.insert(f.clone()), f)).collect();
             for event in &events {
                 let fast = index.matching(event);
                 let fallback = index.matching(&FetchOnly(event));
                 let slow = index.naive_matching(event);
-                prop_assert_eq!(&fast, &slow, "enumerated probe diverged from naive");
-                prop_assert_eq!(&fallback, &slow, "per-path fallback diverged from naive");
+                let own = reference(&live, event);
+                prop_assert_eq!(&fast, &own, "enumerated probe diverged from the filters");
+                prop_assert_eq!(&fallback, &own, "per-path fallback diverged from the filters");
+                prop_assert_eq!(&slow, &own, "naive evaluation diverged from the filters");
             }
             prop_assert_eq!(index.check_consistency(), Ok(()));
         }
@@ -890,7 +975,8 @@ mod index {
         /// Random interleavings of insert / remove / matching leave the
         /// posting lists, refcounts and bucket placement audit-clean after
         /// every step, and the surviving index statistically identical to
-        /// one rebuilt from scratch from the live filters.
+        /// one rebuilt from scratch from the live filters. Every survivor
+        /// then comes back out exactly as it went in.
         #[test]
         fn prop_interleaved_churn_matches_a_rebuilt_index(
             script in proptest::collection::vec(
@@ -929,10 +1015,9 @@ mod index {
                         }
                     }
                     ChurnStep::Match(event) => {
-                        prop_assert_eq!(
-                            index.matching(&event),
-                            index.naive_matching(&event)
-                        );
+                        let fast = index.matching(&event);
+                        prop_assert_eq!(&fast, &index.naive_matching(&event));
+                        prop_assert_eq!(&fast, &reference(&live, &event));
                     }
                 }
                 prop_assert_eq!(index.check_consistency(), Ok(()));
@@ -950,6 +1035,11 @@ mod index {
                 index.matching(&event).len(),
                 rebuilt.matching(&event).len()
             );
+            for (id, filter) in live {
+                prop_assert_eq!(index.remove(id), Some(filter));
+            }
+            prop_assert_eq!(index.stats(), FilterIndex::new().stats());
+            prop_assert_eq!(index.check_consistency(), Ok(()));
         }
     }
 

@@ -20,11 +20,139 @@
 //! reads integers with the codec's own varint functions. The property
 //! tests `wire_parse_agrees_with_the_codec` and
 //! `wire_parse_agrees_at_the_depth_bound` compare the two.
+//!
+//! The enums it walks are named by their variants, not counted by hand:
+//! `CMP_OPS`, `ValueTag` and `EvalTag` list them in declaration order
+//! (the codec's variant index), and each is tied to its enum by an
+//! exhaustive `match`, so a variant added to `CmpOp`, `Value` or `EvalNode`
+//! stops this module compiling until the reader learns it. The test
+//! `wire_tags_follow_the_codec` checks the order and the count against the
+//! codec.
 
 use psc_codec::{varint, CodecError, MAX_DEPTH};
 
 use crate::expr::check_tree;
-use crate::{EvalNode, InvalidFilter, Predicate, MAX_WIRE_PREDICATES};
+use crate::{CmpOp, EvalNode, InvalidFilter, Predicate, Value, MAX_WIRE_PREDICATES};
+
+/// `CmpOp`'s variants in declaration order.
+pub(crate) const CMP_OPS: [CmpOp; 10] = [
+    CmpOp::Eq,
+    CmpOp::Ne,
+    CmpOp::Lt,
+    CmpOp::Le,
+    CmpOp::Gt,
+    CmpOp::Ge,
+    CmpOp::Contains,
+    CmpOp::StartsWith,
+    CmpOp::EndsWith,
+    CmpOp::Exists,
+];
+
+/// `op`'s place in `CMP_OPS`: exhaustive, so a new operator does not
+/// compile until it is listed there.
+pub(crate) const fn cmp_op_index(op: CmpOp) -> usize {
+    match op {
+        CmpOp::Eq => 0,
+        CmpOp::Ne => 1,
+        CmpOp::Lt => 2,
+        CmpOp::Le => 3,
+        CmpOp::Gt => 4,
+        CmpOp::Ge => 5,
+        CmpOp::Contains => 6,
+        CmpOp::StartsWith => 7,
+        CmpOp::EndsWith => 8,
+        CmpOp::Exists => 9,
+    }
+}
+
+const _: () = {
+    let mut i = 0;
+    while i < CMP_OPS.len() {
+        assert!(cmp_op_index(CMP_OPS[i]) == i, "CMP_OPS is out of order");
+        i += 1;
+    }
+};
+
+/// `Value`'s variants in declaration order: what follows the index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ValueTag {
+    Unit,
+    Bool,
+    Int,
+    UInt,
+    Float,
+    Str,
+    List,
+    Record,
+}
+
+impl ValueTag {
+    pub(crate) const ALL: [ValueTag; 8] = [
+        ValueTag::Unit,
+        ValueTag::Bool,
+        ValueTag::Int,
+        ValueTag::UInt,
+        ValueTag::Float,
+        ValueTag::Str,
+        ValueTag::List,
+        ValueTag::Record,
+    ];
+
+    /// Exhaustive over `Value`, so a new variant does not compile until it
+    /// has a tag.
+    pub(crate) fn of(value: &Value) -> ValueTag {
+        match value {
+            Value::Unit => ValueTag::Unit,
+            Value::Bool(_) => ValueTag::Bool,
+            Value::Int(_) => ValueTag::Int,
+            Value::UInt(_) => ValueTag::UInt,
+            Value::Float(_) => ValueTag::Float,
+            Value::Str(_) => ValueTag::Str,
+            Value::List(_) => ValueTag::List,
+            Value::Record(_) => ValueTag::Record,
+        }
+    }
+}
+
+/// `EvalNode`'s variants in declaration order: what follows the index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum EvalTag {
+    True,
+    False,
+    Pred,
+    And,
+    Or,
+    Not,
+}
+
+impl EvalTag {
+    pub(crate) const ALL: [EvalTag; 6] = [
+        EvalTag::True,
+        EvalTag::False,
+        EvalTag::Pred,
+        EvalTag::And,
+        EvalTag::Or,
+        EvalTag::Not,
+    ];
+
+    /// Exhaustive over `EvalNode`, so a new node does not compile until it
+    /// has a tag.
+    pub(crate) fn of(node: &EvalNode) -> EvalTag {
+        match node {
+            EvalNode::True => EvalTag::True,
+            EvalNode::False => EvalTag::False,
+            EvalNode::Pred(_) => EvalTag::Pred,
+            EvalNode::And(_) => EvalTag::And,
+            EvalNode::Or(_) => EvalTag::Or,
+            EvalNode::Not(_) => EvalTag::Not,
+        }
+    }
+}
+
+// The tags' `of` are the compile-time tie; naming them here keeps them
+// built outside the tests too.
+const _: fn(&Value) -> ValueTag = ValueTag::of;
+const _: fn(&EvalNode) -> EvalTag = EvalTag::of;
 
 /// A checked, encoded filter: its evaluation tree, decoded, and its
 /// predicates as the byte spans that encode them.
@@ -167,42 +295,39 @@ impl<'a> Reader<'a> {
         self.nested(|r| (0..len).try_for_each(|_| read(r)))
     }
 
-    /// An enum's variant index, below `variants`; the caller reads the
-    /// content inside the same nesting level.
-    fn variant(&mut self, name: &str, variants: u32) -> Read<u32> {
+    /// An enum's variant, named by its index into `variants` (the enum's
+    /// variants in declaration order); the caller reads the content inside
+    /// the same nesting level.
+    fn variant<T: Copy>(&mut self, name: &str, variants: &[T]) -> Read<T> {
         let index = u32::try_from(self.u64()?).map_err(|_| CodecError::IntegerOutOfRange)?;
-        if index >= variants {
-            return Err(CodecError::Message(format!(
-                "invalid variant index {index} for enum {name}"
-            )));
-        }
-        Ok(index)
+        variants.get(index as usize).copied().ok_or_else(|| {
+            CodecError::Message(format!("invalid variant index {index} for enum {name}"))
+        })
     }
 
     /// A `Predicate { path: PropPath { segments }, op: CmpOp, operand }`.
     fn predicate(&mut self) -> Read<()> {
         self.nested(|r| {
             r.nested(|r| r.skip_seq(Reader::string))?;
-            r.nested(|r| r.variant("CmpOp", 10).map(drop))?;
+            r.nested(|r| r.variant("CmpOp", &CMP_OPS).map(drop))?;
             r.value()
         })
     }
 
-    /// A `Value`: `Unit`, `Bool`, `Int`, `UInt`, `Float`, `Str`, `List`,
-    /// `Record`.
+    /// A `Value`.
     fn value(&mut self) -> Read<()> {
-        self.nested(|r| match r.variant("Value", 8)? {
-            0 => Ok(()),
-            1 => match r.take(1)?[0] {
+        self.nested(|r| match r.variant("Value", &ValueTag::ALL)? {
+            ValueTag::Unit => Ok(()),
+            ValueTag::Bool => match r.take(1)?[0] {
                 0 | 1 => Ok(()),
                 value => Err(CodecError::InvalidBool { value }),
             },
-            2 => varint::decode_i64(r.input, r.offset).map(|(_, len)| r.offset += len),
-            3 => r.u64().map(drop),
-            4 => r.take(8).map(drop),
-            5 => r.string(),
-            6 => r.skip_seq(Reader::value),
-            _ => {
+            ValueTag::Int => varint::decode_i64(r.input, r.offset).map(|(_, len)| r.offset += len),
+            ValueTag::UInt => r.u64().map(drop),
+            ValueTag::Float => r.take(8).map(drop),
+            ValueTag::Str => r.string(),
+            ValueTag::List => r.skip_seq(Reader::value),
+            ValueTag::Record => {
                 let len = r.len()?;
                 r.nested(|r| {
                     (0..len).try_for_each(|_| {
@@ -214,19 +339,19 @@ impl<'a> Reader<'a> {
         })
     }
 
-    /// An `EvalNode`: `True`, `False`, `Pred`, `And`, `Or`, `Not`.
+    /// An `EvalNode`.
     fn eval(&mut self) -> Read<EvalNode> {
         self.nested(|r| {
-            Ok(match r.variant("EvalNode", 6)? {
-                0 => EvalNode::True,
-                1 => EvalNode::False,
-                2 => EvalNode::Pred(
+            Ok(match r.variant("EvalNode", &EvalTag::ALL)? {
+                EvalTag::True => EvalNode::True,
+                EvalTag::False => EvalNode::False,
+                EvalTag::Pred => EvalNode::Pred(
                     usize::try_from(r.u64()?)
                         .map_err(|_| CodecError::Message("usize out of range".into()))?,
                 ),
-                3 => EvalNode::And(r.seq(Reader::eval)?),
-                4 => EvalNode::Or(r.seq(Reader::eval)?),
-                _ => EvalNode::Not(Box::new(r.eval()?)),
+                EvalTag::And => EvalNode::And(r.seq(Reader::eval)?),
+                EvalTag::Or => EvalNode::Or(r.seq(Reader::eval)?),
+                EvalTag::Not => EvalNode::Not(Box::new(r.eval()?)),
             })
         })
     }

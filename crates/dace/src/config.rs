@@ -20,7 +20,8 @@ pub enum Placement {
     Subscriber,
 }
 
-/// Configuration of a DACE node.
+/// Configuration of a DACE node. It holds no model of the network: the
+/// transport's own queues are the uplink.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DaceConfig {
     /// Remote-filter placement for best-effort channels.
@@ -28,13 +29,6 @@ pub struct DaceConfig {
     /// When set, best-effort channels use gossip (lpbcast) instead of
     /// direct per-subscriber sends — the scalable substrate of §4.2.
     pub gossip: Option<LpbcastConfig>,
-    /// Serialization interval of the bandwidth-limited transmit queue: the
-    /// uplink is busy for one interval after every send, so at most one
-    /// direct obvent leaves the node per interval. An obvent published to
-    /// an idle uplink leaves at once; the ones that find it busy queue,
-    /// and that backlog is where priorities reorder and `Timely` obvents
-    /// expire.
-    pub transmit_interval: Duration,
     /// Period of the control plane's anti-entropy: each node sends every
     /// peer one digest of its subscription set (a peer whose view
     /// disagrees pulls the whole set) and re-advertises its published
@@ -42,7 +36,7 @@ pub struct DaceConfig {
     pub announce_interval: Duration,
     /// Stall-watchdog sweep period. `None` (the default) disables the
     /// watchdog and leaves the simulator's event schedule untouched; when
-    /// set, the node periodically feeds its transmit/parked/channel queue
+    /// set, the node periodically feeds its parked and channel queue
     /// depths into a health monitor that emits `health.*` metrics.
     pub watchdog: Option<Duration>,
 }
@@ -52,7 +46,6 @@ impl Default for DaceConfig {
         DaceConfig {
             placement: Placement::Publisher,
             gossip: None,
-            transmit_interval: Duration::from_micros(100),
             announce_interval: Duration::from_millis(200),
             watchdog: None,
         }

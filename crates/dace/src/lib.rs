@@ -26,9 +26,9 @@
 //!   publisher, at a designated filtering host (broker), or applied at
 //!   subscribers only — the trade-off experiment E2 measures;
 //! - **transmission semantics**: on best-effort channels (the only place
-//!   the Fig. 4 precedence rules allow them) obvents with a `priority`
-//!   property jump the bandwidth-limited transmit queue and `Timely`
-//!   obvents expire in it;
+//!   the Fig. 4 precedence rules allow them) the direct sends of one
+//!   callback leave highest `priority` first, and a `Timely` obvent that
+//!   arrives after its deadline is dropped by the receiver;
 //! - an **in-process bus** ([`inproc`]) wiring several live domains
 //!   together for the runnable examples.
 //!

@@ -8,8 +8,8 @@
 //! docs for the architecture.
 
 use std::any::Any;
-use std::cmp::Ordering as CmpOrdering;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
@@ -202,7 +202,6 @@ struct WalReport {
 
 enum DaceTimer {
     Announce,
-    Transmit,
     Channel(KindId, TimerToken),
     /// Periodic stall-watchdog sweep ([`DaceConfig::watchdog`]).
     Watchdog,
@@ -212,37 +211,13 @@ enum DaceTimer {
     SnapRetry,
 }
 
+/// A direct send staged by the current callback.
 struct TransmitItem {
     priority: i64,
-    seq: u64,
     to: NodeId,
     /// Pre-encoded `NodeMsg::Direct`, shared by every destination of the
-    /// publish that enqueued it (serialize-once fan-out).
+    /// publish that staged it (serialize-once fan-out).
     encoded: WireBytes,
-    /// Trace id of the carried obvent (for expiry attribution without
-    /// re-decoding `encoded`).
-    trace: TraceId,
-    deadline: Option<SimTime>,
-}
-
-impl PartialEq for TransmitItem {
-    fn eq(&self, other: &Self) -> bool {
-        self.priority == other.priority && self.seq == other.seq
-    }
-}
-impl Eq for TransmitItem {}
-impl PartialOrd for TransmitItem {
-    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TransmitItem {
-    fn cmp(&self, other: &Self) -> CmpOrdering {
-        // Max-heap: higher priority first; FIFO (lower seq) among equals.
-        self.priority
-            .cmp(&other.priority)
-            .then(other.seq.cmp(&self.seq))
-    }
 }
 
 /// How a channel routes to one subscription it knows about.
@@ -455,11 +430,9 @@ pub struct DaceNode {
     /// the peer's.
     digests: FastMap<u64, SetDigest>,
     timer_map: HashMap<TimerId, DaceTimer>,
-    transmit: BinaryHeap<TransmitItem>,
-    transmit_seq: u64,
-    /// The uplink is busy: an obvent left it less than one
-    /// `transmit_interval` ago, and the timer that ends the interval is set.
-    transmit_armed: bool,
+    /// Direct sends staged by the current callback, in staging order;
+    /// [`flush`](Self::flush) sends them highest priority first.
+    transmit: Vec<TransmitItem>,
     /// Per-callback control outbox: messages queued per destination and
     /// coalesced into [`NodeMsg::Batch`] frames on flush (installing many
     /// subscriptions fans many small control floods to the same peers in
@@ -483,8 +456,8 @@ pub struct DaceNode {
     telemetry: Arc<Registry>,
     /// Causal event recorder for wire-carried [`TraceId`]s.
     tracer: Arc<Tracer>,
-    /// Per-node flight recorder (publishes, deliveries, expiries, health
-    /// findings); externally owned so post-mortems survive crash rebuilds.
+    /// Per-node flight recorder (publishes, deliveries, health findings);
+    /// externally owned so post-mortems survive crash rebuilds.
     recorder: Option<Arc<FlightRecorder>>,
     /// Stall-watchdog state machine, fed by [`DaceConfig::watchdog`]
     /// sweeps; externally owned so watermarks survive crash rebuilds.
@@ -563,9 +536,7 @@ impl DaceNode {
             channels: FastMap::default(),
             digests: FastMap::default(),
             timer_map: HashMap::new(),
-            transmit: BinaryHeap::new(),
-            transmit_seq: 0,
-            transmit_armed: false,
+            transmit: Vec::new(),
             outbox: FastMap::default(),
             outbox_order: Vec::new(),
             durable_pending: HashMap::new(),
@@ -927,9 +898,7 @@ impl DaceNode {
             }
         }
         self.flush_outbox(ctx);
-        if !self.transmit_armed {
-            self.drain_one_transmit(ctx);
-        }
+        self.flush_transmit(ctx);
         self.wal_commit(ctx);
     }
 
@@ -1156,7 +1125,7 @@ impl DaceNode {
         if let Placement::Broker(broker) = self.config.placement {
             if broker != me {
                 // Brokered envelopes go upstream immediately (single
-                // message), bypassing the paced transmit queue.
+                // message); the broker orders the fan-out by priority.
                 ctx.send(broker, encode_node_msg(&NodeMsg::Brokered(wire)));
                 return;
             }
@@ -1185,7 +1154,7 @@ impl DaceNode {
             format!("at=n{} dests={}", me.0, destinations.len()),
         );
         // Serialize-once fan-out: the Direct envelope is encoded at most
-        // once per publish, and every remote destination's queue entry
+        // once per publish, and every remote destination's staged send
         // shares that buffer.
         let trace = wire.trace_id();
         let deadline_us = deadline.map(|d| d.as_micros());
@@ -1203,70 +1172,28 @@ impl DaceNode {
                         })
                     })
                     .clone();
-                self.enqueue_transmit(ctx, dest, bytes, trace, priority, deadline);
+                self.tracer.record(
+                    trace,
+                    ctx.now().as_micros(),
+                    TraceStage::TransmitEnqueue,
+                    format!("to=n{}", dest.0),
+                );
+                self.transmit.push(TransmitItem {
+                    priority,
+                    to: dest,
+                    encoded: bytes,
+                });
             }
         }
     }
 
-    fn enqueue_transmit(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        to: NodeId,
-        encoded: WireBytes,
-        trace: TraceId,
-        priority: i64,
-        deadline: Option<SimTime>,
-    ) {
-        self.transmit_seq += 1;
-        let item = TransmitItem {
-            priority,
-            seq: self.transmit_seq,
-            to,
-            encoded,
-            trace,
-            deadline,
-        };
-        self.tracer.record(
-            trace,
-            ctx.now().as_micros(),
-            TraceStage::TransmitEnqueue,
-            format!("to=n{}", to.0),
-        );
-        self.transmit.push(item);
-    }
-
-    /// Sends the most urgent queued item that has not expired, and marks
-    /// the uplink busy for one `transmit_interval`. Called on an idle
-    /// uplink only, after all of a callback's ops, so a burst still leaves
-    /// highest-priority-first at one item per interval while a lone
-    /// publish leaves at once.
-    fn drain_one_transmit(&mut self, ctx: &mut Ctx<'_>) {
-        let now = ctx.now();
-        while let Some(item) = self.transmit.pop() {
-            if let Some(deadline) = item.deadline {
-                if now > deadline {
-                    self.telemetry.bump("dace.expired", 1);
-                    self.tracer.record(
-                        item.trace,
-                        now.as_micros(),
-                        TraceStage::Expired,
-                        "in-queue".to_string(),
-                    );
-                    if let Some(recorder) = &self.recorder {
-                        recorder.record(
-                            now.as_micros(),
-                            "expired",
-                            format!("{} in-queue", item.trace),
-                        );
-                    }
-                    continue; // expired in the queue
-                }
-            }
+    /// Sends the callback's staged direct sends, highest priority first
+    /// and in staging order among equals. `Timely` deadlines are checked by
+    /// the receiver on arrival: nothing waits here for one to pass.
+    fn flush_transmit(&mut self, ctx: &mut Ctx<'_>) {
+        self.transmit.sort_by_key(|item| Reverse(item.priority));
+        for item in self.transmit.drain(..) {
             ctx.send(item.to, item.encoded);
-            self.transmit_armed = true;
-            let id = ctx.set_timer(self.config.transmit_interval);
-            self.timer_map.insert(id, DaceTimer::Transmit);
-            break;
         }
     }
 
@@ -1582,15 +1509,13 @@ impl DaceNode {
         }
     }
 
-    /// One watchdog sweep: transmit/parked depths, every live channel
+    /// One watchdog sweep: the parked depth, every live channel
     /// protocol's queue depths (prefixed with the channel's kind name), and
     /// the counter snapshot, in a stable order.
     fn watchdog_sweep(&mut self, now: SimTime) {
         let Some(health) = &self.health else { return };
-        let mut depths: Vec<(String, u64)> = vec![
-            ("dace.transmit".to_string(), self.transmit.len() as u64),
-            ("dace.parked".to_string(), self.parked.len() as u64),
-        ];
+        let mut depths: Vec<(String, u64)> =
+            vec![("dace.parked".to_string(), self.parked.len() as u64)];
         let mut kinds: Vec<KindId> = self.channels.keys().copied().collect();
         kinds.sort();
         for kind in kinds {
@@ -2145,9 +2070,6 @@ impl Node for DaceNode {
         self.ensure_id(ctx);
         match self.timer_map.remove(&timer) {
             Some(DaceTimer::Announce) => self.announce(ctx),
-            // The interval after the last send is over; `flush` sends the
-            // next item, if one is waiting.
-            Some(DaceTimer::Transmit) => self.transmit_armed = false,
             Some(DaceTimer::Channel(kind, token)) => {
                 self.with_channel_proto(ctx, kind, |proto, io| proto.on_timer(io, token));
             }
@@ -2197,8 +2119,7 @@ impl Inspect for DaceNode {
                 .join(",")
         ));
         report.line(format!(
-            "queues transmit={} parked={} durable_pending={}",
-            self.transmit.len(),
+            "queues parked={} durable_pending={}",
             self.parked.len(),
             self.durable_pending.len()
         ));

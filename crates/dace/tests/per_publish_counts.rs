@@ -97,6 +97,40 @@ fn best_effort_fanout_encodes_once_per_publish_whatever_the_fanout() {
     assert_eq!(wide, narrow, "codec.encodes per publish must not grow with fan-out");
 }
 
+/// A direct publish costs the simulator its deliveries and nothing else:
+/// no timer is armed to pace the sends, so 20 publishes to 2 subscribers
+/// are 40 delivery events, plus the 2 advertisements of the kind's first
+/// publish.
+#[test]
+fn a_direct_publish_costs_one_event_per_delivery() {
+    // Takes its turn: its traffic would bump the others' global counts.
+    let _turn = ONE_AT_A_TIME.lock().unwrap();
+    let config = DaceConfig {
+        announce_interval: Duration::from_secs(30),
+        ..DaceConfig::default()
+    };
+    let (mut sim, ids, _registry) = cluster(3, config);
+    let delivered = Arc::new(AtomicU64::new(0));
+    for &id in &ids[1..] {
+        let delivered = Arc::clone(&delivered);
+        DaceNode::drive(&mut sim, id, move |domain| {
+            let sub = domain.subscribe(FilterSpec::accept_all(), move |_t: PlainTick| {
+                delivered.fetch_add(1, Ordering::Relaxed);
+            });
+            sub.activate().unwrap();
+            sub.detach();
+        });
+    }
+    settle(&mut sim, 50);
+    let mut events = 0;
+    for n in 0..20 {
+        DaceNode::publish_from(&mut sim, ids[0], PlainTick::new(n));
+        events += sim.run_until(sim.now() + Duration::from_millis(10));
+    }
+    assert_eq!(delivered.load(Ordering::Relaxed), 40);
+    assert_eq!(events, 42, "simulator events over 20 publishes");
+}
+
 fn attach_durable(sim: &mut SimNet, node: NodeId) -> Arc<AtomicU64> {
     let delivered = Arc::new(AtomicU64::new(0));
     let counter = Arc::clone(&delivered);

@@ -12,10 +12,17 @@ use psc_harness::stack::{
     run_stack, FilterKind, FuzzBase, FuzzLeaf, FuzzMid, FuzzSide, Level, StackScenario,
 };
 use psc_net::{DaceEndpoint, NetConfig, NetTransport};
+use psc_obvent::builtin::Prioritary;
+use psc_obvent::declare_obvent_model;
 use psc_simnet::{Node, NodeId};
 use psc_telemetry::{Inspect, Registry};
+use pubsub_core::FilterSpec;
 
 type Sink = Arc<Mutex<Vec<u64>>>;
+
+declare_obvent_model! {
+    pub class UrgentTick implements [Prioritary] { n: u64, priority: i32 }
+}
 
 /// Starts `n` endpoints on ephemeral loopback ports, fully meshed.
 fn start_cluster(n: usize, dace: DaceConfig) -> Vec<DaceEndpoint> {
@@ -360,4 +367,61 @@ fn single_node_loopback_delivers_locally() {
     assert_eq!(tags, vec![0, 1]);
     assert_eq!(endpoint.metrics().counter("net.msgs_sent"), 0, "no socket traffic");
     endpoint.shutdown();
+}
+
+/// The direct sends of one callback leave highest priority first over real
+/// TCP too: n0 publishes 5 low-priority obvents and then a high-priority
+/// one inside one `with_domain`, and n1 is delivered the high-priority one
+/// first. `Timely` expiry is tested in the simulator only: the receiver
+/// compares the publisher's deadline with its own clock, and live nodes do
+/// not share a clock.
+#[test]
+fn prioritary_obvents_of_one_callback_arrive_highest_first() {
+    let endpoints = start_cluster(2, DaceConfig::default());
+    let seen: Sink = Arc::new(Mutex::new(Vec::new()));
+    let recorder = Arc::clone(&seen);
+    endpoints[1].with_domain(move |domain| {
+        let sub = domain.subscribe(FilterSpec::accept_all(), move |t: UrgentTick| {
+            recorder.lock().unwrap().push(*t.n());
+        });
+        sub.activate().expect("activate");
+        sub.detach();
+    });
+    // Probe (tags from 1 000 on) until n0 routes to n1's subscription.
+    let deadline = Instant::now() + StdDuration::from_secs(10);
+    for probe in 1_000u64.. {
+        assert!(
+            Instant::now() < deadline,
+            "n1's subscription never reached n0"
+        );
+        endpoints[0].with_domain(move |domain| {
+            domain.publish(UrgentTick::new(probe, 0)).expect("publish");
+        });
+        std::thread::sleep(StdDuration::from_millis(20));
+        if !seen.lock().unwrap().is_empty() {
+            break;
+        }
+    }
+    endpoints[0].with_domain(|domain| {
+        for n in 0..5u64 {
+            domain.publish(UrgentTick::new(n, 0)).expect("publish");
+        }
+        domain.publish(UrgentTick::new(99, 10)).expect("publish");
+    });
+    let burst = || -> Vec<u64> {
+        seen.lock()
+            .unwrap()
+            .iter()
+            .copied()
+            .filter(|&n| n < 1_000)
+            .collect()
+    };
+    let deadline = Instant::now() + StdDuration::from_secs(10);
+    while burst().len() < 6 && Instant::now() < deadline {
+        std::thread::sleep(StdDuration::from_millis(10));
+    }
+    assert_eq!(burst(), vec![99, 0, 1, 2, 3, 4]);
+    for endpoint in &endpoints {
+        endpoint.shutdown();
+    }
 }

@@ -2,9 +2,10 @@
 //!
 //! A sensor node feeds a monitoring station over a slow link:
 //!
-//! - routine readings are `Timely` — stale data is worthless, so backlogged
-//!   readings expire in transit;
-//! - alarms are `Prioritary` — they overtake queued readings;
+//! - routine readings are `Timely` — stale data is worthless, so a reading
+//!   whose TTL runs out in transit is dropped by the station on arrival;
+//! - alarms are `Prioritary` — they leave ahead of the readings published
+//!   with them;
 //! - audit records are `Certified` — they must survive the station
 //!   crashing and recovering.
 //!
@@ -20,11 +21,11 @@ use std::sync::{Arc, Mutex};
 use javaps::dace::{DaceConfig, DaceNode};
 use javaps::obvent::builtin::{Certified, Prioritary, Timely};
 use javaps::pubsub::{obvent, FilterSpec};
-use javaps::simnet::{Duration, NodeId, SimConfig, SimNet, SimTime};
+use javaps::simnet::{Duration, LatencyModel, NodeId, SimConfig, SimNet, SimTime};
 use javaps::telemetry::{Registry, TraceStage, Tracer};
 
 obvent! {
-    /// Routine reading: expires after `ttl_ms` in transit.
+    /// Routine reading: expires `ttl_ms` after it is published.
     pub class Reading implements [Timely] {
         sensor: String,
         value: f64,
@@ -34,7 +35,7 @@ obvent! {
 }
 
 obvent! {
-    /// Alarm: jumps the transmit queue.
+    /// Alarm: sent ahead of lower-priority obvents.
     pub class Alarm implements [Prioritary] {
         sensor: String,
         message: String,
@@ -61,12 +62,12 @@ fn main() {
     let telemetry = Arc::new(Registry::new());
     let tracer = Arc::new(Tracer::default());
 
-    // 10 ms serialization delay per message: a very slow uplink.
-    let config = DaceConfig {
-        transmit_interval: Duration::from_millis(10),
-        ..DaceConfig::default()
-    };
-    let mut sim = SimNet::new(SimConfig::with_seed(7));
+    // Every message takes 10 ms from sensor to station: a very slow link.
+    let config = DaceConfig::default();
+    let mut sim = SimNet::new(SimConfig {
+        latency: LatencyModel::Fixed(Duration::from_millis(10)),
+        ..SimConfig::with_seed(7)
+    });
     let ids: Vec<NodeId> = vec![NodeId(0), NodeId(1)];
     for name in ["sensor", "station"] {
         sim.add_node(
@@ -106,14 +107,14 @@ fn main() {
     });
     sim.run_until(SimTime::from_millis(10));
 
-    // Burst of readings, then an alarm published last but needed first.
-    // The uplink is idle, so the alarm leaves at once; the readings follow
-    // one per 10 ms, and with a 25 ms TTL those still queued after two
-    // have left expire.
+    // Burst of readings, then an alarm published last but needed first:
+    // the alarm leaves first. Readings alternate a 5 ms and a 25 ms TTL,
+    // so the 10 ms link outlasts exactly the short ones.
     DaceNode::drive(&mut sim, sensor, |domain| {
         for i in 0..5u64 {
+            let ttl_ms = if i % 2 == 0 { 5 } else { 25 };
             domain
-                .publish(Reading::new("temp".into(), 20.0 + i as f64, 25, 0))
+                .publish(Reading::new("temp".into(), 20.0 + i as f64, ttl_ms, 0))
                 .unwrap();
         }
         domain
@@ -133,9 +134,11 @@ fn main() {
         "the prioritary alarm must arrive first"
     );
     let delivered_readings = readings.lock().unwrap().len();
+    // Counted by the station, whose on-arrival check drops them.
     let expired = telemetry.snapshot().counter("dace.expired");
     println!("readings delivered: {delivered_readings}/5, expired in transit: {expired}");
     assert!(delivered_readings < 5, "some readings must expire");
+    assert_eq!(delivered_readings, 2, "exactly the 25 ms readings arrive");
     assert_eq!(expired as usize, 5 - delivered_readings);
 
     // One traced publish path: every hop of the alarm, across both nodes,

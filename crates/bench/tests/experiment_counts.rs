@@ -45,15 +45,17 @@ fn e2_placement_traffic_at_four_subscribers() {
 /// E3: (messages sent, deliveries) per protocol, in the order
 /// `exp_delivery_semantics` prints them — 8 nodes at 0, 5 and 20 % loss,
 /// then 3 nodes at 20 %. Complete is 160 deliveries on 8 nodes, 60 on 3:
-/// every kind above best-effort, under every loss.
+/// every kind above best-effort, under every loss. `certified`'s cells
+/// under loss follow the delivery layer's 40 ms retransmission interval,
+/// which it shares with the reliable kinds.
 #[test]
 fn e3_delivery_ladder_counts() {
     let _turn = turn();
     let expected: [[(u64, usize); 6]; 4] = [
         [(140, 160), (1_120, 160), (1_120, 160), (1_120, 160), (314, 160), (280, 160)],
-        [(140, 154), (1_140, 160), (1_140, 160), (1_140, 160), (333, 160), (298, 160)],
-        [(140, 138), (1_206, 160), (1_206, 160), (1_206, 160), (409, 160), (352, 160)],
-        [(40, 53), (139, 60), (139, 60), (139, 60), (135, 60), (110, 60)],
+        [(140, 154), (1_140, 160), (1_140, 160), (1_140, 160), (333, 160), (294, 160)],
+        [(140, 138), (1_206, 160), (1_206, 160), (1_206, 160), (409, 160), (360, 160)],
+        [(40, 53), (139, 60), (139, 60), (139, 60), (135, 60), (104, 60)],
     ];
     for ((nodes, loss), row) in [(8, 0.0), (8, 0.05), (8, 0.2), (3, 0.2)].into_iter().zip(expected) {
         for ((name, make), cell) in PROTOCOLS.into_iter().zip(row) {
@@ -104,11 +106,14 @@ fn e11_one_probe_per_event_and_equality_gated_candidates() {
 
 /// E15: at every loss rate the wave completes without force-closing a
 /// recording and renders byte-identically on replay; markers, retries and
-/// virtual completion time are the table's.
+/// virtual completion time are the table's. The certified workload's
+/// retransmissions share the simulator's loss draws with the markers, so
+/// the 30 % row's completion time follows the delivery layer's 40 ms
+/// retransmission interval.
 #[test]
 fn e15_the_snapshot_wave_at_loss_0_10_30() {
     let _turn = turn();
-    for (loss, markers, retries, wave_ms) in [(0.0, 6, 0, 12), (0.1, 6, 0, 10), (0.3, 10, 2, 54)] {
+    for (loss, markers, retries, wave_ms) in [(0.0, 6, 0, 12), (0.1, 6, 0, 10), (0.3, 10, 2, 58)] {
         let (first, replay) = (run_wave(loss), run_wave(loss));
         assert!(first.completed, "loss {loss}: the cut must assemble");
         assert!(

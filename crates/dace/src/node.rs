@@ -1573,9 +1573,12 @@ impl DaceNode {
                 bytes,
             } => {
                 // Identify the carried obvent when this frame is a data
-                // frame (acks/retransmit-requests have no identity and are
+                // frame of an earlier wave, the only kind a recording
+                // takes (acks/retransmit-requests have no identity and are
                 // recorded by size only).
-                let id = proto_name_for(*channel)
+                let id = (*snap < self.snap.wave)
+                    .then(|| proto_name_for(*channel, &self.config))
+                    .flatten()
                     .and_then(|proto| psc_group::peek_data_id(proto, bytes))
                     .map(|(origin, epoch, seq)| MsgRef::new(origin, epoch, seq));
                 (*snap, channel.as_u64(), id, bytes.len() as u64)
@@ -2273,24 +2276,14 @@ fn make_proto(qos: &QosSpec, config: &DaceConfig) -> Option<Box<dyn Multicast>> 
     }
 }
 
-/// The `proto_name` of the protocol [`make_proto`] would choose for
-/// `kind`'s QoS — without constructing it. The snapshot in-flight recorder
-/// needs the name to decode frame identities before the frame's channel
-/// has been created.
-fn proto_name_for(kind: KindId) -> Option<&'static str> {
+/// The `proto_name` of the protocol [`make_proto`] chooses for `kind`'s
+/// QoS. The snapshot in-flight recorder needs the name to decode frame
+/// identities before the frame's channel has been created.
+fn proto_name_for(kind: KindId, config: &DaceConfig) -> Option<&'static str> {
     let qos = psc_obvent::registry::lookup(kind)
         .map(|k| k.qos().clone())
         .unwrap_or_default();
-    match qos.ordering {
-        Ordering::Total => Some("total"),
-        Ordering::Causal => Some("causal"),
-        Ordering::Fifo => Some("fifo"),
-        Ordering::None => match qos.delivery {
-            Delivery::Certified => Some("certified"),
-            Delivery::Reliable => Some("reliable"),
-            Delivery::Unreliable => None,
-        },
-    }
+    make_proto(&qos, config).map(|proto| proto.proto_name())
 }
 
 fn encode_node_msg(msg: &NodeMsg) -> WireBytes {
@@ -2342,7 +2335,108 @@ fn kind_name(kind: KindId) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::{batch_runs, BATCH_BUDGET};
+    use psc_codec::WireBytes;
+    use psc_group::{GroupIo, TimerToken};
+    use psc_obvent::builtin::{CausalOrder, Certified, FifoOrder, Reliable, TotalOrder};
+    use psc_obvent::{declare_obvent_model, KindId, Obvent};
+    use psc_simnet::{Duration, NodeId, ScopedStorage, SimTime, Storage};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    use super::{batch_runs, make_proto, proto_name_for, BATCH_BUDGET};
+    use crate::DaceConfig;
+
+    declare_obvent_model! { pub class Plain { n: u64 } }
+    declare_obvent_model! { pub class Rel implements [Reliable] { n: u64 } }
+    declare_obvent_model! { pub class RelFifo implements [FifoOrder] { n: u64 } }
+    declare_obvent_model! { pub class RelCausal implements [CausalOrder] { n: u64 } }
+    declare_obvent_model! { pub class RelTotal implements [TotalOrder] { n: u64 } }
+    declare_obvent_model! { pub class Cert implements [Certified] { n: u64 } }
+    declare_obvent_model! { pub class CertFifo implements [Certified, FifoOrder] { n: u64 } }
+    declare_obvent_model! { pub class CertCausal implements [Certified, CausalOrder] { n: u64 } }
+    declare_obvent_model! { pub class CertTotal implements [Certified, TotalOrder] { n: u64 } }
+
+    /// Node 1 of the group `{0, 1, 2}` at 5 ms, keeping what it sends.
+    struct Member {
+        storage: Storage,
+        sent: Vec<WireBytes>,
+        rng: StdRng,
+    }
+
+    impl GroupIo for Member {
+        fn self_id(&self) -> NodeId {
+            NodeId(1)
+        }
+        fn members(&self) -> &[NodeId] {
+            &[NodeId(0), NodeId(1), NodeId(2)]
+        }
+        fn now(&self) -> SimTime {
+            SimTime::from_millis(5)
+        }
+        fn send(&mut self, _to: NodeId, bytes: WireBytes) {
+            self.sent.push(bytes);
+        }
+        fn deliver(&mut self, _origin: NodeId, _payload: WireBytes) {}
+        fn set_timer(&mut self, _after: Duration, _token: TimerToken) {}
+        fn storage(&mut self) -> ScopedStorage<'_> {
+            self.storage.scoped("")
+        }
+        fn rng(&mut self) -> &mut dyn rand::RngCore {
+            &mut self.rng
+        }
+    }
+
+    /// Every delivery × ordering a class can declare: the snapshot
+    /// recorder, decoding by [`proto_name_for`], names the message a data
+    /// frame of [`make_proto`]'s protocol carries.
+    #[test]
+    fn the_recorder_identifies_the_data_frames_of_every_qos() {
+        let kinds: [KindId; 9] = [
+            Plain::kind_id(),
+            Rel::kind_id(),
+            RelFifo::kind_id(),
+            RelCausal::kind_id(),
+            RelTotal::kind_id(),
+            Cert::kind_id(),
+            CertFifo::kind_id(),
+            CertCausal::kind_id(),
+            CertTotal::kind_id(),
+        ];
+        let config = DaceConfig::default();
+        let mut names = Vec::new();
+        for kind in kinds {
+            let qos = psc_obvent::registry::lookup(kind).unwrap().qos().clone();
+            let name = proto_name_for(kind, &config);
+            names.push(name);
+            let Some(mut proto) = make_proto(&qos, &config) else {
+                assert_eq!(name, None, "{qos:?}");
+                continue;
+            };
+            let mut io = Member {
+                storage: Storage::new(),
+                sent: Vec::new(),
+                rng: StdRng::seed_from_u64(0),
+            };
+            proto.on_start(&mut io);
+            proto.broadcast(&mut io, WireBytes::from(b"tick".to_vec()));
+            let epoch = proto.capture(&mut io).epoch;
+            let frame = io.sent.first().expect("a data frame");
+            let id = psc_group::peek_data_id(name.unwrap(), frame);
+            assert_eq!(id, Some((1, epoch, 1)), "{qos:?}");
+        }
+        let expected = [
+            None,
+            Some("reliable"),
+            Some("fifo"),
+            Some("causal"),
+            Some("total"),
+            Some("certified"),
+            Some("fifo"),
+            Some("causal"),
+            Some("total"),
+        ];
+        assert_eq!(names, expected);
+    }
 
     #[test]
     fn control_batches_split_under_the_byte_budget() {

@@ -147,12 +147,20 @@ fn attach_durable(sim: &mut SimNet, node: NodeId) -> Arc<AtomicU64> {
 /// What durability costs the logs, per certified publish to one durable
 /// subscriber (publisher's and subscriber's logs together) — and that the
 /// log is worth it: after a crash, recovery and re-attach under the same
-/// durable id nothing is delivered twice. The counts are exact (1025
-/// appends, 514 syncs for 256 publishes) although the simulator reorders
-/// the burst: a first delivery is one record whether it arrived in order
-/// or not, so moving either count is a deliberate edit here.
+/// durable id nothing is delivered twice. The counts are exact although
+/// the simulator reorders the burst: a first delivery is one record
+/// whether it arrived in order or not, so moving either count is a
+/// deliberate edit here.
+///
+/// - appends, 770 = 3 × 256 + 2: per publish the publisher's frame record,
+///   the subscriber's delivered record and the frame's removal on the ack;
+///   once, the publisher's epoch record (with its first frame) and the
+///   durable subscription's record;
+/// - syncs, 514 = 1 + 256 + 256 + 1: one commit for the burst of 256
+///   frames, one per delivery at the subscriber, one per ack at the
+///   publisher, one for the subscription.
 #[test]
-fn certified_publish_costs_at_most_four_appends_and_two_syncs_and_recovers_exactly_once() {
+fn certified_publishes_cost_three_appends_two_syncs_and_recover_once() {
     let _turn = ONE_AT_A_TIME.lock().unwrap();
     const PUBLISHES: u64 = 256;
     // Small segments so the burst crosses rotations; compaction held off
@@ -172,7 +180,7 @@ fn certified_publish_costs_at_most_four_appends_and_two_syncs_and_recovers_exact
     assert_eq!(first.load(Ordering::Relaxed), PUBLISHES);
 
     let counts = registry.snapshot();
-    assert_eq!(counts.counter("wal.appends"), 1025, "wal.appends for {PUBLISHES} publishes");
+    assert_eq!(counts.counter("wal.appends"), 770, "wal.appends for {PUBLISHES} publishes");
     assert_eq!(counts.counter("wal.syncs"), 514, "wal.syncs for {PUBLISHES} publishes");
 
     sim.crash_with_fault(ids[1], DiskFault::None);

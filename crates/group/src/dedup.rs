@@ -1,7 +1,7 @@
 //! Duplicate suppression that stays bounded: the one record of which
-//! message ids a process has seen, shared by the volatile delivery layer
-//! ([`Eager`](crate::reliable::Eager)) and [`Certified`](crate::Certified),
-//! which persists it.
+//! message ids a process has seen, kept by the delivery layer
+//! ([`Eager`](crate::reliable::Eager)) and persisted by its durable half
+//! ([`Certified`](crate::Certified)).
 //!
 //! Ids are kept per `(origin, epoch)` stream as a watermark plus the seqs
 //! seen above it ([`Delivered`]), so the state is O(streams + gaps), not
@@ -23,8 +23,10 @@ use psc_simnet::NodeId;
 /// suppression would silently swallow the new, distinct messages. Each
 /// incarnation stamps its ids with its start time (strictly later than any
 /// previous incarnation's), keeping ids unique across crash–recover cycles.
-/// Persistent protocols ([`Certified`](crate::Certified)) recover their
-/// counters from stable storage and use a constant epoch of 0.
+/// The durable layer ([`Certified`](crate::Certified)) persists its epoch
+/// instead: the stored one plus one, from 1, recorded with an
+/// incarnation's first frame (an older on-disk form's constant 0 is still
+/// read). Seqs stay volatile either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, PartialOrd, Ord)]
 pub struct MsgId {
     /// The broadcasting process.
@@ -88,7 +90,7 @@ pub(crate) type OriginDelivered = BTreeMap<u64, Delivered>;
 
 /// Every stream's [`Delivered`] record, per origin.
 #[derive(Debug, Default)]
-pub(crate) struct Dedup(pub(crate) BTreeMap<NodeId, OriginDelivered>);
+pub struct Dedup(pub(crate) BTreeMap<NodeId, OriginDelivered>);
 
 impl Dedup {
     /// The record of `id`'s stream, created empty on first sight.
@@ -98,11 +100,6 @@ impl Dedup {
             .or_default()
             .entry(id.epoch)
             .or_default()
-    }
-
-    /// Records `id`; false when it was already seen.
-    pub(crate) fn insert(&mut self, id: MsgId) -> bool {
-        self.stream(id).insert(id.seq)
     }
 
     /// Every epoch's record of `origin`, which has been heard from.

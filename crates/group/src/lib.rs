@@ -21,7 +21,7 @@
 //! | [`Fifo`] | *FIFO ordered* | `Reliable`'s delivery layer + per-origin hold-back |
 //! | [`Causal`] | *Causally ordered* | `Reliable`'s delivery layer + vector-clock hold-back |
 //! | [`Total`] | *Totally ordered* | `Reliable`'s delivery layer, unrelayed: submissions to a fixed sequencer, which orders each publisher's in publish order |
-//! | [`Certified`] | *Certified* | persistent publisher log, per-member acks, retransmission across subscriber crashes |
+//! | [`Certified`] | *Certified* | `Reliable`'s delivery layer on stable storage, unrelayed: the origin's unacked frames, the delivered records and one epoch per incarnation persist, so retransmission spans crashes at either end |
 //! | [`Lpbcast`] | scalable best-effort (gossip) | periodic push gossip with bounded event buffer |
 //!
 //! [`sim_host`] adapts any protocol into a `psc-simnet` node for
@@ -46,7 +46,6 @@
 
 mod besteffort;
 mod causal;
-mod certified;
 mod dedup;
 mod fifo;
 mod io;
@@ -57,11 +56,10 @@ mod total;
 
 pub use besteffort::BestEffort;
 pub use causal::Causal;
-pub use certified::Certified;
 pub use fifo::Fifo;
 pub use io::{GroupIo, Multicast, TimerToken};
 pub use lpbcast::{Lpbcast, LpbcastConfig};
-pub use reliable::Reliable;
+pub use reliable::{Certified, Reliable};
 pub use sim_host::{GroupNode, Watchdog};
 pub use total::Total;
 
@@ -74,8 +72,7 @@ pub use total::Total;
 /// not identified.
 pub fn peek_data_id(proto: &str, bytes: &[u8]) -> Option<(u64, u64, u64)> {
     match proto {
-        "certified" => certified::Certified::peek_id(bytes),
-        "reliable" => reliable::Reliable::peek_id(bytes),
+        "reliable" | "certified" => reliable::Reliable::peek_id(bytes),
         "fifo" => fifo::Fifo::peek_id(bytes),
         "causal" => causal::Causal::peek_id(bytes),
         "total" => total::Total::peek_id(bytes),

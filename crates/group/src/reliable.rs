@@ -25,9 +25,14 @@
 //! sequencer alone and has the sequencer order it in a frame of its own,
 //! neither relayed (`TotalOrder extends Reliable`).
 //!
-//! Unlike [`Certified`](crate::Certified), all state is volatile: a crashed
-//! subscriber loses the message (reliability only covers processes that
-//! stay "up for long enough").
+//! Where the layer's state lives is its [`Durability`] half. Under `()`
+//! all of it is volatile: a crashed subscriber loses the message
+//! (reliability only covers processes that stay "up for long enough").
+//! Under [`Durable`] the origin's unacknowledged frames, the dedup records
+//! and the incarnation's epoch are on stable storage too, which is the
+//! paper's *Certified*: "even if a notifiable temporarily disconnects or
+//! fails, it will eventually deliver the obvent" (§3.1.2) — Fig. 4's
+//! `Certified extends Reliable`, as [`Certified`].
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -39,13 +44,25 @@ use serde::{Deserialize, Serialize};
 
 use psc_codec::WireBytes;
 use psc_simnet::{Duration, NodeId};
-use psc_snapshot::ProtoCapture;
+use psc_snapshot::{MsgRef, ProtoCapture};
 
-use crate::dedup::{Dedup, Delivered, MsgId};
+use crate::dedup::{Dedup, Delivered, MsgId, OriginDelivered};
 use crate::io::{decode_msg, encode_msg, GroupIo, Multicast, TimerToken};
 
 const RETRANSMIT: TimerToken = TimerToken(6);
 const RETRANSMIT_INTERVAL: Duration = Duration::from_millis(40);
+
+// `Durable`'s keys, under the host's scope (see its docs).
+const KEY_EPOCH: &str = "cert/epoch";
+const KEY_OUT_PREFIX: &str = "cert/out/";
+const KEY_DELIVERED_PREFIX: &str = "cert/delivered/";
+/// Older forms, read on load and never written: the whole delivered set
+/// as one `Vec<MsgId>`; a seq counter written on every broadcast; and
+/// `cert/log/<seq:020>` holding `(id, payload, targets, acked)` per
+/// unacknowledged frame of the constant epoch 0.
+const KEY_LEGACY_DELIVERED: &str = "cert/delivered";
+const KEY_LEGACY_COUNTER: &str = "cert/seq";
+const KEY_LEGACY_LOG_PREFIX: &str = "cert/log/";
 
 /// A delivery-layer frame; the hold-back policy's header follows the id.
 /// `()` encodes as zero bytes, so [`Reliable`]'s frames carry none.
@@ -201,16 +218,32 @@ struct Outgoing<Hd> {
     header: Hd,
     payload: WireBytes,
     unacked: Vec<NodeId>,
+    /// The targets that acknowledged, kept by a
+    /// [`DURABLE`](Durability::DURABLE) layer only.
+    acked: Vec<NodeId>,
 }
 
-/// Origin state: this incarnation's frames, each kept and retransmitted
-/// until every target acknowledged it.
+impl<Hd> Outgoing<Hd> {
+    fn new(header: Hd, payload: WireBytes, unacked: Vec<NodeId>) -> Self {
+        Outgoing {
+            header,
+            payload,
+            unacked,
+            acked: Vec::new(),
+        }
+    }
+}
+
+/// Origin state: own frames, each kept and retransmitted until every
+/// target acknowledged it.
 #[derive(Debug, Default)]
 pub struct Outbox<Hd> {
     /// This incarnation's epoch (see [`MsgId`]).
     epoch: u64,
     next_seq: u64,
-    outgoing: BTreeMap<u64, Outgoing<Hd>>,
+    /// By `(epoch, seq)`: a durable origin also keeps its earlier
+    /// incarnations' frames.
+    outgoing: BTreeMap<(u64, u64), Outgoing<Hd>>,
     timer_armed: bool,
 }
 
@@ -226,7 +259,10 @@ impl<Hd: Serialize> Outbox<Hd> {
     }
 
     fn oldest_unacked(&self) -> Option<u64> {
-        self.outgoing.keys().next().copied()
+        self.outgoing
+            .range((self.epoch, 0)..)
+            .next()
+            .map(|(&(_, seq), _)| seq)
     }
 
     /// Sends own frame `id` to `targets` and keeps it until they all
@@ -241,14 +277,8 @@ impl<Hd: Serialize> Outbox<Hd> {
     ) {
         send_data(io, id, &header, &payload, true, &targets);
         if !targets.is_empty() {
-            self.outgoing.insert(
-                id.seq,
-                Outgoing {
-                    header,
-                    payload,
-                    unacked: targets,
-                },
-            );
+            self.outgoing
+                .insert((id.epoch, id.seq), Outgoing::new(header, payload, targets));
             self.arm_timer(io);
         }
     }
@@ -275,15 +305,145 @@ fn send_data<Hd: Serialize>(
     }
 }
 
-/// The delivery layer under hold-back policy `H`; see the module docs.
+/// Where the delivery layer keeps its state, for frames with headers of
+/// type `Hd`: `()` in memory only, [`Durable`] on stable storage as well.
+/// Every hook defaults to what `()` does, nothing, so the volatile kinds
+/// run the code they ran before the layer had a durable half.
+pub trait Durability<Hd>: Default + fmt::Debug + Send + 'static {
+    /// Whether the state outlives a crash. A durable layer is named
+    /// `"certified"`, relays nothing (its stored frames outlive the
+    /// origin), and lists own deliveries and each frame's ackers.
+    const DURABLE: bool = false;
+
+    /// Brings `out` (its epoch too) and `seen` up from storage before use.
+    fn load(&mut self, _io: &mut dyn GroupIo, _out: &mut Outbox<Hd>, _seen: &mut Dedup) {}
+
+    /// Own frame `id` goes to `to`, kept until they all acknowledge it.
+    fn sent(&mut self, _io: &mut dyn GroupIo, _id: MsgId, _payload: &WireBytes, _to: &[NodeId]) {}
+
+    /// Every target acknowledged own frame `id`.
+    fn acked(&mut self, _io: &mut dyn GroupIo, _id: MsgId) {}
+
+    /// A first receipt from `origin` (or an own delivery) is in `seen`.
+    fn received(&mut self, _io: &mut dyn GroupIo, _seen: &Dedup, _origin: NodeId) {}
+}
+
+/// Volatile: nothing is stored.
+impl<Hd> Durability<Hd> for () {}
+
+/// The durable half, through [`GroupIo::storage`], loaded on first use:
+///
+/// - one `cert/epoch` record per incarnation, written with its first
+///   frame: the epoch after the stored one, from 1. Seqs stay volatile;
+/// - one `cert/out/<epoch>/<seq>` record per frame, removed when its last
+///   target acknowledges. A partial ack writes nothing: after a crash the
+///   frame goes to every target again and their dedup absorbs the copies;
+/// - the origin's `cert/delivered/<origin>` record per first receipt, one
+///   O(1 + gaps) record in order or not; the older forms are read on load
+///   and rewritten, the legacy frames as epoch 0.
+///
+/// It acknowledges a first receipt as delivered, so it composes with the
+/// `()` policy alone: under a hold-back policy a first receipt is not yet
+/// a delivery.
 #[derive(Debug, Default)]
-pub struct Eager<H: HoldBack> {
+pub struct Durable {
+    loaded: bool,
+}
+
+fn out_key(id: MsgId) -> String {
+    format!("{KEY_OUT_PREFIX}{}/{}", id.epoch, id.seq)
+}
+
+impl Durability<()> for Durable {
+    const DURABLE: bool = true;
+
+    fn load(&mut self, io: &mut dyn GroupIo, out: &mut Outbox<()>, seen: &mut Dedup) {
+        if self.loaded {
+            return;
+        }
+        self.loaded = true;
+        let mut storage = io.storage();
+        out.epoch = storage.get::<u64>(KEY_EPOCH).ok().flatten().unwrap_or(0) + 1;
+        for key in storage.keys_with_prefix(KEY_DELIVERED_PREFIX) {
+            let origin = key[KEY_DELIVERED_PREFIX.len()..].parse::<u64>();
+            if let (Ok(origin), Ok(Some(state))) = (origin, storage.get::<OriginDelivered>(&key)) {
+                seen.restore(NodeId(origin), state);
+            }
+        }
+        if let Ok(Some(ids)) = storage.get::<Vec<MsgId>>(KEY_LEGACY_DELIVERED) {
+            for id in ids {
+                seen.stream(id).insert(id.seq);
+            }
+        }
+        for key in storage.keys_with_prefix(KEY_OUT_PREFIX) {
+            let at = key[KEY_OUT_PREFIX.len()..]
+                .split_once('/')
+                .and_then(|(epoch, seq)| Some((epoch.parse().ok()?, seq.parse().ok()?)));
+            if let (Some(at), Ok(Some((targets, payload)))) = (at, storage.get(&key)) {
+                out.outgoing.insert(at, Outgoing::new((), payload, targets));
+            }
+        }
+        for key in storage.keys_with_prefix(KEY_LEGACY_LOG_PREFIX) {
+            let legacy = storage.get::<(MsgId, WireBytes, Vec<NodeId>, Vec<NodeId>)>(&key);
+            if let Ok(Some((id, payload, targets, acked))) = legacy {
+                storage
+                    .put(&out_key(id), &(&targets, &payload))
+                    .expect("frames serialize");
+                let mut frame = Outgoing::new((), payload, targets);
+                frame.unacked.retain(|t| !acked.contains(t));
+                frame.acked = acked;
+                out.outgoing.insert((id.epoch, id.seq), frame);
+            }
+            storage.remove(&key);
+        }
+        if storage.get_raw(KEY_LEGACY_COUNTER).is_some() {
+            storage.remove(KEY_LEGACY_COUNTER);
+        }
+        out.arm_timer(io);
+    }
+
+    fn sent(&mut self, io: &mut dyn GroupIo, id: MsgId, payload: &WireBytes, to: &[NodeId]) {
+        let mut storage = io.storage();
+        if id.seq == 1 {
+            storage.put(KEY_EPOCH, &id.epoch).expect("epochs serialize");
+        }
+        if !to.is_empty() {
+            storage
+                .put(&out_key(id), &(to, payload))
+                .expect("frames serialize");
+        }
+    }
+
+    fn acked(&mut self, io: &mut dyn GroupIo, id: MsgId) {
+        io.storage().remove(&out_key(id));
+    }
+
+    fn received(&mut self, io: &mut dyn GroupIo, seen: &Dedup, origin: NodeId) {
+        let key = format!("{KEY_DELIVERED_PREFIX}{}", origin.0);
+        io.storage()
+            .put(&key, seen.origin(origin))
+            .expect("delivered records serialize");
+    }
+}
+
+/// The delivery layer under hold-back policy `H`, its state kept as `D`
+/// says; see the module docs.
+#[derive(Debug, Default)]
+pub struct Eager<H: HoldBack, D: Durability<H::Header> = ()> {
     out: Outbox<H::Header>,
     pub(crate) seen: Dedup,
     pub(crate) order: H,
+    disk: D,
 }
 
-impl<H: HoldBack> Eager<H> {
+/// Certified broadcast: the delivery layer with no hold-back, on stable
+/// storage (Fig. 4's `Certified extends Reliable`).
+pub type Certified = Eager<(), Durable>;
+
+impl<H: HoldBack, D: Durability<H::Header>> Eager<H, D> {
+    /// Whether a receiver relays a first receipt to the other members.
+    const RELAY: bool = H::RELAY && !D::DURABLE;
+
     /// Creates an instance.
     pub fn new() -> Self {
         Eager::default()
@@ -299,24 +459,31 @@ impl<H: HoldBack> Eager<H> {
     }
 }
 
-impl<H: HoldBack> Multicast for Eager<H> {
+impl<H: HoldBack, D: Durability<H::Header>> Multicast for Eager<H, D> {
     fn broadcast(&mut self, io: &mut dyn GroupIo, payload: WireBytes) {
+        self.disk.load(io, &mut self.out, &mut self.seen);
         io.metric("reliable.broadcasts", 1);
         let me = io.self_id();
         let id = self.out.next_id(me);
         let oldest_unacked = self.out.oldest_unacked();
         let (targets, header) = self.order.address(me, io.members(), id, oldest_unacked);
+        self.disk.sent(io, id, &payload, &targets);
         self.out.send(io, id, header.clone(), payload.clone(), targets);
+        let member = io.members().contains(&me);
         let seen = self.seen.stream(id);
-        if H::RELAY {
-            seen.insert(id.seq); // a relay may bring it back
+        if Self::RELAY || (D::DURABLE && member) {
+            // A relay may bring it back; a durable record is also the
+            // list of what was delivered here.
+            seen.insert(id.seq);
         }
-        if io.members().contains(&me) {
+        if member {
             self.order.accept(io, &mut self.out, id, header, payload, seen);
+            self.disk.received(io, &self.seen, me);
         }
     }
 
     fn on_message(&mut self, io: &mut dyn GroupIo, from: NodeId, bytes: &[u8]) {
+        self.disk.load(io, &mut self.out, &mut self.seen);
         let Some(frame) = decode_msg::<Frame<H::Header>>(bytes) else {
             return;
         };
@@ -333,9 +500,8 @@ impl<H: HoldBack> Multicast for Eager<H> {
                     io.metric("reliable.duplicates", 1);
                     return;
                 }
-                if H::RELAY {
+                if Self::RELAY {
                     // Re-forward before delivering: the agreement step.
-                    io.metric("reliable.relays", 1);
                     let me = io.self_id();
                     let others: Vec<NodeId> = io
                         .members()
@@ -343,21 +509,34 @@ impl<H: HoldBack> Multicast for Eager<H> {
                         .copied()
                         .filter(|&m| m != me && m != id.origin)
                         .collect();
-                    send_data(io, id, &header, &payload, false, &others);
+                    if !others.is_empty() {
+                        io.metric("reliable.relays", 1);
+                        send_data(io, id, &header, &payload, false, &others);
+                    }
                 }
                 self.order.accept(io, &mut self.out, id, header, payload, seen);
+                self.disk.received(io, &self.seen, id.origin);
             }
             Frame::Ack(id) => {
-                if id.origin != io.self_id() || id.epoch != self.out.epoch {
+                if id.origin != io.self_id() {
                     return;
                 }
-                self.order.on_ack(from, id.seq);
-                let outgoing = &mut self.out.outgoing;
-                if let Some(frame) = outgoing.get_mut(&id.seq) {
-                    frame.unacked.retain(|&m| m != from);
-                    if frame.unacked.is_empty() {
-                        outgoing.remove(&id.seq);
+                if id.epoch == self.out.epoch {
+                    self.order.on_ack(from, id.seq);
+                }
+                let at = (id.epoch, id.seq);
+                let Some(frame) = self.out.outgoing.get_mut(&at) else {
+                    return;
+                };
+                if let Some(i) = frame.unacked.iter().position(|&m| m == from) {
+                    frame.unacked.remove(i);
+                    if D::DURABLE {
+                        frame.acked.push(from);
                     }
+                }
+                if frame.unacked.is_empty() {
+                    self.out.outgoing.remove(&at);
+                    self.disk.acked(io, id);
                 }
             }
         }
@@ -371,10 +550,10 @@ impl<H: HoldBack> Multicast for Eager<H> {
         out.timer_armed = false;
         io.metric("reliable.retransmits", out.outgoing.len() as u64);
         let me = io.self_id();
-        for (&seq, frame) in &out.outgoing {
+        for (&(epoch, seq), frame) in &out.outgoing {
             let id = MsgId {
                 origin: me,
-                epoch: out.epoch,
+                epoch,
                 seq,
             };
             send_data(io, id, &frame.header, &frame.payload, true, &frame.unacked);
@@ -383,15 +562,19 @@ impl<H: HoldBack> Multicast for Eager<H> {
     }
 
     fn on_start(&mut self, io: &mut dyn GroupIo) {
-        self.out.epoch = io.now().as_millis();
+        if !D::DURABLE {
+            self.out.epoch = io.now().as_millis(); // see `MsgId`
+        }
+        self.disk.load(io, &mut self.out, &mut self.seen);
     }
 
     fn on_recover(&mut self, io: &mut dyn GroupIo) {
-        self.out.epoch = io.now().as_millis();
+        self.on_start(io);
         self.order.on_recover(self.out.epoch);
     }
 
     fn capture(&mut self, io: &mut dyn GroupIo) -> ProtoCapture {
+        self.disk.load(io, &mut self.out, &mut self.seen);
         let me = io.self_id();
         let mut cap = ProtoCapture::new(self.proto_name());
         cap.epoch = self.out.epoch;
@@ -400,20 +583,36 @@ impl<H: HoldBack> Multicast for Eager<H> {
             .out
             .outgoing
             .iter()
-            .map(|(&seq, frame)| psc_snapshot::RetransmitEntry {
-                id: psc_snapshot::MsgRef::new(me.0, self.out.epoch, seq),
-                targets: frame.unacked.iter().map(|n| n.0).collect(),
-                acked: Vec::new(),
+            .map(|(&(epoch, seq), frame)| psc_snapshot::RetransmitEntry {
+                id: MsgRef::new(me.0, epoch, seq),
+                targets: frame
+                    .unacked
+                    .iter()
+                    .chain(&frame.acked)
+                    .map(|n| n.0)
+                    .collect(),
+                acked: frame.acked.iter().map(|n| n.0).collect(),
             })
             .collect();
-        cap.extra.push(("seen".to_string(), self.seen.len() as u64));
+        if D::DURABLE {
+            let ids = self.seen.ids();
+            cap.delivered = ids
+                .map(|id| MsgRef::new(id.origin.0, id.epoch, id.seq))
+                .collect();
+        } else {
+            cap.extra.push(("seen".to_string(), self.seen.len() as u64));
+        }
         self.order.capture(&mut cap);
         cap.normalize();
         cap
     }
 
     fn proto_name(&self) -> &'static str {
-        H::NAME
+        if D::DURABLE {
+            "certified"
+        } else {
+            H::NAME
+        }
     }
 
     fn queue_depths(&self) -> Vec<(&'static str, u64)> {
@@ -429,6 +628,13 @@ impl<H: HoldBack> Multicast for Eager<H> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    use psc_simnet::{DiskFault, ScopedStorage, SimTime, Storage};
+
     use super::*;
 
     /// `Reliable`'s frames as they were before the ordered kinds shared
@@ -469,5 +675,354 @@ mod tests {
         let ack = encode_msg(&Frame::<()>::Ack(id));
         assert_eq!(ack[..], encode_msg(&Plain::Ack { id })[..]);
         assert!(matches!(decode_msg::<Frame<()>>(&ack), Some(Frame::Ack(got)) if got == id));
+    }
+
+    // The durable half, driven callback by callback over one process's
+    // disk: `cert/` keys are WAL-bound as under a certified channel, and
+    // every callback is followed by its commit.
+
+    const PUBLISHER: NodeId = NodeId(0);
+    const ME: NodeId = NodeId(1);
+    const OTHER: NodeId = NodeId(2);
+
+    /// One process's disk, what it delivered and what it sent.
+    struct Disk {
+        me: NodeId,
+        members: Vec<NodeId>,
+        storage: Storage,
+        delivered: Vec<u64>,
+        sent: Vec<(NodeId, WireBytes)>,
+        rng: StdRng,
+    }
+
+    impl Disk {
+        fn new(me: NodeId, members: &[NodeId]) -> Self {
+            let mut storage = Storage::new();
+            storage.wal_bind("cert/", "ch");
+            let rng = StdRng::seed_from_u64(0);
+            let (delivered, sent) = (Vec::new(), Vec::new());
+            Disk {
+                me,
+                members: members.to_vec(),
+                storage,
+                delivered,
+                sent,
+                rng,
+            }
+        }
+
+        /// A subscriber of `PUBLISHER`'s group `{PUBLISHER, ME}`.
+        fn subscriber() -> Self {
+            Disk::new(ME, &[PUBLISHER, ME])
+        }
+
+        /// A started instance over this disk.
+        fn start(&mut self) -> Certified {
+            let mut proto = Certified::new();
+            proto.on_start(self);
+            self.storage.wal_commit();
+            proto
+        }
+
+        /// Hands `PUBLISHER`'s frame `(epoch 0, seq)` to `proto` and
+        /// commits: the appends it cost.
+        fn data(&mut self, proto: &mut Certified, seq: u64) -> u64 {
+            let id = MsgId {
+                origin: PUBLISHER,
+                epoch: 0,
+                seq,
+            };
+            let payload = WireBytes::from(seq.to_le_bytes().to_vec());
+            self.receive(
+                proto,
+                PUBLISHER,
+                encode_msg(&Frame::Data(id, (), payload, true)),
+            )
+        }
+
+        /// Hands `bytes` from `from` to `proto` and commits: the
+        /// appends it cost.
+        fn receive(&mut self, proto: &mut Certified, from: NodeId, bytes: WireBytes) -> u64 {
+            proto.on_message(self, from, &bytes);
+            self.storage.wal_commit().appends
+        }
+
+        /// Power loss and a fresh incarnation recovered from the log.
+        fn crash(&mut self) -> Certified {
+            self.storage.power_loss(&DiskFault::LoseUnsynced);
+            self.storage.wal_recover();
+            self.delivered.clear();
+            self.sent.clear();
+            let mut proto = Certified::new();
+            proto.on_recover(self);
+            self.storage.wal_commit();
+            proto
+        }
+
+        fn delivered_keys(&self) -> Vec<&str> {
+            self.storage.keys_with_prefix("cert/delivered").collect()
+        }
+
+        /// The ids of the data frames sent to `to`, in send order.
+        fn data_to(&self, to: NodeId) -> Vec<MsgId> {
+            let data = self.sent.iter().filter(|(dest, _)| *dest == to);
+            data.filter_map(|(_, bytes)| Reliable::peek_id(bytes))
+                .collect()
+        }
+
+        /// Moves every frame sent to `to` into `proto` at `to`'s disk.
+        fn forward(&mut self, to: &mut Disk, proto: &mut Certified) {
+            for (dest, bytes) in std::mem::take(&mut self.sent) {
+                if dest == to.me {
+                    to.receive(proto, self.me, bytes);
+                }
+            }
+        }
+    }
+
+    impl GroupIo for Disk {
+        fn self_id(&self) -> NodeId {
+            self.me
+        }
+        fn members(&self) -> &[NodeId] {
+            &self.members
+        }
+        fn now(&self) -> SimTime {
+            SimTime::ZERO
+        }
+        fn send(&mut self, to: NodeId, bytes: WireBytes) {
+            self.sent.push((to, bytes));
+        }
+        fn deliver(&mut self, _origin: NodeId, payload: WireBytes) {
+            self.delivered
+                .push(u64::from_le_bytes(payload[..].try_into().expect("8 bytes")));
+        }
+        fn set_timer(&mut self, _after: Duration, _token: TimerToken) {}
+        fn storage(&mut self) -> ScopedStorage<'_> {
+            self.storage.scoped("")
+        }
+        fn rng(&mut self) -> &mut dyn rand::RngCore {
+            &mut self.rng
+        }
+    }
+
+    fn id(epoch: u64, seq: u64) -> MsgId {
+        MsgId {
+            origin: PUBLISHER,
+            epoch,
+            seq,
+        }
+    }
+
+    /// Broadcasts `value` and commits: the appends it cost.
+    fn broadcast(disk: &mut Disk, proto: &mut Certified, value: u64) -> u64 {
+        proto.broadcast(disk, WireBytes::from(value.to_le_bytes().to_vec()));
+        disk.storage.wal_commit().appends
+    }
+
+    fn ack(publisher: &mut Disk, proto: &mut Certified, from: NodeId, id: MsgId) -> u64 {
+        publisher.receive(proto, from, encode_msg(&Frame::<()>::Ack(id)))
+    }
+
+    #[test]
+    fn out_of_order_deliveries_cost_one_record_each_and_survive_a_crash() {
+        let mut disk = Disk::subscriber();
+        let mut proto = disk.start();
+        let appends: Vec<u64> = [3, 1, 2, 2]
+            .iter()
+            .map(|&seq| disk.data(&mut proto, seq))
+            .collect();
+        assert_eq!(
+            appends,
+            [1, 1, 1, 0],
+            "one record per first delivery, none for a duplicate"
+        );
+        assert_eq!(disk.delivered, [3, 1, 2]);
+
+        let mut proto = disk.crash();
+        assert_eq!(proto.seen.len(), 3);
+        for seq in [1, 2, 3] {
+            assert_eq!(disk.data(&mut proto, seq), 0);
+        }
+        assert!(
+            disk.delivered.is_empty(),
+            "a retransmission after recovery is not redelivered"
+        );
+        disk.data(&mut proto, 4);
+        assert_eq!(disk.delivered, [4]);
+    }
+
+    #[test]
+    fn a_legacy_delivered_set_is_folded_in_on_load() {
+        let mut disk = Disk::subscriber();
+        let legacy: Vec<MsgId> = [1, 2, 5].iter().map(|&seq| id(0, seq)).collect();
+        disk.storage.put(KEY_LEGACY_DELIVERED, &legacy).unwrap();
+        disk.storage.wal_commit();
+
+        let mut proto = disk.crash();
+        assert_eq!(proto.seen.len(), 3);
+        for seq in [1, 2, 5] {
+            disk.data(&mut proto, seq);
+        }
+        assert!(disk.delivered.is_empty(), "legacy ids are not redelivered");
+        disk.data(&mut proto, 3);
+        assert_eq!(disk.delivered, [3]);
+    }
+
+    #[test]
+    fn in_order_deliveries_keep_one_small_key() {
+        let mut disk = Disk::subscriber();
+        let mut proto = disk.start();
+        for seq in 1..=10_000 {
+            disk.data(&mut proto, seq);
+        }
+        assert_eq!(disk.delivered.len(), 10_000);
+        assert_eq!(disk.delivered_keys(), ["cert/delivered/0"]);
+        assert_eq!(
+            proto.seen.origin(PUBLISHER)[&0],
+            Delivered {
+                upto: 10_000,
+                above: BTreeSet::new()
+            }
+        );
+        let bytes = disk.storage.get_raw("cert/delivered/0").unwrap().len();
+        assert!(
+            bytes < 16,
+            "the record does not grow with the deliveries: {bytes} B"
+        );
+    }
+
+    /// A frame some target has not acknowledged, as a capture lists it:
+    /// `(seq, targets, acked)`.
+    fn owed(proto: &mut Certified, disk: &mut Disk) -> Vec<(u64, Vec<u64>, Vec<u64>)> {
+        let cap = proto.capture(disk);
+        cap.retransmit
+            .into_iter()
+            .map(|e| (e.id.seq, e.targets, e.acked))
+            .collect()
+    }
+
+    #[test]
+    fn a_capture_after_a_partial_ack_lists_the_acker() {
+        let mut disk = Disk::new(PUBLISHER, &[PUBLISHER, ME, OTHER]);
+        let mut proto = disk.start();
+        broadcast(&mut disk, &mut proto, 7);
+        assert_eq!(
+            ack(&mut disk, &mut proto, ME, id(1, 1)),
+            0,
+            "a partial ack writes nothing"
+        );
+        let cap = proto.capture(&mut disk);
+        assert_eq!(
+            (cap.proto.as_str(), cap.epoch, cap.next_seq),
+            ("certified", 1, 1)
+        );
+        assert_eq!(owed(&mut proto, &mut disk), [(1, vec![1, 2], vec![1])]);
+        let appends = ack(&mut disk, &mut proto, OTHER, id(1, 1));
+        assert_eq!(appends, 1, "the last ack removes the frame");
+        assert!(owed(&mut proto, &mut disk).is_empty());
+    }
+
+    #[test]
+    fn a_publisher_crash_starts_one_epoch_and_resends_the_old_ones_frames() {
+        let mut publisher = Disk::new(PUBLISHER, &[ME]); // not a member itself
+        let mut subscriber = Disk::subscriber();
+        let mut proto = publisher.start();
+        let mut sub = subscriber.start();
+        let appends = [1, 2].map(|value| broadcast(&mut publisher, &mut proto, value));
+        assert_eq!(
+            appends,
+            [2, 1],
+            "the epoch goes with the incarnation's first frame"
+        );
+        publisher.forward(&mut subscriber, &mut sub);
+        assert_eq!(subscriber.delivered, [1, 2]);
+        subscriber.sent.clear(); // the acks are lost
+
+        let mut proto = publisher.crash();
+        assert_eq!(
+            owed(&mut proto, &mut publisher),
+            [(1, vec![1], vec![]), (2, vec![1], vec![])]
+        );
+        proto.on_timer(&mut publisher, RETRANSMIT);
+        let appends = [3, 4].map(|value| broadcast(&mut publisher, &mut proto, value));
+        assert_eq!(appends, [2, 1], "one epoch record for the new incarnation");
+        assert_eq!(publisher.storage.get::<u64>(KEY_EPOCH).unwrap(), Some(2));
+        assert_eq!(
+            publisher.data_to(ME),
+            [id(1, 1), id(1, 2), id(2, 1), id(2, 2)]
+        );
+
+        publisher.forward(&mut subscriber, &mut sub);
+        assert_eq!(
+            subscriber.delivered,
+            [1, 2, 3, 4],
+            "no old-epoch frame is redelivered"
+        );
+        subscriber.forward(&mut publisher, &mut proto);
+        assert!(
+            owed(&mut proto, &mut publisher).is_empty(),
+            "acks of both epochs are accepted"
+        );
+        assert_eq!(publisher.storage.keys_with_prefix("cert/out/").count(), 0);
+    }
+
+    /// `cert/log/<seq>`'s value before epochs were persisted.
+    #[derive(Serialize)]
+    struct ParentFrame {
+        id: MsgId,
+        payload: WireBytes,
+        targets: Vec<NodeId>,
+        acked: Vec<NodeId>,
+    }
+
+    #[test]
+    fn recovery_reads_the_parent_on_disk_form() {
+        let mut publisher = Disk::new(PUBLISHER, &[PUBLISHER, ME, OTHER]);
+        for (seq, acked) in [(1, vec![OTHER]), (2, vec![])] {
+            let frame = ParentFrame {
+                id: id(0, seq),
+                payload: WireBytes::from(seq.to_le_bytes().to_vec()),
+                targets: vec![ME, OTHER],
+                acked,
+            };
+            publisher
+                .storage
+                .put(format!("cert/log/{seq:020}"), &frame)
+                .unwrap();
+        }
+        publisher.storage.put(KEY_LEGACY_COUNTER, &2u64).unwrap();
+        publisher.storage.wal_commit();
+        // ME delivered seq 2 at the parent; its ack was lost.
+        let mut subscriber = Disk::new(ME, &[PUBLISHER, ME, OTHER]);
+        let mut sub = subscriber.start();
+        subscriber.data(&mut sub, 2);
+        subscriber.delivered.clear();
+        subscriber.sent.clear();
+
+        let mut proto = publisher.crash();
+        let expected = [(1, vec![1, 2], vec![2]), (2, vec![1, 2], vec![])];
+        assert_eq!(owed(&mut proto, &mut publisher), expected);
+        assert_eq!(publisher.storage.keys_with_prefix("cert/log/").count(), 0);
+        assert_eq!(publisher.storage.get_raw(KEY_LEGACY_COUNTER), None);
+        for _ in 0..2 {
+            proto.on_timer(&mut publisher, RETRANSMIT);
+        }
+        assert_eq!(
+            publisher.data_to(ME),
+            [id(0, 1), id(0, 2), id(0, 1), id(0, 2)]
+        );
+        assert_eq!(publisher.data_to(OTHER), [id(0, 2), id(0, 2)]);
+        broadcast(&mut publisher, &mut proto, 3);
+        assert_eq!(publisher.data_to(ME)[4], id(1, 1), "new epochs start at 1");
+        assert_eq!(publisher.storage.get::<u64>(KEY_EPOCH).unwrap(), Some(1));
+
+        publisher.forward(&mut subscriber, &mut sub);
+        assert_eq!(subscriber.delivered, [1, 3], "seq 1 once, seq 2 not again");
+        subscriber.forward(&mut publisher, &mut proto);
+        ack(&mut publisher, &mut proto, OTHER, id(0, 2));
+        ack(&mut publisher, &mut proto, OTHER, id(1, 1));
+        assert!(owed(&mut proto, &mut publisher).is_empty());
+        assert_eq!(publisher.storage.keys_with_prefix("cert/out/").count(), 0);
     }
 }

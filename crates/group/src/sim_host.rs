@@ -7,11 +7,14 @@
 //! mechanism.
 
 use std::any::Any;
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use psc_codec::WireBytes;
 use psc_simnet::{Ctx, Duration, Node, NodeId, ScopedStorage, SimNet, SimTime, TimerId};
+use psc_snapshot::ProtoCapture;
 use psc_telemetry::{FlightRecorder, HealthMonitor, Inspect, Registry, ReportBuilder};
 
 use crate::io::{GroupIo, Multicast, TimerToken};
@@ -256,6 +259,21 @@ impl GroupNode {
             .into_iter()
             .map(|(_, p)| p)
             .collect()
+    }
+
+    /// `node`'s protocol state as a snapshot would capture it
+    /// ([`Multicast::capture`]); `None` when the node is down.
+    pub fn capture(sim: &mut SimNet, node: NodeId) -> Option<ProtoCapture> {
+        let cap = Rc::new(RefCell::new(None));
+        let out = Rc::clone(&cap);
+        sim.act_now(node, move |n, ctx| {
+            let this = n
+                .as_any_mut()
+                .downcast_mut::<GroupNode>()
+                .expect("node is a GroupNode");
+            this.with_io(ctx, |proto, io| *out.borrow_mut() = Some(proto.capture(io)));
+        });
+        cap.take()
     }
 
     /// Inspects the concrete protocol instance behind `node` (e.g. to read

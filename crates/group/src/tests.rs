@@ -1,6 +1,9 @@
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use psc_simnet::{Duration, NodeId, SimConfig, SimNet, SimTime};
+use psc_telemetry::Registry;
 
 use crate::causal::CausalHoldBack;
 use crate::fifo::FifoHoldBack;
@@ -121,6 +124,38 @@ mod reliable {
         sim.run_to_quiescence();
         // Origin sends n-1, each of the other 5 re-forwards n-1: 6*5 = 30.
         assert_eq!(sim.stats().sent, 30);
+    }
+
+    /// A first receipt is relayed to the members other than the origin and
+    /// the receiver: `n − 2` of them, none in a pair, where neither a frame
+    /// nor a `reliable.relays` count is spent on an empty list.
+    #[test]
+    fn relays_go_to_the_other_n_minus_two_members() {
+        const BROADCASTS: u64 = 10;
+        for n in [2u64, 3] {
+            let registry = Arc::new(Registry::new());
+            let mut sim = SimNet::new(SimConfig::default());
+            let ids: Vec<NodeId> = (0..n)
+                .map(|i| {
+                    let registry = Arc::clone(&registry);
+                    sim.add_node(format!("n{i}"), move || {
+                        GroupNode::boxed_with_telemetry(Reliable::new(), Arc::clone(&registry))
+                    })
+                })
+                .collect();
+            for &id in &ids {
+                GroupNode::set_members(&mut sim, id, ids.clone());
+            }
+            for i in 0..BROADCASTS {
+                GroupNode::broadcast(&mut sim, ids[0], payload(1, i));
+            }
+            sim.run_to_quiescence();
+            let receipts = BROADCASTS * (n - 1);
+            let relays = registry.snapshot().counter("group.reliable.relays");
+            assert_eq!(relays, receipts * (n - 2), "relays at n = {n}");
+            // Per broadcast: a frame and an ack per receiver, plus the relays.
+            assert_eq!(sim.stats().sent, 2 * receipts + relays, "frames at n = {n}");
+        }
     }
 }
 
@@ -326,10 +361,8 @@ mod certified {
             "certified delivery must survive the crash"
         );
         // Publisher stopped retransmitting (log drained).
-        let unacked =
-            GroupNode::with_proto::<Certified, usize>(&mut sim, ids[0], |c| c.unacked_len())
-                .unwrap();
-        assert_eq!(unacked, 0);
+        let unacked = GroupNode::with_proto::<Certified, _>(&mut sim, ids[0], |c| c.queue_depths());
+        assert_eq!(unacked, Some(vec![("reliable.unacked", 0)]));
     }
 
     #[test]
@@ -347,10 +380,8 @@ mod certified {
         // Delivered log is volatile and was rebuilt empty, but the
         // *persisted* delivered-set suppresses redelivery.
         assert!(GroupNode::delivered(&mut sim, ids[1]).is_empty());
-        let delivered_len =
-            GroupNode::with_proto::<Certified, usize>(&mut sim, ids[1], |c| c.delivered_len())
-                .unwrap();
-        assert_eq!(delivered_len, 1);
+        let delivered = GroupNode::capture(&mut sim, ids[1]).unwrap().delivered;
+        assert_eq!(delivered.len(), 1);
     }
 
     #[test]

@@ -117,7 +117,7 @@ fn live_cluster_snapshot_is_byte_stable_and_repeatable() {
     }
     assert!(first.contains("proto=certified"), "{first}");
     assert!(first.contains("next_seq=5"), "{first}");
-    assert!(first.contains("delivered=o0e0:1-5"), "{first}");
+    assert!(first.contains("delivered=o0e1:1-5"), "{first}");
     assert!(
         !first.contains("retransmit"),
         "a quiesced cluster owes nothing:\n{first}"

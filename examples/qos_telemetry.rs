@@ -201,7 +201,7 @@ fn main() {
     assert_eq!(snapshot.counter("dace.channel.qos_telemetry::Alarm.published"), 1);
     assert!(snapshot.counter("dace.expired") >= 1, "some readings expired");
     assert!(
-        snapshot.counter("group.certified.retransmits") > 0,
+        snapshot.counter("group.reliable.retransmits") > 0,
         "the audit published into the crash must have been retransmitted"
     );
 

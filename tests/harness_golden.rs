@@ -6,7 +6,18 @@
 //! anti-entropy became a digest plus a pull: control traffic is part of
 //! what those reports show (an in-flight control frame's size in a cut,
 //! and arrival orders that follow the simulator's shared loss and latency
-//! draws).
+//! draws). `durable` seeds 1 and 2 and `snapshot` seeds 1–3 were
+//! re-captured when `Certified` moved onto the delivery layer:
+//!
+//! - `durable` 1 and 2: only the order in which a recovered subscriber
+//!   receives retransmissions moves (seed 1 `inc#1 got=[4, 3, 5]` →
+//!   `[3, 4, 5]`; seed 2 `[2, 4, 3, 5]` → `[3, 4, 2, 5]` and `[6, 7]` →
+//!   `[7, 6]`), because the layer retransmits every 40 ms where `Certified`
+//!   waited 50 ms (with the interval at 50 ms both digests are unchanged);
+//! - `snapshot` 1–3: only the epoch moves: every certified capture reads
+//!   `epoch=1` and names ids `o0e1:` where the constant epoch read
+//!   `epoch=0` and `o0e0:`, as the epoch is now persisted per incarnation
+//!   from 1.
 //!
 //! - `stack`: the run's rendering (`StackOutcome::render()`) for stack
 //!   seeds 1–5;
@@ -60,17 +71,17 @@ const GOLDEN: [(&str, &[(u64, u64)]); 4] = [
     (
         "durable",
         &[
-            (1, 0x0f44_693b_9597_4bff),
-            (2, 0x28e7_f074_53c8_7d35),
+            (1, 0xf678_2636_d663_cb95),
+            (2, 0xc3db_bd13_fa33_8687),
             (3, 0x9ee1_1f3c_22a2_d2bc),
         ],
     ),
     (
         "snapshot",
         &[
-            (1, 0x356d_40fd_16e9_81b4),
-            (2, 0x779f_a39a_7970_bdc7),
-            (3, 0xdb8c_f456_7c57_5019),
+            (1, 0x99c7_6e69_eeba_6e3f),
+            (2, 0xcc71_bfa9_5f62_ea94),
+            (3, 0x60c4_ce4e_56f2_7360),
         ],
     ),
 ];

@@ -1895,6 +1895,25 @@ struct ChannelIo<'a, 'b> {
     last_encoded: Option<(WireBytes, WireBytes)>,
 }
 
+impl ChannelIo<'_, '_> {
+    /// `bytes` in the channel's `NodeMsg::Data` envelope, encoded once per
+    /// distinct buffer.
+    fn envelope(&mut self, bytes: WireBytes) -> WireBytes {
+        if let Some((prev, encoded)) = &self.last_encoded {
+            if prev.ptr_eq(&bytes) {
+                return encoded.clone();
+            }
+        }
+        let encoded = encode_node_msg(&NodeMsg::Data {
+            channel: self.kind,
+            snap: self.snap,
+            bytes: bytes.clone(),
+        });
+        self.last_encoded = Some((bytes, encoded.clone()));
+        encoded
+    }
+}
+
 impl GroupIo for ChannelIo<'_, '_> {
     fn self_id(&self) -> NodeId {
         self.ctx.id()
@@ -1909,20 +1928,13 @@ impl GroupIo for ChannelIo<'_, '_> {
     }
 
     fn send(&mut self, to: NodeId, bytes: WireBytes) {
-        if let Some((prev, encoded)) = &self.last_encoded {
-            if prev.ptr_eq(&bytes) {
-                let encoded = encoded.clone();
-                self.ctx.send(to, encoded);
-                return;
-            }
-        }
-        let encoded = encode_node_msg(&NodeMsg::Data {
-            channel: self.kind,
-            snap: self.snap,
-            bytes: bytes.clone(),
-        });
-        self.ctx.send(to, encoded.clone());
-        self.last_encoded = Some((bytes, encoded));
+        let encoded = self.envelope(bytes);
+        self.ctx.send(to, encoded);
+    }
+
+    fn send_ahead(&mut self, to: NodeId, bytes: WireBytes) {
+        let encoded = self.envelope(bytes);
+        self.ctx.send_ahead(to, encoded);
     }
 
     fn deliver(&mut self, origin: NodeId, payload: WireBytes) {

@@ -30,6 +30,14 @@ pub trait GroupIo {
     /// and N handle clones, never N copies.
     fn send(&mut self, to: NodeId, bytes: WireBytes);
 
+    /// Sends protocol bytes that depend on no log record this callback
+    /// wrote, so a host may put them on the wire before the callback's
+    /// records reach the disk (`psc_simnet::Ctx::send_ahead`). Default: a
+    /// plain [`send`](Self::send).
+    fn send_ahead(&mut self, to: NodeId, bytes: WireBytes) {
+        self.send(to, bytes);
+    }
+
     /// Hands a payload up to the application, attributed to its original
     /// broadcaster.
     fn deliver(&mut self, origin: NodeId, payload: WireBytes);

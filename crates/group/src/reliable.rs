@@ -32,7 +32,10 @@
 //! and the incarnation's epoch are on stable storage too, which is the
 //! paper's *Certified*: "even if a notifiable temporarily disconnects or
 //! fails, it will eventually deliver the obvent" (§3.1.2) — Fig. 4's
-//! `Certified extends Reliable`, as [`Certified`].
+//! `Certified extends Reliable`, as [`Certified`]. The durable half also
+//! says which own frames depend on no record their callback wrote
+//! ([`Durability::ahead`]), so a host with a real disk can send them before
+//! its fsync.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -266,7 +269,7 @@ impl<Hd: Serialize> Outbox<Hd> {
     }
 
     /// Sends own frame `id` to `targets` and keeps it until they all
-    /// acknowledge it.
+    /// acknowledge it; `ahead` sends it with [`GroupIo::send_ahead`].
     pub(crate) fn send(
         &mut self,
         io: &mut dyn GroupIo,
@@ -274,8 +277,9 @@ impl<Hd: Serialize> Outbox<Hd> {
         header: Hd,
         payload: WireBytes,
         targets: Vec<NodeId>,
+        ahead: bool,
     ) {
-        send_data(io, id, &header, &payload, true, &targets);
+        send_data(io, id, &header, &payload, true, &targets, ahead);
         if !targets.is_empty() {
             self.outgoing
                 .insert((id.epoch, id.seq), Outgoing::new(header, payload, targets));
@@ -298,10 +302,15 @@ fn send_data<Hd: Serialize>(
     payload: &WireBytes,
     from_origin: bool,
     targets: &[NodeId],
+    ahead: bool,
 ) {
     let bytes = encode_msg(&Frame::Data(id, header, payload.clone(), from_origin));
     for &member in targets {
-        io.send(member, bytes.clone());
+        if ahead {
+            io.send_ahead(member, bytes.clone());
+        } else {
+            io.send(member, bytes.clone());
+        }
     }
 }
 
@@ -326,6 +335,13 @@ pub trait Durability<Hd>: Default + fmt::Debug + Send + 'static {
 
     /// A first receipt from `origin` (or an own delivery) is in `seen`.
     fn received(&mut self, _io: &mut dyn GroupIo, _seen: &Dedup, _origin: NodeId) {}
+
+    /// Whether the own frame [`sent`](Self::sent) just now depends on no
+    /// record this callback wrote, so it may leave before they reach the
+    /// disk ([`GroupIo::send_ahead`]).
+    fn ahead(&self, _io: &mut dyn GroupIo) -> bool {
+        false
+    }
 }
 
 /// Volatile: nothing is stored.
@@ -345,9 +361,21 @@ impl<Hd> Durability<Hd> for () {}
 /// It acknowledges a first receipt as delivered, so it composes with the
 /// `()` policy alone: under a hold-back policy a first receipt is not yet
 /// a delivery.
+///
+/// A frame may leave ahead of its callback's records once its epoch record
+/// was committed by an *earlier* callback: a receiver dedups by
+/// `(origin, epoch, seq)`, so a frame sent under an epoch a crash could
+/// hand to the next incarnation would swallow that incarnation's frames.
+/// Its `cert/out` record guards only this origin's own retransmission: if
+/// the origin dies before the record is synced, the frame is delivered
+/// once or never, as when it dies between the publish call returning and
+/// the sync. Acks, retransmissions and the epoch's own frame stay plain.
 #[derive(Debug, Default)]
 pub struct Durable {
     loaded: bool,
+    /// [`Storage::commits`](psc_simnet::Storage::commits) when this
+    /// incarnation's `cert/epoch` record was written.
+    epoch_written: Option<u64>,
 }
 
 fn out_key(id: MsgId) -> String {
@@ -406,6 +434,7 @@ impl Durability<()> for Durable {
         let mut storage = io.storage();
         if id.seq == 1 {
             storage.put(KEY_EPOCH, &id.epoch).expect("epochs serialize");
+            self.epoch_written = Some(storage.commits());
         }
         if !to.is_empty() {
             storage
@@ -423,6 +452,11 @@ impl Durability<()> for Durable {
         io.storage()
             .put(&key, seen.origin(origin))
             .expect("delivered records serialize");
+    }
+
+    fn ahead(&self, io: &mut dyn GroupIo) -> bool {
+        self.epoch_written
+            .is_some_and(|written| io.storage().commits() > written)
     }
 }
 
@@ -468,7 +502,9 @@ impl<H: HoldBack, D: Durability<H::Header>> Multicast for Eager<H, D> {
         let oldest_unacked = self.out.oldest_unacked();
         let (targets, header) = self.order.address(me, io.members(), id, oldest_unacked);
         self.disk.sent(io, id, &payload, &targets);
-        self.out.send(io, id, header.clone(), payload.clone(), targets);
+        let ahead = self.disk.ahead(io);
+        self.out
+            .send(io, id, header.clone(), payload.clone(), targets, ahead);
         let member = io.members().contains(&me);
         let seen = self.seen.stream(id);
         if Self::RELAY || (D::DURABLE && member) {
@@ -511,7 +547,7 @@ impl<H: HoldBack, D: Durability<H::Header>> Multicast for Eager<H, D> {
                         .collect();
                     if !others.is_empty() {
                         io.metric("reliable.relays", 1);
-                        send_data(io, id, &header, &payload, false, &others);
+                        send_data(io, id, &header, &payload, false, &others, false);
                     }
                 }
                 self.order.accept(io, &mut self.out, id, header, payload, seen);
@@ -556,7 +592,8 @@ impl<H: HoldBack, D: Durability<H::Header>> Multicast for Eager<H, D> {
                 epoch,
                 seq,
             };
-            send_data(io, id, &frame.header, &frame.payload, true, &frame.unacked);
+            let unacked = &frame.unacked;
+            send_data(io, id, &frame.header, &frame.payload, true, unacked, false);
         }
         out.arm_timer(io);
     }
@@ -685,13 +722,14 @@ mod tests {
     const ME: NodeId = NodeId(1);
     const OTHER: NodeId = NodeId(2);
 
-    /// One process's disk, what it delivered and what it sent.
+    /// One process's disk, what it delivered and what it sent (with
+    /// whether it was sent ahead of its callback's records).
     struct Disk {
         me: NodeId,
         members: Vec<NodeId>,
         storage: Storage,
         delivered: Vec<u64>,
-        sent: Vec<(NodeId, WireBytes)>,
+        sent: Vec<(NodeId, WireBytes, bool)>,
         rng: StdRng,
     }
 
@@ -765,14 +803,23 @@ mod tests {
 
         /// The ids of the data frames sent to `to`, in send order.
         fn data_to(&self, to: NodeId) -> Vec<MsgId> {
-            let data = self.sent.iter().filter(|(dest, _)| *dest == to);
-            data.filter_map(|(_, bytes)| Reliable::peek_id(bytes))
+            let data = self.sent.iter().filter(|(dest, ..)| *dest == to);
+            data.filter_map(|(_, bytes, _)| Reliable::peek_id(bytes))
+                .collect()
+        }
+
+        /// Every send since the last call: the data frame's id (`None` for
+        /// an ack) and whether it went ahead of its callback's records.
+        fn take_sends(&mut self) -> Vec<(Option<MsgId>, bool)> {
+            let sent = std::mem::take(&mut self.sent);
+            sent.iter()
+                .map(|(_, bytes, ahead)| (Reliable::peek_id(bytes), *ahead))
                 .collect()
         }
 
         /// Moves every frame sent to `to` into `proto` at `to`'s disk.
         fn forward(&mut self, to: &mut Disk, proto: &mut Certified) {
-            for (dest, bytes) in std::mem::take(&mut self.sent) {
+            for (dest, bytes, _) in std::mem::take(&mut self.sent) {
                 if dest == to.me {
                     to.receive(proto, self.me, bytes);
                 }
@@ -791,7 +838,10 @@ mod tests {
             SimTime::ZERO
         }
         fn send(&mut self, to: NodeId, bytes: WireBytes) {
-            self.sent.push((to, bytes));
+            self.sent.push((to, bytes, false));
+        }
+        fn send_ahead(&mut self, to: NodeId, bytes: WireBytes) {
+            self.sent.push((to, bytes, true));
         }
         fn deliver(&mut self, _origin: NodeId, payload: WireBytes) {
             self.delivered
@@ -1024,5 +1074,69 @@ mod tests {
         ack(&mut publisher, &mut proto, OTHER, id(1, 1));
         assert!(owed(&mut proto, &mut publisher).is_empty());
         assert_eq!(publisher.storage.keys_with_prefix("cert/out/").count(), 0);
+    }
+
+    // Which sends may leave before their callback's records reach the
+    // disk (`GroupIo::send_ahead`): each step is one callback and its
+    // commit, as a DACE host runs it.
+
+    /// A frame whose epoch an earlier callback committed leaves ahead, and
+    /// its callback's commit carries its own `cert/out` record. The
+    /// incarnation's first frame, which writes the epoch, waits for it.
+    #[test]
+    fn a_frame_under_an_epoch_committed_earlier_leaves_ahead_of_its_record() {
+        let mut publisher = Disk::new(PUBLISHER, &[ME]);
+        let mut proto = publisher.start();
+        assert_eq!(broadcast(&mut publisher, &mut proto, 1), 2);
+        assert_eq!(publisher.take_sends(), [(Some(id(1, 1)), false)]);
+        for seq in 2..=4 {
+            assert_eq!(broadcast(&mut publisher, &mut proto, seq), 1, "its record");
+            assert_eq!(publisher.take_sends(), [(Some(id(1, seq)), true)]);
+            assert!(publisher.storage.get_raw(&format!("cert/out/1/{seq}")).is_some());
+        }
+    }
+
+    /// One callback can broadcast more than once: a frame written after
+    /// the epoch record in the same callback still depends on it. So does
+    /// every frame of a recovered incarnation's first callback, and its
+    /// retransmissions stay plain too.
+    #[test]
+    fn broadcasts_in_the_callback_that_writes_the_epoch_stay_plain() {
+        let mut publisher = Disk::new(PUBLISHER, &[ME]);
+        let twice = |disk: &mut Disk, proto: &mut Certified| {
+            for value in [1u64, 2] {
+                proto.broadcast(disk, WireBytes::from(value.to_le_bytes().to_vec()));
+            }
+            disk.storage.wal_commit();
+            disk.take_sends()
+        };
+        let mut proto = publisher.start();
+        let first = twice(&mut publisher, &mut proto);
+        assert_eq!(first, [(Some(id(1, 1)), false), (Some(id(1, 2)), false)]);
+
+        let mut proto = publisher.crash();
+        let first = twice(&mut publisher, &mut proto);
+        assert_eq!(first, [(Some(id(2, 1)), false), (Some(id(2, 2)), false)]);
+        proto.on_timer(&mut publisher, RETRANSMIT);
+        publisher.storage.wal_commit();
+        let retransmitted = publisher.take_sends();
+        assert_eq!(retransmitted.len(), 4, "both epochs' frames are owed");
+        assert!(retransmitted.iter().all(|&(_, ahead)| !ahead));
+        broadcast(&mut publisher, &mut proto, 3);
+        assert_eq!(publisher.take_sends(), [(Some(id(2, 3)), true)]);
+    }
+
+    /// A subscriber's ack follows its delivered record: the callback that
+    /// delivers a frame appends `cert/delivered/<origin>` and acks plain,
+    /// and so does a duplicate's (with no record).
+    #[test]
+    fn acks_and_delivered_records_are_never_ahead() {
+        let mut disk = Disk::subscriber();
+        let mut proto = disk.start();
+        for (seq, record) in [(1, 1), (2, 1), (1, 0)] {
+            assert_eq!(disk.data(&mut proto, seq), record, "seq {seq}");
+            assert_eq!(disk.take_sends(), [(None, false)], "seq {seq}: one plain ack");
+        }
+        assert_eq!(disk.delivered_keys(), ["cert/delivered/0"]);
     }
 }

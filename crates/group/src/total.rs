@@ -160,7 +160,7 @@ impl HoldBack for TotalHoldBack {
                 joins: joins.stamp(id.seq, &targets),
                 ordered: Some(submission),
             };
-            out.send(io, id, header, payload.clone(), targets);
+            out.send(io, id, header, payload.clone(), targets, false);
             if io.members().contains(&me) {
                 Self::deliver(delivered, io, submission, payload);
             }

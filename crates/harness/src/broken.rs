@@ -121,6 +121,32 @@ impl Multicast for BrokenFifo {
     }
 }
 
+/// A "causal" broadcast with no hold-back at all: [`BrokenFifo`]'s
+/// delivery on arrival, under its own name. Run on a causal scenario where
+/// each origin publishes once, per-origin order cannot break, so only the
+/// causal oracle can catch it: a message whose predecessor from another
+/// origin is still in flight is delivered first.
+#[derive(Debug, Default)]
+pub struct BrokenCausal(BrokenFifo);
+
+impl Multicast for BrokenCausal {
+    fn broadcast(&mut self, io: &mut dyn GroupIo, payload: WireBytes) {
+        self.0.broadcast(io, payload);
+    }
+
+    fn on_message(&mut self, io: &mut dyn GroupIo, from: NodeId, bytes: &[u8]) {
+        self.0.on_message(io, from, bytes);
+    }
+
+    fn proto_name(&self) -> &'static str {
+        "broken-causal"
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
 /// A broadcast that relays but **never delivers** foreign messages: every
 /// remote publication is parked in an internal buffer forever. The
 /// completeness oracle sees the missing deliveries; the *point* of this

@@ -265,9 +265,13 @@ pub fn smoke_seeds(count: u64) -> Vec<u64> {
 }
 
 /// Seeds for the long fuzz mode: `HARNESS_FUZZ=N` enables a sweep of `N`
-/// fresh seeds (offset away from the smoke range); unset means skip.
+/// seeds from `HARNESS_FUZZ_BASE` (default 10 000, away from the smoke
+/// range), so that a nightly can look at a fresh window every run; unset
+/// means skip. Each seed still replays alone with `HARNESS_SEED`.
 pub fn fuzz_seeds() -> Option<Vec<u64>> {
-    env_u64("HARNESS_FUZZ").map(|count| (10_000..10_000 + count).collect())
+    let count = env_u64("HARNESS_FUZZ")?;
+    let base = env_u64("HARNESS_FUZZ_BASE").unwrap_or(10_000);
+    Some((base..base.saturating_add(count)).collect())
 }
 
 #[cfg(test)]

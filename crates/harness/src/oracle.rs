@@ -334,6 +334,14 @@ pub fn check_fifo(trace: &Trace) -> Vec<Violation> {
 /// `m`. Delivering `m` while a predecessor is missing entirely is equally
 /// a violation — causal protocols hold `m` back instead.
 ///
+/// Judged **per receiver incarnation**, like duplicates and FIFO order: a
+/// dependency counts only if the same incarnation delivered it before `m`.
+/// A restarted receiver's causal state died with it, and it waits for
+/// seq 1 of every stream that began before its recovery (DESIGN.md §13).
+/// So a dependency only an earlier incarnation delivered is missing, and a
+/// dependency redelivered after a restart is no inversion of the `m` an
+/// earlier incarnation delivered.
+///
 /// Crash severance: a dependency is excused when the node delivered, before
 /// `m`, a publish from the dependency's origin belonging to a **newer**
 /// incarnation. Superseding an incarnation proves its undelivered tail is
@@ -343,14 +351,14 @@ pub fn check_fifo(trace: &Trace) -> Vec<Violation> {
 pub fn check_causal(trace: &Trace) -> Vec<Violation> {
     let mut violations = Vec::new();
     for (&node, log) in &trace.deliveries {
-        let position: HashMap<usize, usize> =
-            log.iter().enumerate().map(|(pos, d)| (d.index, pos)).collect();
+        let position: HashMap<(u64, usize), usize> =
+            log.iter().enumerate().map(|(pos, d)| ((d.incarnation, d.index), pos)).collect();
         for (pos, d) in log.iter().enumerate() {
             let Some(p) = trace.publishes.get(d.index) else {
                 continue;
             };
             for &dep in &p.deps {
-                match position.get(&dep) {
+                match position.get(&(d.incarnation, dep)) {
                     Some(&dep_pos) if dep_pos < pos => continue,
                     _ => {}
                 }
@@ -607,6 +615,47 @@ mod tests {
             check_causal(&unsevered),
             vec![Violation::CausalOrder { node: 2, index: 2, dep: 0 }]
         );
+    }
+
+    /// A receiver log whose deliveries carry incarnations:
+    /// `(incarnation, origin, index)` each.
+    fn incarnations(publishes: Vec<PubRecord>, node: u64, log: &[(u64, u64, usize)]) -> Trace {
+        let log = log
+            .iter()
+            .map(|&(incarnation, origin, index)| Delivery { origin, index, incarnation })
+            .collect();
+        Trace { publishes, deliveries: [(node, log)].into_iter().collect(), ..Trace::default() }
+    }
+
+    /// Node 3 delivers #0, then #1 (which depends on #0), crashes, and its
+    /// next incarnation delivers #0 again: each incarnation kept causal
+    /// order. Keyed by index alone, #0's *last* position came after #1.
+    #[test]
+    fn causal_redelivery_after_a_receiver_restart_is_not_an_inversion() {
+        let publishes = vec![publish(0, 0, 1, vec![]), publish(1, 3, 1, vec![0])];
+        let t = incarnations(publishes, 3, &[(0, 0, 0), (0, 3, 1), (1, 0, 0)]);
+        assert!(check_causal(&t).is_empty());
+    }
+
+    /// A restarted receiver delivering #1 with its dependency #0 delivered
+    /// only by its previous incarnation has lost #0 with that incarnation:
+    /// a violation, as is an inversion inside the new incarnation.
+    #[test]
+    fn causal_dependency_delivered_only_by_an_earlier_receiver_incarnation_is_missing() {
+        let publishes = vec![publish(0, 0, 1, vec![]), publish(1, 1, 1, vec![0])];
+        let earlier_only = incarnations(publishes.clone(), 2, &[(0, 0, 0), (1, 1, 1)]);
+        assert_eq!(
+            check_causal(&earlier_only),
+            vec![Violation::CausalOrder { node: 2, index: 1, dep: 0 }]
+        );
+        let inverted_after_restart =
+            incarnations(publishes.clone(), 2, &[(0, 0, 0), (1, 1, 1), (1, 0, 0)]);
+        assert_eq!(
+            check_causal(&inverted_after_restart),
+            vec![Violation::CausalOrder { node: 2, index: 1, dep: 0 }]
+        );
+        let redelivered_first = incarnations(publishes, 2, &[(0, 0, 0), (1, 0, 0), (1, 1, 1)]);
+        assert!(check_causal(&redelivered_first).is_empty());
     }
 
     #[test]

@@ -124,11 +124,12 @@ impl DaceEndpoint {
     /// the lock every callback of the node runs under — the local API
     /// injection path for publish/subscribe, identical in effect to
     /// [`DaceNode::drive`] under the simulator. What `f` publishes to an
-    /// idle peer is on the socket when this returns — unless the call
-    /// wrote to the node's log (a `Certified` publish, a durable
-    /// subscription): the caller does not wait for the disk, and the log
-    /// write and the sends behind it follow on the transport's timer
-    /// thread.
+    /// idle peer is on the socket when this returns. If the call wrote to
+    /// the node's log (a `Certified` publish, a durable subscription), the
+    /// caller still does not wait for the disk: a certified frame under an
+    /// epoch already on disk leaves at once, ahead of its own log record,
+    /// and the log write and the sends that depend on it follow on the
+    /// transport's timer thread.
     ///
     /// Subscription handlers run under the same lock (on whichever thread
     /// brought the obvent), so calling this from inside a handler

@@ -19,17 +19,21 @@
 //!
 //! So node code stays single-threaded exactly as it is under the
 //! simulator, and every callback's effects are applied in one place
-//! (`Shared::apply`) before the lock is released: log records first, then
-//! sends and timers, then the self-sends those produced. One exception
+//! (`Shared::apply`) before the lock is released: the sends the node marked
+//! as depending on none of the callback's log records first
+//! ([`NodeHost::take_sends_ahead`]), then the log records, then the other
+//! sends and the timers, then the self-sends those produced. One exception
 //! keeps callers off the disk: a local call whose callback journaled log
-//! records returns at once, and the timer thread (or whoever takes the
-//! lock first) writes the log and applies the effects — before any other
-//! callback runs, so nothing is reordered. A send to an idle peer is
-//! written by the applying thread itself; one **writer** thread per dialed
-//! peer carries what the socket would not take at once (see
-//! [`crate::peer`]). Lock order: core, then a peer's queue; `inspect` and
-//! `queue_depths` never take the core, so they answer while the node is
-//! busy or backpressured.
+//! records puts its sends ahead on the wire and returns, and the timer
+//! thread (or whoever takes the lock first) writes the log and applies the
+//! rest — before any other callback runs, so nothing is reordered. A
+//! certified publish's frame is such a send once its epoch is on disk
+//! (`psc_group::Durable`), so it leaves before the publisher's fsync. A
+//! send to an idle peer is written by the applying thread itself; one
+//! **writer** thread per dialed peer carries what the socket would not
+//! take at once (see [`crate::peer`]). Lock order: core, then a peer's
+//! queue; `inspect` and `queue_depths` never take the core, so they answer
+//! while the node is busy or backpressured.
 //!
 //! A panic under the lock (a handler's, or the WAL's refusal to run
 //! undurable) poisons the core and the endpoint fail-stops: readers and
@@ -172,28 +176,26 @@ impl Shared {
         }
     }
 
-    /// Every callback's effects pass through here, and only here: the WAL
-    /// journal reaches the files *before* any effect of that callback is
-    /// applied, so nothing observable (a send, an ack) ever precedes its log
-    /// record on disk — the same discipline the simulator's crash model
-    /// enforces. Self-sends loop back before the lock is released, like the
-    /// simulator's 1µs self-delivery beats any network hop.
+    /// Every callback's effects pass through here, and only here, in three
+    /// steps: the sends the node marked as depending on none of the
+    /// callback's log records, then the WAL journal to the files, then
+    /// every other effect. So nothing that depends on a record (an ack, a
+    /// retransmission, a frame under a new epoch) precedes it on disk — the
+    /// discipline the simulator's crash model enforces — and a send ahead
+    /// never overtakes a plain one to the same peer (the host keeps such a
+    /// send among the effects). Self-sends loop back before the lock is
+    /// released, like the simulator's 1µs self-delivery beats any network
+    /// hop.
     fn apply(&self, core: &mut Core, mut effects: Vec<HostEffect>, mut now: SimTime) {
         loop {
+            for (to, payload) in core.host.take_sends_ahead() {
+                self.send(core, to, payload);
+            }
             let journal = core.host.storage_mut().take_wal_journal();
             persist_wal(core, &journal);
             for effect in effects {
                 match effect {
-                    HostEffect::Send { to, payload } => {
-                        if to == self.id {
-                            self.metrics.loopback.inc();
-                            core.loopback.push_back(payload);
-                        } else if let Some(peer) = core.peers.get(&to) {
-                            peer.push(payload);
-                        } else {
-                            self.metrics.queue_dropped.inc();
-                        }
-                    }
+                    HostEffect::Send { to, payload } => self.send(core, to, payload),
                     HostEffect::SetTimer { id, after } => {
                         let at = now + after;
                         core.timers.schedule(at, NetTimer::Node(id));
@@ -209,6 +211,19 @@ impl Shared {
             };
             now = self.clock.now();
             effects = core.host.message(now, self.id, &payload);
+        }
+    }
+
+    /// Routes one send: a self-send to the loopback queue, any other to its
+    /// peer.
+    fn send(&self, core: &mut Core, to: NodeId, payload: WireBytes) {
+        if to == self.id {
+            self.metrics.loopback.inc();
+            core.loopback.push_back(payload);
+        } else if let Some(peer) = core.peers.get(&to) {
+            peer.push(payload);
+        } else {
+            self.metrics.queue_dropped.inc();
         }
     }
 
@@ -243,13 +258,15 @@ impl NetTransport {
 
         // With a data directory, the host starts from the storage the file
         // backend reloaded (the node's own WAL replay then runs against it,
-        // exactly like a post-crash recovery under the simulator) and the
-        // WAL journal is switched on so every mutation reaches the files.
+        // exactly like a post-crash recovery under the simulator), the WAL
+        // journal is switched on so every mutation reaches the files, and
+        // the sends that need not wait for them are held apart.
         let (host, wal) = match &config.data_dir {
             Some(dir) => {
                 let (storage, wal) = FileWal::open(dir)?;
                 let mut host = NodeHost::with_storage(config.id, node, config.seed, storage);
                 host.storage_mut().enable_wal_journal();
+                host.enable_sends_ahead();
                 (host, Some(wal))
             }
             None => (NodeHost::new(config.id, node, config.seed), None),
@@ -347,10 +364,12 @@ impl NetTransport {
     /// core lock, with a live `Ctx`, and returns its result. Queued effects
     /// (sends, timers) are applied as if a callback had produced them —
     /// this is how local API calls (publish, subscribe) enter the system —
-    /// before this returns, unless `f` journaled log records: the caller
-    /// does not wait for the disk, and the log write and the effects
-    /// behind it are finished by the timer thread. The node's own handlers
-    /// run under the same lock, so calling this from inside one deadlocks.
+    /// before this returns, unless `f` journaled log records: then only the
+    /// sends ahead of them (a certified frame under an epoch already on
+    /// disk) leave on this thread, the caller does not wait for the disk,
+    /// and the log write and the effects behind it are finished by the
+    /// timer thread. The node's own handlers run under the same lock, so
+    /// calling this from inside one deadlocks.
     ///
     /// # Panics
     /// Once the endpoint has stopped — after `shutdown`, or after a
@@ -368,6 +387,9 @@ impl NetTransport {
         if journal.is_empty() {
             shared.apply(&mut core, effects, now);
         } else {
+            for (to, payload) in core.host.take_sends_ahead() {
+                shared.send(&mut core, to, payload);
+            }
             core.deferred.push_back(Deferred { journal, effects, at: now });
             shared.wake_timer.notify_one();
         }
@@ -631,6 +653,8 @@ fn reader_loop(stream: HangUp, shared: &Shared) {
 
 #[cfg(test)]
 mod tests {
+    use std::time::Instant;
+
     use super::*;
 
     #[test]
@@ -644,5 +668,157 @@ mod tests {
         let mut wrong_magic = payload;
         wrong_magic[0] = b'X';
         assert_eq!(parse_hello(&wrong_magic), None);
+    }
+
+    /// One callback that writes a log record and sends `a1` plain, `a2`
+    /// ahead to node 1, then `b1` ahead and `b2` plain to node 2.
+    fn script(ctx: &mut Ctx<'_>) {
+        ctx.storage().wal_bind("t/", "t");
+        ctx.storage().put_raw("t/x", vec![7]);
+        ctx.send(NodeId(1), b"a1".to_vec());
+        ctx.send_ahead(NodeId(1), b"a2".to_vec());
+        ctx.send_ahead(NodeId(2), b"b1".to_vec());
+        ctx.send(NodeId(2), b"b2".to_vec());
+        ctx.storage().wal_commit();
+    }
+
+    /// Runs [`script`] when its timer fires.
+    struct OnTimer;
+
+    impl Node for OnTimer {
+        fn on_message(&mut self, _ctx: &mut Ctx<'_>, _from: NodeId, _payload: &[u8]) {}
+
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _timer: TimerId) {
+            script(ctx);
+        }
+
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    /// Runs [`script`] as a local call (the caller sends ahead, the timer
+    /// thread writes the log), or from a timer (one thread applies all).
+    fn run_script(transport: &NetTransport, local_call: bool) {
+        if local_call {
+            transport.act_sync(|_, ctx| script(ctx));
+        } else {
+            transport.act_sync(|_, ctx| {
+                ctx.set_timer(Duration::from_millis(1));
+            });
+        }
+    }
+
+    /// The far end of a transport's connection to a peer, read raw.
+    struct RawPeer {
+        stream: TcpStream,
+        frames: FrameReassembler,
+    }
+
+    impl RawPeer {
+        /// Accepts the transport's connection and checks its hello.
+        fn accept(listener: &TcpListener, from: NodeId) -> RawPeer {
+            let (stream, _) = listener.accept().expect("the transport dials");
+            let mut peer = RawPeer { stream, frames: FrameReassembler::new() };
+            let hello = peer.next(StdDuration::from_secs(10)).expect("a hello");
+            assert_eq!(parse_hello(&hello), Some(from));
+            peer
+        }
+
+        /// The next frame, or `None` if none arrives within `wait`.
+        fn next(&mut self, wait: StdDuration) -> Option<Vec<u8>> {
+            let deadline = Instant::now() + wait;
+            loop {
+                if let Some(frame) = self.frames.next_frame().expect("clean frames") {
+                    return Some(frame);
+                }
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    return None;
+                }
+                self.stream.set_read_timeout(Some(left)).expect("read timeout");
+                let mut buf = [0u8; 4096];
+                match self.stream.read(&mut buf) {
+                    Ok(n) if n > 0 => self.frames.extend(&buf[..n]),
+                    _ => return None,
+                }
+            }
+        }
+    }
+
+    /// A transport with a data directory hosting [`OnTimer`], connected to
+    /// two raw peers (nodes 1 and 2).
+    fn endpoint(dir: &std::path::Path) -> (NetTransport, RawPeer, RawPeer) {
+        let mut config = NetConfig::new(NodeId(0), "127.0.0.1:0");
+        config.data_dir = Some(dir.to_path_buf());
+        let registry = Arc::new(Registry::new());
+        let transport = NetTransport::bind(config, Box::new(OnTimer), registry, None).expect("bind");
+        let listeners: Vec<TcpListener> =
+            (0..2).map(|_| TcpListener::bind("127.0.0.1:0").expect("listen")).collect();
+        for (i, listener) in listeners.iter().enumerate() {
+            let addr = listener.local_addr().expect("addr").to_string();
+            transport.add_peer(NodeId(i as u64 + 1), &addr);
+        }
+        let a = RawPeer::accept(&listeners[0], NodeId(0));
+        let b = RawPeer::accept(&listeners[1], NodeId(0));
+        assert!(transport.wait_connected(StdDuration::from_secs(10)));
+        (transport, a, b)
+    }
+
+    fn data_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("psc-net-ahead-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("data dir");
+        dir
+    }
+
+    const WAIT: StdDuration = StdDuration::from_secs(10);
+
+    /// Per peer, the sends arrive in the order the callback made them, and
+    /// a plain send leaves only after the callback's record is on disk.
+    #[test]
+    fn plain_sends_follow_the_log_record_and_keep_per_peer_order() {
+        for local_call in [true, false] {
+            let dir = data_dir(&format!("ok-{local_call}"));
+            let (transport, mut a, mut b) = endpoint(&dir);
+            run_script(&transport, local_call);
+            assert_eq!(b.next(WAIT).as_deref(), Some(&b"b1"[..]));
+            assert_eq!(b.next(WAIT).as_deref(), Some(&b"b2"[..]));
+            assert_eq!(a.next(WAIT).as_deref(), Some(&b"a1"[..]));
+            assert_eq!(a.next(WAIT).as_deref(), Some(&b"a2"[..]));
+            // `b2` left after the log write: the record is in the files.
+            let (mut storage, _) = FileWal::open(&dir).expect("reopen");
+            storage.wal_recover();
+            assert_eq!(storage.get_raw("t/x"), Some(&[7u8][..]));
+            transport.shutdown();
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// The order of `apply`, made visible by a log write that cannot
+    /// succeed (the log's directory name is taken by a file): the send
+    /// ahead left before it, and nothing behind it ever leaves — not the
+    /// plain sends, and not `a2`, which was marked ahead but follows a
+    /// plain send to the same peer. The endpoint fail-stops.
+    #[test]
+    fn a_failed_log_write_stops_everything_but_the_sends_ahead_of_it() {
+        for local_call in [true, false] {
+            let dir = data_dir(&format!("fail-{local_call}"));
+            std::fs::write(dir.join("t"), b"not a directory").expect("obstruct the log");
+            let (transport, mut a, mut b) = endpoint(&dir);
+            run_script(&transport, local_call);
+            assert_eq!(b.next(WAIT).as_deref(), Some(&b"b1"[..]), "the send ahead left");
+            let deadline = Instant::now() + WAIT;
+            while !transport.shared.core.is_poisoned() {
+                assert!(Instant::now() < deadline, "the log write must fail-stop the endpoint");
+                std::thread::sleep(StdDuration::from_millis(5));
+            }
+            // Poisoned inside the log write: no later effect was applied.
+            let quiet = StdDuration::from_millis(200);
+            assert_eq!(b.next(quiet), None, "b2 waits for the log");
+            assert_eq!(a.next(quiet), None, "a1 waits for the log, and a2 for a1");
+            transport.shutdown();
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

@@ -12,7 +12,9 @@
 //!    subscriber endpoint with a `data_dir` is torn down mid-stream —
 //!    process state gone, only segment files survive — and a fresh
 //!    endpoint on the same directory and durable identity resumes the
-//!    stream with every acked publish delivered exactly once.
+//!    stream with every acked publish delivered exactly once. The same
+//!    holds for a publisher torn down and restarted on its directory: its
+//!    new incarnation's frames are not swallowed under a reused epoch.
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration as StdDuration, Instant};
@@ -243,5 +245,72 @@ fn killed_subscriber_resumes_exactly_once_from_segment_files() {
 
     revived.shutdown();
     publisher.shutdown();
+    let _ = std::fs::remove_dir_all(&data);
+}
+
+/// Publishes probes (from `base` up) until one reaches `seen`: the
+/// publisher has learnt the durable subscription (a probe before that has
+/// no target and goes nowhere). Returns the probes sent.
+fn route(publisher: &DaceEndpoint, seen: &Arc<Mutex<Vec<u64>>>, base: u64) -> Vec<u64> {
+    for probe in base..base + 100 {
+        publish(publisher, probe);
+        if wait_until(200, || seen.lock().unwrap().contains(&probe)) {
+            return (base..=probe).collect();
+        }
+    }
+    panic!("the publisher never learnt the subscription: {:?}", seen.lock().unwrap());
+}
+
+/// A publisher endpoint with a `data_dir` is torn down after its stream
+/// was acked and restarted on its directory under the same `NodeId`. The
+/// new incarnation publishes under the next epoch (its first frame waits
+/// for that record; the ones after it leave ahead of their own records),
+/// so the subscriber's dedup, which remembers the old epoch's seqs,
+/// swallows nothing: every publish arrives exactly once.
+#[test]
+fn restarted_publisher_is_not_swallowed_under_a_reused_epoch() {
+    let data = temp_root("publisher");
+    let cluster = vec![NodeId(0), NodeId(1)];
+    let subscriber = endpoint(NodeId(1), "127.0.0.1:0", cluster.clone(), None);
+    let seen = attach_durable(&subscriber, 7_002);
+    let mut probes = Vec::new();
+
+    for (round, values) in [(0u64, 0..10u64), (1, 10..20)] {
+        let publisher = endpoint(NodeId(0), "127.0.0.1:0", cluster.clone(), Some(&data));
+        publisher
+            .transport()
+            .add_peer(NodeId(1), &subscriber.local_addr().to_string());
+        subscriber
+            .transport()
+            .add_peer(NodeId(0), &publisher.local_addr().to_string());
+        assert!(publisher.wait_connected(StdDuration::from_secs(10)));
+        probes.extend(route(&publisher, &seen, 1_000_000 * (round + 1)));
+        for n in values.clone() {
+            publish(&publisher, n);
+        }
+        assert!(
+            wait_until(10_000, || values.clone().all(|n| seen.lock().unwrap().contains(&n))),
+            "round {round} must arrive: {:?}",
+            seen.lock().unwrap()
+        );
+        assert!(
+            wait_until(10_000, || publisher.inspect().contains("queue reliable.unacked=0")),
+            "round {round} must be acked before the teardown:\n{}",
+            publisher.inspect()
+        );
+        publisher.shutdown();
+    }
+    // Grace window for a stray retransmission to show as a duplicate.
+    std::thread::sleep(StdDuration::from_millis(300));
+
+    let mut got = seen.lock().unwrap().clone();
+    got.sort_unstable();
+    let mut once = got.clone();
+    once.dedup();
+    assert_eq!(got, once, "nothing is delivered twice");
+    assert!((0..20).all(|n| got.contains(&n)), "nothing is lost or swallowed: {got:?}");
+    assert!(got.iter().all(|n| *n < 20 || probes.contains(n)), "{got:?}");
+
+    subscriber.shutdown();
     let _ = std::fs::remove_dir_all(&data);
 }

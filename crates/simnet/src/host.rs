@@ -14,6 +14,11 @@
 //! timer that is already queued is suppressed *at fire time* (the host
 //! keeps calling [`NodeHost::timer`]; cancelled ids are dropped here), so
 //! a protocol observes the same schedule under both drivers.
+//!
+//! A host that writes a callback's log records *after* the callback (a
+//! file-backed WAL) may hold the sends a node marked with
+//! [`Ctx::send_ahead`] apart and put them on the wire first; see
+//! [`NodeHost::enable_sends_ahead`].
 
 use std::any::Any;
 use std::collections::HashSet;
@@ -61,6 +66,8 @@ pub struct NodeHost {
     next_timer: u64,
     cancelled: HashSet<TimerId>,
     scratch: Vec<Effect>,
+    /// The last callback's sends ahead of its log records, once enabled.
+    ahead: Option<Vec<(NodeId, WireBytes)>>,
 }
 
 impl NodeHost {
@@ -75,6 +82,7 @@ impl NodeHost {
             next_timer: 0,
             cancelled: HashSet::new(),
             scratch: Vec::new(),
+            ahead: None,
         }
     }
 
@@ -98,6 +106,25 @@ impl NodeHost {
         &mut self.storage
     }
 
+    /// Holds the sends a node marks with [`Ctx::send_ahead`] apart from
+    /// the effects its callbacks return, for
+    /// [`NodeHost::take_sends_ahead`]. A marked send stays among the effects
+    /// when it goes to the node itself (looping it back would run another
+    /// callback before this one's records are written) or to a node the
+    /// same callback already sent a plain message to (it must not overtake
+    /// that message). Off by default: every send is then an effect, in
+    /// order.
+    pub fn enable_sends_ahead(&mut self) {
+        self.ahead.get_or_insert_with(Vec::new);
+    }
+
+    /// Drains the sends the last callback left ahead of its log records,
+    /// in send order; empty unless [`NodeHost::enable_sends_ahead`] was
+    /// called.
+    pub fn take_sends_ahead(&mut self) -> Vec<(NodeId, WireBytes)> {
+        self.ahead.as_mut().map(std::mem::take).unwrap_or_default()
+    }
+
     fn run(&mut self, now: SimTime, f: impl FnOnce(&mut dyn Node, &mut Ctx<'_>)) -> Vec<HostEffect> {
         debug_assert!(self.scratch.is_empty());
         let mut ctx = Ctx {
@@ -110,9 +137,21 @@ impl NodeHost {
         };
         f(self.node.as_mut(), &mut ctx);
         let mut out = Vec::with_capacity(self.scratch.len());
+        // Peers this callback sent a plain message to.
+        let mut plain_to: Vec<NodeId> = Vec::new();
         for effect in self.scratch.drain(..) {
             match effect {
-                Effect::Send { to, payload, .. } => out.push(HostEffect::Send { to, payload }),
+                Effect::Send { to, payload, ahead, .. } => match self.ahead.as_mut() {
+                    Some(early) if ahead && to != self.id && !plain_to.contains(&to) => {
+                        early.push((to, payload));
+                    }
+                    splitting => {
+                        if splitting.is_some() {
+                            plain_to.push(to);
+                        }
+                        out.push(HostEffect::Send { to, payload });
+                    }
+                },
                 Effect::SetTimer { id, after, .. } => {
                     // Re-arming an id that was cancelled earlier must fire.
                     self.cancelled.remove(&id);

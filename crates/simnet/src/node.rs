@@ -70,6 +70,9 @@ pub(crate) enum Effect {
         from: NodeId,
         to: NodeId,
         payload: WireBytes,
+        /// Depends on no log record its callback wrote; see
+        /// [`Ctx::send_ahead`].
+        ahead: bool,
     },
     SetTimer {
         node: NodeId,
@@ -103,6 +106,22 @@ impl Ctx<'_> {
             from: self.node,
             to,
             payload: payload.into(),
+            ahead: false,
+        });
+    }
+
+    /// Like [`send`](Self::send), for a message that depends on no log
+    /// record this callback wrote: a host may put it on the wire before
+    /// the callback's records reach the disk (see
+    /// [`NodeHost::take_sends_ahead`](crate::NodeHost::take_sends_ahead)).
+    /// The simulator applies every effect after the callback's commit, so
+    /// there it is a plain send.
+    pub fn send_ahead(&mut self, to: NodeId, payload: impl Into<WireBytes>) {
+        self.effects.push(Effect::Send {
+            from: self.node,
+            to,
+            payload: payload.into(),
+            ahead: true,
         });
     }
 

@@ -282,6 +282,7 @@ impl SimNet {
             from,
             to,
             payload: payload.into(),
+            ahead: false,
         }];
         self.apply_effects(&mut effects);
     }
@@ -482,7 +483,7 @@ impl SimNet {
     fn apply_effects(&mut self, effects: &mut Vec<Effect>) {
         for effect in effects.drain(..) {
             match effect {
-                Effect::Send { from, to, payload } => self.route(from, to, payload),
+                Effect::Send { from, to, payload, .. } => self.route(from, to, payload),
                 Effect::SetTimer { node, id, after } => {
                     self.push(self.now + after, EventKind::Timer { node, id });
                 }

@@ -181,6 +181,8 @@ pub struct Storage {
     wal_journal: Option<Vec<WalOp>>,
     /// Fault injection; see [`Storage::drop_syncs`].
     drops_syncs: bool,
+    /// How many commit barriers have run; see [`Storage::commits`].
+    commits: u64,
 }
 
 impl Storage {
@@ -384,8 +386,10 @@ impl Storage {
     /// effects externalize: for each log written since the last commit, in
     /// first-touch order, rotates an oversized active segment, syncs, and
     /// compacts past the retention threshold. On a disk that honours its
-    /// sync barrier nothing observable ever precedes its log record.
+    /// sync barrier nothing that depends on a log record is observable
+    /// before it.
     pub fn wal_commit(&mut self) -> WalCommit {
+        self.commits += 1;
         let mut commit = std::mem::take(&mut self.wal_pending);
         let (segment, compact) = self.wal_limits.unwrap_or((WAL_SEGMENT_BYTES, WAL_COMPACT_BYTES));
         for (log, size) in &mut commit.logs {
@@ -421,6 +425,14 @@ impl Storage {
         self.wal_append(log, &encoded);
         self.wal_sync(log);
         self.wal_drop_through(log, index - 1);
+    }
+
+    /// How many commit barriers ([`Storage::wal_commit`]) have run. A host
+    /// commits once, at the end of each callback, and writes that
+    /// callback's records before any other callback runs: a record written
+    /// while this read `n` is on disk for a callback that reads more.
+    pub fn commits(&self) -> u64 {
+        self.commits
     }
 
     /// Starts recording WAL mutations; see [`Storage::take_wal_journal`].
@@ -620,6 +632,11 @@ impl ScopedStorage<'_> {
     pub fn remove(&mut self, key: &str) -> bool {
         let full = self.full_key(key);
         self.inner.remove(&full)
+    }
+
+    /// [`Storage::commits`] of the whole store.
+    pub fn commits(&self) -> u64 {
+        self.inner.commits()
     }
 
     /// Scoped keys (with the scope prefix stripped) starting with `prefix`.

@@ -4,7 +4,10 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use crate::{Ctx, Duration, LatencyModel, Node, NodeId, SimConfig, SimNet, SimTime, TimerId};
+use crate::{
+    Ctx, Duration, HostEffect, LatencyModel, Node, NodeHost, NodeId, SimConfig, SimNet, SimTime,
+    TimerId,
+};
 
 /// Records everything that happens to it.
 #[derive(Default)]
@@ -330,6 +333,67 @@ mod inproc {
         assert_eq!(incoming.from, a_id);
         handle.shutdown();
     }
+}
+
+/// One callback's sends, marked ahead or not, addressed to nodes 1 and 2
+/// and to the host itself (node 0).
+fn sends_ahead_callback(ctx: &mut Ctx<'_>) {
+    ctx.send(NodeId(1), b"a1".to_vec());
+    ctx.send_ahead(NodeId(1), b"a2".to_vec());
+    ctx.send_ahead(NodeId(2), b"b1".to_vec());
+    ctx.send_ahead(NodeId(0), b"self".to_vec());
+    ctx.set_timer(Duration::from_millis(1));
+    ctx.send(NodeId(2), b"b2".to_vec());
+    ctx.send_ahead(NodeId(2), b"b3".to_vec());
+}
+
+/// The rest of a callback's effects: `(to, payload)` per send, `None` per
+/// timer.
+fn rest(effects: Vec<HostEffect>) -> Vec<Option<(NodeId, Vec<u8>)>> {
+    effects
+        .into_iter()
+        .map(|effect| match effect {
+            HostEffect::Send { to, payload } => Some((to, payload.to_vec())),
+            HostEffect::SetTimer { .. } => None,
+        })
+        .collect()
+}
+
+fn sent(sends: Vec<(NodeId, psc_codec::WireBytes)>) -> Vec<(NodeId, Vec<u8>)> {
+    sends.into_iter().map(|(to, payload)| (to, payload.to_vec())).collect()
+}
+
+/// A host that holds sends ahead apart takes out exactly the marked sends
+/// to other nodes that overtake no plain send to the same node; the rest
+/// stay effects in their order. Without the opt-in nothing is held.
+#[test]
+fn sends_ahead_are_held_apart_without_overtaking_a_plain_send() {
+    let bytes = |to: u64, b: &[u8]| Some((NodeId(to), b.to_vec()));
+    let mut host = NodeHost::new(NodeId(0), Box::<Recorder>::default(), 0);
+    let all = rest(host.act(SimTime::ZERO, |_, ctx| sends_ahead_callback(ctx)));
+    assert_eq!(
+        all,
+        [
+            bytes(1, b"a1"),
+            bytes(1, b"a2"),
+            bytes(2, b"b1"),
+            bytes(0, b"self"),
+            None,
+            bytes(2, b"b2"),
+            bytes(2, b"b3")
+        ]
+    );
+    assert!(host.take_sends_ahead().is_empty(), "off by default");
+
+    host.enable_sends_ahead();
+    let effects = rest(host.act(SimTime::ZERO, |_, ctx| sends_ahead_callback(ctx)));
+    assert_eq!(sent(host.take_sends_ahead()), [(NodeId(2), b"b1".to_vec())]);
+    assert_eq!(
+        effects,
+        [bytes(1, b"a1"), bytes(1, b"a2"), bytes(0, b"self"), None, bytes(2, b"b2"), bytes(2, b"b3")],
+        "a2 follows a1, b3 follows b2, and a self-send is never ahead"
+    );
+    assert!(host.take_sends_ahead().is_empty(), "drained");
 }
 
 proptest! {

@@ -5,8 +5,8 @@
 //! - 50 randomized group-protocol seeds (scenario generation → execution →
 //!   invariant oracles; `Reliable`, `Fifo`, `Causal` and `Total` must
 //!   deliver everything on every crash-free run, loss and healed
-//!   partitions included), plus seeds 77, 138, 141 and 253 pinned as
-//!   regressions;
+//!   partitions included), plus seeds 77, 138, 141, 253 and 11 693 pinned
+//!   as regressions;
 //! - 25 full-stack seeds (DACE routing with supertype subscriptions and
 //!   remote filters) and 10 churn-storm seeds over the same workload;
 //! - 10 durable-restart seeds (certified subscriber crash-restarted with
@@ -16,18 +16,18 @@
 //!   assembled cluster image);
 //!
 //! each seed run twice and compared byte-for-byte (determinism oracle).
-//! Then the oracle-sensitivity proofs — a broken FIFO protocol, disks
-//! that drop their fsyncs and a skewed marker discipline must each be
+//! Then the oracle-sensitivity proofs — broken FIFO and causal protocols,
+//! disks that drop their fsyncs and a skewed marker discipline must each be
 //! caught and shrunk to a readable, seed-stamped counterexample through
 //! the same driver — and a long fuzz mode gated behind `HARNESS_FUZZ=N`
-//! (used by nightly CI).
+//! (used by nightly CI, each run on its own `HARNESS_FUZZ_BASE` window).
 //!
 //! Replay any failing seed with `HARNESS_SEED=<seed> cargo test --test
 //! harness_smoke`.
 
 use std::sync::Arc;
 
-use psc_harness::broken::{BrokenFifo, SkewedMarkers, Stalling};
+use psc_harness::broken::{BrokenCausal, BrokenFifo, SkewedMarkers, Stalling};
 use psc_harness::dimension::{self, Dimension};
 use psc_harness::durable::Durable;
 use psc_harness::runner::{self, Group, ProtoFactory};
@@ -98,6 +98,21 @@ fn group_seed_253_total_keeps_publisher_order() {
     assert_eq!(scenario.loss, 0.0);
     assert!(!scenario.ops.iter().any(|op| !matches!(op, Op::Publish { .. })));
     if let Err(report) = dimension::check(&Group::default(), 253) {
+        panic!("{report}");
+    }
+}
+
+/// A causal group seed (4 nodes, loss 0.264) whose node 3 delivered #0 and
+/// then its own #1, crashed, and re-delivered #0 in its next incarnation.
+/// The causal oracle keyed each publish by its last position across
+/// incarnations and read #1 as delivered before #0; it now judges each
+/// receiver incarnation on its own, like the duplicate and FIFO checks.
+#[test]
+fn group_seed_11693_causal_is_judged_per_receiver_incarnation() {
+    let scenario = Scenario::generate(11_693);
+    assert_eq!(scenario.protocol, ProtocolKind::Causal);
+    assert!(scenario.ops.iter().any(|op| matches!(op, Op::CrashWindow { .. })));
+    if let Err(report) = dimension::check(&Group::default(), 11_693) {
         panic!("{report}");
     }
 }
@@ -254,6 +269,41 @@ fn broken_fifo_is_caught_and_shrunk_to_a_seed_stamped_counterexample() {
     );
 }
 
+/// Oracle-sensitivity proof for causal order: a "causal" broadcast that
+/// delivers on arrival. Each of four origins publishes once, 5 ms apart,
+/// over 1–30 ms links, so per-origin order cannot break and the finding is
+/// the causal oracle's alone; it shrinks to fewer publishes that still
+/// invert a dependency.
+#[test]
+fn broken_causal_is_caught_and_shrunk_by_the_causal_oracle() {
+    let scenario = Scenario {
+        seed: 7,
+        protocol: ProtocolKind::Causal,
+        nodes: 4,
+        loss: 0.0,
+        latency_ms: (1, 30),
+        settle_ms: 2_000,
+        ops: (0..4).map(|node| Op::Publish { node, at_ms: 10 + 5 * node as u64 }).collect(),
+    };
+    let make: ProtoFactory = Arc::new(|| Box::new(BrokenCausal::default()));
+    let broken = Group { make: Some(make) };
+    let shrunk = assert_caught_and_shrunk(
+        &Group::default(),
+        &broken,
+        scenario.seed,
+        &scenario,
+        |v| v.contains("causal predecessor"),
+        |s| s.ops.len(),
+    );
+    let findings = broken.run(&scenario).findings;
+    assert!(findings.iter().all(|v| !v.contains("FIFO")), "{findings:?}");
+    assert!(
+        (2..scenario.ops.len()).contains(&shrunk.ops.len()),
+        "an inversion needs two publishes, and shrinking removes the rest:\n{}",
+        broken.describe(&shrunk)
+    );
+}
+
 /// The flight-recorder acceptance check: a protocol that parks every
 /// foreign message forever must (a) trip the completeness oracle, (b) be
 /// flagged by the stall watchdog with the *name* of the stuck queue and the
@@ -305,16 +355,24 @@ fn stalling_protocol_yields_byte_stable_post_mortem_naming_the_stuck_queue() {
     assert!(dump.json.contains("stalling.buffer"), "{}", dump.json);
 }
 
-/// Each table row gets its share of the `HARNESS_FUZZ` budget.
+/// Each table row gets its share of the `HARNESS_FUZZ` budget. The window
+/// is printed first and again above a failure's replay banner.
 #[test]
 fn long_fuzz_mode_behind_env_var() {
     let Some(seeds) = dimension::fuzz_seeds() else {
         return; // HARNESS_FUZZ not set: nothing to do in tier-1 runs
     };
+    let base = seeds.first().copied().unwrap_or_default();
+    let window = format!(
+        "fuzz window: seeds {base}..{} (HARNESS_FUZZ_BASE={base} HARNESS_FUZZ={})",
+        base + seeds.len() as u64,
+        seeds.len()
+    );
+    println!("{window}");
     for row in dimension::table() {
         for &seed in seeds.iter().take(seeds.len() / row.fuzz_divisor) {
             if let Err(report) = (row.check)(seed) {
-                panic!("{report}");
+                panic!("{window}\n{report}");
             }
         }
     }

@@ -1147,12 +1147,14 @@ impl DaceNode {
                 }
             }
         };
-        self.tracer.record(
-            wire.trace_id(),
-            ctx.now().as_micros(),
-            TraceStage::FilterEval,
-            format!("at=n{} dests={}", me.0, destinations.len()),
-        );
+        if self.tracer.is_enabled() {
+            self.tracer.record(
+                wire.trace_id(),
+                ctx.now().as_micros(),
+                TraceStage::FilterEval,
+                format!("at=n{} dests={}", me.0, destinations.len()),
+            );
+        }
         // Serialize-once fan-out: the Direct envelope is encoded at most
         // once per publish, and every remote destination's staged send
         // shares that buffer.
@@ -1172,12 +1174,14 @@ impl DaceNode {
                         })
                     })
                     .clone();
-                self.tracer.record(
-                    trace,
-                    ctx.now().as_micros(),
-                    TraceStage::TransmitEnqueue,
-                    format!("to=n{}", dest.0),
-                );
+                if self.tracer.is_enabled() {
+                    self.tracer.record(
+                        trace,
+                        ctx.now().as_micros(),
+                        TraceStage::TransmitEnqueue,
+                        format!("to=n{}", dest.0),
+                    );
+                }
                 self.transmit.push(TransmitItem {
                     priority,
                     to: dest,
@@ -1226,12 +1230,14 @@ impl DaceNode {
                 self.telemetry
                     .bump(&format!("dace.channel.{kname}.delivered"), matched as u64);
             }
-        self.tracer.record(
-            wire.trace_id(),
-            ctx.now().as_micros(),
-            TraceStage::Deliver,
-            format!("at=n{} matched={matched}", self.me().0),
-        );
+        if self.tracer.is_enabled() {
+            self.tracer.record(
+                wire.trace_id(),
+                ctx.now().as_micros(),
+                TraceStage::Deliver,
+                format!("at=n{} matched={matched}", self.me().0),
+            );
+        }
         if let Some(recorder) = &self.recorder {
             recorder.record(
                 ctx.now().as_micros(),
@@ -1316,12 +1322,14 @@ impl DaceNode {
         }
         for (origin, payload) in delivered {
             if let Ok(wire) = psc_codec::from_bytes::<WireObvent>(&payload) {
-                self.tracer.record(
-                    wire.trace_id(),
-                    ctx.now().as_micros(),
-                    TraceStage::GroupDeliver,
-                    format!("at=n{} origin=n{}", self.me().0, origin.0),
-                );
+                if self.tracer.is_enabled() {
+                    self.tracer.record(
+                        wire.trace_id(),
+                        ctx.now().as_micros(),
+                        TraceStage::GroupDeliver,
+                        format!("at=n{} origin=n{}", self.me().0, origin.0),
+                    );
+                }
                 self.local_deliver(ctx, &wire);
             }
         }
@@ -2024,19 +2032,23 @@ impl DaceNode {
                     deadline.is_some_and(|d| ctx.now() > SimTime::from_micros(d));
                 if expired {
                     self.telemetry.bump("dace.expired", 1);
-                    self.tracer.record(
-                        wire.trace_id(),
-                        ctx.now().as_micros(),
-                        TraceStage::Expired,
-                        format!("at=n{} on-arrival", ctx.id().0),
-                    );
+                    if self.tracer.is_enabled() {
+                        self.tracer.record(
+                            wire.trace_id(),
+                            ctx.now().as_micros(),
+                            TraceStage::Expired,
+                            format!("at=n{} on-arrival", ctx.id().0),
+                        );
+                    }
                 } else {
-                    self.tracer.record(
-                        wire.trace_id(),
-                        ctx.now().as_micros(),
-                        TraceStage::Arrive,
-                        format!("at=n{} from=n{}", ctx.id().0, from.0),
-                    );
+                    if self.tracer.is_enabled() {
+                        self.tracer.record(
+                            wire.trace_id(),
+                            ctx.now().as_micros(),
+                            TraceStage::Arrive,
+                            format!("at=n{} from=n{}", ctx.id().0, from.0),
+                        );
+                    }
                     self.local_deliver(ctx, &wire);
                 }
             }
@@ -2044,12 +2056,14 @@ impl DaceNode {
                 let kind = wire.kind_id();
                 let qos = wire.qos();
                 self.telemetry.bump("dace.brokered", 1);
-                self.tracer.record(
-                    wire.trace_id(),
-                    ctx.now().as_micros(),
-                    TraceStage::Brokered,
-                    format!("at=n{} from=n{}", ctx.id().0, from.0),
-                );
+                if self.tracer.is_enabled() {
+                    self.tracer.record(
+                        wire.trace_id(),
+                        ctx.now().as_micros(),
+                        TraceStage::Brokered,
+                        format!("at=n{} from=n{}", ctx.id().0, from.0),
+                    );
+                }
                 self.ensure_channel(ctx, kind);
                 self.direct_publish(ctx, kind, wire, &qos);
             }

@@ -196,6 +196,35 @@ fn certified_publishes_cost_three_appends_two_syncs_and_recover_once() {
     assert_eq!(first.load(Ordering::Relaxed), PUBLISHES, "the dead handler stays silent");
 }
 
+/// What the logs write for `PUBLISHES` certified publishes, one at a
+/// time, to a durable subscriber that attached after the publisher's
+/// first `EARLY` (which had no target). Every later frame names where the
+/// subscriber's part of the stream starts until it acknowledges one, so
+/// each delivery appends a `cert/delivered/<origin>` record of a few bytes
+/// (a watermark), not one listing every seq delivered past the `EARLY` it
+/// never saw (which would read 22 647 here: one more byte per delivery,
+/// per seq past the gap). Moving the count is a deliberate edit here.
+#[test]
+fn a_late_durable_subscriber_logs_a_watermark_per_delivery() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap();
+    const EARLY: u64 = 3;
+    const PUBLISHES: u64 = 100;
+    let (mut sim, ids, registry) = cluster(2, DaceConfig::default());
+    for n in 0..EARLY {
+        DaceNode::publish_from(&mut sim, ids[0], CertifiedTick::new(n));
+    }
+    settle(&mut sim, 40);
+    let delivered = attach_durable(&mut sim, ids[1]);
+    settle(&mut sim, 40);
+    for n in EARLY..EARLY + PUBLISHES {
+        DaceNode::publish_from(&mut sim, ids[0], CertifiedTick::new(n));
+        settle(&mut sim, 20);
+    }
+    assert_eq!(delivered.load(Ordering::Relaxed), PUBLISHES);
+    let bytes = registry.snapshot().counter("wal.bytes");
+    assert_eq!(bytes, 17_597, "wal.bytes for {EARLY} + {PUBLISHES} publishes");
+}
+
 /// `dace.control_sent`, summed over a two-node cluster, across ten announce
 /// intervals after the control plane has converged: `subs` filtered
 /// subscriptions at n1, one published kind at n0.

@@ -19,8 +19,10 @@
 //! volatile protocol, and waiting for them would block the new incarnation
 //! forever.
 //!
-//! A member the origin starts addressing mid-epoch learns its first owed
-//! seq from the frame header ([`Joins`]), as under FIFO. Two gaps remain:
+//! Where a member's part of a stream starts is the layer's rule, as under
+//! FIFO: a member the origin starts addressing mid-epoch learns its first
+//! owed seq from the frame's start list ([`Receipt::start`]), and its
+//! clock counts the earlier seqs as delivered. Two gaps remain:
 //! a dependency on what a quiet *other* publisher sent before the member
 //! joined is held until that publisher speaks again, and a receiver
 //! restarted after a crash waits for seq 1 of every stream that began
@@ -37,9 +39,8 @@ use psc_simnet::NodeId;
 use psc_snapshot::ProtoCapture;
 
 use crate::dedup::{Delivered, MsgId};
-use crate::fifo::Joins;
 use crate::io::GroupIo;
-use crate::reliable::{Eager, HoldBack, Outbox};
+use crate::reliable::{Eager, HoldBack, Outbox, Receipt};
 
 /// Vector-clock causal broadcast over the reliable delivery layer.
 pub type Causal = Eager<CausalHoldBack>;
@@ -56,8 +57,6 @@ struct ClockEntry {
 /// What a causal broadcast carries besides its id.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct CausalHeader {
-    /// Late members' first owed seqs (see [`Joins`]).
-    joins: Vec<(NodeId, u64)>,
     /// Causal dependencies on processes other than the origin; the origin
     /// component is the id itself (`id.epoch`/`id.seq`).
     deps: Vec<ClockEntry>,
@@ -73,7 +72,6 @@ struct Pending {
 /// Causal hold-back; see the module docs.
 #[derive(Debug, Default)]
 pub struct CausalHoldBack {
-    joins: Joins,
     /// Latest delivered broadcast per origin: (incarnation epoch, counter
     /// within that incarnation).
     delivered: HashMap<NodeId, (u64, u64)>,
@@ -114,7 +112,7 @@ impl HoldBack for CausalHoldBack {
     type Header = CausalHeader;
     const NAME: &'static str = "causal";
 
-    fn stamp(&mut self, id: MsgId, targets: &[NodeId]) -> CausalHeader {
+    fn stamp(&mut self, id: MsgId, _targets: &[NodeId]) -> CausalHeader {
         // Dependencies: everything delivered here from other processes.
         let deps = self
             .delivered
@@ -122,22 +120,23 @@ impl HoldBack for CausalHoldBack {
             .filter(|&(&node, _)| node != id.origin)
             .map(|(&node, &(epoch, count))| ClockEntry { node, epoch, count })
             .collect();
-        CausalHeader {
-            joins: self.joins.stamp(id.seq, targets),
-            deps,
-        }
+        CausalHeader { deps }
     }
 
     fn accept(
         &mut self,
         io: &mut dyn GroupIo,
         _: &mut Outbox<CausalHeader>,
-        id: MsgId,
-        header: CausalHeader,
-        payload: WireBytes,
-        seen: &mut Delivered,
+        receipt: Receipt<CausalHeader>,
+        _: &mut Delivered,
     ) {
-        if let Some(first) = Joins::start_of(&header.joins, io.self_id()) {
+        let Receipt {
+            id,
+            start,
+            header,
+            payload,
+        } = receipt;
+        if let Some(first) = start {
             let (le, lc) = *self.delivered.get(&id.origin).unwrap_or(&(0, 0));
             if id.epoch > le || (id.epoch == le && lc + 1 < first) {
                 // Seqs below the start were never sent here.
@@ -145,7 +144,6 @@ impl HoldBack for CausalHoldBack {
                 self.pending.retain(|p| {
                     p.id.origin != id.origin || p.id.epoch != id.epoch || p.id.seq >= first
                 });
-                seen.skip_to(first - 1);
             }
         }
         let msg = Pending {
@@ -172,10 +170,6 @@ impl HoldBack for CausalHoldBack {
                 .get(&p.id.origin)
                 .is_none_or(|&(le, _)| p.id.epoch >= le)
         });
-    }
-
-    fn on_ack(&mut self, from: NodeId, seq: u64) {
-        self.joins.on_ack(from, seq);
     }
 
     fn capture(&self, cap: &mut ProtoCapture) {

@@ -5,7 +5,10 @@
 //!
 //! Ids are kept per `(origin, epoch)` stream as a watermark plus the seqs
 //! seen above it ([`Delivered`]), so the state is O(streams + gaps), not
-//! O(messages ever received).
+//! O(messages ever received). That holds for a member that joined a stream
+//! late too: the layer skips its watermark to the start the origin's
+//! frames name for it ([`Delivered::skip_to`]), so the seqs it was never
+//! sent leave no gap.
 
 use std::collections::{BTreeMap, BTreeSet};
 

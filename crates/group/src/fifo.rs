@@ -7,15 +7,15 @@
 //! strictly by sequence number. Relay, retransmission and duplicate
 //! suppression are the layer's ([`Eager`](crate::reliable::Eager)).
 //!
-//! Where a receiver's part of a stream starts:
-//!
-//! - at seq 1 of each origin incarnation;
-//! - for a member the origin starts addressing mid-epoch (a late
-//!   subscriber), at the seq the frame header ([`Joins`]) names for it;
-//! - after this process recovers from a crash, at the first frame it sees
-//!   of each stream that began before the recovery — the stream's earlier
-//!   messages went to the previous incarnation. A message of that stream
-//!   overtaken by a later one is dropped, never delivered out of order.
+//! Where a receiver's part of a stream starts is the layer's rule: at seq
+//! 1 of each origin incarnation, or, for a member the origin starts
+//! addressing mid-epoch (a late subscriber), at the seq the frame's start
+//! list names for it ([`Receipt::start`]). One rule is FIFO's own: after
+//! this process recovers from a crash, its part of each stream that began
+//! before the recovery starts at the first frame it sees — the stream's
+//! earlier messages went to the previous incarnation. A message of that
+//! stream overtaken by a later one is dropped, never delivered out of
+//! order.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -25,7 +25,7 @@ use psc_snapshot::ProtoCapture;
 
 use crate::dedup::{Delivered, MsgId};
 use crate::io::GroupIo;
-use crate::reliable::{Eager, HoldBack, Outbox};
+use crate::reliable::{Eager, HoldBack, Outbox, Receipt};
 
 /// Reliable broadcast with per-publisher FIFO delivery.
 ///
@@ -36,49 +36,6 @@ use crate::reliable::{Eager, HoldBack, Outbox};
 /// incarnation; messages of a dead incarnation still in flight are dropped
 /// rather than delivered out of a now-meaningless order.
 pub type Fifo = Eager<FifoHoldBack>;
-
-/// The members an origin started addressing after seq 1 of its epoch,
-/// with the first seq each is owed. Every frame carries the list until the
-/// member acknowledges a seq at or past its start, so it is usually empty
-/// and one encoded frame still serves every target.
-#[derive(Debug, Default)]
-pub(crate) struct Joins {
-    /// Targets of the previous broadcast.
-    last_targets: Vec<NodeId>,
-    /// `(member, first owed seq)`, unacknowledged.
-    owed: Vec<(NodeId, u64)>,
-}
-
-impl Joins {
-    /// The header of own broadcast `seq` to `targets`.
-    pub(crate) fn stamp(&mut self, seq: u64, targets: &[NodeId]) -> Vec<(NodeId, u64)> {
-        if self.last_targets != targets {
-            // A member that left is owed nothing more.
-            self.owed.retain(|(m, _)| targets.contains(m));
-            for &member in targets {
-                if seq > 1 && !self.last_targets.contains(&member) {
-                    self.owed.retain(|&(m, _)| m != member);
-                    self.owed.push((member, seq));
-                }
-            }
-            self.last_targets = targets.to_vec();
-        }
-        self.owed.clone()
-    }
-
-    /// `from` acknowledged `seq`: a frame naming its start reached it.
-    pub(crate) fn on_ack(&mut self, from: NodeId, seq: u64) {
-        self.owed.retain(|&(m, first)| m != from || seq < first);
-    }
-
-    /// The first seq `header` says `me` is owed, if it names one.
-    pub(crate) fn start_of(header: &[(NodeId, u64)], me: NodeId) -> Option<u64> {
-        header
-            .iter()
-            .find(|&&(m, _)| m == me)
-            .map(|&(_, first)| first)
-    }
-}
 
 /// Per-origin release in stream order: a queue per origin holds a
 /// stream's messages until every earlier seq is released or will never
@@ -107,7 +64,8 @@ impl<T> Default for Streams<T> {
 impl<T> Streams<T> {
     /// Takes the first receipt `id` of `item` and hands `release` every
     /// item it makes releasable, in stream order. `start` is the first seq
-    /// the frame says this member is owed, if it names one; `resumable`
+    /// the frame says this member is owed, if it names one ([`Receipt`]);
+    /// `resumable`
     /// lets a stream that began before this incarnation recovered start at
     /// its first frame seen. True when `item` arrived out of order.
     pub(crate) fn accept(
@@ -173,36 +131,27 @@ impl<T> Streams<T> {
 /// FIFO hold-back; see the module docs.
 #[derive(Debug, Default)]
 pub struct FifoHoldBack {
-    joins: Joins,
     streams: Streams<WireBytes>,
 }
 
 impl HoldBack for FifoHoldBack {
-    type Header = Vec<(NodeId, u64)>;
+    type Header = ();
     const NAME: &'static str = "fifo";
-
-    fn stamp(&mut self, id: MsgId, targets: &[NodeId]) -> Self::Header {
-        self.joins.stamp(id.seq, targets)
-    }
 
     fn accept(
         &mut self,
         io: &mut dyn GroupIo,
-        _: &mut Outbox<Self::Header>,
-        id: MsgId,
-        header: Self::Header,
-        payload: WireBytes,
+        _: &mut Outbox<()>,
+        receipt: Receipt<()>,
         seen: &mut Delivered,
     ) {
-        let start = Joins::start_of(&header, io.self_id());
+        let Receipt {
+            id, start, payload, ..
+        } = receipt;
         let deliver = |payload| io.deliver(id.origin, payload);
         if self.streams.accept(id, start, true, payload, seen, deliver) {
             io.metric("fifo.out_of_order", 1);
         }
-    }
-
-    fn on_ack(&mut self, from: NodeId, seq: u64) {
-        self.joins.on_ack(from, seq);
     }
 
     fn on_recover(&mut self, epoch: u64) {

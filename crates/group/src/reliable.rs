@@ -16,6 +16,13 @@
 //! - **bounded duplicate suppression** ([`Dedup`]): a watermark plus the
 //!   seqs past a gap per `(origin, epoch)`.
 //!
+//! Where a member's part of a stream starts is the layer's rule too: at
+//! seq 1, or, for a member the origin starts addressing mid-epoch (a late
+//! subscriber), at the seq its frames name for it ([`Joins`]) until it
+//! acknowledges one. On a first receipt naming its start a member counts
+//! every earlier seq as seen, so a late joiner's record is a watermark
+//! like everyone's, and a copy of an earlier seq is a duplicate.
+//!
 //! What happens to a first receipt is the [`HoldBack`] policy's business:
 //! [`Reliable`] delivers at once, [`Fifo`](crate::Fifo) and
 //! [`Causal`](crate::Causal) hold back over the same `(origin, epoch, seq)`
@@ -67,26 +74,31 @@ const KEY_LEGACY_DELIVERED: &str = "cert/delivered";
 const KEY_LEGACY_COUNTER: &str = "cert/seq";
 const KEY_LEGACY_LOG_PREFIX: &str = "cert/log/";
 
-/// A delivery-layer frame; the hold-back policy's header follows the id.
-/// `()` encodes as zero bytes, so [`Reliable`]'s frames carry none.
+/// `(member, first owed seq)` for each target the origin started
+/// addressing mid-epoch; see [`Joins`].
+pub(crate) type Starts = Vec<(NodeId, u64)>;
+
+/// A delivery-layer frame. The start list follows the id, then the
+/// hold-back policy's header; `()` encodes as zero bytes and an empty list
+/// as one, so [`Reliable`]'s frames carry one byte more than before the
+/// layer had starts, and the ordered kinds' frames none.
 #[derive(Debug)]
-enum Frame<H> {
-    /// `(id, header, payload, from_origin)`. `from_origin` is true when
-    /// this copy comes straight from the origin (receivers acknowledge
+enum Frame<H, S = Starts> {
+    /// `(id, starts, header, payload, from_origin)`. `from_origin` is true
+    /// when this copy comes straight from the origin (receivers acknowledge
     /// those; relayed copies are not re-acked).
-    Data(MsgId, H, WireBytes, bool),
+    Data(MsgId, S, H, WireBytes, bool),
     Ack(MsgId),
 }
 
 // By hand, as the vendored derive takes no generics. The codec writes a
 // variant as its index and then its fields in order, so a variant holding
-// the fields as one tuple has the same bytes as the derived struct variant
-// `Reliable`'s frames had.
-impl<H: Serialize> Serialize for Frame<H> {
-    fn serialize<S: ser::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+// the fields as one tuple has the same bytes as a derived struct variant.
+impl<H: Serialize, S: Serialize> Serialize for Frame<H, S> {
+    fn serialize<Sr: ser::Serializer>(&self, serializer: Sr) -> Result<Sr::Ok, Sr::Error> {
         match self {
-            Frame::Data(id, header, payload, from_origin) => {
-                let fields = (id, header, payload, from_origin);
+            Frame::Data(id, starts, header, payload, from_origin) => {
+                let fields = (id, starts, header, payload, from_origin);
                 serializer.serialize_newtype_variant("Frame", 0, "Data", &fields)
             }
             Frame::Ack(id) => serializer.serialize_newtype_variant("Frame", 1, "Ack", id),
@@ -112,13 +124,69 @@ impl<'de, H: Deserialize<'de>> de::Visitor<'de> for FrameVisitor<H> {
     fn visit_enum<A: de::EnumAccess<'de>>(self, data: A) -> Result<Frame<H>, A::Error> {
         match data.variant::<u32>()? {
             (0, fields) => {
-                let (id, header, payload, from_origin) = fields.newtype_variant()?;
-                Ok(Frame::Data(id, header, payload, from_origin))
+                let (id, starts, header, payload, from_origin) = fields.newtype_variant()?;
+                Ok(Frame::Data(id, starts, header, payload, from_origin))
             }
             (1, fields) => fields.newtype_variant().map(Frame::Ack),
             (index, _) => Err(de::Error::invalid_variant(index, "Frame")),
         }
     }
+}
+
+/// The members an origin started addressing after seq 1 of its epoch (a
+/// late subscriber), with the first seq each is owed. Every frame carries
+/// the list until the member acknowledges a seq at or past its start, so
+/// it is usually empty and one encoded frame still serves every target. A
+/// member that leaves and comes back starts again where it came back.
+#[derive(Debug, Default)]
+pub(crate) struct Joins {
+    /// Targets of the previous frame.
+    last_targets: Vec<NodeId>,
+    /// `(member, first owed seq)`, unacknowledged.
+    owed: Starts,
+}
+
+impl Joins {
+    /// The start list of own frame `seq` to `targets`.
+    fn stamp(&mut self, seq: u64, targets: &[NodeId]) -> Starts {
+        if self.last_targets != targets {
+            // A member that left is owed nothing more.
+            self.owed.retain(|(m, _)| targets.contains(m));
+            for &member in targets {
+                if seq > 1 && !self.last_targets.contains(&member) {
+                    self.owed.retain(|&(m, _)| m != member);
+                    self.owed.push((member, seq));
+                }
+            }
+            self.last_targets = targets.to_vec();
+        }
+        self.owed.clone()
+    }
+
+    /// `from` acknowledged `seq`: a frame naming its start reached it.
+    fn on_ack(&mut self, from: NodeId, seq: u64) {
+        self.owed.retain(|&(m, first)| m != from || seq < first);
+    }
+
+    /// The first seq `starts` says `member` is owed, if it names one.
+    pub(crate) fn start_of(starts: &[(NodeId, u64)], member: NodeId) -> Option<u64> {
+        starts
+            .iter()
+            .find(|&&(m, _)| m == member)
+            .map(|&(_, first)| first)
+    }
+}
+
+/// A first receipt, as the delivery layer hands it to its policy.
+#[derive(Debug)]
+pub struct Receipt<Hd> {
+    /// The frame's id.
+    pub(crate) id: MsgId,
+    /// The first seq of `id`'s stream owed to this member, when the frame
+    /// names one: every earlier seq is already counted as seen.
+    pub(crate) start: Option<u64>,
+    pub(crate) header: Hd,
+    pub(crate) payload: WireBytes,
 }
 
 /// What an ordered kind does with the delivery layer's stream of first
@@ -135,20 +203,21 @@ pub trait HoldBack: Default + fmt::Debug + Send + 'static {
     /// from the origin alone opts out of its O(n²) cost.
     const RELAY: bool = true;
 
-    /// The targets and header of own broadcast `id`; `oldest_unacked` is
-    /// this incarnation's oldest frame some target has not acknowledged.
-    /// By default every other member, stamped by [`stamp`](Self::stamp).
+    /// The targets, start list and header of own broadcast `id`, which
+    /// `out` is about to send. By default every other member, with the
+    /// starts `out` owes them ([`Outbox::starts`]) and a header stamped by
+    /// [`stamp`](Self::stamp).
     fn address(
         &mut self,
         me: NodeId,
         members: &[NodeId],
         id: MsgId,
-        oldest_unacked: Option<u64>,
-    ) -> (Vec<NodeId>, Self::Header) {
-        let _ = oldest_unacked;
+        out: &mut Outbox<Self::Header>,
+    ) -> (Vec<NodeId>, Starts, Self::Header) {
         let targets = others(me, members);
+        let starts = out.starts(id.seq, &targets);
         let header = self.stamp(id, &targets);
-        (targets, header)
+        (targets, starts, header)
     }
 
     /// The header of own broadcast `id`, addressed to `targets`.
@@ -156,17 +225,15 @@ pub trait HoldBack: Default + fmt::Debug + Send + 'static {
         Self::Header::default()
     }
 
-    /// Takes a first receipt of `id` (own broadcasts included) and delivers
-    /// whatever it makes deliverable. `seen` is `id`'s stream record,
-    /// which a policy may advance past seqs it will never deliver; `out`
-    /// originates further frames.
+    /// Takes a first receipt (own broadcasts included) and delivers
+    /// whatever it makes deliverable. `seen` is the receipt's stream
+    /// record, which a policy may advance past seqs it will never deliver;
+    /// `out` originates further frames.
     fn accept(
         &mut self,
         io: &mut dyn GroupIo,
         out: &mut Outbox<Self::Header>,
-        id: MsgId,
-        header: Self::Header,
-        payload: WireBytes,
+        receipt: Receipt<Self::Header>,
         seen: &mut Delivered,
     );
 
@@ -175,9 +242,6 @@ pub trait HoldBack: Default + fmt::Debug + Send + 'static {
     fn data_id(id: MsgId, _header: &Self::Header) -> MsgId {
         id
     }
-
-    /// `from` acknowledged own broadcast `seq` of this incarnation.
-    fn on_ack(&mut self, _from: NodeId, _seq: u64) {}
 
     /// This incarnation recovered from a crash at `epoch`.
     fn on_recover(&mut self, _epoch: u64) {}
@@ -203,12 +267,10 @@ impl HoldBack for () {
         &mut self,
         io: &mut dyn GroupIo,
         _: &mut Outbox<()>,
-        id: MsgId,
-        _: (),
-        payload: WireBytes,
+        receipt: Receipt<()>,
         _: &mut Delivered,
     ) {
-        io.deliver(id.origin, payload);
+        io.deliver(receipt.id.origin, receipt.payload);
     }
 }
 
@@ -216,8 +278,11 @@ impl HoldBack for () {
 /// layer with no hold-back.
 pub type Reliable = Eager<()>;
 
+/// An own frame, kept until every target acknowledged it.
 #[derive(Debug)]
-struct Outgoing<Hd> {
+pub(crate) struct Outgoing<Hd> {
+    /// Sent again with every retransmission.
+    starts: Starts,
     header: Hd,
     payload: WireBytes,
     unacked: Vec<NodeId>,
@@ -227,18 +292,26 @@ struct Outgoing<Hd> {
 }
 
 impl<Hd> Outgoing<Hd> {
-    fn new(header: Hd, payload: WireBytes, unacked: Vec<NodeId>) -> Self {
+    /// A frame to `targets`.
+    pub(crate) fn new(
+        starts: Starts,
+        header: Hd,
+        payload: WireBytes,
+        targets: Vec<NodeId>,
+    ) -> Self {
         Outgoing {
+            starts,
             header,
             payload,
-            unacked,
+            unacked: targets,
             acked: Vec::new(),
         }
     }
 }
 
 /// Origin state: own frames, each kept and retransmitted until every
-/// target acknowledged it.
+/// target acknowledged it, and where each late target's part of this
+/// incarnation's stream starts.
 #[derive(Debug, Default)]
 pub struct Outbox<Hd> {
     /// This incarnation's epoch (see [`MsgId`]).
@@ -248,6 +321,7 @@ pub struct Outbox<Hd> {
     /// incarnations' frames.
     outgoing: BTreeMap<(u64, u64), Outgoing<Hd>>,
     timer_armed: bool,
+    joins: Joins,
 }
 
 impl<Hd: Serialize> Outbox<Hd> {
@@ -261,28 +335,34 @@ impl<Hd: Serialize> Outbox<Hd> {
         }
     }
 
-    fn oldest_unacked(&self) -> Option<u64> {
+    /// This incarnation's oldest frame some target has not acknowledged.
+    pub(crate) fn oldest_unacked(&self) -> Option<u64> {
         self.outgoing
             .range((self.epoch, 0)..)
             .next()
             .map(|(&(_, seq), _)| seq)
     }
 
-    /// Sends own frame `id` to `targets` and keeps it until they all
-    /// acknowledge it; `ahead` sends it with [`GroupIo::send_ahead`].
+    /// The start list of own frame `seq` to `targets`: each target this
+    /// incarnation started addressing after seq 1 and the first seq it is
+    /// owed, until it acknowledges a frame at or past it.
+    pub(crate) fn starts(&mut self, seq: u64, targets: &[NodeId]) -> Starts {
+        self.joins.stamp(seq, targets)
+    }
+
+    /// Sends own frame `id` and keeps it until its targets all acknowledge
+    /// it; `ahead` sends it with [`GroupIo::send_ahead`].
     pub(crate) fn send(
         &mut self,
         io: &mut dyn GroupIo,
         id: MsgId,
-        header: Hd,
-        payload: WireBytes,
-        targets: Vec<NodeId>,
+        frame: Outgoing<Hd>,
         ahead: bool,
     ) {
-        send_data(io, id, &header, &payload, true, &targets, ahead);
-        if !targets.is_empty() {
-            self.outgoing
-                .insert((id.epoch, id.seq), Outgoing::new(header, payload, targets));
+        let bytes = data_frame(id, &frame.starts, &frame.header, &frame.payload, true);
+        send_data(io, &bytes, &frame.unacked, ahead);
+        if !frame.unacked.is_empty() {
+            self.outgoing.insert((id.epoch, id.seq), frame);
             self.arm_timer(io);
         }
     }
@@ -295,16 +375,23 @@ impl<Hd: Serialize> Outbox<Hd> {
     }
 }
 
-fn send_data<Hd: Serialize>(
-    io: &mut dyn GroupIo,
+fn data_frame<Hd: Serialize>(
     id: MsgId,
+    starts: &[(NodeId, u64)],
     header: &Hd,
     payload: &WireBytes,
     from_origin: bool,
-    targets: &[NodeId],
-    ahead: bool,
-) {
-    let bytes = encode_msg(&Frame::Data(id, header, payload.clone(), from_origin));
+) -> WireBytes {
+    encode_msg(&Frame::Data(
+        id,
+        starts,
+        header,
+        payload.clone(),
+        from_origin,
+    ))
+}
+
+fn send_data(io: &mut dyn GroupIo, bytes: &WireBytes, targets: &[NodeId], ahead: bool) {
     for &member in targets {
         if ahead {
             io.send_ahead(member, bytes.clone());
@@ -355,8 +442,11 @@ impl<Hd> Durability<Hd> for () {}
 ///   target acknowledges. A partial ack writes nothing: after a crash the
 ///   frame goes to every target again and their dedup absorbs the copies;
 /// - the origin's `cert/delivered/<origin>` record per first receipt, one
-///   O(1 + gaps) record in order or not; the older forms are read on load
-///   and rewritten, the legacy frames as epoch 0.
+///   O(1 + gaps) record in order or not, and whenever the subscriber
+///   joined: a late one starts at the seq the frames name for it; the
+///   older forms are read on load and rewritten, the legacy frames as
+///   epoch 0. A recovered `cert/out` frame carries no start list (the
+///   on-disk form holds none).
 ///
 /// It acknowledges a first receipt as delivered, so it composes with the
 /// `()` policy alone: under a hold-back policy a first receipt is not yet
@@ -408,7 +498,8 @@ impl Durability<()> for Durable {
                 .split_once('/')
                 .and_then(|(epoch, seq)| Some((epoch.parse().ok()?, seq.parse().ok()?)));
             if let (Some(at), Ok(Some((targets, payload)))) = (at, storage.get(&key)) {
-                out.outgoing.insert(at, Outgoing::new((), payload, targets));
+                out.outgoing
+                    .insert(at, Outgoing::new(Vec::new(), (), payload, targets));
             }
         }
         for key in storage.keys_with_prefix(KEY_LEGACY_LOG_PREFIX) {
@@ -417,7 +508,7 @@ impl Durability<()> for Durable {
                 storage
                     .put(&out_key(id), &(&targets, &payload))
                     .expect("frames serialize");
-                let mut frame = Outgoing::new((), payload, targets);
+                let mut frame = Outgoing::new(Vec::new(), (), payload, targets);
                 frame.unacked.retain(|t| !acked.contains(t));
                 frame.acked = acked;
                 out.outgoing.insert((id.epoch, id.seq), frame);
@@ -487,7 +578,7 @@ impl<H: HoldBack, D: Durability<H::Header>> Eager<H, D> {
     /// frame (snapshot in-flight recording).
     pub(crate) fn peek_id(bytes: &[u8]) -> Option<MsgId> {
         match decode_msg::<Frame<H::Header>>(bytes)? {
-            Frame::Data(id, header, ..) => Some(H::data_id(id, &header)),
+            Frame::Data(id, _, header, ..) => Some(H::data_id(id, &header)),
             Frame::Ack(_) => None,
         }
     }
@@ -499,12 +590,11 @@ impl<H: HoldBack, D: Durability<H::Header>> Multicast for Eager<H, D> {
         io.metric("reliable.broadcasts", 1);
         let me = io.self_id();
         let id = self.out.next_id(me);
-        let oldest_unacked = self.out.oldest_unacked();
-        let (targets, header) = self.order.address(me, io.members(), id, oldest_unacked);
+        let (targets, starts, header) = self.order.address(me, io.members(), id, &mut self.out);
         self.disk.sent(io, id, &payload, &targets);
         let ahead = self.disk.ahead(io);
-        self.out
-            .send(io, id, header.clone(), payload.clone(), targets, ahead);
+        let frame = Outgoing::new(starts, header.clone(), payload.clone(), targets);
+        self.out.send(io, id, frame, ahead);
         let member = io.members().contains(&me);
         let seen = self.seen.stream(id);
         if Self::RELAY || (D::DURABLE && member) {
@@ -513,7 +603,13 @@ impl<H: HoldBack, D: Durability<H::Header>> Multicast for Eager<H, D> {
             seen.insert(id.seq);
         }
         if member {
-            self.order.accept(io, &mut self.out, id, header, payload, seen);
+            let receipt = Receipt {
+                id,
+                start: None,
+                header,
+                payload,
+            };
+            self.order.accept(io, &mut self.out, receipt, seen);
             self.disk.received(io, &self.seen, me);
         }
     }
@@ -524,7 +620,7 @@ impl<H: HoldBack, D: Durability<H::Header>> Multicast for Eager<H, D> {
             return;
         };
         match frame {
-            Frame::Data(id, header, payload, from_origin) => {
+            Frame::Data(id, starts, header, payload, from_origin) => {
                 // Acknowledge every copy arriving straight from the origin
                 // (covers lost acks via the origin's retransmissions).
                 if from_origin {
@@ -536,9 +632,17 @@ impl<H: HoldBack, D: Durability<H::Header>> Multicast for Eager<H, D> {
                     io.metric("reliable.duplicates", 1);
                     return;
                 }
+                // A start past the frame's own seq is malformed.
+                let me = io.self_id();
+                let start =
+                    Joins::start_of(&starts, me).filter(|first| (1..=id.seq).contains(first));
+                if let Some(first) = start {
+                    // Earlier seqs were never sent here: copies of them
+                    // are duplicates.
+                    seen.skip_to(first - 1);
+                }
                 if Self::RELAY {
                     // Re-forward before delivering: the agreement step.
-                    let me = io.self_id();
                     let others: Vec<NodeId> = io
                         .members()
                         .iter()
@@ -547,10 +651,17 @@ impl<H: HoldBack, D: Durability<H::Header>> Multicast for Eager<H, D> {
                         .collect();
                     if !others.is_empty() {
                         io.metric("reliable.relays", 1);
-                        send_data(io, id, &header, &payload, false, &others, false);
+                        let bytes = data_frame(id, &starts, &header, &payload, false);
+                        send_data(io, &bytes, &others, false);
                     }
                 }
-                self.order.accept(io, &mut self.out, id, header, payload, seen);
+                let receipt = Receipt {
+                    id,
+                    start,
+                    header,
+                    payload,
+                };
+                self.order.accept(io, &mut self.out, receipt, seen);
                 self.disk.received(io, &self.seen, id.origin);
             }
             Frame::Ack(id) => {
@@ -558,7 +669,7 @@ impl<H: HoldBack, D: Durability<H::Header>> Multicast for Eager<H, D> {
                     return;
                 }
                 if id.epoch == self.out.epoch {
-                    self.order.on_ack(from, id.seq);
+                    self.out.joins.on_ack(from, id.seq);
                 }
                 let at = (id.epoch, id.seq);
                 let Some(frame) = self.out.outgoing.get_mut(&at) else {
@@ -592,8 +703,8 @@ impl<H: HoldBack, D: Durability<H::Header>> Multicast for Eager<H, D> {
                 epoch,
                 seq,
             };
-            let unacked = &frame.unacked;
-            send_data(io, id, &frame.header, &frame.payload, true, unacked, false);
+            let bytes = data_frame(id, &frame.starts, &frame.header, &frame.payload, true);
+            send_data(io, &bytes, &frame.unacked, false);
         }
         out.arm_timer(io);
     }
@@ -674,8 +785,8 @@ mod tests {
 
     use super::*;
 
-    /// `Reliable`'s frames as they were before the ordered kinds shared
-    /// the layer; the generic frame with a `()` header must match them.
+    /// `Reliable`'s frames as they were before the layer carried a start
+    /// list.
     #[derive(Serialize)]
     enum Plain {
         Data {
@@ -688,6 +799,8 @@ mod tests {
         },
     }
 
+    /// A `Reliable` data frame is its pre-start-list bytes with one zero
+    /// byte, the empty list's length, after the id; its ack is unchanged.
     #[test]
     fn reliable_frames_keep_their_bytes() {
         let id = MsgId {
@@ -696,22 +809,90 @@ mod tests {
             seq: 300,
         };
         let payload = WireBytes::from(b"tick".to_vec());
+        let after_id = 1 + encode_msg(&id).len(); // the variant index, then the id
         for from_origin in [true, false] {
             let plain = encode_msg(&Plain::Data {
                 id,
                 payload: payload.clone(),
                 from_origin,
             });
-            let frame = encode_msg(&Frame::Data(id, (), payload.clone(), from_origin));
-            assert_eq!(plain[..], frame[..]);
+            let mut expected = plain.to_vec();
+            expected.insert(after_id, 0);
+            let frame = encode_msg(&Frame::Data(
+                id,
+                Starts::new(),
+                (),
+                payload.clone(),
+                from_origin,
+            ));
+            assert_eq!(frame[..], expected[..]);
             let back = decode_msg::<Frame<()>>(&frame);
-            assert!(
-                matches!(back, Some(Frame::Data(got, (), _, f)) if got == id && f == from_origin)
-            );
+            let Some(Frame::Data(got, starts, (), _, f)) = back else {
+                panic!("a data frame")
+            };
+            assert_eq!((got, starts, f), (id, Starts::new(), from_origin));
         }
         let ack = encode_msg(&Frame::<()>::Ack(id));
         assert_eq!(ack[..], encode_msg(&Plain::Ack { id })[..]);
         assert!(matches!(decode_msg::<Frame<()>>(&ack), Some(Frame::Ack(got)) if got == id));
+    }
+
+    /// The ordered kinds' headers before the layer took their start lists,
+    /// which came first in each.
+    #[derive(Serialize)]
+    struct OldCausalHeader {
+        joins: Starts,
+        deps: Vec<(NodeId, u64, u64)>,
+    }
+
+    #[derive(Serialize)]
+    struct OldTotalHeader {
+        joins: Starts,
+        ordered: Option<MsgId>,
+    }
+
+    /// Decodes `old` as a frame under header `H` and re-encodes it: the
+    /// bytes must not move. Returns the start list read.
+    fn reads_back<H: Serialize + DeserializeOwned + fmt::Debug>(old: &WireBytes) -> Starts {
+        let frame = decode_msg::<Frame<H>>(old).expect("an old frame decodes");
+        assert_eq!(encode_msg(&frame)[..], old[..], "{frame:?}");
+        match frame {
+            Frame::Data(_, starts, ..) => starts,
+            Frame::Ack(_) => panic!("a data frame"),
+        }
+    }
+
+    /// FIFO, causal and total frames are byte-identical to the frames they
+    /// sent when each policy kept its own start list at the head of its
+    /// header: the layer's list sits where theirs did.
+    #[test]
+    fn ordered_frames_keep_their_bytes() {
+        let id = MsgId {
+            origin: NodeId(3),
+            epoch: 1_234,
+            seq: 300,
+        };
+        let payload = WireBytes::from(b"tick".to_vec());
+        for joins in [vec![], vec![(NodeId(5), 298), (NodeId(7), 300)]] {
+            // An old frame is the layer's frame with a zero-byte list and
+            // the old header.
+            let fifo = encode_msg(&Frame::Data(id, (), &joins, payload.clone(), true));
+            assert_eq!(reads_back::<()>(&fifo), joins);
+            let causal = OldCausalHeader {
+                joins: joins.clone(),
+                deps: vec![(NodeId(1), 9, 4), (NodeId(2), 1, 17)],
+            };
+            let causal = encode_msg(&Frame::Data(id, (), &causal, payload.clone(), false));
+            assert_eq!(reads_back::<crate::causal::CausalHeader>(&causal), joins);
+            for ordered in [None, Some(MsgId { seq: 2, ..id })] {
+                let total = OldTotalHeader {
+                    joins: joins.clone(),
+                    ordered,
+                };
+                let total = encode_msg(&Frame::Data(id, (), &total, payload.clone(), true));
+                assert_eq!(reads_back::<crate::total::TotalHeader>(&total), joins);
+            }
+        }
     }
 
     // The durable half, driven callback by callback over one process's
@@ -765,17 +946,15 @@ mod tests {
         /// Hands `PUBLISHER`'s frame `(epoch 0, seq)` to `proto` and
         /// commits: the appends it cost.
         fn data(&mut self, proto: &mut Certified, seq: u64) -> u64 {
-            let id = MsgId {
-                origin: PUBLISHER,
-                epoch: 0,
-                seq,
-            };
+            self.copy(proto, PUBLISHER, seq, Starts::new())
+        }
+
+        /// As [`data`](Self::data), for a copy of the frame naming
+        /// `starts` that `from` sent (a relay unless it is `PUBLISHER`).
+        fn copy(&mut self, proto: &mut Certified, from: NodeId, seq: u64, starts: Starts) -> u64 {
             let payload = WireBytes::from(seq.to_le_bytes().to_vec());
-            self.receive(
-                proto,
-                PUBLISHER,
-                encode_msg(&Frame::Data(id, (), payload, true)),
-            )
+            let frame = Frame::Data(id(0, seq), starts, (), payload, from == PUBLISHER);
+            self.receive(proto, from, encode_msg(&frame))
         }
 
         /// Hands `bytes` from `from` to `proto` and commits: the
@@ -940,6 +1119,73 @@ mod tests {
             bytes < 16,
             "the record does not grow with the deliveries: {bytes} B"
         );
+    }
+
+    /// A subscriber the publisher starts addressing after its first 200
+    /// frames: the frames name its start until it acknowledges one, so its
+    /// stream record stays a watermark and its delivered record does not
+    /// grow. (200 keeps the watermark two varint bytes wide throughout.)
+    #[test]
+    fn a_late_subscriber_keeps_one_small_record() {
+        const EARLY: u64 = 200;
+        let mut publisher = Disk::new(PUBLISHER, &[PUBLISHER]);
+        let mut subscriber = Disk::subscriber();
+        let mut proto = publisher.start();
+        let mut sub = subscriber.start();
+        for value in 1..=EARLY {
+            broadcast(&mut publisher, &mut proto, value);
+        }
+        assert!(publisher.sent.is_empty(), "no target yet");
+        publisher.members = vec![PUBLISHER, ME];
+        let mut record = Vec::new();
+        for value in EARLY + 1..=EARLY + 1_000 {
+            broadcast(&mut publisher, &mut proto, value);
+            publisher.forward(&mut subscriber, &mut sub);
+            subscriber.forward(&mut publisher, &mut proto);
+            record.push(
+                subscriber
+                    .storage
+                    .get_raw("cert/delivered/0")
+                    .unwrap()
+                    .len(),
+            );
+        }
+        let late: Vec<u64> = (EARLY + 1..=EARLY + 1_000).collect();
+        assert_eq!(subscriber.delivered, late);
+        let stream = Delivered {
+            upto: EARLY + 1_000,
+            above: BTreeSet::new(),
+        };
+        assert_eq!(sub.seen.origin(PUBLISHER)[&1], stream);
+        assert_eq!(
+            record[9], record[999],
+            "the record at delivery 10 and 1 000"
+        );
+        assert!(record[999] < 16, "{} B", record[999]);
+        assert!(owed(&mut proto, &mut publisher).is_empty());
+    }
+
+    /// Once a frame named its start here, a copy of an earlier seq is a
+    /// duplicate: a retransmission (or a late first copy) from the origin
+    /// is acknowledged and not delivered, a relayed one is dropped, and the
+    /// start itself is still delivered.
+    #[test]
+    fn copies_below_the_start_are_duplicates_and_still_acked() {
+        let mut disk = Disk::new(ME, &[PUBLISHER, ME, OTHER]);
+        let mut proto = disk.start();
+        assert_eq!(disk.copy(&mut proto, PUBLISHER, 8, vec![(ME, 7)]), 1);
+        assert_eq!(disk.take_sends(), [(None, false)], "the ack");
+        assert_eq!(disk.data(&mut proto, 5), 0, "no record");
+        assert_eq!(disk.take_sends(), [(None, false)], "acked");
+        assert_eq!(disk.copy(&mut proto, OTHER, 3, Starts::new()), 0);
+        assert!(disk.take_sends().is_empty(), "a relayed copy is not acked");
+        assert_eq!(disk.data(&mut proto, 7), 1);
+        assert_eq!(disk.delivered, [8, 7]);
+        let stream = Delivered {
+            upto: 8,
+            above: BTreeSet::new(),
+        };
+        assert_eq!(proto.seen.origin(PUBLISHER)[&0], stream);
     }
 
     /// A frame some target has not acknowledged, as a capture lists it:

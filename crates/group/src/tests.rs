@@ -541,6 +541,26 @@ mod delivery_layer {
         }
     }
 
+    /// A member the origin starts addressing after 5 broadcasts is told
+    /// where its part of the stream starts: after 1 000 more its record is
+    /// a watermark at the last seq, not 1 000 seqs past a gap at 0.
+    #[test]
+    fn a_late_reliable_member_keeps_one_record_per_stream() {
+        let (mut sim, ids) = cluster(2, SimConfig::with_seed(3), || Box::new(Reliable::new()));
+        GroupNode::set_members(&mut sim, ids[0], vec![ids[0]]);
+        for i in 0..5u64 {
+            GroupNode::broadcast(&mut sim, ids[0], payload(0, i));
+        }
+        sim.run_to_quiescence();
+        GroupNode::set_members(&mut sim, ids[0], ids.clone());
+        for i in 5..1_005u64 {
+            GroupNode::broadcast(&mut sim, ids[0], payload(0, i));
+        }
+        sim.run_to_quiescence();
+        assert_eq!(GroupNode::delivered(&mut sim, ids[1]).len(), 1_000);
+        assert_eq!(stream_records::<()>(&mut sim, ids[1]), [(ids[0], 1_005, 0)]);
+    }
+
     #[test]
     fn reliable_fifo_and_causal_pairs_complete_at_twenty_percent_loss() {
         two_nodes_at_twenty_percent_loss_deliver_everything::<()>();
@@ -753,6 +773,22 @@ proptest! {
         }
     }
 
+    /// Wherever a third member joins, and whatever the loss, once every
+    /// frame is acknowledged every receiver's records are watermarks: each
+    /// pre-join publisher broadcasts again after the join, and that frame
+    /// names the newcomer's start until the newcomer acknowledges it.
+    #[test]
+    fn prop_a_late_member_leaves_no_gap(
+        seed in 0u64..200,
+        early in 0u64..8,
+        join_ms in 0u64..120,
+        late in 1u64..5,
+        loss in 0.0f64..0.3,
+    ) {
+        late_member_leaves_no_gap::<()>(seed, early, join_ms, late, loss)?;
+        late_member_leaves_no_gap::<FifoHoldBack>(seed, early, join_ms, late, loss)?;
+    }
+
     /// Total order: arbitrary concurrent publishers, identical delivery
     /// sequences everywhere.
     #[test]
@@ -768,4 +804,42 @@ proptest! {
             prop_assert_eq!(GroupNode::delivered(&mut sim, id), reference.clone());
         }
     }
+}
+
+/// `early` broadcasts from n0 and n1 to each other, then n2 joins after
+/// `join_ms` (frames may still be in flight or owed) and all three
+/// broadcast `late` more each under `loss`.
+fn late_member_leaves_no_gap<H: HoldBack>(
+    seed: u64,
+    early: u64,
+    join_ms: u64,
+    late: u64,
+    loss: f64,
+) -> Result<(), TestCaseError> {
+    let config = SimConfig { seed, drop_probability: loss, ..SimConfig::default() };
+    let (mut sim, ids) = cluster(3, config, || Box::new(Eager::<H>::new()));
+    for &id in &ids {
+        GroupNode::set_members(&mut sim, id, ids[..2].to_vec());
+    }
+    for i in 0..early {
+        GroupNode::broadcast(&mut sim, ids[(i % 2) as usize], payload(0, i));
+    }
+    sim.run_until(SimTime::from_millis(join_ms));
+    for &id in &ids {
+        GroupNode::set_members(&mut sim, id, ids.clone());
+    }
+    for i in 0..late {
+        for &id in &ids {
+            GroupNode::broadcast(&mut sim, id, payload(1, i));
+        }
+    }
+    sim.run_to_quiescence();
+    for &id in &ids {
+        let depths = GroupNode::with_proto::<Eager<H>, _>(&mut sim, id, |proto| proto.queue_depths());
+        prop_assert_eq!(depths.unwrap()[0], ("reliable.unacked", 0), "{} at {}", H::NAME, id);
+        for (origin, upto, above) in stream_records::<H>(&mut sim, id) {
+            prop_assert_eq!(above, 0, "{} at {}: {}'s stream at {}", H::NAME, id, origin, upto);
+        }
+    }
+    Ok(())
 }

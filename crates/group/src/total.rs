@@ -22,17 +22,19 @@
 //! Because the sequencer orders each origin's submissions in publish
 //! order, total order here also preserves per-publisher FIFO order.
 //!
-//! Where a stream starts is FIFO's rule ([`Joins`] names a member's first
-//! owed seq; a receiver recovered from a crash adopts the first ordered
-//! frame it sees of a stream that began earlier, never replaying history
-//! its previous life consumed). A submission names its own start: the
-//! publisher's oldest frame still unacknowledged, or the seq the sequencer
-//! is first owed. A restarted sequencer therefore orders the submissions
-//! its previous incarnation did not acknowledge, and renumbers from seq 1
-//! under a new epoch; receivers follow the new stream, and the ids of the
-//! submissions delivered here keep one ordered twice from being delivered
-//! twice. Sequencer crashes are nonetheless outside total order's volatile
-//! contract: two survivors may see different prefixes of the old stream.
+//! Where a stream starts is the layer's rule and FIFO's (a frame's start
+//! list names a late member's first owed seq; a receiver recovered from a
+//! crash adopts the first ordered frame it sees of a stream that began
+//! earlier, never replaying history its previous life consumed). A
+//! submission's list, which [`address`](HoldBack::address) supplies, names
+//! the sequencer's own start: the publisher's oldest frame still
+//! unacknowledged, or the seq the sequencer is first owed. A restarted
+//! sequencer therefore orders the submissions its previous incarnation did
+//! not acknowledge, and renumbers from seq 1 under a new epoch; receivers
+//! follow the new stream, and the ids of the submissions delivered here
+//! keep one ordered twice from being delivered twice. Sequencer crashes
+//! are nonetheless outside total order's volatile contract: two survivors
+//! may see different prefixes of the old stream.
 //!
 //! A member that receives a submission orders it, sequencer or not: while
 //! a membership change hands the role over, two streams interleave and
@@ -45,9 +47,9 @@ use psc_simnet::NodeId;
 use psc_snapshot::ProtoCapture;
 
 use crate::dedup::{Dedup, Delivered, MsgId};
-use crate::fifo::{Joins, Streams};
+use crate::fifo::Streams;
 use crate::io::GroupIo;
-use crate::reliable::{others, Eager, HoldBack, Outbox};
+use crate::reliable::{others, Eager, HoldBack, Joins, Outbox, Outgoing, Receipt, Starts};
 
 /// Fixed-sequencer total-order broadcast over the reliable delivery layer.
 pub type Total = Eager<TotalHoldBack>;
@@ -55,9 +57,6 @@ pub type Total = Eager<TotalHoldBack>;
 /// What a total-order frame carries besides its id.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TotalHeader {
-    /// Targets' first owed seqs (see [`Joins`]); a submission always names
-    /// the sequencer's.
-    joins: Vec<(NodeId, u64)>,
     /// The submission an ordered frame orders; `None` on a submission.
     ordered: Option<MsgId>,
 }
@@ -69,7 +68,6 @@ type Released = (MsgId, bool, WireBytes);
 /// Total-order policy; see the module docs.
 #[derive(Debug, Default)]
 pub struct TotalHoldBack {
-    joins: Joins,
     /// Every origin's frames to this member, in stream order.
     streams: Streams<Released>,
     /// The submissions delivered here.
@@ -101,27 +99,27 @@ impl HoldBack for TotalHoldBack {
         me: NodeId,
         members: &[NodeId],
         id: MsgId,
-        oldest_unacked: Option<u64>,
-    ) -> (Vec<NodeId>, TotalHeader) {
+        out: &mut Outbox<TotalHeader>,
+    ) -> (Vec<NodeId>, Starts, TotalHeader) {
         match members.iter().min() {
             Some(&sequencer) if sequencer != me => {
                 let targets = vec![sequencer];
-                let owed = Joins::start_of(&self.joins.stamp(id.seq, &targets), sequencer);
-                let since = oldest_unacked.unwrap_or(id.seq).max(owed.unwrap_or(0));
-                let header = TotalHeader {
-                    joins: vec![(sequencer, since)],
-                    ordered: None,
-                };
-                (targets, header)
+                let owed = Joins::start_of(&out.starts(id.seq, &targets), sequencer);
+                let since = out
+                    .oldest_unacked()
+                    .unwrap_or(id.seq)
+                    .max(owed.unwrap_or(0));
+                (
+                    targets,
+                    vec![(sequencer, since)],
+                    TotalHeader { ordered: None },
+                )
             }
             _ => {
                 // The sequencer's own publish is ordered as it is sent.
                 let targets = others(me, members);
-                let header = TotalHeader {
-                    joins: self.joins.stamp(id.seq, &targets),
-                    ordered: Some(id),
-                };
-                (targets, header)
+                let starts = out.starts(id.seq, &targets);
+                (targets, starts, TotalHeader { ordered: Some(id) })
             }
         }
     }
@@ -130,11 +128,15 @@ impl HoldBack for TotalHoldBack {
         &mut self,
         io: &mut dyn GroupIo,
         out: &mut Outbox<TotalHeader>,
-        id: MsgId,
-        header: TotalHeader,
-        payload: WireBytes,
+        receipt: Receipt<TotalHeader>,
         seen: &mut Delivered,
     ) {
+        let Receipt {
+            id,
+            start,
+            header,
+            payload,
+        } = receipt;
         let me = io.self_id();
         if id.origin == me {
             // Own broadcast: the sequencer's is in order by construction;
@@ -144,10 +146,9 @@ impl HoldBack for TotalHoldBack {
             }
             return;
         }
-        let start = Joins::start_of(&header.joins, me);
         let ordered = header.ordered.is_some();
         let item = (header.ordered.unwrap_or(id), ordered, payload);
-        let Self { joins, streams, delivered } = self;
+        let Self { streams, delivered } = self;
         let release = |(submission, ordered, payload): Released| {
             if ordered {
                 Self::deliver(delivered, io, submission, payload);
@@ -156,11 +157,16 @@ impl HoldBack for TotalHoldBack {
             io.metric("total.sequenced", 1);
             let id = out.next_id(me);
             let targets = others(me, io.members());
+            let starts = out.starts(id.seq, &targets);
             let header = TotalHeader {
-                joins: joins.stamp(id.seq, &targets),
                 ordered: Some(submission),
             };
-            out.send(io, id, header, payload.clone(), targets, false);
+            out.send(
+                io,
+                id,
+                Outgoing::new(starts, header, payload.clone(), targets),
+                false,
+            );
             if io.members().contains(&me) {
                 Self::deliver(delivered, io, submission, payload);
             }
@@ -174,10 +180,6 @@ impl HoldBack for TotalHoldBack {
 
     fn data_id(id: MsgId, header: &TotalHeader) -> MsgId {
         header.ordered.unwrap_or(id)
-    }
-
-    fn on_ack(&mut self, from: NodeId, seq: u64) {
-        self.joins.on_ack(from, seq);
     }
 
     fn on_recover(&mut self, epoch: u64) {

@@ -82,7 +82,9 @@ impl DaceEndpoint {
         dace: DaceConfig,
     ) -> io::Result<DaceEndpoint> {
         let registry = Arc::new(Registry::new());
+        // No endpoint method reads a trace, so none is recorded.
         let tracer = Arc::new(Tracer::default());
+        tracer.set_enabled(false);
         let recorder = Arc::new(FlightRecorder::new(
             format!("n{}", net.id.0),
             DEFAULT_FLIGHT_CAPACITY,

@@ -25,8 +25,8 @@
 //! sends and the timers, then the self-sends those produced. One exception
 //! keeps callers off the disk: a local call whose callback journaled log
 //! records puts its sends ahead on the wire and returns, and the timer
-//! thread (or whoever takes the lock first) writes the log and applies the
-//! rest — before any other callback runs, so nothing is reordered. A
+//! thread (or whoever takes the lock first, `shutdown` included) writes
+//! the log and applies the rest — before any other callback runs, so nothing is reordered. A
 //! certified publish's frame is such a send once its epoch is on disk
 //! (`psc_group::Durable`), so it leaves before the publisher's fsync. A
 //! send to an idle peer is written by the applying thread itself; one
@@ -433,9 +433,13 @@ impl NetTransport {
         }
         // The timer thread checks the flag under the core lock, so once the
         // lock has been ours it is either past a check that saw the flag or
-        // already waiting for this notify. A poisoned lock is as good: only
-        // the passage matters, nothing here touches the node.
-        drop(shared.core.lock());
+        // already waiting for this notify. It leaves on the flag, so a
+        // local call's log write it would have finished is finished here.
+        // A poisoned lock is as good: the endpoint fail-stopped, and only
+        // the passage matters.
+        if let Ok(mut core) = shared.core.lock() {
+            shared.settle(&mut core);
+        }
         shared.wake_timer.notify_all();
         // The accept thread blocks in `accept()`; a throw-away connection
         // wakes it to see the flag, and it hangs up on the readers.

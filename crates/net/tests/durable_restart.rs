@@ -14,7 +14,9 @@
 //!    endpoint on the same directory and durable identity resumes the
 //!    stream with every acked publish delivered exactly once. The same
 //!    holds for a publisher torn down and restarted on its directory: its
-//!    new incarnation's frames are not swallowed under a reused epoch.
+//!    new incarnation's frames are not swallowed under a reused epoch, and
+//!    a graceful shutdown right after a local call leaves that call's log
+//!    records on disk.
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration as StdDuration, Instant};
@@ -313,4 +315,27 @@ fn restarted_publisher_is_not_swallowed_under_a_reused_epoch() {
 
     subscriber.shutdown();
     let _ = std::fs::remove_dir_all(&data);
+}
+
+/// A local call that wrote to the log returns before the write, which the
+/// timer thread finishes. A graceful `shutdown` right after it finishes
+/// the write itself: reopened, the segment files hold the durable
+/// subscription's record, round after round.
+#[test]
+fn shutdown_right_after_a_local_call_keeps_its_log_records() {
+    let missing: Vec<u32> = (0..20)
+        .filter(|round| {
+            let data = temp_root(&format!("shutdown-{round}"));
+            let ep = endpoint(NodeId(0), "127.0.0.1:0", vec![NodeId(0)], Some(&data));
+            attach_durable(&ep, 7_003);
+            ep.shutdown();
+            drop(ep);
+            let (mut storage, _) = FileWal::open(&data).unwrap();
+            storage.wal_recover();
+            let kept = storage.keys_with_prefix("dursub/").count() == 1;
+            let _ = std::fs::remove_dir_all(&data);
+            !kept
+        })
+        .collect();
+    assert!(missing.is_empty(), "rounds that lost the record: {missing:?}");
 }
